@@ -5,8 +5,10 @@ Run from the root of a checkout::
     python3 perfbench/run.py --workload open_low_16x16 --seed 1 --seconds 25 --trace 0
     python3 perfbench/run.py --workload all              # every workload in turn
 
-``--trace 0`` times the end-to-end metrics with nothing instrumented;
-``--trace 1`` runs each workload once under span tracing and reports the
+``--trace 0`` times the end-to-end metrics with nothing instrumented, in
+quiet-host seconds (``perfbench/calibration.py`` scales each timed step
+by a calibration kernel run around it; the raw host times are recorded
+too); ``--trace 1`` runs each workload once under span tracing and reports the
 per-layer metrics instead (see ``perfbench/README.md``).  Every
 operation is checked: against the committed outputs in
 ``perfbench/expected.json`` for the default seed, and against the
@@ -128,6 +130,11 @@ def summarize(outcome, units: dict) -> dict:
 
 def _print_block(workload: str, outcome, rows: dict, trace: bool) -> None:
     print(f"== {workload}: {outcome.attempted} ops attempted, {outcome.failed} failed")
+    if outcome.slowdowns:
+        print(
+            f"   host slowdown over the quiet-host kernel time: median "
+            f"{statistics.median(outcome.slowdowns):.3f}, {len(outcome.slowdowns)} slices"
+        )
     for problem in outcome.problems:
         print(f"   FAILED {problem}")
     for name, row in rows.items():
@@ -217,6 +224,8 @@ def main(argv=None) -> int:
             "problems": outcome.problems,
             "metrics": rows,
             "samples": outcome.samples,
+            "raw_samples": outcome.raw_samples,
+            "host_slowdowns": outcome.slowdowns,
         }
         (OUTPUT / "results").mkdir(parents=True, exist_ok=True)
         (OUTPUT / "results" / f"{stem}.json").write_text(

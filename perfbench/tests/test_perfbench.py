@@ -22,7 +22,7 @@ for path in (ROOT / "src", ROOT):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-from perfbench import checks, run, tracing, workloads  # noqa: E402
+from perfbench import calibration, checks, run, tracing, workloads  # noqa: E402
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 RECORDS = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
@@ -145,6 +145,35 @@ def test_zero_load_check_fires_below_the_hop_floor():
     )
     problems = checks.open_problems(simulator, too_fast, ledger)
     assert any("zero-load" in problem for problem in problems)
+
+
+def test_chunked_run_gives_the_result_of_one_run():
+    from repro.core.simulator import NetworkSimulator
+
+    config = workloads.open_config("open_sat_32x32", "tiny", 1, 0)
+    whole = NetworkSimulator(config).run()
+    clock = calibration.ScaledClock()
+    chunked, raw, scaled = workloads._run_point(NetworkSimulator(config), clock)
+    assert chunked.to_json() == whole.to_json()
+    assert raw > 0 and scaled > 0 and len(clock.slowdowns) >= 2
+
+
+def test_scaled_clock_divides_out_the_calibration_slowdown():
+    slices = iter([2.0 * calibration.REFERENCE_S, 4.0 * calibration.REFERENCE_S])
+    clock = calibration.ScaledClock(lambda: next(slices))
+    clock.start()
+    result, raw, scaled = clock.lap(lambda: "done")
+    assert result == "done"
+    # The step ran while the kernel took three times its quiet-host time.
+    assert scaled == pytest.approx(raw / 3.0)
+    assert clock.slowdowns == [2.0, 4.0]
+
+
+def test_parallel_slicer_runs_the_kernel_in_helpers_and_stops_them():
+    with calibration.ParallelSlicer(2) as slicer:
+        assert slicer() > 0
+        helpers = list(slicer._pool._processes.values())
+    assert helpers and not any(helper.is_alive() for helper in helpers)
 
 
 def test_instrument_restores_every_wrapped_name():

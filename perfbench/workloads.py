@@ -10,6 +10,12 @@ study sets its members' base seed to ``seed``.
 The first operation of a run warms the process up (allocator arenas,
 imports, worker start-up paths); it is checked like every other
 operation but left out of the timings.
+
+Untraced runs time every step with a :class:`calibration.ScaledClock`,
+so each timing is in quiet-host seconds (see ``perfbench/calibration.py``);
+an open point's ``run()`` is driven in laps of about ``LAP_S`` host
+seconds, each bracketed by calibration slices.  Traced runs and the
+recording of expected outputs time raw and run each point whole.
 """
 
 from __future__ import annotations
@@ -21,10 +27,11 @@ import os
 import resource
 import tempfile
 import time
+import warnings
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional
 
-from perfbench import checks, tracing
+from perfbench import calibration, checks, tracing
 
 __all__ = [
     "DEFAULT_SEED",
@@ -60,7 +67,7 @@ OPEN_CONFIGS: Dict[str, Dict[str, dict]] = {
             normalized_load=0.8,
             selector="max-credit",
             warmup_messages=100,
-            measure_messages=600,
+            measure_messages=1800,
         ),
         "tiny": dict(
             mesh_dims=(6, 6),
@@ -99,8 +106,13 @@ STUDY_WORKLOAD = "study_8x8"
 WORKLOADS = OPEN_WORKLOADS + (STUDY_WORKLOAD,)
 SCALES = ("bench", "tiny")
 
+#: Host seconds one lap of a chunked ``run()`` aims at.
+LAP_S = 0.2
 #: Timed repetitions inside one operation of the millisecond-scale steps.
 WARM_REPEATS = 10
+#: Back-to-back cache fetches per timed lap of an open point's warm round
+#: trip; one sample is the lap's mean per fetch.
+WARM_BATCH = 10
 STUDY_SETUP_REPEATS = 20
 
 #: End-to-end metric units, in report order.
@@ -122,8 +134,13 @@ class Outcome:
     attempted: int = 0
     failed: int = 0
     problems: List[str] = dataclasses.field(default_factory=list)
-    #: Timing samples per end-to-end metric (untraced runs).
+    #: Timing samples per end-to-end metric (untraced runs), scaled to
+    #: quiet-host seconds.
     samples: Dict[str, List[float]] = dataclasses.field(default_factory=dict)
+    #: The same samples in raw host seconds.
+    raw_samples: Dict[str, List[float]] = dataclasses.field(default_factory=dict)
+    #: Calibration slices over the reference kernel time (host slowdown).
+    slowdowns: List[float] = dataclasses.field(default_factory=list)
     #: Per-layer metric values (traced runs).
     layers: Dict[str, float] = dataclasses.field(default_factory=dict)
     #: The tracer of a traced run, kept so its spans can be written out.
@@ -189,6 +206,59 @@ class _Scratch:
         self._tmp.cleanup()
 
 
+class RawClock:
+    """The :class:`calibration.ScaledClock` interface without calibration:
+    raw host seconds, and every ``run()`` in one piece."""
+
+    def start(self) -> None:
+        pass
+
+    def lap(self, step):
+        tick = time.perf_counter()
+        result = step()
+        raw = time.perf_counter() - tick
+        return result, raw, raw
+
+
+def _run_point(simulator, clock):
+    """Run ``simulator`` to its stop; return the result and the raw and
+    scaled seconds of ``run()``.
+
+    A scaled clock drives ``run(max_cycles)`` in laps of about ``LAP_S``
+    host seconds up to the same cycle budget ``run()`` applies, which
+    gives the same result: the kernel resumes where the last lap stopped.
+    Only the last lap's warnings are passed on; the summaries of the
+    earlier laps describe an unfinished run.
+    """
+    if isinstance(clock, RawClock):
+        return clock.lap(simulator.run)
+    config = simulator.config
+    budget = config.max_cycles if config.max_cycles is not None else simulator.default_max_cycles()
+    raw = scaled = 0.0
+    cycles = 0
+    chunk = 1
+    while True:
+        step = min(chunk, budget - cycles)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result, lap_raw, lap_scaled = clock.lap(lambda: simulator.run(step))
+        raw += lap_raw
+        scaled += lap_scaled
+        cycles = result.cycles
+        if simulator.stats.all_measured_delivered() or cycles >= budget:
+            for warning in caught:
+                warnings.warn_explicit(
+                    warning.message, warning.category, warning.filename, warning.lineno
+                )
+            return result, raw, scaled
+        chunk = max(1, min(chunk * 8, int(chunk * LAP_S / max(lap_raw, 1e-6))))
+
+
+def _add(target: Dict[str, List[float]], timings: Mapping[str, List[float]]) -> None:
+    for metric, values in timings.items():
+        target.setdefault(metric, []).extend(values)
+
+
 def _run_timed(outcome: Outcome, seconds: float, label, operation) -> None:
     """Run ``operation(op)`` for op = 0, 1, ... until ``seconds`` have
     passed since operation 0 -- the warm-up, whose timings are left out --
@@ -203,8 +273,8 @@ def _run_timed(outcome: Outcome, seconds: float, label, operation) -> None:
         else:
             outcome.record(label(op), sample["problems"])
             if op > 0:
-                for metric, values in sample["timings"].items():
-                    outcome.samples.setdefault(metric, []).extend(values)
+                _add(outcome.samples, sample["timings"])
+                _add(outcome.raw_samples, sample["raw_timings"])
         op += 1
         now = time.perf_counter()
         if window_start is None:
@@ -221,10 +291,22 @@ def _untraced(name: str) -> contextlib.nullcontext:
     return contextlib.nullcontext()
 
 
+def _open_timings(config, result, setup_s: float, run_s: float, warm: List[float]):
+    return {
+        "setup_s": [setup_s],
+        "sim_cycles_per_s": [result.cycles / run_s],
+        "flits_per_s": [result.summary.delivered * config.message_length / run_s],
+        "study_cold_s": [setup_s + run_s],
+        "study_warm_s": warm,
+        "points_per_s": [1.0 / (setup_s + run_s)],
+    }
+
+
 def _open_op(
     config,
     cache,
     expected: Optional[Mapping[str, object]],
+    clock,
     tracer: Optional[tracing.Tracer] = None,
 ) -> Dict[str, object]:
     """Simulate one open-loop point, check it and time its cache round trip."""
@@ -233,40 +315,40 @@ def _open_op(
 
     span = tracer.span if tracer is not None else _untraced
     gc.collect()
-    start = time.perf_counter()
+    clock.start()
     with span("bench.setup"):
-        simulator = NetworkSimulator(config)
-    built = time.perf_counter()
+        simulator, setup_raw, setup_s = clock.lap(lambda: NetworkSimulator(config))
     ledger = checks.Ledger(simulator.stats)
     with span("bench.run"):
-        result = simulator.run()
-    done = time.perf_counter()
+        result, run_raw, run_s = _run_point(simulator, clock)
     outputs = checks.open_outputs(simulator, result)
     problems = checks.open_problems(simulator, result, ledger)
     if expected is not None:
         problems += checks.compare(expected, outputs)
     del simulator, ledger
     cache.put(config, result)
-    warm = []
+    # Free the simulator's object graph now, not in a collection that a
+    # warm fetch happens to trigger.
+    gc.collect()
+    def fetch_batch():
+        for _ in range(WARM_BATCH):
+            fetched = SerialBackend(cache=cache).run_configs([config])[0]
+        return fetched
+
+    warm, warm_raw = [], []
+    clock.start()
     for _ in range(WARM_REPEATS):
-        tick = time.perf_counter()
-        fetched = SerialBackend(cache=cache).run_configs([config])[0]
-        warm.append(time.perf_counter() - tick)
+        fetched, raw, scaled = clock.lap(fetch_batch)
+        warm.append(scaled / WARM_BATCH)
+        warm_raw.append(raw / WARM_BATCH)
     if fetched.to_json() != result.to_json():
         problems.append("the cached result differs from the simulated one")
-    run_s = done - built
     return {
-        "cold_s": done - start,
+        "cold_s": setup_raw + run_raw,
         "outputs": outputs,
         "problems": problems,
-        "timings": {
-            "setup_s": [built - start],
-            "sim_cycles_per_s": [result.cycles / run_s],
-            "flits_per_s": [result.summary.delivered * config.message_length / run_s],
-            "study_cold_s": [done - start],
-            "study_warm_s": warm,
-            "points_per_s": [1.0 / (done - start)],
-        },
+        "timings": _open_timings(config, result, setup_s, run_s, warm),
+        "raw_timings": _open_timings(config, result, setup_raw, run_raw, warm_raw),
     }
 
 
@@ -278,25 +360,31 @@ def _expected_open(expected, workload: str, op: int) -> Optional[Mapping[str, ob
 
 def _run_open_timed(workload, seed, seconds, scale, expected, scratch, outcome) -> None:
     cache = scratch.cache()
+    clock = calibration.ScaledClock()
     _run_timed(
         outcome,
         seconds,
         lambda op: f"op {op} (seed {open_config(workload, scale, seed, op).seed})",
         lambda op: _open_op(
-            open_config(workload, scale, seed, op), cache, _expected_open(expected, workload, op)
+            open_config(workload, scale, seed, op),
+            cache,
+            _expected_open(expected, workload, op),
+            clock,
         ),
     )
+    outcome.slowdowns = clock.slowdowns
 
 
 def _run_open_traced(workload, seed, scale, expected, scratch, outcome) -> None:
     config = open_config(workload, scale, seed, 0)
     expect = _expected_open(expected, workload, 0)
-    outcome.record("warm-up op", _open_op(config, scratch.cache(), expect)["problems"])
-    reference = _open_op(config, scratch.cache(), expect)
+    clock = RawClock()
+    outcome.record("warm-up op", _open_op(config, scratch.cache(), expect, clock)["problems"])
+    reference = _open_op(config, scratch.cache(), expect, clock)
     outcome.record("reference op", reference["problems"])
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
-        traced = _open_op(config, scratch.cache(), expect, tracer)
+        traced = _open_op(config, scratch.cache(), expect, clock, tracer)
     problems = traced["problems"] + checks.compare(reference["outputs"], traced["outputs"])
     outcome.record("traced op", problems)
     outcome.layers = tracing.layer_metrics(tracer, traced["cold_s"] / reference["cold_s"])
@@ -351,20 +439,50 @@ def _study_pass(study, backend):
     return result, elapsed
 
 
-def _study_op(seed, scale, scratch, expected, backend_factory) -> Dict[str, object]:
-    """One cold pass on an empty cache plus warm passes on the filled one."""
+def _study_timings(setup, cold, warm, cycles, flits, simulations):
+    return {
+        "setup_s": setup,
+        "sim_cycles_per_s": [cycles / cold],
+        "flits_per_s": [flits / cold],
+        "study_cold_s": [cold],
+        "study_warm_s": warm,
+        "points_per_s": [simulations / cold],
+    }
+
+
+def _timed_pass(clock, study, backend):
+    """A study pass timed by ``clock``: the result, the pass's raw seconds
+    and the same scaled by the lap around it (which adds pool shutdown)."""
+    (result, elapsed), raw, scaled = clock.lap(lambda: _study_pass(study, backend))
+    return result, elapsed, elapsed * scaled / raw
+
+
+def _study_op(
+    seed, scale, scratch, expected, backend_factory, clock, pool_clock
+) -> Dict[str, object]:
+    """One cold pass on an empty cache plus warm passes on the filled one.
+
+    ``clock`` times the steps this process runs; ``pool_clock`` the cold
+    pass, which may run in pool workers.
+    """
     from repro.exec.cache import ResultCache
 
     cache_dir = scratch.directory()
-    setup = []
-    for _ in range(STUDY_SETUP_REPEATS):
-        start = time.perf_counter()
+
+    def set_up():
         study = load_seeded_study(seed, scale)
         for member in study.members:
             member.expand()
-        backend = backend_factory(ResultCache(cache_dir))
-        setup.append(time.perf_counter() - start)
-    result, cold = _study_pass(study, backend)
+        return study, backend_factory(ResultCache(cache_dir))
+
+    setup, setup_raw = [], []
+    clock.start()
+    for _ in range(STUDY_SETUP_REPEATS):
+        (study, backend), raw, scaled = clock.lap(set_up)
+        setup.append(scaled)
+        setup_raw.append(raw)
+    pool_clock.start()
+    result, cold_raw, cold = _timed_pass(pool_clock, study, backend)
     simulations = backend.simulations_run
     cycles, flits, seen = _study_accounting(result, backend.cache)
     problems = []
@@ -373,26 +491,22 @@ def _study_op(seed, scale, scratch, expected, backend_factory) -> Dict[str, obje
     outputs = _study_outputs(result, seen)
     if expected is not None:
         problems += checks.compare(expected, outputs)
-    warm = []
+    warm, warm_raw = [], []
+    clock.start()
     for _ in range(WARM_REPEATS):
-        rerun, elapsed = _study_pass(study, backend_factory(ResultCache(cache_dir)))
-        warm.append(elapsed)
+        rerun, raw, scaled = _timed_pass(clock, study, backend_factory(ResultCache(cache_dir)))
+        warm.append(scaled)
+        warm_raw.append(raw)
         if _study_rows(rerun) != _study_rows(result):
             problems.append("warm-cache rows differ from the cold pass")
             break
     return {
-        "cold_s": cold,
+        "cold_s": cold_raw,
         "rows": _study_rows(result),
         "outputs": outputs,
         "problems": problems,
-        "timings": {
-            "setup_s": setup,
-            "sim_cycles_per_s": [cycles / cold],
-            "flits_per_s": [flits / cold],
-            "study_cold_s": [cold],
-            "study_warm_s": warm,
-            "points_per_s": [simulations / cold],
-        },
+        "timings": _study_timings(setup, cold, warm, cycles, flits, simulations),
+        "raw_timings": _study_timings(setup_raw, cold_raw, warm_raw, cycles, flits, simulations),
     }
 
 
@@ -410,21 +524,26 @@ def _serial_backend(cache):
 
 def _run_study_timed(seed, seconds, scale, expected, scratch, outcome) -> None:
     expect = expected[STUDY_WORKLOAD] if expected is not None else None
-    _run_timed(
-        outcome,
-        seconds,
-        lambda op: f"pass {op}",
-        lambda op: _study_op(seed, scale, scratch, expect, _pool_backend),
-    )
+    clock = calibration.ScaledClock()
+    with calibration.ParallelSlicer(POOL_WORKERS) as slicer:
+        pool_clock = calibration.ScaledClock(slicer)
+        _run_timed(
+            outcome,
+            seconds,
+            lambda op: f"pass {op}",
+            lambda op: _study_op(seed, scale, scratch, expect, _pool_backend, clock, pool_clock),
+        )
+    outcome.slowdowns = clock.slowdowns + pool_clock.slowdowns
 
 
 def _run_study_traced(seed, scale, expected, scratch, outcome) -> None:
     from repro.exec.cache import ResultCache
 
     expect = expected[STUDY_WORKLOAD] if expected is not None else None
-    pool = _study_op(seed, scale, scratch, expect, _pool_backend)
+    clock = RawClock()
+    pool = _study_op(seed, scale, scratch, expect, _pool_backend, clock, clock)
     outcome.record("pool pass", pool["problems"])
-    serial = _study_op(seed, scale, scratch, expect, _serial_backend)
+    serial = _study_op(seed, scale, scratch, expect, _serial_backend, clock, clock)
     outcome.record("serial pass", serial["problems"])
     tracer = tracing.Tracer()
     ledgers: List[checks.Ledger] = []
@@ -480,12 +599,16 @@ def record_expected(scale: str, scratch_root: Path) -> Dict[str, object]:
     try:
         for workload in WORKLOADS:
             if workload == STUDY_WORKLOAD:
-                sample = _study_op(DEFAULT_SEED, scale, scratch, None, _serial_backend)
+                sample = _study_op(
+                    DEFAULT_SEED, scale, scratch, None, _serial_backend, RawClock(), RawClock()
+                )
                 expected[workload] = sample["outputs"]
                 continue
             cache = scratch.cache()
             expected[workload] = [
-                _open_op(open_config(workload, scale, DEFAULT_SEED, op), cache, None)["outputs"]
+                _open_op(
+                    open_config(workload, scale, DEFAULT_SEED, op), cache, None, RawClock()
+                )["outputs"]
                 for op in range(SUB_SEEDS[workload])
             ]
     finally:
