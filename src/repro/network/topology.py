@@ -24,6 +24,7 @@ __all__ = [
     "TorusTopology",
     "port_direction",
     "port_for",
+    "productive_ports",
 ]
 
 #: The router port connected to the local network interface.
@@ -55,9 +56,22 @@ def port_direction(port: int) -> Tuple[int, int]:
     return dimension, (1 if offset == 0 else -1)
 
 
-#: (concrete topology class, dims) -> average distance; see
-#: :meth:`Topology.average_distance`.
-_AVERAGE_DISTANCE_CACHE: dict = {}
+def productive_ports(signs: Sequence[int]) -> Tuple[int, ...]:
+    """The productive output ports implied by a per-dimension sign pattern.
+
+    One port per non-zero sign, lowest dimension first; ``(LOCAL_PORT,)``
+    when every sign is zero (the message has arrived).  This is the
+    geometric content of a sign pattern: the minimal-adaptive routing
+    relation, and the default of economical-table entries that no
+    destination reaches.
+    """
+    ports = []
+    for dimension, sign in enumerate(signs):
+        if sign > 0:
+            ports.append(port_for(dimension, positive=True))
+        elif sign < 0:
+            ports.append(port_for(dimension, positive=False))
+    return tuple(ports) if ports else (LOCAL_PORT,)
 
 
 class Topology:
@@ -200,15 +214,7 @@ class Topology:
 
         Returns ``(LOCAL_PORT,)`` when ``current`` is the destination.
         """
-        if current == destination:
-            return (LOCAL_PORT,)
-        ports = []
-        for dimension, sign in enumerate(self.relative_signs(current, destination)):
-            if sign > 0:
-                ports.append(port_for(dimension, positive=True))
-            elif sign < 0:
-                ports.append(port_for(dimension, positive=False))
-        return tuple(ports)
+        return productive_ports(self.relative_signs(current, destination))
 
     def dimension_order_port(self, current: int, destination: int) -> int:
         """Deterministic dimension-order (XY) routing decision.
@@ -217,14 +223,7 @@ class Topology:
         is the escape-channel route used by Duato's algorithm and the
         STATIC-XY preference order.
         """
-        if current == destination:
-            return LOCAL_PORT
-        for dimension, sign in enumerate(self.relative_signs(current, destination)):
-            if sign > 0:
-                return port_for(dimension, positive=True)
-            if sign < 0:
-                return port_for(dimension, positive=False)
-        raise AssertionError("no productive dimension found for distinct nodes")
+        return self.minimal_ports(current, destination)[0]
 
     def distance(self, source: int, destination: int) -> int:
         """Minimal hop count between two nodes."""
@@ -233,31 +232,24 @@ class Topology:
     def average_distance(self) -> float:
         """Average minimal hop count over all ordered source/dest pairs.
 
-        The O(nodes^2) pair walk is memoized per instance *and* in a
-        class-keyed table shared across instances: topologies are
-        immutable after construction, the result is a pure function of
-        (concrete class, dims), and the simulator consults this for the
-        cycle budget and zero-load latency of every run -- at 32x32 and
-        above the pair walk would otherwise rival small simulations.
+        Distance is a sum of per-dimension terms, and each coordinate pair
+        ``(a, b)`` of dimension ``d`` occurs in ``(N / k_d)^2`` node pairs.
+        So the exact integer total is, summed over ``d``, ``(N / k_d)^2``
+        times the summed distances between the nodes at coordinates ``a``
+        and ``b`` of axis ``d`` (all other coordinates zero): O(sum k_d^2)
+        instead of O(N^2).
         """
-        cached = getattr(self, "_average_distance", None)
-        if cached is not None:
-            return cached
-        key = (type(self), self._dims)
-        average = _AVERAGE_DISTANCE_CACHE.get(key)
-        if average is None:
-            total = 0
-            count = 0
-            for source in range(self._num_nodes):
-                for destination in range(self._num_nodes):
-                    if source == destination:
-                        continue
-                    total += self.distance(source, destination)
-                    count += 1
-            average = total / count if count else 0.0
-            _AVERAGE_DISTANCE_CACHE[key] = average
-        self._average_distance = average
-        return average
+        total = 0
+        stride = 1  # node ids vary fastest along dimension 0
+        for extent in self._dims:
+            axis_total = sum(
+                self.distance(a * stride, b * stride)
+                for a in range(extent)
+                for b in range(extent)
+            )
+            total += (self._num_nodes // extent) ** 2 * axis_total
+            stride *= extent
+        return total / (self._num_nodes * (self._num_nodes - 1))
 
     # -- capacity ----------------------------------------------------------
 

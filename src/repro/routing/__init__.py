@@ -6,7 +6,9 @@ Two closely related concepts live here:
   mapping ``(current_node, destination)`` to the set of output ports a
   routing relation permits.  They are what routing tables are programmed
   with (full-table, meta-table and economical-storage tables all store the
-  image of a provider in different encodings).
+  image of a provider in different encodings).  Every built-in provider
+  is a *sign rule* of the per-dimension offset signs and exposes it as
+  ``provider.sign_rule``, which the economical-storage table requires.
 * **Routing algorithms** (:class:`~repro.routing.base.RoutingAlgorithm`):
   the run-time decision logic used by a router.  An algorithm combines a
   routing table (giving the adaptive candidate ports) with a

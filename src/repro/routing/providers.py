@@ -7,6 +7,14 @@ programmed by evaluating a provider for every table index, exactly the way
 a system administrator would program the lookup tables of a commercial
 table-based router.
 
+Every built-in relation depends on the destination only through the
+per-dimension sign pattern ``topology.relative_signs(current,
+destination)``: it is a *sign rule* ``rule(signs) -> ports``, and the
+provider is ``rule(topology.relative_signs(current, destination))``.  Each
+built-in provider exposes its rule as ``provider.sign_rule``; the
+economical-storage table evaluates that rule once per sign pattern
+instead of once per node pair.
+
 All providers here return **minimal** (productive) ports only, which is
 what every routing algorithm evaluated in the paper uses.
 """
@@ -15,19 +23,45 @@ from __future__ import annotations
 
 from typing import Callable, Tuple
 
-from repro.network.topology import LOCAL_PORT, Topology, port_direction, port_for
+from repro.network.topology import (
+    LOCAL_PORT,
+    Topology,
+    port_direction,
+    port_for,
+    productive_ports,
+)
 
 __all__ = [
     "PortProvider",
+    "SignRule",
     "dimension_order_provider",
     "minimal_adaptive_provider",
     "negative_first_provider",
     "north_last_provider",
+    "sign_rule_provider",
     "west_first_provider",
 ]
 
 #: Signature of a routing-relation provider.
 PortProvider = Callable[[int, int], Tuple[int, ...]]
+
+#: Signature of a sign rule: per-dimension signs -> permitted ports.
+SignRule = Callable[[Tuple[int, ...]], Tuple[int, ...]]
+
+
+def sign_rule_provider(topology: Topology, rule: SignRule) -> PortProvider:
+    """The provider ``rule(topology.relative_signs(current, destination))``.
+
+    The provider carries ``rule`` as its ``sign_rule`` attribute, which is
+    what an economical-storage table is programmed from.
+    """
+    relative_signs = topology.relative_signs
+
+    def provider(current: int, destination: int) -> Tuple[int, ...]:
+        return rule(relative_signs(current, destination))
+
+    provider.sign_rule = rule  # type: ignore[attr-defined]
+    return provider
 
 
 def minimal_adaptive_provider(topology: Topology) -> PortProvider:
@@ -36,43 +70,39 @@ def minimal_adaptive_provider(topology: Topology) -> PortProvider:
     This is the routing relation used on the adaptive virtual channels of
     Duato's algorithm in the paper's evaluation.
     """
+    return sign_rule_provider(topology, productive_ports)
 
-    def provider(current: int, destination: int) -> Tuple[int, ...]:
-        return topology.minimal_ports(current, destination)
 
-    return provider
+def _dimension_order_rule(signs: Tuple[int, ...]) -> Tuple[int, ...]:
+    return productive_ports(signs)[:1]
 
 
 def dimension_order_provider(topology: Topology) -> PortProvider:
     """Deterministic dimension-order (XY) routing: a single port per entry."""
-
-    def provider(current: int, destination: int) -> Tuple[int, ...]:
-        return (topology.dimension_order_port(current, destination),)
-
-    return provider
+    return sign_rule_provider(topology, _dimension_order_rule)
 
 
 def _turn_model_provider(
     topology: Topology, forbidden: Callable[[int, Tuple[int, ...]], bool]
 ) -> PortProvider:
-    """Shared machinery for 2-D turn-model providers.
+    """Shared machinery for turn-model providers.
 
     ``forbidden(port, signs)`` returns True when the turn model disallows
-    using ``port`` given the remaining per-dimension signs; the provider
-    keeps every minimal port that is not forbidden, falling back to the
-    full minimal set if the restriction would leave no port (which cannot
-    happen for the three classic turn models but guards custom ones).
+    using ``port`` given the remaining per-dimension signs; the rule
+    keeps every productive port that is not forbidden, falling back to the
+    full productive set if the restriction would leave no port (which
+    cannot happen for the three classic turn models but guards custom
+    ones).
     """
 
-    def provider(current: int, destination: int) -> Tuple[int, ...]:
-        if current == destination:
-            return (LOCAL_PORT,)
-        signs = topology.relative_signs(current, destination)
-        candidates = topology.minimal_ports(current, destination)
+    def rule(signs: Tuple[int, ...]) -> Tuple[int, ...]:
+        candidates = productive_ports(signs)
+        if candidates == (LOCAL_PORT,):
+            return candidates
         allowed = tuple(port for port in candidates if not forbidden(port, signs))
         return allowed if allowed else candidates
 
-    return provider
+    return sign_rule_provider(topology, rule)
 
 
 def north_last_provider(topology: Topology) -> PortProvider:

@@ -10,14 +10,21 @@ fully adaptive minimal routing, independent of the network size.
 The router indexes the table with ``(sign(d_x - i_x), sign(d_y - i_y), ...)``
 computed with two small comparators per dimension; see
 :meth:`EconomicalStorageTable.index_of`.
+
+Programming is O(N * 3^n) plus O(sum_d k_d^2): the table is programmed
+from the provider's *sign rule* (``provider.sign_rule``, see
+:mod:`repro.routing.providers`), evaluated once per sign pattern, never
+per node pair.  A provider used with an economical table must carry a
+sign rule; that is what guarantees every destination of a sign class the
+same entry.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.network.topology import LOCAL_PORT, Topology, port_for
+from repro.network.topology import Topology, productive_ports
 from repro.routing.providers import PortProvider, minimal_adaptive_provider
 from repro.tables.base import RoutingTable, TableProgrammingError
 
@@ -26,21 +33,29 @@ __all__ = ["EconomicalStorageTable"]
 Signs = Tuple[int, ...]
 
 
-def _geometric_ports(signs: Signs) -> Tuple[int, ...]:
-    """The productive ports implied directly by a sign pattern."""
-    if all(sign == 0 for sign in signs):
-        return (LOCAL_PORT,)
-    ports = []
-    for dimension, sign in enumerate(signs):
-        if sign > 0:
-            ports.append(port_for(dimension, positive=True))
-        elif sign < 0:
-            ports.append(port_for(dimension, positive=False))
-    return tuple(ports)
+def _axis_signs(topology: Topology) -> List[List[FrozenSet[int]]]:
+    """Per dimension and coordinate, the signs a destination can show
+    along that axis, from ``relative_signs`` between nodes on the axis."""
+    axis_signs = []
+    stride = 1  # node ids vary fastest along dimension 0
+    for dimension, extent in enumerate(topology.dims):
+        axis_signs.append([
+            frozenset(
+                topology.relative_signs(here * stride, there * stride)[dimension]
+                for there in range(extent)
+            )
+            for here in range(extent)
+        ])
+        stride *= extent
+    return axis_signs
 
 
 class EconomicalStorageTable(RoutingTable):
     """A 3^n-entry, sign-indexed routing table for n-dimensional meshes.
+
+    Each router gets its own 3^n-entry table, as in hardware, so entries
+    can be reprogrammed per router (e.g. the paper's Fig. 7 North-Last
+    example programs node (1,1) of a 3x3 mesh).
 
     Parameters
     ----------
@@ -48,63 +63,56 @@ class EconomicalStorageTable(RoutingTable):
         Mesh (or torus) the table is programmed for.
     provider:
         Routing relation to program.  Defaults to minimal fully adaptive
-        routing.  Because one entry serves *every* destination sharing a
-        sign pattern, the programmed entry is the intersection of the
-        provider's answers over those destinations; for sign-invariant
-        relations (minimal adaptive, the turn models) this equals the
-        provider's answer for any representative destination.
-    per_node:
-        When True (default) each router gets its own 3^n-entry table, as in
-        hardware.  Entries can then be reprogrammed per router (e.g. the
-        paper's Fig. 7 North-Last example programs node (1,1) of a 3x3
-        mesh).
+        routing.  One entry serves *every* destination sharing a sign
+        pattern, so the provider must expose its ``sign_rule`` (every
+        built-in provider does); a provider without one is refused with a
+        :class:`TableProgrammingError`.
     """
 
     name = "economical-storage"
 
-    def __init__(
-        self,
-        topology: Topology,
-        provider: Optional[PortProvider] = None,
-        per_node: bool = True,
-    ) -> None:
+    def __init__(self, topology: Topology, provider: Optional[PortProvider] = None) -> None:
         if provider is None:
             provider = minimal_adaptive_provider(topology)
+        sign_rule = getattr(provider, "sign_rule", None)
+        if sign_rule is None:
+            raise TableProgrammingError(
+                "an economical-storage table needs a provider with a sign_rule "
+                "(ports as a function of the per-dimension sign pattern; build "
+                f"one with repro.routing.providers.sign_rule_provider); {provider!r} "
+                "has none"
+            )
         self._topology = topology
-        self._per_node = per_node
         self._sign_patterns = tuple(product((-1, 0, 1), repeat=topology.n_dims))
-        self._tables: List[Dict[Signs, Tuple[int, ...]]] = [
-            self._program_node(node, provider) for node in range(topology.num_nodes)
-        ]
-
-    def _program_node(self, node: int, provider: PortProvider) -> Dict[Signs, Tuple[int, ...]]:
-        """Build the 3^n-entry table of one router from a provider."""
-        intersections: Dict[Signs, Optional[set]] = {
-            signs: None for signs in self._sign_patterns
-        }
-        for destination in range(self._topology.num_nodes):
-            signs = self._topology.relative_signs(node, destination)
-            ports = set(provider(node, destination))
-            if intersections[signs] is None:
-                intersections[signs] = ports
-            else:
-                intersections[signs] &= ports
-        table: Dict[Signs, Tuple[int, ...]] = {}
-        for signs in self._sign_patterns:
-            common = intersections[signs]
-            if common is None:
-                # No destination exhibits this sign pattern from this node
-                # (e.g. a corner node has no (-, -) destinations); program
-                # the geometric default, it will never be consulted.
-                table[signs] = _geometric_ports(signs)
-            elif not common:
-                raise TableProgrammingError(
-                    f"provider gives no common port for sign pattern {signs} at "
-                    f"node {node}; the relation cannot be encoded in a sign-indexed table"
-                )
-            else:
-                table[signs] = tuple(sorted(common))
-        return table
+        axis_signs = _axis_signs(topology)
+        programmed: Dict[Signs, Tuple[int, ...]] = {}
+        self._tables: List[Dict[Signs, Tuple[int, ...]]] = []
+        for node in range(topology.num_nodes):
+            # Each sign depends on one axis only and destinations take every
+            # coordinate combination, so the patterns this router sees are
+            # the product of its per-axis sign sets.
+            reachable = set(product(*(
+                axis_signs[dimension][coordinate]
+                for dimension, coordinate in enumerate(topology.coordinates(node))
+            )))
+            table: Dict[Signs, Tuple[int, ...]] = {}
+            for signs in self._sign_patterns:
+                if signs not in reachable:
+                    # No destination exhibits this sign pattern from this node
+                    # (e.g. a corner node has no (-, -) destinations); program
+                    # the geometric default, it will never be consulted.
+                    table[signs] = productive_ports(signs)
+                    continue
+                ports = programmed.get(signs)
+                if ports is None:
+                    ports = tuple(sorted(sign_rule(signs)))
+                    if not ports:
+                        raise TableProgrammingError(
+                            f"sign rule gives no port for sign pattern {signs}"
+                        )
+                    programmed[signs] = ports
+                table[signs] = ports
+            self._tables.append(table)
 
     # -- RoutingTable interface ---------------------------------------------
 

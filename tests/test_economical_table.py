@@ -1,9 +1,24 @@
 """Tests for the economical-storage (sign-indexed) routing table."""
 
+from itertools import product
+
 import pytest
 
-from repro.network.topology import LOCAL_PORT, MeshTopology, port_for
-from repro.routing.providers import north_last_provider
+from repro.network.topology import (
+    LOCAL_PORT,
+    MeshTopology,
+    TorusTopology,
+    port_for,
+    productive_ports,
+)
+from repro.routing.providers import (
+    dimension_order_provider,
+    minimal_adaptive_provider,
+    negative_first_provider,
+    north_last_provider,
+    sign_rule_provider,
+    west_first_provider,
+)
 from repro.tables.base import TableProgrammingError
 from repro.tables.economical import EconomicalStorageTable
 from repro.tables.full_table import FullRoutingTable
@@ -100,6 +115,110 @@ def test_describe_lists_all_entries(mesh):
 
 
 def test_table_works_on_torus_signs():
-    torus_mesh = MeshTopology((4, 4))
-    table = EconomicalStorageTable(torus_mesh)
-    assert table.entries_per_router() == 9
+    for dims in ((4, 4), (3, 3, 3)):
+        torus = TorusTopology(dims)
+        table = EconomicalStorageTable(torus)
+        full = FullRoutingTable(torus)
+        assert table.entries_per_router() == 3 ** len(dims)
+        for source in range(torus.num_nodes):
+            for destination in range(torus.num_nodes):
+                assert table.lookup(source, destination) == full.lookup(
+                    source, destination
+                ), (dims, source, destination)
+
+
+# -- sign-class programming ----------------------------------------------------
+
+
+def _pair_walk_describe(topology, provider):
+    """Reference programming: intersect the provider's answers over every
+    destination of each sign class, one router at a time, and give sign
+    patterns no destination shows the geometric default."""
+    patterns = list(product((-1, 0, 1), repeat=topology.n_dims))
+    described = []
+    for node in range(topology.num_nodes):
+        common = {}
+        for destination in range(topology.num_nodes):
+            signs = topology.relative_signs(node, destination)
+            ports = set(provider(node, destination))
+            common[signs] = common[signs] & ports if signs in common else ports
+        described.append([
+            (signs, tuple(sorted(common[signs])) if signs in common
+             else productive_ports(signs))
+            for signs in patterns
+        ])
+    return described
+
+
+_TWO_D_PROVIDERS = (
+    minimal_adaptive_provider,
+    dimension_order_provider,
+    north_last_provider,
+    west_first_provider,
+    negative_first_provider,
+)
+_N_D_PROVIDERS = (
+    minimal_adaptive_provider,
+    dimension_order_provider,
+    negative_first_provider,
+)
+_SHAPES = [
+    (MeshTopology, (2, 2)),
+    (MeshTopology, (3, 3)),
+    (MeshTopology, (4, 4)),
+    (MeshTopology, (2, 5)),
+    (MeshTopology, (5, 3)),
+    (MeshTopology, (2, 2, 2)),
+    (MeshTopology, (3, 3, 3)),
+    (MeshTopology, (2, 3, 4)),
+    (TorusTopology, (2, 2)),
+    (TorusTopology, (3, 3)),
+    (TorusTopology, (4, 4)),
+    (TorusTopology, (2, 5)),
+    (TorusTopology, (5, 4)),
+    (TorusTopology, (2, 2, 2)),
+    (TorusTopology, (3, 3, 3)),
+    (TorusTopology, (2, 3, 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,dims", _SHAPES, ids=[f"{k.__name__}-{'x'.join(map(str, d))}" for k, d in _SHAPES]
+)
+def test_sign_class_programming_matches_pair_walk(kind, dims):
+    topology = kind(dims)
+    factories = _TWO_D_PROVIDERS if len(dims) == 2 else _N_D_PROVIDERS
+    for factory in factories:
+        provider = factory(topology)
+        table = EconomicalStorageTable(topology, provider=provider)
+        expected = _pair_walk_describe(topology, provider)
+        for node in range(topology.num_nodes):
+            assert table.describe(node) == expected[node], (factory.__name__, node)
+
+
+@pytest.mark.parametrize("dims", [(8, 8), (3, 4, 5)])
+def test_sign_rule_evaluated_at_most_once_per_sign_pattern(dims):
+    mesh = MeshTopology(dims)
+    calls = []
+
+    def rule(signs):
+        calls.append(signs)
+        return productive_ports(signs)
+
+    EconomicalStorageTable(mesh, provider=sign_rule_provider(mesh, rule))
+    assert len(calls) <= 3 ** len(dims)
+    assert len(set(calls)) == len(calls)
+
+
+def test_provider_without_sign_rule_is_refused(mesh):
+    def provider(current, destination):
+        return mesh.minimal_ports(current, destination)
+
+    with pytest.raises(TableProgrammingError, match="sign_rule"):
+        EconomicalStorageTable(mesh, provider=provider)
+
+
+def test_empty_sign_rule_answer_is_refused(mesh):
+    provider = sign_rule_provider(mesh, lambda signs: ())
+    with pytest.raises(TableProgrammingError, match="no port"):
+        EconomicalStorageTable(mesh, provider=provider)

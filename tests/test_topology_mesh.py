@@ -5,6 +5,7 @@ import pytest
 from repro.network.topology import (
     LOCAL_PORT,
     MeshTopology,
+    TorusTopology,
     port_direction,
     port_for,
 )
@@ -127,17 +128,20 @@ def test_distance_is_manhattan(mesh4x4):
 
 
 def test_average_distance_known_value():
-    # For a k x k mesh the average one-dimension distance over ordered
-    # distinct pairs gives the classic (k+1)/3 per dimension scaled by the
-    # pair-counting correction; check against a direct small computation.
-    mesh = MeshTopology((3, 3))
-    total, count = 0, 0
-    for a in range(9):
-        for b in range(9):
-            if a != b:
-                total += mesh.distance(a, b)
-                count += 1
-    assert mesh.average_distance() == pytest.approx(total / count)
+    # The closed form must equal the pair walk over ordered distinct pairs
+    # exactly, not just approximately: it feeds the run's cycle budget.
+    for topology in (
+        MeshTopology((3, 3)),
+        MeshTopology((2, 5)),
+        MeshTopology((4, 3, 2)),
+        TorusTopology((2, 2)),
+        TorusTopology((4, 4)),
+        TorusTopology((5, 3)),
+        TorusTopology((3, 4, 5)),
+    ):
+        n = topology.num_nodes
+        total = sum(topology.distance(a, b) for a in range(n) for b in range(n))
+        assert topology.average_distance() == total / (n * (n - 1)), topology
 
 
 def test_bisection_and_saturation_rate():
