@@ -89,11 +89,12 @@ def _base_config(mesh: Tuple[int, int], smoke: bool) -> SimulationConfig:
 def _time_once(config: SimulationConfig, mode: str):
     """Wall-clock of the simulation *run* under ``mode``.
 
-    Network construction is excluded from the timer: both cores build the
-    same object network first (the flat core lowers it into arrays at
-    init), and the identical table/topology build would otherwise dilute
-    the measured ratio -- on a 32x32 mesh construction is a large
-    constant share of a short run.  The garbage collector is paused
+    Network construction is excluded from the timer: the flat core is
+    built straight from topology and config while the object core
+    assembles a full object network, and that setup gap plus the
+    identical table/topology build would otherwise blur the run-phase
+    ratio -- on a 32x32 mesh construction is a large constant share of a
+    short run.  The garbage collector is paused
     during the timed region so a collection landing inside one mode's
     run cannot skew the pair.
     """

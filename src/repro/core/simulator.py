@@ -3,9 +3,10 @@
 :class:`NetworkSimulator` is the main entry point of the library.  It
 translates the plain-data :class:`~repro.core.config.SimulationConfig`
 into topology, tables, routing, selection, traffic and statistics objects,
-wires them into a :class:`~repro.network.network.Network`, drives the
-cycle-level kernel and returns a
-:class:`~repro.core.results.SimulationResult`.
+hands them to the core the configuration selects -- a
+:class:`~repro.network.flatcore.FlatNetworkCore` (default) or an object
+:class:`~repro.network.network.Network` -- drives the cycle-level kernel
+and returns a :class:`~repro.core.results.SimulationResult`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.core.config import SimulationConfig
 from repro.core.results import SimulationResult
 from repro.engine.kernel import KERNEL_MODES, SimulationKernel
 from repro.engine.rng import SimulationRNG
-from repro.network.flatcore import FlatNetworkCore, core_schedule_by_name
+from repro.network.flatcore import FlatCoreParts, FlatNetworkCore, core_schedule_by_name
 from repro.network.network import Network
 from repro.network.topology import Topology
 from repro.router.config import RouterConfig
@@ -87,12 +88,14 @@ class NetworkSimulator:
     transport, selected by ``config.link_mode`` (``"batched"`` arrival
     lanes default, ``"reference"`` mailbox-tuple specification; enforced
     by ``tests/test_link_equivalence.py``).  The fourth axis is the core
-    schedule, selected by ``config.core_mode``: ``"objects"`` (default)
-    registers every router and interface with the kernel individually,
-    while ``"flat"`` lowers the whole network into one flat
-    struct-of-arrays component (:mod:`repro.network.flatcore`).  All
-    four axes compose freely and are enforced bit-identical across the
-    full sixteen-combination cube by ``tests/test_link_equivalence.py``.
+    schedule, selected by ``config.core_mode``: ``"flat"`` (default)
+    builds the whole network as one flat struct-of-arrays component
+    (:mod:`repro.network.flatcore`) and assembles no object network,
+    while ``"objects"`` assembles a :class:`~repro.network.network.Network`
+    and registers every router and interface with the kernel
+    individually.  All four axes compose freely and are enforced
+    bit-identical across the full sixteen-combination cube by
+    ``tests/test_link_equivalence.py``.
     """
 
     def __init__(self, config: SimulationConfig, kernel_mode: str = "activity") -> None:
@@ -178,20 +181,32 @@ class NetworkSimulator:
             # clamps super-unit rates); used for the cycle budget and the
             # result.
             self._message_rate = process.rate
-        self._network = Network(
-            topology=self._topology,
-            router_config=self._router_config,
-            routing=self._routing,
-            selector_factory=self._make_selector,
-            stats=self._stats,
-            sources=sources,
-        )
         self._kernel = SimulationKernel(mode=kernel_mode)
-        core_schedule = core_schedule_by_name(config.core_mode)
-        if core_schedule.flat:
-            self._core = FlatNetworkCore(self._network, self._stats)
+        self._network: Optional[Network]
+        self._core: Optional[FlatNetworkCore]
+        if core_schedule_by_name(config.core_mode).flat:
+            selectors = [
+                self._make_selector(node) for node in range(self._topology.num_nodes)
+            ]
+            parts = FlatCoreParts(
+                topology=self._topology,
+                router_config=self._router_config,
+                routing=self._routing,
+                selectors=selectors,
+                sources=sources,
+            )
+            self._network = None
+            self._core = FlatNetworkCore(parts, self._stats)
             self._kernel.register(self._core)
         else:
+            self._network = Network(
+                topology=self._topology,
+                router_config=self._router_config,
+                routing=self._routing,
+                selector_factory=self._make_selector,
+                stats=self._stats,
+                sources=sources,
+            )
             self._core = None
             self._kernel.register_all(self._network.components())
         if self._workload is not None:
@@ -207,7 +222,7 @@ class NetworkSimulator:
                 )
             else:
                 self._workload.attach_wakes(
-                    [interface.wake_source for interface in self._network.interfaces]
+                    [interface.wake_source for interface in self.network.interfaces]
                 )
         if self._workload is not None:
             # Stop when the whole DAG drains (trailing compute steps may
@@ -230,7 +245,20 @@ class NetworkSimulator:
 
     @property
     def network(self) -> Network:
-        """The assembled network (exposed for tests and introspection)."""
+        """The assembled object network when ``core_mode == "objects"``
+        (exposed for tests and introspection).
+
+        Raises
+        ------
+        RuntimeError
+            Under ``core_mode == "flat"``, which builds no object network;
+            its state lives in :attr:`core`.
+        """
+        if self._network is None:
+            raise RuntimeError(
+                "core_mode='flat' builds no object network; inspect the flat "
+                "core through simulator.core, or run with core_mode='objects'"
+            )
         return self._network
 
     @property

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from repro.exec.cache import ResultCache
+from repro.exec.cache import ResultCache, config_cache_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.config import SimulationConfig
@@ -253,7 +253,7 @@ class ProcessPoolBackend(ExecutionBackend):
             for index, config in enumerate(configs)
         }
         results: List[Optional["SimulationResult"]] = [None] * len(configs)
-        first_error: Optional[BaseException] = None
+        first_failure: Optional[Tuple[int, Exception]] = None
         # Drain in completion order so every finished point is reported (and
         # cached) even when another worker's point fails.
         for future in as_completed(slot_of_future):
@@ -261,13 +261,22 @@ class ProcessPoolBackend(ExecutionBackend):
             try:
                 result = future.result()
             except Exception as error:
-                if first_error is None:
-                    first_error = error
+                if first_failure is None:
+                    first_failure = (slot, error)
                 continue
             on_result(slot, result)
             results[slot] = result
-        if first_error is not None:
-            raise first_error
+        if first_failure is not None:
+            slot, error = first_failure
+            config = configs[slot]
+            # A worker's error does not say which submitted point raised it
+            # (a crashed worker leaves only BrokenProcessPool), so name it.
+            raise RuntimeError(
+                f"simulation point failed in a worker process: "
+                f"{type(error).__name__}: {error} "
+                f"[cache key {config_cache_key(config)}, seed {config.seed}, "
+                f"config {config!r}]"
+            ) from error
         return results  # type: ignore[return-value]
 
     def close(self) -> None:

@@ -11,7 +11,9 @@ The LAPSES evaluation uses a 16x16 two-dimensional mesh of 5-port routers
 * :mod:`repro.network.interface` -- per-node network interfaces holding
   the source queues and recording delivered messages.
 * :mod:`repro.network.network` -- assembly of routers, links and
-  interfaces into a simulatable network.
+  interfaces into a simulatable object network.
+* :mod:`repro.network.flatcore` -- the default flat struct-of-arrays
+  core, built straight from topology and config without the objects.
 """
 
 from repro.network.link import Link

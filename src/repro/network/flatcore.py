@@ -4,15 +4,18 @@ The simulator's fourth two-implementations-one-semantics axis, selected
 by :attr:`~repro.core.config.SimulationConfig.core_mode`:
 
 ``"objects"``
-    The default.  The network's routers and interfaces are registered
-    with the kernel as individual components, exactly as in every prior
-    release; all per-cycle behaviour lives in
-    :class:`~repro.router.router.Router` and
-    :class:`~repro.network.interface.NetworkInterface`.
+    The executable specification.  The simulator assembles an object
+    :class:`~repro.network.network.Network` and registers its routers
+    and interfaces with the kernel as individual components; all
+    per-cycle behaviour lives in :class:`~repro.router.router.Router`
+    and :class:`~repro.network.interface.NetworkInterface`.
 
 ``"flat"``
-    The whole network is lowered into one kernel component,
-    :class:`FlatNetworkCore`, holding the hot state in flat preallocated
+    The default.  The whole network is one kernel component,
+    :class:`FlatNetworkCore`, built straight from the topology, the
+    router configuration, the routing algorithm and the per-node
+    selectors and sources (:class:`FlatCoreParts`) -- no object network
+    is assembled.  It holds the hot state in flat preallocated
     parallel arrays -- one global virtual-channel table indexed by
     ``(router, port, vc)`` with arrays for buffer occupancy, credits,
     routing decisions (allocated output channel/port) and the two-stage
@@ -48,17 +51,23 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.kernel import no_wake
 from repro.network.topology import LOCAL_PORT, port_direction
 from repro.registry import CORE_MODES, register
 from repro.selection.base import OutputPortStatus, PathSelector
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.network.topology import Topology
+    from repro.router.config import RouterConfig
+    from repro.routing.base import RoutingAlgorithm
+
 __all__ = [
     "CORE_MODE_NAMES",
     "CoreSchedule",
     "FLAT",
+    "FlatCoreParts",
     "FlatNetworkCore",
     "OBJECTS",
     "core_schedule_by_name",
@@ -74,8 +83,8 @@ class CoreSchedule:
     name:
         Report name ("objects" or "flat").
     flat:
-        Whether the simulator should lower the network into a
-        :class:`FlatNetworkCore` instead of registering the object
+        Whether the simulator should build a :class:`FlatNetworkCore`
+        instead of assembling an object network and registering its
         components individually.
     """
 
@@ -83,10 +92,10 @@ class CoreSchedule:
     flat: bool
 
 
-#: The per-component object network (default).
+#: The per-component object network (the executable specification).
 OBJECTS = CoreSchedule(name="objects", flat=False)
 
-#: The flat struct-of-arrays whole-network core.
+#: The flat struct-of-arrays whole-network core (default).
 FLAT = CoreSchedule(name="flat", flat=True)
 
 register("core", OBJECTS.name, obj=OBJECTS, provenance=f"{__name__}:OBJECTS")
@@ -124,14 +133,43 @@ def _membership_remove(members: List[int], flat: int) -> None:
         del members[index]
 
 
+@dataclass(frozen=True)
+class FlatCoreParts:
+    """Everything :class:`FlatNetworkCore` is built from.
+
+    Parameters
+    ----------
+    topology:
+        Node/link structure; the core's wiring comes from
+        :meth:`~repro.network.topology.Topology.links`.
+    router_config:
+        Microarchitecture shared by every router.
+    routing:
+        Routing algorithm shared by every router.
+    selectors:
+        One path selector per node, indexed by node id.  The simulator
+        creates them in ascending node order, exactly as the object
+        network does, so both cores consume identical RNG streams.
+    sources:
+        One traffic source per node (None for nodes that only sink
+        traffic).
+    """
+
+    topology: "Topology"
+    router_config: "RouterConfig"
+    routing: "RoutingAlgorithm"
+    selectors: Sequence[PathSelector]
+    sources: Sequence[Optional[object]]
+
+
 class FlatNetworkCore:
     """The whole network as one flat-array kernel component.
 
-    Built from an assembled :class:`~repro.network.network.Network` --
-    which supplies the wiring, the per-router path selectors (created in
-    node order, so RNG stream creation order matches the object core
-    exactly) and the per-node traffic sources -- and the simulation's
-    :class:`~repro.stats.collector.StatsCollector`.
+    Built from a :class:`FlatCoreParts` record -- topology, router
+    configuration, routing algorithm, per-node path selectors and
+    per-node traffic sources -- and the simulation's
+    :class:`~repro.stats.collector.StatsCollector`.  No object router or
+    interface is involved.
 
     Address spaces
     --------------
@@ -151,12 +189,11 @@ class FlatNetworkCore:
     identical.
     """
 
-    def __init__(self, network, stats) -> None:
-        topology = network.topology
-        routers = network.routers
-        interfaces = network.interfaces
-        config = routers[0].config
-        routing = routers[0].routing
+    def __init__(self, parts: FlatCoreParts, stats) -> None:
+        topology = parts.topology
+        config = parts.router_config
+        routing = parts.routing
+        routing.validate(config.vcs_per_port)
 
         self._topology = topology
         self._stats = stats
@@ -192,12 +229,12 @@ class FlatNetworkCore:
             for port in range(radix)
         ]
 
-        self._selectors: List[PathSelector] = [router.selector for router in routers]
+        self._selectors: List[PathSelector] = list(parts.selectors)
         self._selector_records = (
             getattr(type(self._selectors[0]), "record_use", None)
             is not PathSelector.record_use
         )
-        self._sources = [interface.source for interface in interfaces]
+        self._sources = list(parts.sources)
 
         # Hot timing constants (identical to the Router's).
         pipeline = config.pipeline

@@ -13,7 +13,7 @@ from repro.exec.backend import (
     SerialBackend,
     make_backend,
 )
-from repro.exec.cache import ResultCache
+from repro.exec.cache import ResultCache, config_cache_key
 from repro.stats.latency import LatencySummary
 
 
@@ -202,8 +202,16 @@ def test_pool_caches_completed_points_when_a_worker_fails(tmp_path):
     # dies during network assembly: bit-reversal needs 2^k nodes.
     bad = good.variant(mesh_dims=(3, 3), traffic="bit-reversal")
     with ProcessPoolBackend(workers=2, cache=cache) as backend:
-        with pytest.raises(Exception):
+        with pytest.raises(RuntimeError) as excinfo:
             backend.run_configs([good, bad])
+    # The error names the failing point, not the one that finished, and
+    # chains the worker's own error.
+    message = str(excinfo.value)
+    assert config_cache_key(bad) in message
+    assert config_cache_key(good) not in message
+    assert f"seed {bad.seed}" in message
+    assert repr(bad) in message
+    assert isinstance(excinfo.value.__cause__, ValueError)
     # The point that finished was persisted despite the other one failing.
     assert cache.stores == 1
     assert SerialBackend(cache=cache).run_configs([good]) and cache.hits == 1
