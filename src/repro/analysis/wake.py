@@ -11,11 +11,11 @@ therefore either wake it (the ``set_wake``/active-hint guard idiom ::
 reads.  :data:`WAKE_CONTRACTS` declares, per module, which attributes
 hold that quiescence-relevant state and which guard identifiers count as
 its pairing.  The checker then verifies every growth site (``append``,
-``extend``, ``add``, ``insert``, ``bisect.insort``) of a declared
-attribute -- reached directly (``self._attr...``) or through local
-aliases (``wheel = self._attr``, ``slots = wheel.slots``) -- appears in
-a top-level method that also mentions at least one complete guard
-group.
+``extend``, ``add``, ``insert``, ``bisect.insort``, ``heapq.heappush``)
+of a declared attribute -- reached directly (``self._attr...``) or
+through local aliases (``wheel = self._attr``, ``slots = wheel.slots``)
+-- appears in a top-level method that also mentions at least one
+complete guard group.
 
 The pairing is deliberately *lexical* (identifier presence in the same
 method, closures included): it cannot prove the guard dominates the
@@ -39,7 +39,7 @@ __all__ = ["WAKE_CONTRACTS", "WakeChecker"]
 _GROW_METHODS = {"append", "appendleft", "extend", "extendleft", "add", "insert"}
 
 #: Free functions that grow their first argument.
-_INSORT_FUNCS = {"insort", "insort_left", "insort_right"}
+_GROW_FUNCS = {"insort", "insort_left", "insort_right", "heappush"}
 
 #: Guard groups: ``attr -> ((id, ...), ...)``.  A mutation site is paired
 #: when at least one group has *all* its identifiers present in the
@@ -76,10 +76,15 @@ WAKE_CONTRACTS: Dict[str, Dict[str, GuardGroups]] = {
         "_credit_lanes": (("_credit_pending",), ("credit_pushed",)),
         "_eject_lanes": (("_eject_pending",), ("eject_pushed",)),
         "_ni_credit_lanes": (("_ni_credit_pending",), ("ni_credit_pushed",)),
-        # Interface-side injection state, paired with the per-node wake
-        # cycle the flat scheduler polls.
+        # Interface-side injection state, the lazy wake heap and the
+        # next-cycle wake list, paired with the per-node wake cycle they
+        # stand for.
         "_ni_queue": (("_ni_wake",),),
-        "_ni_flits": (("_ni_wake",),),
+        "_ni_heap": (("_ni_wake",),),
+        "_ni_soon": (("_ni_wake",),),
+        # The busy-router worklist, paired with the membership arrays
+        # whose emptiness decides a router's entry.
+        "_busy": (("_routing_members", "_active_members"),),
     },
     "repro.network.link": {
         # The wheel is a passive container: every *owner* grows it
@@ -223,7 +228,7 @@ def _mutation_sites(
                     if isinstance(func, ast.Attribute)
                     else None
                 )
-                if name in _INSORT_FUNCS and node.args:
+                if name in _GROW_FUNCS and node.args:
                     roots = _watched_roots(node.args[0], table, aliases)
         elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
             roots = _watched_roots(node.target, table, aliases)

@@ -20,13 +20,16 @@ by :attr:`~repro.core.config.SimulationConfig.core_mode`:
     ``(router, port, vc)`` with arrays for buffer occupancy, credits,
     routing decisions (allocated output channel/port) and the two-stage
     round-robin arbiter pointers -- plus four global cycle-indexed
-    arrival wheels replacing the per-component mailboxes.  Per cycle it
-    drains the wheels once, then runs virtual-channel allocation, switch
-    allocation and forwarding as a single pass over the per-router
-    active index lists, then the injection pass over the due network
-    interfaces.  This removes the per-component kernel dispatch, the
-    per-event wake callbacks and the per-router mailbox scans that bound
-    the busy path at 16x16/32x32 saturation (see ``BENCH_core.json``).
+    arrival wheels replacing the per-component mailboxes.  Flits are
+    plain ints (see :class:`FlatNetworkCore`), so a hop moves one int
+    and builds no object.  Per cycle it drains the wheels once, then
+    runs virtual-channel allocation, switch allocation and forwarding as
+    a single pass over the *busy-router worklist* (the node-ordered
+    routers holding ROUTING/ACTIVE channels), then the injection pass
+    over the interfaces the *wake heap* reports due.  Idle routers and
+    interfaces cost nothing per cycle, and ``next_event_cycle`` reads
+    the same two structures instead of scanning the network.  The
+    benchmark trajectory of this path lives in ``perfbench/``.
 
 Both schedules are bit-identical: the flat core replays the object
 core's per-cycle phase order exactly (all routers deliver, interfaces
@@ -50,6 +53,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
+from collections import deque
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
@@ -122,6 +127,10 @@ _IDLE = 0
 _ROUTING = 1
 _ACTIVE = 2
 
+# Flit role bits (see FlatNetworkCore, "Address spaces").
+_HEAD = 2
+_TAIL = 1
+
 #: ``ni_wake`` sentinel for "idle until an external credit arrival".
 _NEVER = math.inf
 
@@ -176,6 +185,29 @@ class FlatNetworkCore:
     * global input/output virtual channel: ``(node * radix + port) * vcs + vc``
     * global port: ``node * radix + port``
     * injection slot: ``node * vcs + vc``
+    * message slot: an index into the per-message header arrays
+      (message, destination, dateline mask, look-ahead node/decision,
+      header arrival cycle), taken when an interface starts injecting
+      the message and recycled when its tail is ejected.
+    * flit: the int ``message_slot << 2 | head << 1 | tail``.  Input
+      buffers hold flits; wheel lanes hold ``flit << channel_bits |
+      channel`` with the destination global input channel (flit lanes)
+      or the local output channel (eject lanes) in the low bits.
+
+    Scheduling state
+    ----------------
+    * ``_busy`` -- the node-ordered worklist of routers with ROUTING or
+      ACTIVE channels.  The flit drain adds a router when it gives it
+      its first member; its own evaluation drops it once it is empty.
+      Only these routers are evaluated and scanned for quiescence.
+    * ``_ni_heap`` -- a lazy ``(wake, node)`` min-heap beside the
+      per-interface wake cycles ``_ni_wake``.  Every finite wake value
+      has an entry, except wakes for the next interface pass: an
+      injecting interface re-arms for the next cycle, and an injection
+      credit re-arms a blocked one for the current cycle, once per flit
+      each, so those nodes go to the plain list ``_ni_soon`` instead.
+      Heap entries whose wake no longer matches are stale and skipped.
+      Due interfaces are evaluated once each, in ascending node order.
 
     The four arrival wheels (router flits, router output credits, NI
     ejections, NI injection credits) are cycle-indexed lanes shared by
@@ -259,8 +291,12 @@ class FlatNetworkCore:
                 dimension
             )
         # Dateline bits contributed by each global output port's link
-        # (Router._dateline_bits, flattened over the whole network).
-        self._dateline_bits: List[int] = [0] * (num_nodes * radix)
+        # (Router._dateline_bits, flattened over the whole network) and
+        # the node each global output port leads to (-1 for ejection and
+        # unconnected ports).
+        num_ports = num_nodes * radix
+        self._dateline_bits: List[int] = [0] * num_ports
+        self._port_neighbor: List[int] = [-1] * num_ports
         for node in range(num_nodes):
             for port in range(1, radix):
                 self._dateline_bits[node * radix + port] = topology.dateline_bits(
@@ -269,10 +305,11 @@ class FlatNetworkCore:
 
         # -- flat state arrays ------------------------------------------------
         num_channels = num_nodes * radix * vcs
-        num_ports = num_nodes * radix
-        from collections import deque
+        #: Bits of a wheel-lane entry below the flit (see Address spaces).
+        self._chan_bits = num_channels.bit_length()
+        self._chan_mask = (1 << self._chan_bits) - 1
 
-        #: Input VC buffers / state machine / pipeline-ready cycle.
+        #: Input VC buffers (flit ints) / state machine / pipeline-ready cycle.
         self._in_buf = [deque() for _ in range(num_channels)]
         self._in_state = [_IDLE] * num_channels
         self._in_ready = [0] * num_channels
@@ -294,11 +331,23 @@ class FlatNetworkCore:
         #: indices in the ROUTING / ACTIVE states.
         self._routing_members: List[List[int]] = [[] for _ in range(num_nodes)]
         self._active_members: List[List[int]] = [[] for _ in range(num_nodes)]
+        #: Ascending nodes with a non-empty membership array.
+        self._busy: List[int] = []
         #: Whether this cycle's switch stage released an output VC (per router).
         self._released = [False] * num_nodes
         #: Per-router statistics (parity with Router.flits_forwarded/.headers_routed).
         self.flits_forwarded = [0] * num_nodes
         self.headers_routed = [0] * num_nodes
+
+        #: Per-message header state, indexed by message slot.
+        self._slot_msg: List[Optional[object]] = []
+        self._slot_dest: List[int] = []
+        self._slot_mask: List[int] = []
+        self._slot_la_node: List[int] = []
+        self._slot_la_dec: List[Optional[object]] = []
+        self._slot_arrival: List[int] = []
+        #: Recycled message slots (a stack).
+        self._slot_free: List[int] = []
 
         # -- wiring -----------------------------------------------------------
         #: Downstream global input-channel base per output port (-1 = the
@@ -311,6 +360,7 @@ class FlatNetworkCore:
                 neighbor * radix + neighbor_port
             ) * vcs
             self._out_connected[node * radix + port] = True
+            self._port_neighbor[node * radix + port] = neighbor
             self._up_base[neighbor * radix + neighbor_port] = (
                 node * radix + port
             ) * vcs
@@ -340,13 +390,19 @@ class FlatNetworkCore:
         # -- injection / ejection interfaces ----------------------------------
         num_slots = num_nodes * vcs
         self._ni_credits = [config.buffer_depth] * num_slots
-        self._ni_busy = [False] * num_slots
-        self._ni_flits = [deque() for _ in range(num_slots)]
+        #: Flits of the message an injection slot is sending that have not
+        #: left yet (0 = the slot is free) and that message's slot.
+        self._ni_left = [0] * num_slots
+        self._ni_slot = [-1] * num_slots
         self._ni_queue = [deque() for _ in range(num_nodes)]
         self._ni_next_slot = [0] * num_nodes
         #: Earliest cycle each interface must be evaluated; every node
         #: starts active (cycle 0), exactly like kernel registration.
         self._ni_wake: List[float] = [0] * num_nodes
+        #: Lazy ``(wake, node)`` heap over the finite ``_ni_wake`` values
+        #: beyond the next cycle, and the nodes due the next cycle.
+        self._ni_heap: List[Tuple[int, int]] = [(0, node) for node in range(num_nodes)]
+        self._ni_soon: List[int] = []
 
         # -- global arrival wheels --------------------------------------------
         self._wheel_size = 1 + max(
@@ -356,13 +412,13 @@ class FlatNetworkCore:
             self._credit_delay,
         )
         size = self._wheel_size
-        #: (global input channel, flit) entries.
+        #: ``flit << channel_bits | global input channel`` entries.
         self._flit_lanes: List[list] = [[] for _ in range(size)]
         #: Global output-channel indices (credit returns between routers
         #: and from the ejection side).
         self._credit_lanes: List[list] = [[] for _ in range(size)]
-        #: (local output global channel, flit) ejections toward the NIs,
-        #: pushed in ascending node order within each cycle.
+        #: ``flit << channel_bits | local output global channel`` ejections
+        #: toward the NIs, pushed in ascending node order within each cycle.
         self._eject_lanes: List[list] = [[] for _ in range(size)]
         #: Injection-slot indices (credits returned to the NIs).
         self._ni_credit_lanes: List[list] = [[] for _ in range(size)]
@@ -386,6 +442,7 @@ class FlatNetworkCore:
         interfaces' node-ordered delivery reporting).
         """
         slot = cycle % self._wheel_size
+        chan_bits = self._chan_bits
         if self._flit_pending:
             lane = self._flit_lanes[slot]
             if lane:
@@ -397,19 +454,27 @@ class FlatNetworkCore:
                 capacity = self._capacity
                 ready = cycle + self._selection_offset
                 per_node = self._channels_per_node
-                for g, flit in lane:
-                    flit.arrival_cycle = cycle
+                slot_arrival = self._slot_arrival
+                chan_mask = self._chan_mask
+                for entry in lane:
+                    g = entry & chan_mask
+                    flit = entry >> chan_bits
                     buffer = in_buf[g]
                     if len(buffer) >= capacity:
                         raise OverflowError(
                             f"input VC {g} overflow: credit protocol violated"
                         )
                     buffer.append(flit)
-                    if flit.is_head and in_state[g] == _IDLE and len(buffer) == 1:
-                        in_state[g] = _ROUTING
-                        in_ready[g] = ready
-                        node = g // per_node
-                        insort(routing_members[node], g - node * per_node)
+                    if flit & _HEAD:
+                        slot_arrival[flit >> 2] = cycle
+                        if in_state[g] == _IDLE and len(buffer) == 1:
+                            in_state[g] = _ROUTING
+                            in_ready[g] = ready
+                            node = g // per_node
+                            members = routing_members[node]
+                            if not members and not self._active_members[node]:
+                                insort(self._busy, node)
+                            insort(members, g - node * per_node)
                 del lane[:]
         if self._credit_pending:
             lane = self._credit_lanes[slot]
@@ -423,16 +488,24 @@ class FlatNetworkCore:
             lane = self._eject_lanes[slot]
             if lane:
                 self._eject_pending -= len(lane)
-                credit_arrival = cycle + self._credit_delay
-                credit_lane = self._credit_lanes[credit_arrival % self._wheel_size]
+                credit_lane = self._credit_lanes[
+                    (cycle + self._credit_delay) % self._wheel_size
+                ]
+                self._credit_pending += len(lane)
+                chan_mask = self._chan_mask
+                tail_bit = 1 << chan_bits
+                slot_shift = chan_bits + 2
+                slot_msg = self._slot_msg
                 stats = self._stats
-                for go, flit in lane:
-                    credit_lane.append(go)
-                    self._credit_pending += 1
-                    if flit.is_tail:
-                        message = flit.message
+                for entry in lane:
+                    credit_lane.append(entry & chan_mask)
+                    if entry & tail_bit:
+                        s = entry >> slot_shift
+                        message = slot_msg[s]
                         message.ejection_cycle = cycle
                         stats.record_delivered(message, cycle)
+                        slot_msg[s] = None
+                        self._slot_free.append(s)
                 del lane[:]
         if self._ni_credit_pending:
             lane = self._ni_credit_lanes[slot]
@@ -446,10 +519,12 @@ class FlatNetworkCore:
                     node = s // vcs
                     if ni_wake[node] > cycle:
                         ni_wake[node] = cycle
+                        self._ni_soon.append(node)
                 del lane[:]
 
     def evaluate(self, cycle: int) -> None:
-        """Run the routers' allocation/forwarding pass, then injection.
+        """Run the busy routers' allocation/forwarding pass, then the due
+        interfaces' injection.
 
         This is the busy path the flat core exists for, so the router
         loop is written as one flat function: every hot array is bound
@@ -459,6 +534,31 @@ class FlatNetworkCore:
         inlined into the per-router body instead of paying a method call
         and attribute-binding prologue per busy router per cycle.
         """
+        busy = self._busy
+        if busy:
+            self._evaluate_routers(busy, cycle)
+        soon = self._ni_soon
+        heap = self._ni_heap
+        if soon or (heap and heap[0][0] <= cycle):
+            # The nodes re-armed for this pass, plus the live due heap
+            # entries, in node order; a node named twice runs once.
+            self._ni_soon = []
+            due = soon
+            if heap and heap[0][0] <= cycle:
+                ni_wake = self._ni_wake
+                while heap and heap[0][0] <= cycle:
+                    wake, node = heappop(heap)
+                    if ni_wake[node] == wake:
+                        due.append(node)
+            due.sort()
+            last = -1
+            for node in due:
+                if node != last:
+                    self._evaluate_interface(node, cycle)
+                    last = node
+
+    def _evaluate_routers(self, busy: List[int], cycle: int) -> None:
+        """One allocation/forwarding pass over the busy-router worklist."""
         routing_members = self._routing_members
         active_members = self._active_members
         released = self._released
@@ -476,22 +576,28 @@ class FlatNetworkCore:
         go_flit_dest = self._go_flit_dest
         g_credit_dest = self._g_credit_dest
         flit_lanes = self._flit_lanes
-        credit_lanes = self._credit_lanes
-        eject_lanes = self._eject_lanes
-        ni_credit_lanes = self._ni_credit_lanes
+        slot_msg = self._slot_msg
+        slot_dest = self._slot_dest
+        slot_mask = self._slot_mask
+        slot_la_node = self._slot_la_node
+        slot_la_dec = self._slot_la_dec
+        slot_arrival = self._slot_arrival
         flits_forwarded = self.flits_forwarded
         vcs = self._vcs
         radix = self._radix
         per_node = self._channels_per_node
         wheel = self._wheel_size
+        chan_bits = self._chan_bits
         selection_offset = self._selection_offset
         lookahead = self._lookahead
         selector_records = self._selector_records
         selectors = self._selectors
         decide = self._decide
-        neighbor = self._topology.neighbor
+        port_neighbor = self._port_neighbor
         credit_slot = (cycle + self._credit_delay) % wheel
-        eject_slot = (cycle + self._local_delay) % wheel
+        credit_lane = self._credit_lanes[credit_slot]
+        ni_credit_lane = self._ni_credit_lanes[credit_slot]
+        eject_lane = self._eject_lanes[(cycle + self._local_delay) % wheel]
         port_hop_delay = self._port_hop_delay
         dateline_bits = self._dateline_bits
         flit_pushed = 0
@@ -499,11 +605,10 @@ class FlatNetworkCore:
         eject_pushed = 0
         ni_credit_pushed = 0
         next_cycle = cycle + 1
-        for node in range(self._num_nodes):
+        emptied = False
+        for node in busy:
             rmembers = routing_members[node]
             amembers = active_members[node]
-            if not rmembers and not amembers:
-                continue
             released[node] = False
             base = node * per_node
 
@@ -518,31 +623,32 @@ class FlatNetworkCore:
                     if not buffer:
                         continue
                     head = buffer[0]
-                    if not head.is_head:
+                    if not head & _HEAD:
                         raise AssertionError(
                             "non-header flit at the head of a ROUTING "
-                            f"channel: {head!r}"
+                            f"channel {g}: {head:#x}"
                         )
-                    self._try_allocate(node, g, local, head, cycle)
+                    self._try_allocate(node, g, local, head >> 2)
                 if not amembers:
                     continue
 
             pbase = node * radix
 
             # ---- switch stage 1: nominate one sendable VC per input port.
-            # One walk of the sorted ACTIVE array; groups are the per-port
-            # contiguous runs, flushed on every group change.  ``nominated``
-            # holds (out_port, winner local) pairs in first-nomination
-            # order of the output ports.
+            # One walk of the sorted ACTIVE array; channels that cannot
+            # send are skipped first, groups are the per-port contiguous
+            # runs of the rest, flushed on every group change.
+            # ``nominated`` holds (out_port, winner local) pairs of every
+            # group but the last, in first-nomination order.
             nominated = None
             group_base = -1
-            priority = 0
-            first_local = -1
-            first_at_or_after = -1
             for local in amembers:
+                g = base + local
+                if not in_buf[g] or out_credits[in_out_g[g]] <= 0:
+                    continue
                 gbase = local - local % vcs
                 if gbase != group_base:
-                    if first_local >= 0:
+                    if group_base >= 0:
                         winner = (
                             first_at_or_after
                             if first_at_or_after >= 0
@@ -555,61 +661,51 @@ class FlatNetworkCore:
                             nominated = [(in_out_port[base + winner], winner)]
                         else:
                             nominated.append((in_out_port[base + winner], winner))
-                        first_local = -1
-                        first_at_or_after = -1
                     group_base = gbase
                     priority = gbase + in_prio[pbase + gbase // vcs]
-                g = base + local
-                if in_buf[g] and out_credits[in_out_g[g]] > 0:
-                    if first_local < 0:
-                        first_local = local
-                        if local >= priority:
-                            first_at_or_after = local
-                    elif first_at_or_after < 0 and local >= priority:
-                        first_at_or_after = local
-            if first_local >= 0:
-                winner = (
-                    first_at_or_after if first_at_or_after >= 0 else first_local
-                )
-                in_prio[pbase + group_base // vcs] = (
-                    winner - group_base + 1
-                ) % vcs
-                if nominated is None:
-                    nominated = [(in_out_port[base + winner], winner)]
-                else:
-                    nominated.append((in_out_port[base + winner], winner))
-            if nominated is None:
+                    first_local = local
+                    first_at_or_after = local if local >= priority else -1
+                elif first_at_or_after < 0 and local >= priority:
+                    first_at_or_after = local
+            if group_base < 0:
                 continue
+            winner = first_at_or_after if first_at_or_after >= 0 else first_local
+            in_prio[pbase + group_base // vcs] = (winner - group_base + 1) % vcs
+            out_port = in_out_port[base + winner]
 
-            # ---- switch stage 2 + crossbar forwarding: grant one
-            # nominating input port per requested output (first-nomination
-            # order; first nominator at or after the output's round-robin
-            # pointer, wrapping to the lowest) and move the winner's flit.
-            forwarded = 0
-            granted_outputs = None
-            for out_port, _nominee in nominated:
-                if granted_outputs is None:
-                    granted_outputs = [out_port]
-                elif out_port in granted_outputs:
-                    continue
-                else:
-                    granted_outputs.append(out_port)
-                priority = out_prio[pbase + out_port]
-                winner = -1
-                fallback = -1
-                for other_port, local in nominated:
-                    if other_port != out_port:
-                        continue
-                    if fallback < 0:
-                        fallback = local
-                    if local // vcs >= priority:
-                        winner = local
-                        break
-                if winner < 0:
-                    winner = fallback
+            # ---- switch stage 2: grant one nominating input port per
+            # requested output (first-nomination order; first nominator at
+            # or after the output's round-robin pointer, wrapping to the
+            # lowest).  A lone nominee always wins its output.
+            if nominated is None:
                 out_prio[pbase + out_port] = (winner // vcs + 1) % radix
+                grants = ((out_port, winner),)
+            else:
+                nominated.append((out_port, winner))
+                grants = []
+                granted_outputs = []
+                for out_port, _nominee in nominated:
+                    if out_port in granted_outputs:
+                        continue
+                    granted_outputs.append(out_port)
+                    priority = out_prio[pbase + out_port]
+                    winner = -1
+                    fallback = -1
+                    for other_port, local in nominated:
+                        if other_port != out_port:
+                            continue
+                        if fallback < 0:
+                            fallback = local
+                        if local // vcs >= priority:
+                            winner = local
+                            break
+                    if winner < 0:
+                        winner = fallback
+                    out_prio[pbase + out_port] = (winner // vcs + 1) % radix
+                    grants.append((out_port, winner))
 
-                # ---- forward the winner's head-of-buffer flit ----
+            # ---- crossbar forwarding of every granted head-of-buffer flit.
+            for out_port, winner in grants:
                 g = base + winner
                 buffer = in_buf[g]
                 flit = buffer.popleft()
@@ -623,33 +719,31 @@ class FlatNetworkCore:
                 # Return a credit for the input buffer slot just freed.
                 up = g_credit_dest[g]
                 if up >= 0:
-                    credit_lanes[credit_slot].append(up)
+                    credit_lane.append(up)
                     credit_pushed += 1
                 else:
-                    ni_credit_lanes[credit_slot].append(-up - 1)
+                    ni_credit_lane.append(-up - 1)
                     ni_credit_pushed += 1
-                if flit.is_head:
-                    flit.hops += 1
-                    flit.message.hops = flit.hops
+                if flit & _HEAD:
+                    s = flit >> 2
+                    slot_msg[s].hops += 1
                     bits = dateline_bits[pidx]
                     if bits:
-                        flit.dateline_mask |= bits
+                        slot_mask[s] |= bits
                     if lookahead and out_port != LOCAL_PORT:
-                        next_node = neighbor(node, out_port)
-                        flit.lookahead_node = next_node
-                        flit.lookahead_decision = decide(
-                            next_node, flit.destination
-                        )
+                        next_node = port_neighbor[pidx]
+                        slot_la_node[s] = next_node
+                        slot_la_dec[s] = decide(next_node, slot_dest[s])
                 dest = go_flit_dest[go]
                 if dest >= 0:
-                    flit_lanes[
-                        (cycle + port_hop_delay[out_port]) % wheel
-                    ].append((dest, flit))
+                    flit_lanes[(cycle + port_hop_delay[out_port]) % wheel].append(
+                        flit << chan_bits | dest
+                    )
                     flit_pushed += 1
                 else:
-                    eject_lanes[eject_slot].append((go, flit))
+                    eject_lane.append(flit << chan_bits | go)
                     eject_pushed += 1
-                if flit.is_tail:
+                if flit & _TAIL:
                     out_owner[go] = -1
                     released[node] = True
                     in_state[g] = _IDLE
@@ -658,28 +752,28 @@ class FlatNetworkCore:
                     _membership_remove(amembers, winner)
                     if buffer:
                         head = buffer[0]
-                        if not head.is_head:
+                        if not head & _HEAD:
                             raise AssertionError(
                                 "expected a header after a tail on channel "
-                                f"{g}, found {head!r}"
+                                f"{g}, found {head:#x}"
                             )
                         in_state[g] = _ROUTING
-                        ready = head.arrival_cycle + selection_offset
+                        ready = slot_arrival[head >> 2] + selection_offset
                         in_ready[g] = ready if ready > cycle else next_cycle
                         insort(rmembers, winner)
-                forwarded += 1
-            flits_forwarded[node] += forwarded
+            flits_forwarded[node] += len(grants)
+            if not amembers and not rmembers:
+                emptied = True
+        if emptied:
+            busy[:] = [
+                node for node in busy if routing_members[node] or active_members[node]
+            ]
         self._flit_pending += flit_pushed
         self._credit_pending += credit_pushed
         self._eject_pending += eject_pushed
         self._ni_credit_pending += ni_credit_pushed
 
-        ni_wake = self._ni_wake
-        for node in range(self._num_nodes):
-            if ni_wake[node] <= cycle:
-                self._evaluate_interface(node, cycle)
-
-    def _try_allocate(self, node: int, g: int, local: int, head, cycle: int) -> bool:
+    def _try_allocate(self, node: int, g: int, local: int, slot: int) -> bool:
         """Attempt to allocate an output virtual channel for a routed header.
 
         Candidate construction, selector consultation and the escape
@@ -690,12 +784,12 @@ class FlatNetworkCore:
         """
         if (
             self._lookahead
-            and head.lookahead_node == node
-            and head.lookahead_decision is not None
+            and self._slot_la_node[slot] == node
+            and self._slot_la_dec[slot] is not None
         ):
-            decision = head.lookahead_decision
+            decision = self._slot_la_dec[slot]
         else:
-            decision = self._decide(node, head.destination)
+            decision = self._decide(node, self._slot_dest[slot])
 
         vcs = self._vcs
         pbase = node * self._radix
@@ -746,7 +840,7 @@ class FlatNetworkCore:
             escape_port = decision.escape_port
             if self._escape_vcs and out_connected[pbase + escape_port]:
                 pool = self._escape_pools[escape_port][
-                    (head.dateline_mask >> self._port_dimension[escape_port]) & 1
+                    (self._slot_mask[slot] >> self._port_dimension[escape_port]) & 1
                 ]
                 obase = (pbase + escape_port) * vcs
                 if atomic:
@@ -803,6 +897,25 @@ class FlatNetworkCore:
 
     # -- injection (network interfaces) ------------------------------------------
 
+    def _new_slot(self, message) -> int:
+        """Take a message slot for ``message`` and reset its header state
+        (the arrival cycle is written when the header reaches a buffer)."""
+        if self._slot_free:
+            slot = self._slot_free.pop()
+            self._slot_msg[slot] = message
+            self._slot_dest[slot] = message.destination
+            self._slot_mask[slot] = 0
+            self._slot_la_node[slot] = -1
+            self._slot_la_dec[slot] = None
+            return slot
+        self._slot_msg.append(message)
+        self._slot_dest.append(message.destination)
+        self._slot_mask.append(0)
+        self._slot_la_node.append(-1)
+        self._slot_la_dec.append(None)
+        self._slot_arrival.append(0)
+        return len(self._slot_msg) - 1
+
     def _evaluate_interface(self, node: int, cycle: int) -> None:
         """One interface's evaluate: generate, start injections, send one
         flit; then recompute its wake cycle (the quiescence the kernel
@@ -817,49 +930,53 @@ class FlatNetworkCore:
 
         vcs = self._vcs
         sbase = node * vcs
-        ni_busy = self._ni_busy
-        ni_flits = self._ni_flits
+        ni_left = self._ni_left
+        ni_slot = self._ni_slot
         if queue:
             for vc in range(vcs):
                 if not queue:
                     break
                 s = sbase + vc
-                if ni_busy[s] or ni_flits[s]:
+                if ni_left[s]:
                     continue
                 message = queue.popleft()
-                ni_busy[s] = True
-                flits = ni_flits[s]
-                flits.extend(message.make_flits())
+                slot = self._new_slot(message)
+                ni_slot[s] = slot
+                ni_left[s] = message.length
                 if self._lookahead:
-                    header = flits[0]
-                    header.lookahead_node = node
-                    header.lookahead_decision = self._decide(
-                        node, message.destination
-                    )
+                    self._slot_la_node[slot] = node
+                    self._slot_la_dec[slot] = self._decide(node, message.destination)
 
         ni_credits = self._ni_credits
         next_slot = self._ni_next_slot[node]
         for offset in range(vcs):
             vc = (next_slot + offset) % vcs
             s = sbase + vc
-            flits = ni_flits[s]
-            if not flits or ni_credits[s] <= 0:
+            left = ni_left[s]
+            if not left or ni_credits[s] <= 0:
                 continue
-            flit = flits.popleft()
+            slot = ni_slot[s]
+            flit = slot << 2 | (left == 1)
+            ni_left[s] = left - 1
             ni_credits[s] -= 1
-            if flit.is_head:
-                flit.message.injection_cycle = cycle
-                stats.record_injected(flit.message, cycle)
-            self._flit_lanes[
-                (cycle + self._link_delay) % self._wheel_size
-            ].append((node * self._channels_per_node + vc, flit))
+            message = self._slot_msg[slot]
+            if left == message.length:
+                flit |= _HEAD
+                message.injection_cycle = cycle
+                stats.record_injected(message, cycle)
+            self._flit_lanes[(cycle + self._link_delay) % self._wheel_size].append(
+                flit << self._chan_bits | node * self._channels_per_node + vc
+            )
             self._flit_pending += 1
-            if flit.is_tail:
-                ni_busy[s] = False
             self._ni_next_slot[node] = (vc + 1) % vcs
             break
 
-        self._ni_wake[node] = self._interface_next_event(node, cycle + 1)
+        wake = self._interface_next_event(node, cycle + 1)
+        self._ni_wake[node] = wake
+        if wake == cycle + 1:
+            self._ni_soon.append(node)
+        elif wake < _NEVER:
+            heappush(self._ni_heap, (wake, node))
 
     def _interface_next_event(self, node: int, cycle: int) -> float:
         """Earliest cycle this interface must be evaluated again.
@@ -871,16 +988,14 @@ class FlatNetworkCore:
         """
         vcs = self._vcs
         sbase = node * vcs
-        ni_flits = self._ni_flits
+        ni_left = self._ni_left
         ni_credits = self._ni_credits
-        ni_busy = self._ni_busy
         free_slot = False
-        for vc in range(vcs):
-            s = sbase + vc
-            if ni_flits[s]:
+        for s in range(sbase, sbase + vcs):
+            if ni_left[s]:
                 if ni_credits[s] > 0:
                     return cycle
-            elif not ni_busy[s]:
+            else:
                 free_slot = True
         if free_slot and self._ni_queue[node]:
             return cycle
@@ -915,59 +1030,80 @@ class FlatNetworkCore:
         """
         if cycle < self._ni_wake[node]:
             self._ni_wake[node] = cycle
+            heappush(self._ni_heap, (cycle, node))
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest cycle (``>= cycle``) at which anything has work.
 
         The minimum over every object component's ``next_event_cycle``:
-        per-router sendable/ready conditions, the interfaces' wake
-        cycles, and the earliest pending arrival of the four wheels.
+        the busy routers' sendable/ready conditions, the interfaces
+        re-armed for this cycle (the kernel asks for the cycle after the
+        one just evaluated) or the earliest live wake on the heap, and
+        the earliest pending arrival of the four wheels.
         """
-        upcoming: Optional[int] = None
-        in_buf = self._in_buf
-        in_ready = self._in_ready
-        in_out_g = self._in_out_g
-        out_credits = self._out_credits
-        released = self._released
-        per_node = self._channels_per_node
-        routing_members = self._routing_members
-        for node, active in enumerate(self._active_members):
-            base = node * per_node
-            for local in active:
-                g = base + local
-                if in_buf[g] and out_credits[in_out_g[g]] > 0:
-                    return cycle
-            members = routing_members[node]
-            if members:
-                rel = released[node]
-                for local in members:
-                    ready = in_ready[base + local]
-                    if ready >= cycle:
-                        if upcoming is None or ready < upcoming:
-                            upcoming = ready
-                    elif rel:
-                        return cycle
-        wake = min(self._ni_wake)
-        if wake <= cycle:
+        if self._ni_soon:
             return cycle
-        if wake is not _NEVER and (upcoming is None or wake < upcoming):
-            upcoming = int(wake)
-        for pending, lanes in (
-            (self._flit_pending, self._flit_lanes),
-            (self._credit_pending, self._credit_lanes),
-            (self._eject_pending, self._eject_lanes),
-            (self._ni_credit_pending, self._ni_credit_lanes),
-        ):
-            if not pending:
-                continue
-            size = self._wheel_size
-            for offset in range(size):
-                if lanes[(cycle + offset) % size]:
-                    arrival = cycle + offset
-                    if arrival <= cycle:
+        upcoming: Optional[int] = None
+        busy = self._busy
+        if busy:
+            in_buf = self._in_buf
+            in_ready = self._in_ready
+            in_out_g = self._in_out_g
+            out_credits = self._out_credits
+            released = self._released
+            per_node = self._channels_per_node
+            routing_members = self._routing_members
+            active_members = self._active_members
+            for node in busy:
+                base = node * per_node
+                for local in active_members[node]:
+                    g = base + local
+                    if in_buf[g] and out_credits[in_out_g[g]] > 0:
                         return cycle
-                    if upcoming is None or arrival < upcoming:
-                        upcoming = arrival
+                members = routing_members[node]
+                if members:
+                    rel = released[node]
+                    for local in members:
+                        ready = in_ready[base + local]
+                        if ready >= cycle:
+                            if upcoming is None or ready < upcoming:
+                                upcoming = ready
+                        elif rel:
+                            return cycle
+        heap = self._ni_heap
+        if heap:
+            ni_wake = self._ni_wake
+            while heap and ni_wake[heap[0][1]] != heap[0][0]:
+                heappop(heap)
+            if heap:
+                wake = heap[0][0]
+                if wake <= cycle:
+                    return cycle
+                if upcoming is None or wake < upcoming:
+                    upcoming = wake
+        if (
+            self._flit_pending
+            or self._credit_pending
+            or self._eject_pending
+            or self._ni_credit_pending
+        ):
+            size = self._wheel_size
+            flit_lanes = self._flit_lanes
+            credit_lanes = self._credit_lanes
+            eject_lanes = self._eject_lanes
+            ni_credit_lanes = self._ni_credit_lanes
+            for offset in range(size):
+                index = (cycle + offset) % size
+                if (
+                    flit_lanes[index]
+                    or credit_lanes[index]
+                    or eject_lanes[index]
+                    or ni_credit_lanes[index]
+                ):
+                    if offset == 0:
+                        return cycle
+                    if upcoming is None or cycle + offset < upcoming:
+                        upcoming = cycle + offset
                     break
         return upcoming
 
@@ -979,12 +1115,30 @@ class FlatNetworkCore:
             self._flit_pending
             or self._eject_pending
             or any(self._ni_queue)
-            or any(self._ni_flits)
+            or any(self._ni_left)
         ):
             return False
         if any(self._in_buf):
             return False
         return all(state == _IDLE for state in self._in_state)
+
+    def message_conservation_error(self) -> Optional[str]:
+        """Why the message count does not balance, or None when it does.
+
+        Every message the statistics collector saw created is delivered,
+        holds a live message slot, or is still queued at its interface.
+        O(slots + nodes); the simulator checks it once per run.
+        """
+        created = self._stats.created
+        delivered = self._stats.delivered
+        live = sum(1 for message in self._slot_msg if message is not None)
+        queued = sum(len(queue) for queue in self._ni_queue)
+        if created == delivered + live + queued:
+            return None
+        return (
+            f"created {created} != delivered {delivered} + live message "
+            f"slots {live} + queued at interfaces {queued}"
+        )
 
     def input_state(self, node: int, port: int, vc: int) -> Tuple[int, int]:
         """(state, buffered flits) of one input VC (tests, introspection)."""

@@ -125,6 +125,21 @@ class RoutingAlgorithm(ABC):
         """Output-port choices for a header at ``current`` heading to
         ``destination``."""
 
+    @property
+    def decides_by_signs(self) -> bool:
+        """Whether :meth:`decide` depends on ``(current,
+        topology.relative_signs(current, destination))`` alone.
+
+        An algorithm that returns True must expose its topology as
+        ``self.topology``; :meth:`decide_cached` then computes one
+        decision per node and sign pattern -- at most ``N * 3^n`` raw
+        :meth:`decide` calls -- and shares it across every destination
+        of the class.  False by default, so plugin algorithms and those
+        reading per-destination tables keep one :meth:`decide` per
+        ``(current, destination)`` pair.
+        """
+        return False
+
     def decision_cache(self) -> dict:
         """A ``(current, destination) -> RouteDecision`` memo shared by
         every router of the network.
@@ -142,12 +157,16 @@ class RoutingAlgorithm(ABC):
         its reprogramming notifications and is cleared in place (every
         holder shares the same dict object) the moment an entry is
         overwritten, so post-construction ``reprogram`` calls are never
-        served stale decisions.
+        served stale decisions.  The per-sign-class memo of algorithms
+        that declare :attr:`decides_by_signs` is created and cleared with
+        it.
         """
         cache = getattr(self, "_decision_memo", None)
         if cache is None:
             cache = {}
             self._decision_memo = cache
+            sign_memo = {} if self.decides_by_signs else None
+            self._sign_memo = sign_memo
             # Hook the table's reprogramming notifications.  Try the
             # public ``table`` attribute/property first so plugin
             # algorithms that expose their table conventionally are
@@ -158,6 +177,8 @@ class RoutingAlgorithm(ABC):
             on_reprogram = getattr(table, "on_reprogram", None)
             if callable(on_reprogram):
                 on_reprogram(cache.clear)
+                if sign_memo is not None:
+                    on_reprogram(sign_memo.clear)
         return cache
 
     def decide_cached(self, current: int, destination: int) -> RouteDecision:
@@ -169,7 +190,18 @@ class RoutingAlgorithm(ABC):
         key = (current, destination)
         decision = cache.get(key)
         if decision is None:
-            decision = self.decide(current, destination)
+            sign_memo = self._sign_memo
+            if sign_memo is None:
+                decision = self.decide(current, destination)
+            else:
+                sign_key = (
+                    current,
+                    self.topology.relative_signs(current, destination),
+                )
+                decision = sign_memo.get(sign_key)
+                if decision is None:
+                    decision = self.decide(current, destination)
+                    sign_memo[sign_key] = decision
             cache[key] = decision
         return decision
 

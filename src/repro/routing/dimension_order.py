@@ -47,6 +47,12 @@ class DimensionOrderRouting(RoutingAlgorithm):
         return self._topology
 
     @property
+    def decides_by_signs(self) -> bool:
+        # The dimension-order port is the first productive port of the
+        # sign pattern.
+        return True
+
+    @property
     def min_virtual_channels(self) -> int:
         # A torus needs one VC per dateline class.
         return 2 if self._topology.wraps else 1

@@ -115,6 +115,12 @@ class DuatoFullyAdaptiveRouting(RoutingAlgorithm):
         return self._num_escape_vcs
 
     @property
+    def decides_by_signs(self) -> bool:
+        # The escape port is the sign pattern's dimension-order port, so
+        # the decision is per sign class whenever the table is.
+        return getattr(self._table, "sign_indexed", False)
+
+    @property
     def min_virtual_channels(self) -> int:
         # One escape channel plus at least one adaptive channel.
         return self._num_escape_vcs + 1

@@ -26,6 +26,11 @@ class RoutingTable(ABC):
     #: Human-readable name used in experiment reports.
     name: str = "table"
 
+    #: True when :meth:`lookup` depends on ``(current,
+    #: topology.relative_signs(current, destination))`` alone, as in a
+    #: sign-indexed economical-storage table.
+    sign_indexed: bool = False
+
     @abstractmethod
     def lookup(self, current: int, destination: int) -> Tuple[int, ...]:
         """Candidate output ports at node ``current`` for ``destination``.

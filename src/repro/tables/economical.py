@@ -70,6 +70,7 @@ class EconomicalStorageTable(RoutingTable):
     """
 
     name = "economical-storage"
+    sign_indexed = True
 
     def __init__(self, topology: Topology, provider: Optional[PortProvider] = None) -> None:
         if provider is None:

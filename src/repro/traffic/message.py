@@ -9,8 +9,15 @@ path as it passes.
 The LAPSES look-ahead technique additionally stores, in the header flit,
 the candidate output ports to use at the *next* router (Section 3.2 of the
 paper).  That per-hop route information is modelled by the
-``route_candidates`` field of :class:`Flit`, which look-ahead routers
-overwrite at every hop while non-look-ahead routers ignore it.
+``lookahead_node``/``lookahead_decision`` fields of :class:`Flit`, which
+look-ahead routers overwrite at every hop while non-look-ahead routers
+ignore them.
+
+Only the object core (:mod:`repro.router`, :mod:`repro.network.interface`)
+moves :class:`Flit` objects.  The flat core
+(:mod:`repro.network.flatcore`) moves flits as ints and keeps the same
+header state per message in slot arrays; :class:`Message` is shared by
+both.
 """
 
 from __future__ import annotations

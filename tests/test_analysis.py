@@ -142,6 +142,25 @@ def test_w001_is_silent_once_the_pending_counter_is_paired():
     assert lint_source(WakeChecker(contracts=FIXTURE_CONTRACTS), source) == []
 
 
+HEAP_FIXTURE_CONTRACTS = {
+    "repro.network._heap_fixture": {"_ni_heap": (("_ni_wake",),)},
+}
+
+
+def test_w001_treats_heappush_as_growth():
+    source = load("w_wake_heap_bad.py", module="repro.network._heap_fixture")
+    findings = lint_source(WakeChecker(contracts=HEAP_FIXTURE_CONTRACTS), source)
+    assert [f.rule for f in findings] == ["W001"]
+    message = findings[0].message
+    assert "_ni_heap" in message and "rearm" in message
+    assert "_ni_wake" in message
+
+
+def test_w001_is_silent_on_a_paired_heappush_and_on_pops():
+    source = load("w_wake_heap_good.py", module="repro.network._heap_fixture")
+    assert lint_source(WakeChecker(contracts=HEAP_FIXTURE_CONTRACTS), source) == []
+
+
 def test_w001_ignores_modules_without_a_contract():
     source = load("w_wake_bad.py", module="repro.network._other")
     assert lint_source(WakeChecker(contracts=FIXTURE_CONTRACTS), source) == []

@@ -144,3 +144,86 @@ def test_turn_model_with_programmed_table(mesh):
 def test_turn_model_rejects_unknown_model(mesh):
     with pytest.raises(ValueError):
         TurnModelRouting(mesh, model="east-last")
+
+
+# -- the per-sign-class decision memo ------------------------------------------------
+
+
+def _count_raw_decides(routing):
+    calls = []
+    decide = routing.decide
+
+    def counted(current, destination):
+        calls.append((current, destination))
+        return decide(current, destination)
+
+    routing.decide = counted
+    return calls
+
+
+def test_sign_class_memo_bounds_raw_decides_on_a_16x16_run():
+    """Duato over the economical table decides once per (node, sign
+    pattern): at most N * 3^n raw decide calls however many
+    (node, destination) pairs the traffic touches."""
+    from repro.core.config import SimulationConfig
+    from repro.core.simulator import NetworkSimulator
+
+    config = SimulationConfig(
+        mesh_dims=(16, 16), traffic="uniform", normalized_load=0.3,
+        message_length=4, warmup_messages=0, measure_messages=1500, seed=5,
+    )
+    simulator = NetworkSimulator(config)
+    routing = simulator._routing
+    assert routing.decides_by_signs
+    calls = _count_raw_decides(routing)
+    simulator.run()
+    pairs = len(routing.decision_cache())
+    assert 0 < len(calls) <= 256 * 9
+    assert len(calls) < pairs  # the memo shared decisions across pairs
+    assert len(set(calls)) == len(calls)
+
+
+def test_sign_class_memo_decisions_equal_raw_decides(mesh):
+    table = EconomicalStorageTable(mesh)
+    routing = DuatoFullyAdaptiveRouting(mesh, table)
+    for current in range(mesh.num_nodes):
+        for destination in range(mesh.num_nodes):
+            assert routing.decide_cached(current, destination) == routing.decide(
+                current, destination
+            )
+
+
+def test_reprogramming_clears_the_sign_class_memo(mesh):
+    table = EconomicalStorageTable(mesh)
+    routing = DuatoFullyAdaptiveRouting(mesh, table)
+    node = mesh.node_id((1, 1))
+    far, near = mesh.node_id((3, 3)), mesh.node_id((2, 2))
+    assert set(routing.decide_cached(node, far).adaptive_ports) == {EAST, NORTH}
+    assert routing._sign_memo
+    table.reprogram(node, (1, 1), (NORTH,))
+    assert routing._sign_memo == {} and routing.decision_cache() == {}
+    # A destination never looked up before shares the reprogrammed entry.
+    assert routing.decide_cached(node, near).adaptive_ports == (NORTH,)
+    assert routing.decide_cached(node, far).adaptive_ports == (NORTH,)
+
+
+def test_dimension_order_declares_sign_class_decisions(mesh):
+    routing = DimensionOrderRouting(mesh)
+    assert routing.decides_by_signs
+    calls = _count_raw_decides(routing)
+    for destination in range(mesh.num_nodes):
+        routing.decide_cached(0, destination)
+    # Node 0 of a 4x4 mesh sees four sign patterns: (0,0), (+,0), (0,+), (+,+).
+    assert len(calls) == 4
+
+
+def test_non_declaring_algorithms_get_no_sign_class_memo(mesh):
+    full = DuatoFullyAdaptiveRouting(mesh, FullRoutingTable(mesh))
+    turn = TurnModelRouting(mesh, "north-last")
+    for routing in (full, turn):
+        assert not routing.decides_by_signs
+        calls = _count_raw_decides(routing)
+        for destination in range(mesh.num_nodes):
+            routing.decide_cached(0, destination)
+        assert routing._sign_memo is None
+        assert len(calls) == mesh.num_nodes

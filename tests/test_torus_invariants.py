@@ -64,9 +64,11 @@ def _sweep_dateline_classes(sim):
             for vc in sorted(set(class0) | set(class1)):
                 g = (node * radix + port) * vcs + vc
                 for flit in core._in_buf[g]:
-                    if not flit.is_head:
+                    # Flits are ints ``slot << 2 | head << 1 | tail``;
+                    # the header's dateline mask lives in its slot.
+                    if not flit & 2:
                         continue
-                    before = flit.dateline_mask & ~crossed
+                    before = core._slot_mask[flit >> 2] & ~crossed
                     if (before >> dimension) & 1:
                         assert vc in class1, (node, port, vc, flit)
                     else:
@@ -79,8 +81,9 @@ def _sweep_credit_conservation(sim):
     depth = sim.config.buffer_depth
     flits_to = Counter()
     for lane in core._flit_lanes:
-        for dest, _flit in lane:
-            flits_to[dest] += 1
+        for entry in lane:
+            # Lane entries are ``flit << channel_bits | destination``.
+            flits_to[entry & core._chan_mask] += 1
     credits_to = Counter(entry for lane in core._credit_lanes for entry in lane)
     for go, g_down in enumerate(core._go_flit_dest):
         if g_down < 0:
