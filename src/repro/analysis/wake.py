@@ -68,24 +68,9 @@ WAKE_CONTRACTS: Dict[str, Dict[str, GuardGroups]] = {
         "_credit_mailbox": (("_wake", "_kernel_active"),),
         "_injection_queue": (("_wake", "_kernel_active"),),
     },
-    "repro.network.flatcore": {
-        # The four global wheels, paired with their pending counters
-        # (either the attribute itself or the per-pass local tally that
-        # is added to it before the pass returns).
-        "_flit_lanes": (("_flit_pending",), ("flit_pushed",)),
-        "_credit_lanes": (("_credit_pending",), ("credit_pushed",)),
-        "_eject_lanes": (("_eject_pending",), ("eject_pushed",)),
-        "_ni_credit_lanes": (("_ni_credit_pending",), ("ni_credit_pushed",)),
-        # Interface-side injection state, the lazy wake heap and the
-        # next-cycle wake list, paired with the per-node wake cycle they
-        # stand for.
-        "_ni_queue": (("_ni_wake",),),
-        "_ni_heap": (("_ni_wake",),),
-        "_ni_soon": (("_ni_wake",),),
-        # The busy-router worklist, paired with the membership arrays
-        # whose emptiness decides a router's entry.
-        "_busy": (("_routing_members", "_active_members"),),
-    },
+    # The flat core's wheels, wake heap and worklist live in C
+    # (repro/network/_flatcore.c), out of this checker's reach;
+    # tests/test_flat_schedule.py checks them against full scans instead.
     "repro.network.link": {
         # The wheel is a passive container: every *owner* grows it
         # through the contracts above.  Growth from inside link.py

@@ -346,13 +346,13 @@ class NetworkSimulator:
                 else self.default_max_cycles()
             )
         self._kernel.run(max_cycles)
-        if self._core is not None:
-            problem = self._core.message_conservation_error()
-            if problem is not None:
-                raise RuntimeError(
-                    f"flat core message conservation violated: {problem}; "
-                    f"config: {self._config!r}"
-                )
+        network = self._core if self._core is not None else self._network
+        problem = network.message_conservation_error()
+        if problem is not None:
+            raise RuntimeError(
+                f"{self._config.core_mode} core message conservation violated: "
+                f"{problem}; config: {self._config!r}"
+            )
         cycles = self._kernel.clock.now
         zero_load = self.zero_load_latency()
         if self._workload is not None:

@@ -246,6 +246,7 @@ class ProcessPoolBackend(ExecutionBackend):
             on_result(0, result)
             return [result]
         from concurrent.futures import as_completed
+        from concurrent.futures.process import BrokenProcessPool
 
         pool = self._ensure_pool()
         slot_of_future = {
@@ -254,23 +255,40 @@ class ProcessPoolBackend(ExecutionBackend):
         }
         results: List[Optional["SimulationResult"]] = [None] * len(configs)
         first_failure: Optional[Tuple[int, Exception]] = None
+        broken: Optional[BrokenProcessPool] = None
         # Drain in completion order so every finished point is reported (and
         # cached) even when another worker's point fails.
         for future in as_completed(slot_of_future):
             slot = slot_of_future[future]
             try:
                 result = future.result()
+            except BrokenProcessPool as error:
+                broken = broken or error
+                continue
             except Exception as error:
                 if first_failure is None:
                     first_failure = (slot, error)
                 continue
             on_result(slot, result)
             results[slot] = result
+        if broken is not None:
+            # A dead worker breaks the whole pool: every unfinished future
+            # raises BrokenProcessPool, so none of them is to blame alone.
+            self.close()
+            unfinished = "; ".join(
+                f"cache key {config_cache_key(config)}, seed {config.seed}"
+                for config, result in zip(configs, results)
+                if result is None
+            )
+            raise RuntimeError(
+                "the worker pool broke (a worker process died, e.g. crashed or "
+                f"was killed) before these points finished: {unfinished}"
+            ) from broken
         if first_failure is not None:
             slot, error = first_failure
             config = configs[slot]
-            # A worker's error does not say which submitted point raised it
-            # (a crashed worker leaves only BrokenProcessPool), so name it.
+            # A worker's error does not say which submitted point raised
+            # it, so name it.
             raise RuntimeError(
                 f"simulation point failed in a worker process: "
                 f"{type(error).__name__}: {error} "

@@ -29,7 +29,8 @@ in :mod:`repro.network.link`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence
+from itertools import chain
+from typing import Callable, Deque, Iterator, List, Optional, Sequence
 
 from repro.engine.kernel import no_wake
 from repro.network.link import ArrivalWheel
@@ -418,6 +419,20 @@ class NetworkInterface:
         if self._injection_queue or self._eject_mailbox:
             return False
         return all(not slot.flits for slot in self._slots)
+
+    def held_flits(self) -> Iterator[Flit]:
+        """Every flit waiting to be injected here or in flight toward the
+        ejection side (the message-conservation check)."""
+        for slot in self._slots:
+            yield from slot.flits
+        mailbox = self._eject_mailbox
+        if self._batched_links:
+            entries = chain(chain.from_iterable(mailbox.slots), mailbox.far)
+        else:
+            entries = mailbox
+        # Every wheel, far and mailbox entry ends with its flit.
+        for entry in entries:
+            yield entry[-1]
 
     def __repr__(self) -> str:
         return f"NetworkInterface(node={self._node_id}, queued={len(self._injection_queue)})"

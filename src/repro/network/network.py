@@ -146,6 +146,29 @@ class Network:
             interface.is_idle() for interface in self._interfaces
         )
 
+    def message_conservation_error(self) -> Optional[str]:
+        """Why the message count does not balance, or None when it does.
+
+        Every message the statistics collector saw created is delivered,
+        in flight -- its tail flit is waiting at a source interface,
+        buffered at a router or on a link -- or still queued at its
+        interface.  O(buffered flits + nodes); the simulator checks it
+        once per run.
+        """
+        created = self._stats.created
+        delivered = self._stats.delivered
+        components = [*self._routers, *self._interfaces]
+        in_flight = sum(
+            flit.is_tail for component in components for flit in component.held_flits()
+        )
+        queued = sum(interface.queue_length for interface in self._interfaces)
+        if created == delivered + in_flight + queued:
+            return None
+        return (
+            f"created {created} != delivered {delivered} + in flight "
+            f"{in_flight} + queued at interfaces {queued}"
+        )
+
     def __repr__(self) -> str:
         return (
             f"Network(topology={self._topology!r}, "

@@ -73,7 +73,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.kernel import no_wake
 from repro.network.link import ArrivalWheel
@@ -1149,6 +1150,20 @@ class Router:
                 if channel.buffer or channel.state is not VCState.IDLE:
                     return False
         return True
+
+    def held_flits(self) -> Iterator[Flit]:
+        """Every flit buffered at or in flight toward this router, under
+        either link schedule (the message-conservation check)."""
+        for per_port in self._inputs:
+            for channel in per_port:
+                yield from channel.buffer
+        if self._batched_links:
+            entries = chain(chain.from_iterable(self._flit_wheel.slots), self._flit_wheel.far)
+        else:
+            entries = chain.from_iterable(self._flit_mailboxes)
+        # Every wheel, far and mailbox entry ends with its flit.
+        for entry in entries:
+            yield entry[-1]
 
     def in_flight_credits(self) -> List[Tuple[int, int]]:
         """``(port, vc)`` of every credit currently in flight toward this

@@ -1,9 +1,13 @@
 """Tests for the execution backends and their sweep-wave semantics."""
 
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 from typing import List, Sequence
 
 import pytest
 
+from repro import registry
 from repro.core.config import SimulationConfig
 from repro.core.results import SimulationResult
 from repro.core.sweep import run_load_sweep
@@ -14,6 +18,7 @@ from repro.exec.backend import (
     make_backend,
 )
 from repro.exec.cache import ResultCache, config_cache_key
+from repro.selection.base import PathSelector
 from repro.stats.latency import LatencySummary
 
 
@@ -215,6 +220,53 @@ def test_pool_caches_completed_points_when_a_worker_fails(tmp_path):
     # The point that finished was persisted despite the other one failing.
     assert cache.stores == 1
     assert SerialBackend(cache=cache).run_configs([good]) and cache.hits == 1
+
+
+class _ExitInWorkerSelector(PathSelector):
+    """Kills the process that builds it -- but only a pool worker."""
+
+    name = "exit-in-worker"
+
+    def __init__(self, rng=None) -> None:
+        super().__init__(rng)
+        if multiprocessing.parent_process() is not None:
+            os._exit(17)
+
+    def select(self, candidates):
+        return candidates[0].port
+
+
+def test_a_crashed_worker_names_every_unfinished_point():
+    """A dying worker breaks the pool, so every unfinished point raises
+    BrokenProcessPool; the error says the pool broke and lists them all,
+    rather than blaming whichever of them completed first."""
+    # Registered before the pool forks its workers, which inherit it.
+    registry.SELECTORS.register(_ExitInWorkerSelector.name, obj=_ExitInWorkerSelector)
+    try:
+        base = SimulationConfig.tiny(measure_messages=50, warmup_messages=5)
+        crashing = [
+            base.variant(selector=_ExitInWorkerSelector.name, seed=seed)
+            for seed in (1, 2, 3)
+        ]
+        with ProcessPoolBackend(workers=2) as backend:
+            with pytest.raises(RuntimeError) as excinfo:
+                backend.run_configs(crashing)
+            # The broken pool is dropped; the next batch gets a fresh one.
+            assert backend._pool is None
+            assert len(backend.run_configs([base, base.variant(seed=9)])) == 2
+        # Cache keys fingerprint the registered selector: compute them
+        # while it is still registered.
+        expected = [
+            f"cache key {config_cache_key(config)}, seed {config.seed}"
+            for config in crashing
+        ]
+    finally:
+        registry.SELECTORS.unregister(_ExitInWorkerSelector.name)
+    message = str(excinfo.value)
+    assert "worker pool broke" in message
+    for entry in expected:
+        assert entry in message
+    assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
 
 
 def test_backend_context_manager_closes_the_pool():

@@ -85,3 +85,91 @@ def test_every_selector_is_bit_identical_across_cores(selector, pipeline):
     flat = _result_without_core_mode(config.variant(core_mode="flat"))
     assert objects["summary"]["measured"] > 0
     assert flat == objects
+
+
+# -- the C core's build cache ------------------------------------------------------
+
+
+def test_a_missing_compiler_names_the_command_and_the_objects_core(
+    monkeypatch, tmp_path
+):
+    import sysconfig
+
+    from repro.network import flatcore
+
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(
+        sysconfig,
+        "get_config_var",
+        lambda name: "no-such-cc -pthread" if name == "CC" else config_var(name),
+    )
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(flatcore, "_EXTENSION", None)
+    with pytest.raises(RuntimeError) as excinfo:
+        flatcore.core_extension()
+    message = str(excinfo.value)
+    assert "no-such-cc -pthread -O2 -shared -fPIC" in message
+    assert "core_mode='objects'" in message
+    # Nothing half-built is left behind for the next process to load.
+    assert list((tmp_path / "repro").iterdir()) == []
+    # The object core needs no compiler.
+    result = NetworkSimulator(SimulationConfig.tiny(core_mode="objects")).run()
+    assert result.summary.delivered > 0
+
+
+def test_the_build_is_cached_per_source_and_abi(monkeypatch, tmp_path):
+    import subprocess
+    import sysconfig
+
+    from repro.network import flatcore
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    path = flatcore.extension_path()
+    assert path.parent == tmp_path / "repro"
+    assert path.name.startswith("_flatcore-")
+    assert path.name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
+    monkeypatch.setattr(flatcore, "_EXTENSION", None)
+    assert flatcore.core_extension().Core is not None
+    assert [entry.name for entry in path.parent.iterdir()] == [path.name]
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("a cached build must load without compiling")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    monkeypatch.setattr(flatcore, "_EXTENSION", None)
+    assert flatcore.core_extension().Core is not None
+    # Another source (or interpreter ABI) gets another file name.
+    monkeypatch.setattr(
+        sysconfig,
+        "get_config_var",
+        lambda name: ".other-abi.so" if name == "EXT_SUFFIX" else None,
+    )
+    assert flatcore.extension_path() != path
+
+
+class _OffCandidateSelector:
+    """Answers a port no candidate offers."""
+
+    name = "off-candidate"
+
+    def __init__(self, rng=None) -> None:
+        pass
+
+    def select(self, candidates):
+        return 99
+
+    def record_use(self, port, cycle):
+        pass
+
+
+@pytest.mark.parametrize("core_mode", ["objects", "flat"])
+def test_a_selector_choosing_outside_the_candidates_fails_loudly(core_mode):
+    registry.SELECTORS.register(_OffCandidateSelector.name, obj=_OffCandidateSelector)
+    try:
+        config = SimulationConfig.tiny(
+            selector=_OffCandidateSelector.name, core_mode=core_mode, normalized_load=0.5
+        )
+        with pytest.raises(AssertionError, match="chose port 99 outside the candidate set"):
+            NetworkSimulator(config).run()
+    finally:
+        registry.SELECTORS.unregister(_OffCandidateSelector.name)

@@ -3,10 +3,11 @@
 The flat core evaluates only the routers on its busy-router worklist and
 the interfaces its wake heap reports due, derives ``next_event_cycle``
 from those two structures, and moves flits as ints naming a per-message
-slot.  These tests step small random simulations one kernel cycle at a
-time and check, between cycles:
+slot.  That state lives in the C core; these tests read it through
+``core.state()`` while stepping small random simulations one kernel
+cycle at a time, and check, between cycles:
 
-* the worklist ``core._busy`` is exactly the ascending list of nodes
+* the worklist ``busy`` is exactly the ascending list of nodes
   holding ROUTING/ACTIVE channels;
 * every finite interface wake has a heap entry, or sits on the
   ascending next-pass list when it is due the next cycle;
@@ -31,38 +32,41 @@ from repro.core.config import SimulationConfig
 from repro.core.simulator import NetworkSimulator
 
 
-def _full_scan_next_event(core, cycle):
+def _full_scan_next_event(state, cycle):
     """``next_event_cycle`` as a scan over every node, interface and wheel
     lane, independent of the worklist and the wake heap."""
     upcoming = None
-    per_node = core._channels_per_node
-    for node, active in enumerate(core._active_members):
+    per_node = state["radix"] * state["vcs"]
+    in_buf = state["in_buf"]
+    out_credits = state["out_credits"]
+    in_out_g = state["in_out_g"]
+    for node, active in enumerate(state["active_members"]):
         base = node * per_node
         for local in active:
             g = base + local
-            if core._in_buf[g] and core._out_credits[core._in_out_g[g]] > 0:
+            if in_buf[g] and out_credits[in_out_g[g]] > 0:
                 return cycle
-        members = core._routing_members[node]
+        members = state["routing_members"][node]
         if members:
-            released = core._released[node]
+            released = state["released"][node]
             for local in members:
-                ready = core._in_ready[base + local]
+                ready = state["in_ready"][base + local]
                 if ready >= cycle:
                     if upcoming is None or ready < upcoming:
                         upcoming = ready
                 elif released:
                     return cycle
-    wake = min(core._ni_wake)
+    wake = min(state["ni_wake"])
     if wake <= cycle:
         return cycle
     if wake != math.inf and (upcoming is None or wake < upcoming):
         upcoming = int(wake)
-    size = core._wheel_size
+    size = state["wheel_size"]
     for lanes in (
-        core._flit_lanes,
-        core._credit_lanes,
-        core._eject_lanes,
-        core._ni_credit_lanes,
+        state["flit_lanes"],
+        state["credit_lanes"],
+        state["eject_lanes"],
+        state["ni_credit_lanes"],
     ):
         for offset in range(size):
             if lanes[(cycle + offset) % size]:
@@ -76,33 +80,37 @@ def _full_scan_next_event(core, cycle):
 
 
 def _check_schedule(core, cycle):
-    members = core._routing_members
-    active = core._active_members
-    assert core._busy == [
-        node for node in range(core._num_nodes) if members[node] or active[node]
+    state = core.state()
+    members = state["routing_members"]
+    active = state["active_members"]
+    assert state["busy"] == [
+        node for node in range(state["num_nodes"]) if members[node] or active[node]
     ]
     # Every finite interface wake is on the heap, or on the next-pass
     # list when it is this cycle.
-    entries = set(core._ni_heap)
-    for node, wake in enumerate(core._ni_wake):
+    entries = set(state["ni_heap"])
+    soon = state["ni_soon"]
+    for node, wake in enumerate(state["ni_wake"]):
         if wake != math.inf:
             assert (wake, node) in entries or (
-                wake == cycle and node in core._ni_soon
+                wake == cycle and node in soon
             ), (node, wake, cycle)
-    assert core._ni_soon == sorted(set(core._ni_soon))
-    assert core.next_event_cycle(cycle) == _full_scan_next_event(core, cycle)
+    assert soon == sorted(set(soon))
+    assert core.next_event_cycle(cycle) == _full_scan_next_event(state, cycle)
 
-    referenced = {flit >> 2 for buffer in core._in_buf for flit in buffer}
+    # Flits are ints ``slot << 2 | head << 1 | tail``; flit and eject
+    # lanes hold ``(flit, channel)`` pairs.
+    referenced = {flit >> 2 for buffer in state["in_buf"] for flit in buffer}
     referenced.update(
-        slot for slot, left in zip(core._ni_slot, core._ni_left) if left
+        slot for slot, left in zip(state["ni_slot"], state["ni_left"]) if left
     )
-    for lanes in (core._flit_lanes, core._eject_lanes):
-        referenced.update(
-            entry >> core._chan_bits >> 2 for lane in lanes for entry in lane
-        )
-    live = {slot for slot, message in enumerate(core._slot_msg) if message is not None}
+    for lanes in (state["flit_lanes"], state["eject_lanes"]):
+        referenced.update(flit >> 2 for lane in lanes for flit, _ in lane)
+    live = {
+        slot for slot, message in enumerate(state["slot_msg"]) if message is not None
+    }
     assert live == referenced
-    assert not live & set(core._slot_free)
+    assert not live & set(state["slot_free"])
     assert core.message_conservation_error() is None
 
 
@@ -175,9 +183,11 @@ def test_a_lost_message_slot_fails_the_run_naming_the_config():
     simulator = NetworkSimulator(config)
     simulator.run(max_cycles=60)
     core = simulator.core
-    live = [slot for slot, message in enumerate(core._slot_msg) if message is not None]
+    slots = core.state()["slot_msg"]
+    live = [slot for slot, message in enumerate(slots) if message is not None]
     assert live, "the corruption needs a message in flight"
-    core._slot_msg[live[0]] = None
+    core.clear_message_slot(live[0])
+    assert core.state()["slot_msg"][live[0]] is None
     with pytest.raises(RuntimeError, match="message conservation") as error:
         simulator.run(max_cycles=0)
     assert repr(config) in str(error.value)

@@ -336,12 +336,13 @@ def test_flat_core_flit_and_credit_conservation(seed):
     depth = config.buffer_depth
     radix = simulator.topology.radix
     vcs = config.vcs_per_port
+    connected = core.state()["out_connected"]
     for node in range(config.num_nodes):
         in_flight = defaultdict(int)
         for port, vc in core.in_flight_credits(node):
             in_flight[(port, vc)] += 1
         for port in range(radix):
-            if not core._out_connected[node * radix + port]:
+            if not connected[node * radix + port]:
                 continue
             for vc in range(vcs):
                 assert core.output_owner(node, port, vc) == -1, (
@@ -383,12 +384,12 @@ def test_flat_core_priority_pointers_match_object_core():
     flat = NetworkSimulator(config.variant(core_mode="flat"))
     objects.run()
     flat.run()
-    core = flat.core
+    state = flat.core.state()
     radix = objects.topology.radix
     for node, router in enumerate(objects.network.routers):
         base = node * radix
-        assert core._in_prio[base:base + radix] == router._input_priorities
-        assert core._out_prio[base:base + radix] == router._output_priorities
+        assert state["in_prio"][base:base + radix] == router._input_priorities
+        assert state["out_prio"][base:base + radix] == router._output_priorities
 
 
 @pytest.mark.parametrize("seed", [41, 42])
@@ -400,8 +401,9 @@ def test_flat_core_membership_lists_empty_after_drain(seed):
     simulator.run()
     core = simulator.core
     assert core.is_idle()
-    assert all(members == [] for members in core._routing_members)
-    assert all(members == [] for members in core._active_members)
+    state = core.state()
+    assert all(members == [] for members in state["routing_members"])
+    assert all(members == [] for members in state["active_members"])
 
 
 # -- link-transport wheel integrity --------------------------------------------------

@@ -203,3 +203,33 @@ def test_torus_with_wrap_refusing_routing_fails_at_config_construction():
         mesh_dims=(3, 3, 3), topology="torus3d", num_escape_vcs=2
     )
     NetworkSimulator(config3d)
+
+
+@pytest.mark.parametrize("link_mode", ["batched", "reference"])
+def test_object_core_counts_every_message_mid_run(link_mode):
+    """Mid-run, the object core's created messages balance: delivered,
+    in flight (tail flit at an interface, in a buffer or on a link) or
+    queued at their interface."""
+    config = SimulationConfig.tiny(
+        core_mode="objects", link_mode=link_mode, normalized_load=0.6, seed=5
+    )
+    simulator = NetworkSimulator(config)
+    simulator.run(max_cycles=80)
+    stats = simulator.stats
+    assert stats.created > stats.delivered, "the check needs messages in flight"
+    assert simulator.network.message_conservation_error() is None
+
+
+def test_a_miscounted_message_fails_an_object_run_naming_the_config():
+    from repro.traffic.message import Message
+
+    config = SimulationConfig.tiny(core_mode="objects", normalized_load=0.3, seed=3)
+    simulator = NetworkSimulator(config)
+    simulator.run(max_cycles=40)
+    # A creation the network never saw: the count no longer balances.
+    simulator.stats.record_created(
+        Message(source=0, destination=1, length=4, creation_cycle=40)
+    )
+    with pytest.raises(RuntimeError, match="objects core message conservation") as error:
+        simulator.run(max_cycles=0)
+    assert repr(config) in str(error.value)

@@ -1,7 +1,7 @@
 """Runtime invariants of the dateline discipline and flow control on tori.
 
 These step live torus simulations cycle by cycle and sweep the flat
-core's state arrays between cycles:
+core's state arrays (read through ``core.state()``) between cycles:
 
 * dateline classes -- an escape virtual channel of dimension ``d`` only
   ever buffers a header whose pre-traversal dateline mask selects that
@@ -46,14 +46,14 @@ def _build(point):
 
 def _sweep_dateline_classes(sim):
     """No header sits on the wrong dateline class of an escape channel."""
-    core = sim.core
+    state = sim.core.state()
     topology = sim.topology
     radix = topology.radix
-    vcs = core._vcs
+    vcs = state["vcs"]
     for node in range(topology.num_nodes):
         for port in range(1, radix):
             dimension = port_direction(port)[0]
-            class0, class1 = core._escape_pools[port]
+            class0, class1 = state["escape_pools"][port]
             # The link just traversed to reach this input port: its
             # dateline bit (if any) was set in flight, so subtract it to
             # recover the mask the header carried at allocation time.
@@ -63,12 +63,12 @@ def _sweep_dateline_classes(sim):
             )
             for vc in sorted(set(class0) | set(class1)):
                 g = (node * radix + port) * vcs + vc
-                for flit in core._in_buf[g]:
+                for flit in state["in_buf"][g]:
                     # Flits are ints ``slot << 2 | head << 1 | tail``;
                     # the header's dateline mask lives in its slot.
                     if not flit & 2:
                         continue
-                    before = core._slot_mask[flit >> 2] & ~crossed
+                    before = state["slot_mask"][flit >> 2] & ~crossed
                     if (before >> dimension) & 1:
                         assert vc in class1, (node, port, vc, flit)
                     else:
@@ -77,21 +77,21 @@ def _sweep_dateline_classes(sim):
 
 def _sweep_credit_conservation(sim):
     """Every buffer slot is accounted for: held, in flight, or credited."""
-    core = sim.core
+    state = sim.core.state()
     depth = sim.config.buffer_depth
     flits_to = Counter()
-    for lane in core._flit_lanes:
-        for entry in lane:
-            # Lane entries are ``flit << channel_bits | destination``.
-            flits_to[entry & core._chan_mask] += 1
-    credits_to = Counter(entry for lane in core._credit_lanes for entry in lane)
-    for go, g_down in enumerate(core._go_flit_dest):
+    for lane in state["flit_lanes"]:
+        for _flit, destination in lane:
+            # Flit lane entries are ``(flit, destination channel)`` pairs.
+            flits_to[destination] += 1
+    credits_to = Counter(entry for lane in state["credit_lanes"] for entry in lane)
+    for go, g_down in enumerate(state["go_flit_dest"]):
         if g_down < 0:
             # Ejection channels settle through the interface lanes.
             continue
         total = (
-            core._out_credits[go]
-            + len(core._in_buf[g_down])
+            state["out_credits"][go]
+            + len(state["in_buf"][g_down])
             + flits_to[g_down]
             + credits_to[go]
         )
@@ -112,12 +112,13 @@ def test_dateline_class_and_credit_invariants_hold_every_cycle(point):
     assert sim.stats.all_measured_delivered(), "torus run did not drain"
     # Let trailing credits and ejections land, then every resource must
     # be back home: conservation end to end.
-    for _ in range(4 * core._wheel_size):
+    for _ in range(4 * core.state()["wheel_size"]):
         kernel.step()
         _sweep_credit_conservation(sim)
     summary = sim.stats.summary(kernel.clock.now)
     assert summary.created == summary.delivered == sim.config.total_messages
     assert core.is_idle()
-    assert all(owner == -1 for owner in core._out_owner)
-    assert all(credits == sim.config.buffer_depth for credits in core._out_credits)
-    assert all(not buffer for buffer in core._in_buf)
+    state = core.state()
+    assert all(owner == -1 for owner in state["out_owner"])
+    assert all(credits == sim.config.buffer_depth for credits in state["out_credits"])
+    assert all(not buffer for buffer in state["in_buf"])
