@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Micro-benchmark: flat struct-of-arrays core vs. the object network.
+"""Micro-benchmark: the flat C core vs. the object network.
 
 Times complete simulations under both core schedules (both on the default
-activity kernel with batched switch allocation and link transport),
+activity kernel; the object core is the executable reference),
 verifies that the schedules produce bit-identical latency/throughput
 numbers, and writes the wall-clock report to ``BENCH_core.json`` at the
 repository root so the core performance trajectory is tracked across PRs.
@@ -185,8 +185,6 @@ def run_benchmark(smoke: bool = False, repeats: int = 3) -> Dict[str, object]:
         "benchmark": "core",
         "scale": "smoke" if smoke else "full",
         "kernel_mode": "activity",
-        "switch_mode": "batched",
-        "link_mode": "batched",
         "message_length": 20,
         "seed": 7,
         "repeats": repeats,

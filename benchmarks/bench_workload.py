@@ -2,8 +2,8 @@
 """Micro-benchmark: closed-loop workload runs, flat core vs. object network.
 
 Times complete DAG-driven workload simulations under both core schedules
-(both on the default activity kernel with batched switch allocation and
-link transport), verifies that the schedules produce bit-identical
+(both on the default activity kernel; the object core is the executable
+reference), verifies that the schedules produce bit-identical
 latency/throughput numbers *and* bit-identical drain metrics, and writes
 the wall-clock report to ``BENCH_workload.json`` at the repository root
 so the closed-loop performance trajectory is tracked across PRs.
@@ -205,8 +205,6 @@ def run_benchmark(smoke: bool = False, repeats: int = 3) -> Dict[str, object]:
         "benchmark": "workload",
         "scale": "smoke" if smoke else "full",
         "kernel_mode": "activity",
-        "switch_mode": "batched",
-        "link_mode": "batched",
         "message_length": 20,
         "seed": 7,
         "repeats": repeats,

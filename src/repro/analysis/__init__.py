@@ -1,11 +1,11 @@
 """Static analysis of the repro house style.
 
-The repo's fast paths (activity kernel, batched switch, batched link,
-flat core) stay bit-identical to their reference schedules only while a
-handful of conventions hold: seeded RNG streams only, no unordered
-iteration in simulation code, a hand-bumped ``CACHE_FORMAT_VERSION``
-whenever the cache-key surface moves, and a wake/active-hint guard at
-every quiescence-relevant mutation site.  This package enforces those
+The repo's fast paths (the activity kernel and the flat C core) stay
+bit-identical to their references (the exhaustive kernel and the object
+core) only while a handful of conventions hold: seeded RNG streams
+only, no unordered iteration in simulation code, a hand-bumped
+``CACHE_FORMAT_VERSION`` whenever the cache-key surface moves, and a
+wake/active-hint guard at every quiescence-relevant mutation site.  This package enforces those
 conventions *statically*, before an expensive campaign can diverge:
 
 =========  =========================================================
@@ -18,8 +18,8 @@ family     checks
            ``cache_key.fingerprint`` (:mod:`repro.analysis.cachekey`)
 ``W``      wake-contract pairing at declared mutation sites
            (:mod:`repro.analysis.wake`)
-``R``      registry constructibility, study-spec fields, schedule
-           pairs (:mod:`repro.analysis.registry_spec`)
+``R``      registry constructibility, study-spec fields, the core
+           schedule pair (:mod:`repro.analysis.registry_spec`)
 =========  =========================================================
 
 Run it with ``python -m repro.analysis src/repro`` or ``repro.cli

@@ -11,10 +11,10 @@ Three contracts over the live registries and the shipped study specs:
   (``base``, axis ``field``, variant and scenario ``overrides``) is a
   real :class:`~repro.core.config.SimulationConfig` field, checked for
   both the registered study builders and the shipped JSON spec files.
-* **R003** -- every two-implementations-one-semantics registry kind
-  ships its full schedule pair (``switch``/``link``:
-  reference+batched, ``core``: objects+flat), so the sixteen-combination
-  equivalence cube keeps covering what users can select.
+* **R003** -- the ``core`` registry kind ships its full pair: the
+  ``objects`` reference and the ``flat`` fast path, so the
+  four-combination (kernel x core) equivalence cube keeps covering
+  what users can select.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ __all__ = [
 
 #: Mode-style registry kinds and the entries each must ship (R003).
 REQUIRED_SCHEDULE_PAIRS: Dict[str, Tuple[str, ...]] = {
-    "switch": ("reference", "batched"),
-    "link": ("reference", "batched"),
     "core": ("objects", "flat"),
 }
 
@@ -62,9 +60,7 @@ def _probes() -> Dict[str, Callable[[object, str], None]]:
     their declared base class instead of called."""
     from repro.core.config import SimulationConfig
     from repro.network.flatcore import CoreSchedule
-    from repro.network.link import LinkSchedule
     from repro.router.pipeline import PipelineTiming
-    from repro.router.switch import SwitchSchedule
     from repro.scenario.spec import Study
     from repro.core.simulator import build_table, build_topology
 
@@ -141,8 +137,6 @@ def _probes() -> Dict[str, Callable[[object, str], None]]:
         "traffic": lambda factory, name: factory(topology),
         "injection": lambda factory, name: factory(base, 0.01),
         "pipeline": _expect_instance(PipelineTiming),
-        "switch": _expect_instance(SwitchSchedule),
-        "link": _expect_instance(LinkSchedule),
         "core": _expect_instance(CoreSchedule),
         "reporter": _expect_callable,
         "analytic": _expect_callable,

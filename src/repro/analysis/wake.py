@@ -13,14 +13,14 @@ hold that quiescence-relevant state and which guard identifiers count as
 its pairing.  The checker then verifies every growth site (``append``,
 ``extend``, ``add``, ``insert``, ``bisect.insort``, ``heapq.heappush``)
 of a declared attribute -- reached directly (``self._attr...``) or
-through local aliases (``wheel = self._attr``, ``slots = wheel.slots``)
+through local aliases (``mailboxes = self._attr``, ``box = mailboxes[0]``)
 -- appears in a top-level method that also mentions at least one
 complete guard group.
 
 The pairing is deliberately *lexical* (identifier presence in the same
 method, closures included): it cannot prove the guard dominates the
 mutation, but it catches the realistic regression -- a new fast path
-that grows a lane or membership list and forgets the wake machinery
+that grows a mailbox or queue and forgets the wake machinery
 entirely -- with no false positives on the current tree.
 """
 
@@ -44,24 +44,16 @@ _GROW_FUNCS = {"insort", "insort_left", "insort_right", "heappush"}
 #: Guard groups: ``attr -> ((id, ...), ...)``.  A mutation site is paired
 #: when at least one group has *all* its identifiers present in the
 #: enclosing top-level method; each group spells one accepted idiom
-#: (wake-callback guard, pending counter, membership bookkeeping, ...).
+#: (wake-callback guard, pending counter, ...).
 GuardGroups = Tuple[Tuple[str, ...], ...]
 
 #: The declared quiescence-relevant state, per module.
 WAKE_CONTRACTS: Dict[str, Dict[str, GuardGroups]] = {
     "repro.router.router": {
-        # Reference link schedule: per-port tuple deques, paired with the
-        # pending counters next_event_cycle sums.
+        # Per-port tuple deques, paired with the pending counters
+        # next_event_cycle sums.
         "_flit_mailboxes": (("_pending_flits",),),
         "_credit_mailboxes": (("_pending_credits",),),
-        # Batched link schedule: arrival wheels, paired with the wake
-        # guard (receivers run in the sender's evaluation).
-        "_flit_wheel": (("_wake", "_kernel_active"),),
-        "_credit_wheel": (("_wake", "_kernel_active"),),
-        # Channel membership lists, paired with the occupied-channel
-        # count (the busy gate) or the shared remove helper.
-        "_routing_members": (("_occupied_channels",), ("_membership_remove",)),
-        "_active_members": (("_occupied_channels",), ("_membership_remove",)),
     },
     "repro.network.interface": {
         "_eject_mailbox": (("_wake", "_kernel_active"),),
@@ -71,14 +63,6 @@ WAKE_CONTRACTS: Dict[str, Dict[str, GuardGroups]] = {
     # The flat core's wheels, wake heap and worklist live in C
     # (repro/network/_flatcore.c), out of this checker's reach;
     # tests/test_flat_schedule.py checks them against full scans instead.
-    "repro.network.link": {
-        # The wheel is a passive container: every *owner* grows it
-        # through the contracts above.  Growth from inside link.py
-        # itself would bypass them, so any future push helper must
-        # involve the pending-visibility machinery.
-        "slots": (("earliest_pending",), ("_wake", "_kernel_active")),
-        "far": (("earliest_pending",), ("_wake", "_kernel_active")),
-    },
     "repro.workload.engine": {
         # Released DAG steps land in per-node pending lists the sources'
         # next_due_cycle forecasts read; every insort must re-arm the
@@ -140,12 +124,11 @@ def _alias_roots(
     """Local name -> watched attributes it (transitively) aliases.
 
     Follows plain assignments whose right-hand side is a
-    *reference-preserving* chain over watched state (``wheel =
-    self._flit_wheel``, ``slots = wheel.slots``, ``lane =
-    slots[cycle % size]``), iterated to a fixpoint so chains of any
-    depth resolve.  Expressions that build new objects (comprehensions,
-    calls, operators) never alias -- a copy of a wheel's contents is not
-    the wheel.  Only simple-name targets are tracked.
+    *reference-preserving* chain over watched state (``mailboxes =
+    self._flit_mailboxes``, ``mailbox = mailboxes[port]``), iterated to
+    a fixpoint so chains of any depth resolve.  Expressions that build
+    new objects (comprehensions, calls, operators) never alias -- a copy
+    of a mailbox's contents is not the mailbox.  Only simple-name targets are tracked.
     """
     aliases: Dict[str, Set[str]] = {}
     assignments = [
@@ -175,7 +158,7 @@ def _watched_roots(
     """Watched attributes ``node`` is a live reference into.
 
     Peels subscript and attribute chains down to their base: a watched
-    attribute name anywhere on the chain (``self._flit_wheel.slots``)
+    attribute name anywhere on the chain (``self._flit_mailboxes[port]``)
     or an aliased local at its base both resolve to the watched root.
     Anything else (a call, a comprehension, a literal) resolves to
     nothing, so freshly built objects are never confused with the

@@ -134,18 +134,10 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="path-selection heuristic")
     parser.add_argument("--vcs", type=int, default=4,
                         help="virtual channels per physical channel")
-    parser.add_argument("--switch-mode", choices=("batched", "reference"),
-                        default="batched", dest="switch_mode",
-                        help="router busy-path schedule: flat batched pass "
-                             "(default) or the per-channel reference")
-    parser.add_argument("--link-mode", choices=("batched", "reference"),
-                        default="batched", dest="link_mode",
-                        help="link-transport schedule: per-link arrival lanes "
-                             "(default) or the per-flit mailbox reference")
     parser.add_argument("--core-mode", choices=("objects", "flat"),
                         default="flat", dest="core_mode",
-                        help="core schedule: flat struct-of-arrays core "
-                             "(default) or the per-component object network")
+                        help="core schedule: flat C core (default) or the "
+                             "object network (reference; needs no compiler)")
     parser.add_argument("--messages", type=int, default=1200,
                         help="measured messages per data point")
     parser.add_argument("--warmup", type=int, default=150,
@@ -169,8 +161,6 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
         table=args.table,
         selector=args.selector,
         vcs_per_port=args.vcs,
-        switch_mode=args.switch_mode,
-        link_mode=args.link_mode,
         core_mode=args.core_mode,
         measure_messages=args.messages,
         warmup_messages=args.warmup,

@@ -76,17 +76,6 @@ class SimulationConfig:
     link_delay: int = 1
     #: Credit return delay in cycles.
     credit_delay: int = 1
-    #: Router busy-path schedule: ``"batched"`` (flat pass over the active
-    #: virtual-channel set, the default) or ``"reference"`` (per-channel
-    #: traversal kept as the executable specification).  Both schedules
-    #: are bit-identical; see :mod:`repro.router.switch`.
-    switch_mode: str = "batched"
-    #: Link-transport schedule: ``"batched"`` (per-link arrival lanes
-    #: drained by due-span slices, the default) or ``"reference"``
-    #: (per-flit mailbox tuple deques kept as the executable
-    #: specification).  Both schedules are bit-identical; see
-    #: :mod:`repro.network.link`.
-    link_mode: str = "batched"
     #: Core schedule: ``"flat"`` (the whole network lowered into one
     #: flat struct-of-arrays kernel component, the default) or
     #: ``"objects"`` (the per-component router/interface network kept as

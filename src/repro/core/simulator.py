@@ -3,10 +3,11 @@
 :class:`NetworkSimulator` is the main entry point of the library.  It
 translates the plain-data :class:`~repro.core.config.SimulationConfig`
 into topology, tables, routing, selection, traffic and statistics objects,
-hands them to the core the configuration selects -- a
-:class:`~repro.network.flatcore.FlatNetworkCore` (default) or an object
-:class:`~repro.network.network.Network` -- drives the cycle-level kernel
-and returns a :class:`~repro.core.results.SimulationResult`.
+hands them to the core the configuration selects -- the C
+:class:`~repro.network.flatcore.FlatNetworkCore` (default) or the object
+:class:`~repro.network.network.Network`, the executable reference --
+drives the cycle-level kernel and returns a
+:class:`~repro.core.results.SimulationResult`.
 """
 
 from __future__ import annotations
@@ -81,20 +82,14 @@ class NetworkSimulator:
         ``tests/test_kernel_equivalence.py``); the exhaustive schedule is
         kept as the reference implementation.
 
-    The router busy path has the same two-implementations-one-semantics
-    split, selected by ``config.switch_mode`` (``"batched"`` default,
-    ``"reference"`` specification; enforced bit-identical by
-    ``tests/test_router_equivalence.py``), and so does link-level flit
-    transport, selected by ``config.link_mode`` (``"batched"`` arrival
-    lanes default, ``"reference"`` mailbox-tuple specification; enforced
-    by ``tests/test_link_equivalence.py``).  The fourth axis is the core
-    schedule, selected by ``config.core_mode``: ``"flat"`` (default)
-    builds the whole network as one flat struct-of-arrays component
+    The core is the other axis, selected by ``config.core_mode``:
+    ``"flat"`` (default) builds the whole network as one flat C core
     (:mod:`repro.network.flatcore`) and assembles no object network,
     while ``"objects"`` assembles a :class:`~repro.network.network.Network`
+    -- the executable reference, and the fallback without a C compiler --
     and registers every router and interface with the kernel
-    individually.  All four axes compose freely and are enforced
-    bit-identical across the full sixteen-combination cube by
+    individually.  The two axes compose freely and are enforced
+    bit-identical across the four-combination cube by
     ``tests/test_link_equivalence.py``.
     """
 
@@ -123,8 +118,6 @@ class NetworkSimulator:
             link_delay=config.link_delay,
             link_delays=config.link_delays,
             credit_delay=config.credit_delay,
-            switch_mode=config.switch_mode,
-            link_mode=config.link_mode,
         )
         if config.workload is not None:
             # Closed-loop run: the workload DAG replaces the stochastic

@@ -39,14 +39,13 @@ __all__ = [
 #: so a result computed with a plugin component is never served for a
 #: same-named but different implementation (and vice versa).  v2 entries
 #: hash to different file names and are simply never looked at.
-#: Version 4: configurations grew the ``switch_mode`` field (router
-#: busy-path schedule) and its schedule provenance joins the component
-#: map, so entries computed before the batched allocator existed are
-#: never served as current.
-#: Version 5: configurations grew the ``link_mode`` field (link-transport
-#: schedule) and its schedule provenance joins the component map, so the
-#: two transport schedules occupy distinct slots and entries written
-#: before batched link transport existed are never served as current.
+#: Version 4: configurations grew a router busy-path schedule field and
+#: its schedule provenance joined the component map, so entries computed
+#: before the batched allocator existed are never served as current.
+#: Version 5: configurations grew a link-transport schedule field and its
+#: schedule provenance joined the component map, so the two transport
+#: schedules occupied distinct slots and entries written before batched
+#: link transport existed are never served as current.
 #: Version 6: configurations grew the ``core_mode`` field (core schedule:
 #: per-component object network vs the flat struct-of-arrays core) and
 #: its schedule provenance joins the component map, so entries written
@@ -68,7 +67,11 @@ __all__ = [
 #: estimates and results grew the optional ``replicates`` statistics
 #: block, so entries written before the replication layer existed are
 #: never served as current.
-CACHE_FORMAT_VERSION = 9
+#: Version 10: the router busy-path and link-transport schedule fields
+#: (added in versions 4 and 5) were removed with their batched
+#: implementations, together with their component provenance, so every
+#: entry keyed on them hashes to a different slot.
+CACHE_FORMAT_VERSION = 10
 
 #: ``*.tmp`` files younger than this many seconds are presumed to belong
 #: to a live concurrent writer and are left alone by :meth:`ResultCache.clear`.

@@ -6,8 +6,8 @@ The LAPSES evaluation uses a 16x16 two-dimensional mesh of 5-port routers
 * :mod:`repro.network.topology` -- n-dimensional mesh and torus
   topologies with the port-numbering convention shared by the whole
   library.
-* :mod:`repro.network.link` -- pipelined unit-delay links carrying flits
-  in one direction and credits in the other.
+* :mod:`repro.network.link` -- the descriptor of each unidirectional
+  router-to-router link.
 * :mod:`repro.network.interface` -- per-node network interfaces holding
   the source queues and recording delivered messages.
 * :mod:`repro.network.network` -- assembly of routers, links and

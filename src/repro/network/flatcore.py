@@ -34,7 +34,7 @@ order), keeps every RNG consultation site (path selectors, traffic
 sources, the shared message budget) in the same order, and reports the
 same quiescence cycles to the activity kernel.
 ``tests/test_link_equivalence.py`` enforces this across the kernel x
-switch x link x core cube, and ``tests/test_core_fuzz.py`` on random
+core cube, and ``tests/test_core_fuzz.py`` on random
 configurations.
 
 The C core

@@ -14,26 +14,19 @@ places the resulting route decision in the header flit, as described in
 Section 3 of the paper (the header must arrive at the first router with
 its valid path options already filled in).
 
-The ejection-side mailboxes follow the link-transport schedule selected
-by :attr:`~repro.router.config.RouterConfig.link_mode`: per-flit
-``(cycle, vc, flit)`` tuple deques under ``"reference"``, cycle-indexed
-:class:`~repro.network.link.ArrivalWheel` lanes drained whole under
-``"batched"`` -- see :mod:`repro.network.link`.  Both schedules are
-bit-identical for all wired traffic (the quiescence hooks report the
-same earliest-arrival cycles); external pushes through the public
-``receive_*`` methods follow the reference FIFO/head-blocking semantics
-via the wheel's ``far`` path, up to the early-wake approximation noted
-in :mod:`repro.network.link`.
+Ejected flits and returned credits wait in two FIFO mailboxes of
+``(arrival_cycle, vc, payload)`` tuples, drained in order once their
+head is due -- the same mailbox semantics as the router's.  This is the
+object core's interface (``core_mode="objects"``); the flat C core
+models the interfaces in its own arrays.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain
-from typing import Callable, Deque, Iterator, List, Optional, Sequence
+from typing import Callable, Deque, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.kernel import no_wake
-from repro.network.link import ArrivalWheel
 from repro.network.topology import LOCAL_PORT
 from repro.router.router import Router
 from repro.routing.base import RoutingAlgorithm
@@ -81,29 +74,9 @@ class NetworkInterface:
         ]
         self._injection_queue: Deque[Message] = deque()
         self._next_slot = 0
-        # Ejection-side mailboxes: arrival lanes under the batched link
-        # schedule, tuple deques under the reference one.
-        self._batched_links = config.link_schedule().batched
-        if self._batched_links:
-            # Eject entries are (vc, flit) pairs, credit entries plain VCs.
-            wheel_size = 1 + max(
-                config.pipeline.switch_delay, config.credit_delay
-            )
-            self._eject_mailbox = ArrivalWheel(wheel_size)
-            self._credit_mailbox = ArrivalWheel(wheel_size)
-            # Skip the class-level dispatch: the kernel calls the batched
-            # drain directly.
-            self.deliver = self._deliver_batched_links
-            # Prebound router receivers for the injection flit and the
-            # ejection-side credit return (see Router.make_flit_receiver);
-            # wrapped plain methods when the router is a test double.
-            from repro.router.router import _credit_receiver_for, _flit_receiver_for
-
-            self._send_router_flit = _flit_receiver_for(router, LOCAL_PORT)
-            self._send_router_credit = _credit_receiver_for(router, LOCAL_PORT)
-        else:
-            self._eject_mailbox = deque()
-            self._credit_mailbox = deque()
+        # Ejection-side mailboxes of (arrival_cycle, vc[, flit]) tuples.
+        self._eject_mailbox: Deque[Tuple[int, int, Flit]] = deque()
+        self._credit_mailbox: Deque[Tuple[int, int]] = deque()
         #: Wake callback installed by an activity-aware kernel.
         self._wake: Callable[[int], None] = no_wake
         # Kernel active-flag view (see set_active_hint): the default
@@ -142,77 +115,20 @@ class NetworkInterface:
 
     def receive_flit(self, port: int, vc: int, flit: Flit, arrival_cycle: int) -> None:
         """Accept an ejected flit from the router's local output port."""
-        if self._batched_links:
-            # No window assumption for the public method: route far.
-            self._eject_mailbox.far.append((arrival_cycle, vc, flit))
-        else:
-            self._eject_mailbox.append((arrival_cycle, vc, flit))
+        self._eject_mailbox.append((arrival_cycle, vc, flit))
         if not self._kernel_active[self._kernel_index]:
             self._wake(arrival_cycle)
 
     def receive_credit(self, port: int, vc: int, arrival_cycle: int) -> None:
         """Accept a credit for a freed slot of the router's local input port."""
-        if self._batched_links:
-            self._credit_mailbox.far.append((arrival_cycle, vc))
-        else:
-            self._credit_mailbox.append((arrival_cycle, vc))
+        self._credit_mailbox.append((arrival_cycle, vc))
         if not self._kernel_active[self._kernel_index]:
             self._wake(arrival_cycle)
-
-    def make_flit_receiver(self, port: int) -> Callable[[int, Flit, int], None]:
-        """Prebound fast path of :meth:`receive_flit` (batched link
-        schedule): the router's per-pass flush calls it without method
-        dispatch.  Wraps the plain method under the reference schedule."""
-        if not self._batched_links:
-            receive = self.receive_flit
-
-            def receiver(vc: int, flit: Flit, arrival_cycle: int) -> None:
-                receive(port, vc, flit, arrival_cycle)
-
-            return receiver
-        wheel = self._eject_mailbox
-        slots = wheel.slots
-        size = wheel.size
-
-        def receiver(vc: int, flit: Flit, arrival_cycle: int) -> None:
-            slots[arrival_cycle % size].append((vc, flit))
-            if not self._kernel_active[self._kernel_index]:
-                self._wake(arrival_cycle)
-
-        return receiver
-
-    def make_credit_receiver(self, port: int) -> Callable[[int, int], None]:
-        """Prebound fast path of :meth:`receive_credit`; same contract as
-        :meth:`make_flit_receiver`."""
-        if not self._batched_links:
-            receive = self.receive_credit
-
-            def receiver(vc: int, arrival_cycle: int) -> None:
-                receive(port, vc, arrival_cycle)
-
-            return receiver
-        wheel = self._credit_mailbox
-        slots = wheel.slots
-        size = wheel.size
-
-        def receiver(vc: int, arrival_cycle: int) -> None:
-            slots[arrival_cycle % size].append(vc)
-            if not self._kernel_active[self._kernel_index]:
-                self._wake(arrival_cycle)
-
-        return receiver
 
     # -- per-cycle behaviour ------------------------------------------------------
 
     def deliver(self, cycle: int) -> None:
         """Consume ejected flits and returned credits due this cycle."""
-        # Batched instances bind ``self.deliver`` to the wheel drain at
-        # construction, so the kernel never reaches this guard; it keeps
-        # explicit class-level calls correct.  To instrument the batched
-        # drain, patch the class *before* constructing the simulator.
-        if self._batched_links:
-            self._deliver_batched_links(cycle)
-            return
         mailbox = self._eject_mailbox
         while mailbox and mailbox[0][0] <= cycle:
             _, vc, flit = mailbox.popleft()
@@ -226,55 +142,6 @@ class NetworkInterface:
         credits = self._credit_mailbox
         while credits and credits[0][0] <= cycle:
             _, vc = credits.popleft()
-            self._slots[vc].credits += 1
-
-    def _deliver_batched_links(self, cycle: int) -> None:
-        """Wheel version of :meth:`deliver`: consume this cycle's lanes whole.
-
-        Per-flit effects (credit return through the prebound router
-        receiver, tail-delivery recording) are identical to the
-        reference drain, in the same FIFO order; the wired-window
-        contract (see :mod:`repro.network.link`) makes the lane for
-        ``cycle`` exact, and external pushes land in the wheels' ``far``
-        lists, drained by explicit comparison.
-        """
-        wheel = self._eject_mailbox
-        lane = wheel.slots[cycle % wheel.size]
-        if lane:
-            send_credit = self._send_router_credit
-            credit_arrival = cycle + self._credit_delay
-            stats = self._stats
-            for vc, flit in lane:
-                send_credit(vc, credit_arrival)
-                if flit.is_tail:
-                    message = flit.message
-                    message.ejection_cycle = cycle
-                    stats.record_delivered(message, cycle)
-            del lane[:]
-        if wheel.far:
-            self._drain_far_ejects(cycle)
-        wheel = self._credit_mailbox
-        lane = wheel.slots[cycle % wheel.size]
-        if lane:
-            slots = self._slots
-            for vc in lane:
-                slots[vc].credits += 1
-            del lane[:]
-        if wheel.far:
-            self._drain_far_credits(cycle)
-
-    def _drain_far_ejects(self, cycle: int) -> None:
-        """Consume due ``far`` ejections (external pushes), FIFO order."""
-        for _, vc, flit in self._eject_mailbox.drain_far_due(cycle):
-            self._send_router_credit(vc, cycle + self._credit_delay)
-            if flit.is_tail:
-                message = flit.message
-                message.ejection_cycle = cycle
-                self._stats.record_delivered(message, cycle)
-
-    def _drain_far_credits(self, cycle: int) -> None:
-        """Apply due ``far`` injection credits (external pushes)."""
-        for _, vc in self._credit_mailbox.drain_far_due(cycle):
             self._slots[vc].credits += 1
 
     def evaluate(self, cycle: int) -> None:
@@ -321,12 +188,9 @@ class NetworkInterface:
             if flit.is_head:
                 flit.message.injection_cycle = cycle
                 self._stats.record_injected(flit.message, cycle)
-            if self._batched_links:
-                self._send_router_flit(slot.vc, flit, cycle + self._link_delay)
-            else:
-                self._router.receive_flit(
-                    LOCAL_PORT, slot.vc, flit, cycle + self._link_delay
-                )
+            self._router.receive_flit(
+                LOCAL_PORT, slot.vc, flit, cycle + self._link_delay
+            )
             if flit.is_tail:
                 slot.busy = False
             self._next_slot = (index + 1) % num_slots
@@ -386,18 +250,12 @@ class NetworkInterface:
             # A queued message can claim a free virtual channel now.
             return cycle
         upcoming: Optional[int] = None
-        if self._batched_links:
-            upcoming = self._eject_mailbox.earliest_pending(cycle)
-            arrival = self._credit_mailbox.earliest_pending(cycle)
-            if arrival is not None and (upcoming is None or arrival < upcoming):
+        if self._eject_mailbox:
+            upcoming = self._eject_mailbox[0][0]
+        if self._credit_mailbox:
+            arrival = self._credit_mailbox[0][0]
+            if upcoming is None or arrival < upcoming:
                 upcoming = arrival
-        else:
-            if self._eject_mailbox:
-                upcoming = self._eject_mailbox[0][0]
-            if self._credit_mailbox:
-                arrival = self._credit_mailbox[0][0]
-                if upcoming is None or arrival < upcoming:
-                    upcoming = arrival
         source = self._source
         if source is not None:
             next_due = getattr(source, "next_due_cycle", None)
@@ -425,14 +283,8 @@ class NetworkInterface:
         ejection side (the message-conservation check)."""
         for slot in self._slots:
             yield from slot.flits
-        mailbox = self._eject_mailbox
-        if self._batched_links:
-            entries = chain(chain.from_iterable(mailbox.slots), mailbox.far)
-        else:
-            entries = mailbox
-        # Every wheel, far and mailbox entry ends with its flit.
-        for entry in entries:
-            yield entry[-1]
+        for _, _, flit in self._eject_mailbox:
+            yield flit
 
     def __repr__(self) -> str:
         return f"NetworkInterface(node={self._node_id}, queued={len(self._injection_queue)})"

@@ -1,4 +1,4 @@
-"""Link descriptors and link-level flit transport schedules.
+"""Link descriptors.
 
 Flit transport itself is implemented by the routers' scheduled mailboxes
 (a flit granted the switch at cycle ``s`` is scheduled to appear in the
@@ -11,76 +11,14 @@ kernel sleep a component until its next mailbox arrival without ever
 missing a same-cycle event.  :class:`Link` is the descriptive record the
 network assembly keeps for each unidirectional connection so that wiring
 can be inspected, validated and reported.
-
-Link-transport schedules
-------------------------
-*How* the in-flight flits and credits of one link are stored and drained
-has two implementations over one semantics, selected by
-:attr:`~repro.core.config.SimulationConfig.link_mode` (mirroring the
-kernel's exhaustive/activity split and the router's ``switch_mode``):
-
-``"reference"``
-    One ``deque`` of ``(cycle, vc, payload)`` tuples per upstream link,
-    drained tuple-at-a-time by comparing the head's arrival cycle.
-    Simple, obviously correct, and kept as the executable specification.
-
-``"batched"``
-    The default.  Each component's inbound flits and credits live in an
-    :class:`ArrivalWheel`: a cycle-indexed ring of arrival lanes (one
-    bucket per cycle modulo the wheel size), exploiting that every
-    per-hop delay is a small configuration constant.  A sender appends
-    its payload to the lane ``slots[arrival % size]`` through a prebound
-    receiver closure built at wiring time, so ``_forward`` issues no
-    per-flit downstream method dispatch; the drain consumes the current
-    cycle's whole lane in one slice -- no arrival-cycle comparisons, no
-    tuple-at-a-time popleft loop -- and resets it.
-
-    Lane membership is exact because (1) every wired send satisfies
-    ``arrival - send_cycle <= max_delay < size``, (2) the activity
-    kernel's wake contract guarantees the receiving component drains at
-    exactly the arrival cycle, and (3) an earlier drain of the same lane
-    at ``arrival - size`` would predate the send.  Arrivals outside that
-    contract -- tests and plugin components calling the plain
-    ``receive_flit``/``receive_credit`` methods with arbitrary cycles --
-    go to the wheel's ``far`` overflow list, checked (one boolean) per
-    drain and processed by explicit due-cycle comparison with the
-    reference's per-lane FIFO head-blocking.  (One deliberate far-path
-    approximation: ``next_event_cycle`` reports the minimum over *all*
-    pending far arrivals, where a reference deque reports only its head
-    -- for out-of-order external pushes the batched component may wake
-    one cycle early and no-op, which is always safe; the wired path
-    keeps ``far`` empty, so simulations are bit-identical.)
-
-Both schedules must produce bit-identical
-:class:`~repro.core.results.SimulationResult`\\ s; the quiescence hooks
-(``next_event_cycle``, wake callbacks) report identical values because
-the wheel's earliest pending arrival equals the reference deques'
-minimum head.  ``tests/test_link_equivalence.py`` enforces this across
-the full kernel x switch x link schedule cube, and
-``tests/test_router_properties.py`` checks the wheel invariants
-(slot-exact lane membership, emptiness after drain).
-
-The schedules are registered under the ``"link"`` registry kind so
-:class:`~repro.core.config.SimulationConfig.link_mode` is validated
-eagerly and the schedule's provenance is folded into result-cache keys
-like every other pluggable component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
-from repro.registry import register
+__all__ = ["Link"]
 
-__all__ = [
-    "ArrivalWheel",
-    "BATCHED",
-    "Link",
-    "LinkSchedule",
-    "REFERENCE",
-    "link_schedule_by_name",
-]
 
 @dataclass(frozen=True)
 class Link:
@@ -117,137 +55,3 @@ class Link:
             destination_port=self.source_port,
             delay=self.delay,
         )
-
-
-class ArrivalWheel:
-    """Cycle-indexed ring of arrival lanes for one component's inbound
-    flits or credits (the batched link-transport schedule).
-
-    ``slots[c % size]`` is the lane of payloads arriving at cycle ``c``;
-    the wheel size exceeds the largest configured per-hop delay, so the
-    lane for one cycle can never hold another cycle's wired traffic (see
-    the module docstring for the exactness argument).  Payload shape is
-    the owner's choice -- the router stores ``(flat_channel, flit)``
-    pairs and flat channel indices, the interface ``(vc, flit)`` pairs
-    and plain VCs -- the wheel itself never inspects entries.
-
-    ``far`` is the overflow list for arrivals pushed outside the wired
-    window (tests, plugin components): ``(arrival, *payload)`` tuples
-    processed by explicit due-cycle comparison on every drain where it
-    is non-empty.
-
-    Truthiness and ``len`` cover everything pending, so introspection
-    (``is_idle``, tests) treats a wheel like the reference deques.
-    """
-
-    __slots__ = ("size", "slots", "far")
-
-    def __init__(self, size: int) -> None:
-        if size < 1:
-            raise ValueError("arrival wheels need at least one lane")
-        self.size = size
-        self.slots: List[List[object]] = [[] for _ in range(size)]
-        self.far: List[Tuple] = []
-
-    def drain_far_due(self, cycle: int, lane_key=None) -> List[Tuple]:
-        """Remove and return the ``far`` entries due at ``cycle``.
-
-        Entries are ``(arrival, *payload)`` tuples pushed by the owner's
-        plain ``receive_*`` methods; the due ones (``arrival <= cycle``)
-        are returned in FIFO order for the owner to apply its per-entry
-        effects, the rest stay queued.  A due entry queued *behind* a
-        not-yet-due entry of the same lane stays queued too, exactly as
-        it would sit head-blocked behind that entry in a reference
-        mailbox deque; ``lane_key(entry)`` identifies the lane (None =
-        the whole wheel is one lane, as for a network interface's single
-        local port).  Cold path: the wired simulation traffic never
-        touches ``far``.
-        """
-        far = self.far
-        due = []
-        keep = []
-        blocked = set()
-        for entry in far:
-            key = lane_key(entry) if lane_key is not None else None
-            if entry[0] <= cycle and key not in blocked:
-                due.append(entry)
-            else:
-                blocked.add(key)
-                keep.append(entry)
-        if due:
-            far[:] = keep
-        return due
-
-    def earliest_pending(self, cycle: int) -> Optional[int]:
-        """Earliest arrival at or after ``cycle`` among the lanes, plus
-        any ``far`` entry's raw arrival (which may lie in the past, as a
-        reference deque's head may); None when the wheel is empty.
-
-        The emptiness gate is a C-level ``any`` over the handful of
-        lanes, so senders pay no per-push bookkeeping for it.
-        """
-        upcoming: Optional[int] = None
-        slots = self.slots
-        if any(slots):
-            size = self.size
-            for offset in range(size):
-                if slots[(cycle + offset) % size]:
-                    upcoming = cycle + offset
-                    break
-        for entry in self.far:
-            arrival = entry[0]
-            if upcoming is None or arrival < upcoming:
-                upcoming = arrival
-        return upcoming
-
-    def __bool__(self) -> bool:
-        return bool(self.far) or any(self.slots)
-
-    def __len__(self) -> int:
-        return sum(len(lane) for lane in self.slots) + len(self.far)
-
-    def __repr__(self) -> str:
-        return f"ArrivalWheel(size={self.size}, pending={len(self)})"
-
-
-# -- the registered schedules --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinkSchedule:
-    """One named implementation of link-level flit/credit transport.
-
-    Parameters
-    ----------
-    name:
-        Report name ("reference" or "batched").
-    batched:
-        Whether routers and interfaces should store in-flight flits in
-        cycle-indexed arrival wheels (lanes drained whole, sends through
-        prebound receivers) instead of per-flit mailbox tuple deques.
-    """
-
-    name: str
-    batched: bool
-
-
-#: The per-flit tuple-deque reference implementation.
-REFERENCE = LinkSchedule(name="reference", batched=False)
-
-#: The per-link arrival-lane transport (default).
-BATCHED = LinkSchedule(name="batched", batched=True)
-
-register("link", REFERENCE.name, obj=REFERENCE, provenance=f"{__name__}:REFERENCE")
-register("link", BATCHED.name, obj=BATCHED, provenance=f"{__name__}:BATCHED")
-
-def link_schedule_by_name(name: str) -> LinkSchedule:
-    """Look up a registered link-transport schedule by its report name."""
-    from repro.registry import LINK_MODES
-
-    schedule = LINK_MODES.get(name)
-    if not isinstance(schedule, LinkSchedule):
-        raise ValueError(
-            f"link mode {name!r} is registered but is not a LinkSchedule: "
-            f"{schedule!r}"
-        )
-    return schedule

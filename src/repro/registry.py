@@ -1,10 +1,9 @@
 """Named, introspectable plugin registries for every pluggable component.
 
-The simulator is assembled from eleven kinds of interchangeable parts --
+The simulator is assembled from nine kinds of interchangeable parts --
 topologies, routing algorithms, routing-table organisations,
 path-selection heuristics, traffic patterns, injection processes, router
-pipelines, switch-allocation schedules, link-transport schedules, core
-schedules and closed-loop workloads -- plus the scenario layer's
+pipelines, core schedules and closed-loop workloads -- plus the scenario layer's
 reporters, analytic experiments and built-in studies.  Each kind has a :class:`Registry`
 mapping report names (the strings stored in
 :class:`~repro.core.config.SimulationConfig`) to factories, so user code
@@ -30,8 +29,6 @@ Factory signatures by kind (what the simulator calls for each entry):
 ``traffic``    ``factory(topology, **kwargs) -> TrafficPattern``
 ``injection``  ``factory(config, rate) -> InjectionProcess``
 ``pipeline``   a :class:`~repro.router.pipeline.PipelineTiming` instance
-``switch``     a :class:`~repro.router.switch.SwitchSchedule` instance
-``link``       a :class:`~repro.network.link.LinkSchedule` instance
 ``core``       a :class:`~repro.network.flatcore.CoreSchedule` instance
 ``workload``   ``factory(config, topology) -> WorkloadDag``
 ``reporter``   ``reporter(study, points, results, **options) -> rows``
@@ -59,7 +56,6 @@ __all__ = [
     "ANALYTICS",
     "CORE_MODES",
     "INJECTIONS",
-    "LINK_MODES",
     "PIPELINES",
     "REGISTRIES",
     "REPORTERS",
@@ -69,7 +65,6 @@ __all__ = [
     "RegistryEntry",
     "SELECTORS",
     "STUDIES",
-    "SWITCH_MODES",
     "TOPOLOGIES",
     "TRAFFIC_PATTERNS",
     "WORKLOADS",
@@ -262,8 +257,6 @@ SELECTORS = Registry("path-selection heuristic", ["repro.selection.heuristics"])
 TRAFFIC_PATTERNS = Registry("traffic pattern", ["repro.traffic.patterns"])
 INJECTIONS = Registry("injection process", ["repro.traffic.injection"])
 PIPELINES = Registry("router pipeline", ["repro.router.pipeline"])
-SWITCH_MODES = Registry("switch-allocation schedule", ["repro.router.switch"])
-LINK_MODES = Registry("link-transport schedule", ["repro.network.link"])
 CORE_MODES = Registry("core schedule", ["repro.network.flatcore"])
 WORKLOADS = Registry("closed-loop workload", ["repro.workload.builtin"])
 REPORTERS = Registry("study reporter", ["repro.scenario.reporters"])
@@ -282,8 +275,6 @@ REGISTRIES: Dict[str, Registry] = {
     "traffic": TRAFFIC_PATTERNS,
     "injection": INJECTIONS,
     "pipeline": PIPELINES,
-    "switch": SWITCH_MODES,
-    "link": LINK_MODES,
     "core": CORE_MODES,
     "workload": WORKLOADS,
     "reporter": REPORTERS,
@@ -324,8 +315,6 @@ CONFIG_FIELD_KINDS: Dict[str, str] = {
     "table": "table",
     "selector": "selector",
     "pipeline": "pipeline",
-    "switch_mode": "switch",
-    "link_mode": "link",
     "core_mode": "core",
     "injection": "injection",
     # Optional: None selects open-loop traffic and is skipped by the

@@ -13,8 +13,6 @@ flit level:
 * :mod:`repro.router.arbiter` -- round-robin arbiters used for the
   crossbar's input and output stages.
 * :mod:`repro.router.config` -- the router configuration record.
-* :mod:`repro.router.switch` -- the switch-allocation schedules
-  (batched default, per-channel reference).
 * :mod:`repro.router.router` -- the router itself, tying routing tables,
   the routing algorithm, path selection and the switch together.
 """
@@ -24,7 +22,6 @@ from repro.router.channels import InputVirtualChannel, OutputPort, OutputVirtual
 from repro.router.config import RouterConfig
 from repro.router.pipeline import LA_PROUD, PROUD, PipelineTiming, pipeline_by_name
 from repro.router.router import Router
-from repro.router.switch import SWITCH_MODE_NAMES, SwitchSchedule, switch_schedule_by_name
 
 __all__ = [
     "InputVirtualChannel",
@@ -36,9 +33,6 @@ __all__ = [
     "RoundRobinArbiter",
     "Router",
     "RouterConfig",
-    "SWITCH_MODE_NAMES",
-    "SwitchSchedule",
     "VCState",
     "pipeline_by_name",
-    "switch_schedule_by_name",
 ]

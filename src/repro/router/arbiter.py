@@ -55,33 +55,6 @@ class RoundRobinArbiter:
                 return slot
         return None
 
-    def grant_sorted(self, requests: Sequence[int]) -> Optional[int]:
-        """Grant one requester from an *ascending-sorted* request list.
-
-        Equivalent to :meth:`grant` -- the cyclic scan from the priority
-        pointer reduces, for a sorted list, to "first requester at or
-        after the pointer, else the lowest requester" -- but without the
-        per-call set construction and modulo walk.  This method is the
-        *executable specification* of that reduction: the router's
-        batched switch-allocation pass inlines the same logic against its
-        flat priority arrays (``Router._allocate_switch_batched``), so a
-        change here must be mirrored there and vice versa.
-        ``tests/test_router_properties.py`` enforces grant_sorted == grant
-        at this level, and the router equivalence suite pins the inlined
-        copy end to end.
-        """
-        if not requests:
-            return None
-        priority = self._next_priority
-        winner = requests[0]
-        if winner < priority:
-            for slot in requests:
-                if slot >= priority:
-                    winner = slot
-                    break
-        self._next_priority = (winner + 1) % self._num_requesters
-        return winner
-
     def __repr__(self) -> str:
         return (
             f"RoundRobinArbiter(slots={self._num_requesters}, "

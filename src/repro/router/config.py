@@ -41,19 +41,6 @@ class RouterConfig:
         uses ``link_delay``.
     credit_delay:
         Cycles for a credit to travel back to the upstream router.
-    switch_mode:
-        Busy-path schedule: ``"batched"`` (default) runs VC and switch
-        allocation as one flat pass over the maintained active-channel
-        set; ``"reference"`` keeps the per-channel traversal as the
-        executable specification.  Both are bit-identical; see
-        :mod:`repro.router.switch`.
-    link_mode:
-        Link-transport schedule: ``"batched"`` (default) stores in-flight
-        flits/credits in per-link arrival lanes drained by due-span
-        slices, with sends flushed once per evaluation pass;
-        ``"reference"`` keeps the per-flit mailbox tuple deques as the
-        executable specification.  Both are bit-identical; see
-        :mod:`repro.network.link`.
     """
 
     vcs_per_port: int = 4
@@ -62,8 +49,6 @@ class RouterConfig:
     link_delay: int = 1
     link_delays: Optional[Tuple[int, ...]] = None
     credit_delay: int = 1
-    switch_mode: str = "batched"
-    link_mode: str = "batched"
 
     def __post_init__(self) -> None:
         if self.vcs_per_port < 1:
@@ -79,10 +64,6 @@ class RouterConfig:
             )
         if self.credit_delay < 1:
             raise ValueError("credit return needs at least one cycle of delay")
-        # Resolve eagerly so a typo fails at configuration time, with the
-        # registry's standard unknown-name message.
-        self.switch_schedule()
-        self.link_schedule()
 
     def link_delay_for(self, dimension: int) -> int:
         """Traversal time of a dimension-``dimension`` router link."""
@@ -92,22 +73,10 @@ class RouterConfig:
 
     @property
     def max_link_delay(self) -> int:
-        """The slowest router-link delay (sizes the arrival wheels)."""
+        """The slowest router-link delay."""
         if self.link_delays:
             return max(self.link_delay, *self.link_delays)
         return self.link_delay
-
-    def switch_schedule(self):
-        """The registered :class:`~repro.router.switch.SwitchSchedule`."""
-        from repro.router.switch import switch_schedule_by_name
-
-        return switch_schedule_by_name(self.switch_mode)
-
-    def link_schedule(self):
-        """The registered :class:`~repro.network.link.LinkSchedule`."""
-        from repro.network.link import link_schedule_by_name
-
-        return link_schedule_by_name(self.link_mode)
 
     def with_pipeline(self, pipeline: PipelineTiming) -> "RouterConfig":
         """A copy of this configuration with a different pipeline."""

@@ -15,8 +15,8 @@ strictly in the future.  Deliveries are observed during the kernel's
 deliver phase, after the activity schedule has already fixed the current
 cycle's runnable set, so a same-cycle release would be picked up this
 cycle by the exhaustive schedule but only next cycle by the activity
-schedule; deferring every release by one cycle keeps all sixteen
-kernel x switch x link x core combinations bit-identical.  A ready
+schedule; deferring every release by one cycle keeps all four
+kernel x core combinations bit-identical.  A ready
 transfer is injected at its ready cycle; a ready compute step completes
 ``delay`` cycles later without touching the network.
 

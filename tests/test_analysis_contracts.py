@@ -261,17 +261,17 @@ def test_every_schedule_mode_ships_its_pair():
 
 
 def test_r003_fires_when_half_a_pair_goes_missing():
-    registry = REGISTRIES["link"]
-    entry = registry.entry("batched")
-    registry.unregister("batched")
+    registry = REGISTRIES["core"]
+    entry = registry.entry("flat")
+    registry.unregister("flat")
     try:
         findings = schedule_pair_findings()
         assert [f.rule for f in findings] == ["R003"]
-        assert "'link'" in findings[0].message
-        assert "'batched'" in findings[0].message
+        assert "'core'" in findings[0].message
+        assert "'flat'" in findings[0].message
     finally:
         registry.register(
-            "batched", obj=entry.factory, provenance=entry.provenance
+            "flat", obj=entry.factory, provenance=entry.provenance
         )
     assert schedule_pair_findings() == []
 

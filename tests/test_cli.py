@@ -48,10 +48,9 @@ def test_run_command_honours_configuration_flags(capsys):
 
 
 def test_run_command_accepts_schedule_mode_flags(capsys):
-    # Pinning both busy-path schedule axes must not change the numbers
-    # relative to the defaults (both axes are bit-identical pairs).
-    exit_code = main(["run", *TINY_ARGS, "--switch-mode", "reference",
-                      "--link-mode", "reference"])
+    # Pinning the object core must not change the numbers relative to
+    # the default flat core (the two cores are a bit-identical pair).
+    exit_code = main(["run", *TINY_ARGS, "--core-mode", "objects"])
     assert exit_code == 0
     pinned = capsys.readouterr().out
     assert main(["run", *TINY_ARGS]) == 0
@@ -59,10 +58,12 @@ def test_run_command_accepts_schedule_mode_flags(capsys):
 
 
 def test_parser_rejects_unknown_link_mode():
+    # Both the link- and the switch-schedule flags are gone.
     from repro.cli import build_parser
 
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "--link-mode", "telepathy"])
+    for flag in ("--link-mode", "--switch-mode"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", flag, "reference"])
 
 
 def test_sweep_command_prints_one_row_per_load(capsys):

@@ -218,59 +218,26 @@ def test_cache_key_is_stable_across_processes():
 # -- format v3+: component provenance in the key -------------------------------------
 
 
-def test_cache_format_is_v9():
+def test_cache_format_is_v10():
     # v3 added component provenance; v4 added the switch_mode config
     # field and its schedule provenance; v5 added link_mode; v6 added
     # core_mode and its schedule provenance; v7 added the closed-loop
     # workload fields, the drain result block and the flat core default;
     # v8 added the topology and link_delays fields (torus/torus3d
     # support); v9 added replications/seed_stride, the streaming p50/p99
-    # summary fields and the replicates result block (see
-    # CACHE_FORMAT_VERSION docs).
+    # summary fields and the replicates result block; v10 removed
+    # switch_mode and link_mode again (see CACHE_FORMAT_VERSION docs).
     from repro.exec.cache import CACHE_FORMAT_VERSION
 
-    assert CACHE_FORMAT_VERSION == 9
-
-
-def test_switch_mode_feeds_the_key():
-    # The two switch schedules are bit-identical, but their results must
-    # still live in distinct cache slots so pinned-mode studies never
-    # serve each other's entries.
-    batched = SimulationConfig.tiny()
-    reference = batched.variant(switch_mode="reference")
-    assert config_cache_key(batched) != config_cache_key(reference)
-
-
-def test_link_mode_feeds_the_key():
-    # Same contract for the link-transport schedules: bit-identical
-    # results, distinct slots -- and the two mode axes never alias each
-    # other (switching one field must not collide with switching the
-    # other).
-    batched = SimulationConfig.tiny()
-    link_reference = batched.variant(link_mode="reference")
-    switch_reference = batched.variant(switch_mode="reference")
-    keys = {
-        config_cache_key(batched),
-        config_cache_key(link_reference),
-        config_cache_key(switch_reference),
-        config_cache_key(batched.variant(switch_mode="reference", link_mode="reference")),
-    }
-    assert len(keys) == 4
+    assert CACHE_FORMAT_VERSION == 10
 
 
 def test_core_mode_feeds_the_key():
     # The two core schedules are bit-identical, but their results live in
-    # distinct slots, and the core axis never aliases the other two mode
-    # axes.
+    # distinct slots so pinned-core studies never serve each other's
+    # entries.
     base = SimulationConfig.tiny()
-    keys = {
-        config_cache_key(base),
-        config_cache_key(base.variant(core_mode="objects")),
-        config_cache_key(base.variant(switch_mode="reference")),
-        config_cache_key(base.variant(link_mode="reference")),
-        config_cache_key(base.variant(core_mode="objects", switch_mode="reference")),
-    }
-    assert len(keys) == 5
+    assert config_cache_key(base) != config_cache_key(base.variant(core_mode="objects"))
 
 
 def _v5_style_key(config):

@@ -18,11 +18,14 @@ cycle at a time, and check, between cycles:
 * messages are conserved: created = delivered + live slots + queued.
 
 A run that corrupts a slot must fail at the end of ``run()`` with an
-error naming the configuration.
+error naming the configuration, and a header blocked behind a tail
+that releases its output VC must be retried the next cycle even when
+nothing else is due then.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -191,3 +194,66 @@ def test_a_lost_message_slot_fails_the_run_naming_the_config():
     with pytest.raises(RuntimeError, match="message conservation") as error:
         simulator.run(max_cycles=0)
     assert repr(config) in str(error.value)
+
+
+def test_a_released_output_vc_alone_wakes_the_blocked_header(tmp_path):
+    """Two single-flit transfers into node 2 meet at router 1, which has
+    one VC per port: 0 -> 2 on the west input and 1 -> 2 on the local
+    input, delayed by a compute step so both headers become ready the
+    same cycle.  The local port wins the VC and its tail leaves that
+    cycle; the west header's failed allocation can only succeed because
+    that tail released the VC, and no arrival or interface wake is due
+    the next cycle.  So the router's ``released`` flag alone must keep
+    the core awake, and the header is allocated on the cycle the object
+    core allocates it."""
+    trace = {
+        "nodes": [
+            {"kind": "transfer", "src": 0, "dst": 2, "flits": 1},
+            {"kind": "compute", "node": 1, "delay": 4},
+            {"kind": "transfer", "src": 1, "dst": 2, "flits": 1},
+        ],
+        "edges": [[1, 2]],
+    }
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(trace), encoding="utf-8")
+    config = SimulationConfig(
+        mesh_dims=(3, 2), routing="dimension-order", vcs_per_port=1,
+        credit_delay=2, workload="trace", workload_trace=str(path), seed=1,
+    )
+
+    def allocation_cycles(simulator, routed, on_cycle=lambda cycle: None):
+        kernel = simulator._kernel
+        cycles = []
+        for _ in range(simulator.default_max_cycles()):
+            if simulator.workload.drained:
+                break
+            cycle = kernel.clock.now
+            before = routed()
+            kernel.run(1)
+            cycles.extend([cycle] * (routed() - before))
+            on_cycle(cycle)
+        assert simulator.workload.drained
+        return cycles
+
+    reference = NetworkSimulator(config.variant(core_mode="objects"), kernel_mode="exhaustive")
+    router = reference.network.routers[1]
+    expected = allocation_cycles(reference, lambda: router.headers_routed)
+    assert len(expected) == 2 and expected[1] == expected[0] + 1, expected
+
+    flat = NetworkSimulator(config, kernel_mode="activity")
+    core = flat.core
+    checked = []
+
+    def check_the_wake(cycle):
+        if cycle != expected[0]:
+            return
+        state = core.state()
+        assert state["released"][1] and state["routing_members"][1]
+        assert core.next_event_cycle(cycle + 1) == cycle + 1
+        # Nothing but the flag is due next cycle.
+        state["released"] = [False] * len(state["released"])
+        assert _full_scan_next_event(state, cycle + 1) > cycle + 1
+        checked.append(cycle)
+
+    assert allocation_cycles(flat, lambda: core.headers_routed[1], check_the_wake) == expected
+    assert checked == [expected[0]]

@@ -1,6 +1,5 @@
 """Tests for the network interface (injection and ejection endpoint)."""
 
-import pytest
 
 from repro.network.interface import NetworkInterface
 from repro.network.topology import LOCAL_PORT, MeshTopology
@@ -27,7 +26,7 @@ class RecordingRouter:
         self.credits.append((arrival_cycle, port, vc))
 
 
-def build_interface(pipeline=LA_PROUD, vcs=2, buffer_depth=5, link_mode="batched"):
+def build_interface(pipeline=LA_PROUD, vcs=2, buffer_depth=5):
     topology = MeshTopology((3, 3))
     table = EconomicalStorageTable(topology)
     routing = DuatoFullyAdaptiveRouting(topology, table)
@@ -35,7 +34,6 @@ def build_interface(pipeline=LA_PROUD, vcs=2, buffer_depth=5, link_mode="batched
         vcs_per_port=vcs,
         buffer_depth=buffer_depth,
         pipeline=pipeline,
-        link_mode=link_mode,
     )
     router = RecordingRouter(config)
     stats = StatsCollector()
@@ -148,13 +146,10 @@ def test_is_idle_accounts_for_queued_work():
     assert not interface.is_idle()
 
 
-# -- mailbox semantics pinned across both link-transport schedules ------------------
+# -- mailbox semantics ---------------------------------------------------------------
 #
-# These tests pin the reference mailbox behaviour the batched arrival
-# lanes must preserve; every one runs under both ``link_mode`` settings
-# so a lane shortcut can never satisfy it by construction.
-
-LINK_MODES = ("reference", "batched")
+# These tests pin the mailbox behaviour the flat core's arrival wheels
+# must reproduce.
 
 
 def _single_flit(source, destination):
@@ -164,12 +159,11 @@ def _single_flit(source, destination):
     return message.make_flits()[0]
 
 
-@pytest.mark.parametrize("link_mode", LINK_MODES)
-def test_fifo_drain_order_when_flits_share_an_arrival_cycle(link_mode):
+def test_fifo_drain_order_when_flits_share_an_arrival_cycle():
     """Several flits due the same cycle drain in arrival (FIFO) order:
     the credits returned to the router's local port replay the exact
     receive order, even across interleaved virtual channels."""
-    interface, router, stats, topology = build_interface(link_mode=link_mode)
+    interface, router, stats, topology = build_interface()
     delivered = []
     original = stats.record_delivered
     stats.record_delivered = lambda message, cycle: (
@@ -185,14 +179,11 @@ def test_fifo_drain_order_when_flits_share_an_arrival_cycle(link_mode):
     assert router.credits == [(6, LOCAL_PORT, 0), (6, LOCAL_PORT, 1), (6, LOCAL_PORT, 0)]
 
 
-@pytest.mark.parametrize("link_mode", LINK_MODES)
-def test_same_cycle_credit_unblocks_injection_that_cycle(link_mode):
+def test_same_cycle_credit_unblocks_injection_that_cycle():
     """A credit arriving at cycle c is applied by deliver(c) -- before
     evaluate(c) -- so a credit-blocked slot injects the same cycle, and
     an ejected flit consumed at c is recorded at c alongside it."""
-    interface, router, stats, topology = build_interface(
-        vcs=1, buffer_depth=2, link_mode=link_mode
-    )
+    interface, router, stats, topology = build_interface(vcs=1, buffer_depth=2)
     interface.offer(Message(source=4, destination=0, length=3, creation_cycle=0))
     drive(interface, 3)  # cycles 0-2: two flits exhaust the credits, then block
     assert len(router.flits) == 2
@@ -210,11 +201,10 @@ def test_same_cycle_credit_unblocks_injection_that_cycle(link_mode):
     assert (5, LOCAL_PORT, 0) in router.credits
 
 
-@pytest.mark.parametrize("link_mode", LINK_MODES)
-def test_single_flit_messages_inject_and_eject(link_mode):
+def test_single_flit_messages_inject_and_eject():
     """length-1 messages (head == tail) free their slot immediately on
     injection and complete delivery from one mailbox entry."""
-    interface, router, stats, topology = build_interface(vcs=1, link_mode=link_mode)
+    interface, router, stats, topology = build_interface(vcs=1)
     interface.offer(Message(source=4, destination=0, length=1, creation_cycle=0))
     interface.offer(Message(source=4, destination=8, length=1, creation_cycle=0))
     drive(interface, 3)
@@ -232,11 +222,10 @@ def test_single_flit_messages_inject_and_eject(link_mode):
     assert len(router.credits) == 1
 
 
-@pytest.mark.parametrize("link_mode", LINK_MODES)
-def test_next_event_cycle_reports_true_earliest_lane_arrival(link_mode):
+def test_next_event_cycle_reports_true_earliest_lane_arrival():
     """With no injectable work, next_event_cycle is the earliest pending
     mailbox arrival across both lanes -- and None when both are empty."""
-    interface, router, stats, topology = build_interface(link_mode=link_mode)
+    interface, router, stats, topology = build_interface()
     assert interface.next_event_cycle(0) is None
     interface.receive_flit(LOCAL_PORT, 0, _single_flit(0, 4), 9)
     assert interface.next_event_cycle(5) == 9
@@ -248,20 +237,18 @@ def test_next_event_cycle_reports_true_earliest_lane_arrival(link_mode):
     assert interface.next_event_cycle(10) is None
 
 
-@pytest.mark.parametrize("link_mode", LINK_MODES)
-def test_injectable_work_reports_the_current_cycle(link_mode):
-    interface, router, stats, topology = build_interface(link_mode=link_mode)
+def test_injectable_work_reports_the_current_cycle():
+    interface, router, stats, topology = build_interface()
     interface.offer(Message(source=4, destination=0, length=2, creation_cycle=0))
     assert interface.next_event_cycle(3) == 3
 
 
-@pytest.mark.parametrize("link_mode", LINK_MODES)
-def test_out_of_order_external_pushes_are_head_blocked(link_mode):
-    """Both schedules replay the mailbox-deque contract for external
-    pushes with non-monotonic arrival cycles: a flit queued behind a
-    later-due flit waits for it (head blocking), then both drain in FIFO
-    order the cycle the head comes due."""
-    interface, router, stats, topology = build_interface(link_mode=link_mode)
+def test_out_of_order_external_pushes_are_head_blocked():
+    """External pushes with non-monotonic arrival cycles follow the
+    mailbox-deque contract: a flit queued behind a later-due flit waits
+    for it (head blocking), then both drain in FIFO order the cycle the
+    head comes due."""
+    interface, router, stats, topology = build_interface()
     late = _single_flit(0, 4)
     early = _single_flit(8, 4)
     interface.receive_flit(LOCAL_PORT, 0, late, 9)

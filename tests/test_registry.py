@@ -120,10 +120,8 @@ def test_component_provenance_is_stable_and_complete():
     provenance = registry.config_component_provenance(config)
     assert set(provenance) == {
         "traffic", "routing", "table", "selector", "pipeline", "injection",
-        "switch_mode", "link_mode", "core_mode", "topology",
+        "core_mode", "topology",
     }
-    assert provenance["switch_mode"] == "repro.router.switch:BATCHED"
-    assert provenance["link_mode"] == "repro.network.link:BATCHED"
     assert provenance["core_mode"] == "repro.network.flatcore:FLAT"
     assert provenance["traffic"] == "repro.traffic.patterns:UniformPattern"
     assert provenance == registry.config_component_provenance(config)

@@ -1,19 +1,9 @@
-"""Bit-identical equivalence of the batched and reference switch schedules.
+"""The switch-allocation schedule selector is gone.
 
-The batched busy path may only restructure *how* the per-cycle work is
-found and ordered, never *what* it decides: the same virtual channels
-must be allocated, the same round-robin grants issued, the same selector
-and RNG consultations made -- so a simulation run under
-``switch_mode="batched"`` must reproduce ``switch_mode="reference"``
-field for field, bit for bit.  These tests sweep a grid of topology x
-routing x VC-count x load points (modeled on
-``tests/test_kernel_equivalence.py``) and additionally cross the switch
-axis with the kernel-schedule axis, since the two two-implementation
-contracts must compose.
-
-Note the two configurations differ in their ``switch_mode`` field, so
-the comparison covers everything the simulation *computes* (summary,
-cycles, analytics) rather than the raw config-bearing JSON.
+The object core's per-channel switch pass is the one reference
+implementation of VC and switch allocation, and the flat C core is the
+fast path checked against it in ``tests/test_link_equivalence.py``.
+Neither configuration record accepts the removed ``switch_mode`` field.
 """
 
 from __future__ import annotations
@@ -21,150 +11,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.core.simulator import NetworkSimulator
-
-#: (mesh_dims, routing, vcs_per_port, traffic, load) grid covering square,
-#: rectangular and odd-extent meshes (the repo's routing algorithms are
-#: mesh-only by design -- tori need a dateline VC discipline), the
-#: adaptive and deterministic routers, minimum and paper VC counts,
-#: permutation and random patterns, and loads from the contention-free
-#: regime up to saturation.
-GRID = [
-    ((4, 4), "duato", 2, "uniform", 0.2),
-    ((4, 4), "duato", 4, "uniform", 0.75),
-    ((4, 4), "duato", 4, "shuffle", 0.15),
-    ((4, 4), "duato", 3, "transpose", 0.6),
-    ((4, 4), "dimension-order", 1, "uniform", 0.3),
-    ((4, 4), "dimension-order", 4, "transpose", 0.2),
-    ((4, 4), "west-first", 2, "tornado", 0.25),
-    ((4, 4), "negative-first", 4, "bit-reversal", 0.4),
-    ((5, 3), "duato", 4, "uniform", 0.3),
-    ((2, 8), "dimension-order", 2, "tornado", 0.25),
-]
-
-
-def _config(mesh_dims, routing, vcs, traffic, load) -> SimulationConfig:
-    return SimulationConfig.tiny(
-        mesh_dims=mesh_dims,
-        routing=routing,
-        vcs_per_port=vcs,
-        traffic=traffic,
-        normalized_load=load,
-        seed=13,
-    )
-
-
-def _run(config: SimulationConfig, switch_mode: str, kernel_mode: str = "activity"):
-    return NetworkSimulator(
-        config.variant(switch_mode=switch_mode), kernel_mode=kernel_mode
-    ).run()
-
-
-def _assert_equivalent(batched, reference) -> None:
-    """Field-for-field equality of everything the simulation computed."""
-    expected = reference.summary.as_dict()
-    actual = batched.summary.as_dict()
-    assert set(actual) == set(expected)
-    for field, value in expected.items():
-        assert actual[field] == value, (
-            f"LatencySummary.{field} diverged under the batched switch "
-            f"schedule: {actual[field]!r} != {value!r}"
-        )
-    assert batched.cycles == reference.cycles
-    assert batched.zero_load_latency == reference.zero_load_latency
-    assert batched.effective_message_rate == reference.effective_message_rate
-    # The configs deliberately differ in switch_mode only; everything
-    # else must round-trip equal.
-    assert batched.config.variant(switch_mode="reference") == reference.config
-
-
-@pytest.mark.parametrize(
-    ("mesh_dims", "routing", "vcs", "traffic", "load"),
-    GRID,
-    ids=[
-        f"{'x'.join(map(str, dims))}-{r}-vc{v}-{t}-{l}"
-        for dims, r, v, t, l in GRID
-    ],
-)
-def test_batched_switch_is_bit_identical(mesh_dims, routing, vcs, traffic, load):
-    config = _config(mesh_dims, routing, vcs, traffic, load)
-    _assert_equivalent(_run(config, "batched"), _run(config, "reference"))
-
-
-#: Contention-heavy variants: few VCs, shallow buffers and long messages
-#: force allocation failures, credit stalls and same-cycle output-VC
-#: releases -- the regime where an ordering bug in the flat pass (or a
-#: stale membership array) diverges from the reference traversal.
-CONTENTION_GRID = [
-    {"vcs_per_port": 2, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.9},
-    {"vcs_per_port": 2, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.6,
-     "traffic": "transpose"},
-    {"vcs_per_port": 3, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.9,
-     "pipeline": "proud"},
-    {"vcs_per_port": 2, "buffer_depth": 5, "message_length": 4, "normalized_load": 0.9,
-     "injection": "bernoulli"},
-]
-
-
-@pytest.mark.parametrize(
-    "overrides",
-    CONTENTION_GRID,
-    ids=[
-        f"vcs{o['vcs_per_port']}-buf{o['buffer_depth']}-len{o['message_length']}"
-        f"-load{o['normalized_load']}"
-        for o in CONTENTION_GRID
-    ],
-)
-def test_equivalence_under_vc_contention(overrides):
-    config = SimulationConfig.tiny(seed=1).variant(
-        measure_messages=150, warmup_messages=20, **overrides
-    )
-    _assert_equivalent(_run(config, "batched"), _run(config, "reference"))
-
-
-def test_equivalence_with_rng_drawing_selector():
-    """The 'random' selector draws from per-router RNG streams during VC
-    allocation; the batched pass must visit ROUTING channels in the exact
-    reference order or the draw sequences shift."""
-    config = SimulationConfig.tiny(selector="random", normalized_load=0.5, seed=3)
-    _assert_equivalent(_run(config, "batched"), _run(config, "reference"))
-
-
-def test_equivalence_with_history_selector():
-    """LRU reads the usage metadata the forward path maintains; batching
-    the per-flit bookkeeping must not change what the selector sees."""
-    config = SimulationConfig.tiny(selector="lru", normalized_load=0.5, seed=7)
-    _assert_equivalent(_run(config, "batched"), _run(config, "reference"))
-
-
-@pytest.mark.parametrize("kernel_mode", ["exhaustive", "activity"])
-def test_switch_axis_crosses_kernel_axis(kernel_mode):
-    """All four (kernel schedule, switch schedule) combinations agree on
-    one contended point: the two equivalence contracts compose."""
-    config = SimulationConfig.tiny(normalized_load=0.6, seed=17)
-    batched = _run(config, "batched", kernel_mode)
-    reference = _run(config, "reference", kernel_mode)
-    _assert_equivalent(batched, reference)
-    # And across the kernel axis for the same switch mode, the full JSON
-    # (config included) must match, as in test_kernel_equivalence.
-    other = "activity" if kernel_mode == "exhaustive" else "exhaustive"
-    assert batched.to_json() == _run(config, "batched", other).to_json()
-
-
-def test_switch_mode_recorded_in_result_config():
-    config = SimulationConfig.tiny(normalized_load=0.1, seed=5)
-    result = _run(config, "reference")
-    assert result.config.switch_mode == "reference"
-    assert _run(config, "batched").config.switch_mode == "batched"
 
 
 def test_config_rejects_unknown_switch_mode():
-    with pytest.raises(ValueError, match="switch"):
+    with pytest.raises(TypeError, match="switch_mode"):
         SimulationConfig.tiny(switch_mode="warp-speed")
 
 
 def test_router_config_rejects_unknown_switch_mode():
     from repro.router.config import RouterConfig
 
-    with pytest.raises(ValueError, match="switch"):
+    with pytest.raises(TypeError, match="switch_mode"):
         RouterConfig(switch_mode="warp-speed")

@@ -1,9 +1,7 @@
 """Seeded randomized property tests for router invariants.
 
 Rather than asserting exact numbers, these tests check the *laws* the
-router must obey under any traffic -- and check them against both switch
-schedules, so the batched busy path cannot satisfy them by construction
-quirks the reference would not share:
+router must obey under any traffic:
 
 * **flit conservation** -- every injected message is delivered exactly
   once (no loss, no duplication), and a drained network holds no flits;
@@ -13,8 +11,7 @@ quirks the reference would not share:
 * **forwarding accounting** -- the routers' crossbar counters equal the
   flit-hops actually traversed by the delivered messages;
 * **arbiter fairness** -- a round-robin arbiter never starves a
-  continuously requesting slot, and the sorted-request fast path used by
-  the batched pass is decision-for-decision equal to the general grant;
+  continuously requesting slot;
 * **in-order delivery** -- with deterministic routing and a single
   virtual channel per port there is one FIFO path per (source,
   destination, VC), so messages of a pair must eject in creation order.
@@ -22,7 +19,7 @@ quirks the reference would not share:
 Everything is driven by seeded ``random.Random`` instances, so failures
 reproduce exactly.
 
-The same laws are re-checked against the flat struct-of-arrays core
+The same laws are re-checked against the flat C core
 (``core_mode="flat"``), which re-implements the whole network's hot path
 over global arrays: conservation, drained-state emptiness, forwarding
 accounting and priority-pointer parity with the object core.
@@ -39,8 +36,6 @@ from repro.core.config import SimulationConfig
 from repro.core.simulator import NetworkSimulator
 from repro.router.arbiter import RoundRobinArbiter
 
-SWITCH_MODES = ("batched", "reference")
-LINK_MODES = ("batched", "reference")
 CORE_MODES = ("objects", "flat")
 
 
@@ -92,10 +87,8 @@ def _run_with_delivery_log(config: SimulationConfig):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
-@pytest.mark.parametrize("switch_mode", SWITCH_MODES)
-@pytest.mark.parametrize("link_mode", LINK_MODES)
-def test_flit_and_credit_conservation(seed, switch_mode, link_mode):
-    config = _random_config(seed).variant(switch_mode=switch_mode, link_mode=link_mode)
+def test_flit_and_credit_conservation(seed):
+    config = _random_config(seed)
     simulator, result, delivered = _run_with_delivery_log(config)
 
     # Every created message was delivered exactly once (loads are modest
@@ -103,7 +96,7 @@ def test_flit_and_credit_conservation(seed, switch_mode, link_mode):
     stats = simulator.stats
     assert stats.delivered == stats.created, (
         f"flit loss: created {stats.created}, delivered {stats.delivered} "
-        f"(seed {seed}, {switch_mode})"
+        f"(seed {seed})"
     )
     seen_ids = [message.message_id for message in delivered]
     assert len(seen_ids) == len(set(seen_ids)), "duplicated delivery"
@@ -131,13 +124,13 @@ def test_flit_and_credit_conservation(seed, switch_mode, link_mode):
             for vc in output.vcs:
                 assert vc.owner is None, (
                     f"router {router.node_id} port {port} VC {vc.vc} still "
-                    f"allocated after drain (seed {seed}, {switch_mode})"
+                    f"allocated after drain (seed {seed})"
                 )
                 total = vc.credits + in_flight[(port, vc.vc)]
                 assert total == depth, (
                     f"router {router.node_id} port {port} VC {vc.vc} credits "
                     f"{vc.credits} + in-flight {in_flight[(port, vc.vc)]} != "
-                    f"{depth} after drain (seed {seed}, {switch_mode})"
+                    f"{depth} after drain (seed {seed})"
                 )
 
     # Forwarding accounting: each flit of a message crosses the crossbar
@@ -148,22 +141,8 @@ def test_flit_and_credit_conservation(seed, switch_mode, link_mode):
     assert forwarded == flit_hops
 
 
-@pytest.mark.parametrize("seed", [11, 12, 13])
-def test_both_modes_agree_on_microarchitectural_totals(seed):
-    """Beyond the result summary, the per-router crossbar counters of the
-    two schedules must match router for router."""
-    config = _random_config(seed)
-    reference = NetworkSimulator(config.variant(switch_mode="reference"))
-    batched = NetworkSimulator(config.variant(switch_mode="batched"))
-    reference.run()
-    batched.run()
-    for ref_router, bat_router in zip(reference.network.routers, batched.network.routers):
-        assert ref_router.flits_forwarded == bat_router.flits_forwarded
-        assert ref_router.headers_routed == bat_router.headers_routed
-
-
-@pytest.mark.parametrize("switch_mode", SWITCH_MODES)
-def test_in_order_delivery_per_source_destination_vc(switch_mode):
+@pytest.mark.parametrize("core_mode", CORE_MODES)
+def test_in_order_delivery_per_source_destination_vc(core_mode):
     """Deterministic routing + one VC per port = one FIFO lane per
     (source, destination, VC) triple: ejection order must equal creation
     order within every pair."""
@@ -177,7 +156,7 @@ def test_in_order_delivery_per_source_destination_vc(switch_mode):
         warmup_messages=30,
         measure_messages=250,
         seed=23,
-        switch_mode=switch_mode,
+        core_mode=core_mode,
     )
     simulator, result, delivered = _run_with_delivery_log(config)
     assert simulator.stats.delivered == simulator.stats.created
@@ -190,7 +169,7 @@ def test_in_order_delivery_per_source_destination_vc(switch_mode):
             assert previous.creation_cycle <= message.creation_cycle
             assert previous.message_id < message.message_id, (
                 f"pair {pair} delivered message {message.message_id} after "
-                f"{previous.message_id} despite earlier creation ({switch_mode})"
+                f"{previous.message_id} despite earlier creation ({core_mode})"
             )
         last_seen[pair] = message
 
@@ -219,44 +198,6 @@ def test_round_robin_never_starves_a_persistent_requester():
             assert grants_since_persistent < num, (
                 "round-robin starved a continuously requesting slot"
             )
-
-
-@pytest.mark.parametrize("seed", [5, 6, 7, 8])
-def test_grant_sorted_equals_grant(seed):
-    """The sorted-request fast path used by the batched switch pass must
-    make the identical decision -- and leave the identical priority
-    pointer -- as the general grant, over long random request sequences."""
-    rng = random.Random(seed)
-    num = rng.choice([2, 4, 5, 8])
-    general = RoundRobinArbiter(num)
-    fast = RoundRobinArbiter(num)
-    for _ in range(400):
-        requests = sorted(
-            slot for slot in range(num) if rng.random() < rng.choice([0.2, 0.5, 0.9])
-        )
-        assert general.grant(requests) == fast.grant_sorted(requests)
-        assert repr(general) == repr(fast)  # pointer state stays in lockstep
-
-
-def test_grant_sorted_empty_request_list():
-    arbiter = RoundRobinArbiter(4)
-    assert arbiter.grant_sorted([]) is None
-
-
-def test_batched_priority_pointers_match_reference_arbiters():
-    """After identical runs, the batched routers' flat priority arrays
-    must equal the pointer positions of the reference routers' arbiter
-    objects -- the two bookkeeping forms of one rotating priority."""
-    config = _random_config(31)
-    reference = NetworkSimulator(config.variant(switch_mode="reference"))
-    batched = NetworkSimulator(config.variant(switch_mode="batched"))
-    reference.run()
-    batched.run()
-    for ref_router, bat_router in zip(reference.network.routers, batched.network.routers):
-        ref_inputs = [arb._next_priority for arb in ref_router._input_arbiters]
-        ref_outputs = [arb._next_priority for arb in ref_router._output_arbiters]
-        assert bat_router._input_priorities == ref_inputs
-        assert bat_router._output_priorities == ref_outputs
 
 
 # -- decision-memo invalidation ------------------------------------------------------
@@ -291,20 +232,19 @@ def test_reprogramming_a_table_drops_memoized_decisions():
     assert set(after.adaptive_ports) == {north}
 
 
-# -- membership-array integrity ------------------------------------------------------
+# -- occupied-channel count integrity -----------------------------------------------
 
 
 @pytest.mark.parametrize("seed", [41, 42])
-def test_membership_arrays_empty_after_drain(seed):
-    """The incremental ROUTING/ACTIVE membership arrays must be exact:
-    after a drained run they are empty, matching the all-IDLE channels."""
+def test_occupied_channel_count_is_zero_after_drain(seed):
+    """The incremental count of non-IDLE channels (the quiescence gate of
+    ``next_event_cycle``) must be exact: zero after a drained run,
+    matching the all-IDLE channels."""
     config = _random_config(seed)
     simulator = NetworkSimulator(config)
     simulator.run()
     assert simulator.network.is_idle()
     for router in simulator.network.routers:
-        assert router._routing_members == []
-        assert router._active_members == []
         assert router._occupied_channels == 0
 
 
@@ -376,10 +316,10 @@ def test_flat_core_counters_match_object_core(seed):
 
 def test_flat_core_priority_pointers_match_object_core():
     """After identical runs the flat core's global priority arrays equal
-    the batched object routers' per-router arrays -- one rotating
+    the pointers of the object routers' arbiters -- one rotating
     round-robin priority in two bookkeeping forms, so the arbiters of the
     two cores stay fair in lockstep."""
-    config = _random_config(31).variant(switch_mode="batched")
+    config = _random_config(31)
     objects = NetworkSimulator(config.variant(core_mode="objects"))
     flat = NetworkSimulator(config.variant(core_mode="flat"))
     objects.run()
@@ -388,8 +328,12 @@ def test_flat_core_priority_pointers_match_object_core():
     radix = objects.topology.radix
     for node, router in enumerate(objects.network.routers):
         base = node * radix
-        assert state["in_prio"][base:base + radix] == router._input_priorities
-        assert state["out_prio"][base:base + radix] == router._output_priorities
+        assert state["in_prio"][base:base + radix] == [
+            arbiter._next_priority for arbiter in router._input_arbiters
+        ]
+        assert state["out_prio"][base:base + radix] == [
+            arbiter._next_priority for arbiter in router._output_arbiters
+        ]
 
 
 @pytest.mark.parametrize("seed", [41, 42])
@@ -404,98 +348,3 @@ def test_flat_core_membership_lists_empty_after_drain(seed):
     state = core.state()
     assert all(members == [] for members in state["routing_members"])
     assert all(members == [] for members in state["active_members"])
-
-
-# -- link-transport wheel integrity --------------------------------------------------
-
-
-def _assert_wheel_consistent(wheel):
-    """Arrival-wheel integrity: length and truthiness agree with the
-    entries actually stored across lanes and the ``far`` overflow."""
-    stored = sum(len(lane) for lane in wheel.slots) + len(wheel.far)
-    assert len(wheel) == stored
-    assert bool(wheel) == (stored > 0)
-
-
-@pytest.mark.parametrize("seed", [43, 44, 45])
-def test_wheels_drained_and_consistent_after_run(seed):
-    """Under ``link_mode="batched"`` a drained run leaves every flit
-    wheel empty and every wheel's pending counter exact.  (Credit wheels
-    may hold the final in-flight credit returns -- the kernel stops the
-    instant the last message is delivered -- which the counters must
-    cover; ``far`` stays empty because the wired path never uses it.)"""
-    config = _random_config(seed).variant(link_mode="batched")
-    simulator = NetworkSimulator(config)
-    simulator.run()
-    assert simulator.network.is_idle()
-    for router in simulator.network.routers:
-        _assert_wheel_consistent(router._flit_wheel)
-        _assert_wheel_consistent(router._credit_wheel)
-        assert len(router._flit_wheel) == 0
-        assert router._flit_wheel.far == []
-        assert router._credit_wheel.far == []
-        assert len(router.in_flight_credits()) == len(router._credit_wheel)
-    for interface in simulator.network.interfaces:
-        _assert_wheel_consistent(interface._eject_mailbox)
-        _assert_wheel_consistent(interface._credit_mailbox)
-        assert len(interface._eject_mailbox) == 0
-
-
-@pytest.mark.parametrize("seed", [46, 47])
-def test_wheel_lanes_are_slot_exact(seed):
-    """The wheel drain consumes the lane ``cycle % size`` without any
-    arrival comparison, which is only correct if that lane holds exactly
-    the flits due this cycle.  Log every wired flit push (by wrapping the
-    receiver factory before construction -- batched components bind their
-    receivers and drain at init/wiring time) and assert, at the top of
-    every drain, that the lane length matches the logged arrivals for
-    this cycle and that no logged arrival lies in the past."""
-    from collections import defaultdict
-
-    from repro.router.router import Router
-
-    push_log = {}
-    real_make = Router.make_flit_receiver
-    real_drain = Router._deliver_batched_links
-    drains = [0]
-
-    def logging_make(self, port):
-        receiver = real_make(self, port)
-        log = push_log.setdefault(id(self), defaultdict(int))
-
-        def wrapped(vc, flit, arrival_cycle):
-            log[arrival_cycle] += 1
-            receiver(vc, flit, arrival_cycle)
-
-        return wrapped
-
-    def checked_drain(self, cycle):
-        log = push_log.get(id(self))
-        if log is not None:
-            drains[0] += 1
-            wheel = self._flit_wheel
-            lane = wheel.slots[cycle % wheel.size]
-            expected = log.pop(cycle, 0)
-            assert len(lane) == expected, (
-                f"lane for cycle {cycle} holds {len(lane)} flits, "
-                f"{expected} were pushed for it (seed {seed})"
-            )
-            assert all(arrival > cycle for arrival in log), (
-                f"flits pushed for a past cycle were never drained "
-                f"(cycle {cycle}, pending {sorted(log)}, seed {seed})"
-            )
-        return real_drain(self, cycle)
-
-    config = _random_config(seed).variant(
-        link_mode="batched", traffic="uniform", normalized_load=0.6, message_length=8
-    )
-    try:
-        Router.make_flit_receiver = logging_make
-        Router._deliver_batched_links = checked_drain
-        simulator = NetworkSimulator(config)
-        result = simulator.run()
-    finally:
-        Router.make_flit_receiver = real_make
-        Router._deliver_batched_links = real_drain
-    assert result.summary.delivered > 0
-    assert drains[0] > 0

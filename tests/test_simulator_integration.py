@@ -205,14 +205,11 @@ def test_torus_with_wrap_refusing_routing_fails_at_config_construction():
     NetworkSimulator(config3d)
 
 
-@pytest.mark.parametrize("link_mode", ["batched", "reference"])
-def test_object_core_counts_every_message_mid_run(link_mode):
+def test_object_core_counts_every_message_mid_run():
     """Mid-run, the object core's created messages balance: delivered,
     in flight (tail flit at an interface, in a buffer or on a link) or
     queued at their interface."""
-    config = SimulationConfig.tiny(
-        core_mode="objects", link_mode=link_mode, normalized_load=0.6, seed=5
-    )
+    config = SimulationConfig.tiny(core_mode="objects", normalized_load=0.6, seed=5)
     simulator = NetworkSimulator(config)
     simulator.run(max_cycles=80)
     stats = simulator.stats
