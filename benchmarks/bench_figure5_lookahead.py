@@ -13,7 +13,8 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.core.experiments.lookahead import run_lookahead_comparison
+from repro.scenario import run_study
+from repro.scenario.builtin import lookahead_study
 
 #: (traffic pattern, loads to sample).  The high load sits near (but below)
 #: the deterministic router's saturation point so the adaptive advantage is
@@ -39,9 +40,9 @@ _COLUMNS = [
 def bench_figure5_lookahead(benchmark, bench_config, report, traffic, loads):
     rows = run_once(
         benchmark,
-        lambda: run_lookahead_comparison(
-            bench_config, traffic_patterns=(traffic,), loads=loads
-        ),
+        lambda: run_study(
+            lookahead_study(bench_config, traffic_patterns=(traffic,), loads=loads)
+        ).rows,
     )
     benchmark.extra_info["rows"] = rows
     report(

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.core.experiments.path_selection import PAPER_SELECTORS, run_path_selection_study
+from repro.scenario import run_study
+from repro.scenario.builtin import PAPER_SELECTORS, path_selection_study
 
 _CASES = [
     ("uniform", (0.45,)),
@@ -27,12 +28,14 @@ _COLUMNS = ["traffic", "load"] + [f"{name}_latency" for name in PAPER_SELECTORS]
 def bench_figure6_path_selection(benchmark, bench_config, report, traffic, loads):
     rows = run_once(
         benchmark,
-        lambda: run_path_selection_study(
-            bench_config,
-            selectors=PAPER_SELECTORS,
-            traffic_patterns=(traffic,),
-            loads=loads,
-        ),
+        lambda: run_study(
+            path_selection_study(
+                bench_config,
+                selectors=PAPER_SELECTORS,
+                traffic_patterns=(traffic,),
+                loads=loads,
+            )
+        ).rows,
     )
     benchmark.extra_info["rows"] = rows
     report(

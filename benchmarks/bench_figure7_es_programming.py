@@ -10,13 +10,14 @@ freedom).
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
-from repro.core.experiments.es_programming import run_es_programming_example
+from repro.scenario import run_study
+from repro.scenario.builtin import es_programming_study
 
 _COLUMNS = ["destination", "sign_x", "sign_y", "candidate_ports", "north_last_ports"]
 
 
 def bench_figure7_es_programming(benchmark, report):
-    rows = run_once(benchmark, run_es_programming_example)
+    rows = run_once(benchmark, lambda: run_study(es_programming_study()).rows)
     benchmark.extra_info["rows"] = rows
     report(
         "figure7_es_programming",

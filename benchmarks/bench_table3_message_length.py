@@ -10,7 +10,8 @@ more serialization cycles.
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
-from repro.core.experiments.message_length import run_message_length_study
+from repro.scenario import run_study
+from repro.scenario.builtin import message_length_study
 
 _COLUMNS = [
     "message_length",
@@ -23,9 +24,14 @@ _COLUMNS = [
 def bench_table3_message_length(benchmark, bench_config, report):
     rows = run_once(
         benchmark,
-        lambda: run_message_length_study(
-            bench_config, message_lengths=(5, 10, 20, 50), traffic="uniform", load=0.2
-        ),
+        lambda: run_study(
+            message_length_study(
+                bench_config,
+                message_lengths=(5, 10, 20, 50),
+                traffic="uniform",
+                load=0.2,
+            )
+        ).rows,
     )
     benchmark.extra_info["rows"] = rows
     report(

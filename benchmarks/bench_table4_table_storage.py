@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.core.experiments.table_storage import run_table_storage_study
+from repro.scenario import run_study
+from repro.scenario.builtin import table_storage_study
 
 _CASES = [
     ("uniform", (0.15, 0.4)),
@@ -34,12 +35,14 @@ _COLUMNS = [
 def bench_table4_table_storage(benchmark, bench_config, report, traffic, loads):
     rows = run_once(
         benchmark,
-        lambda: run_table_storage_study(
-            bench_config,
-            traffic_patterns=(traffic,),
-            loads=loads,
-            include_full_table=True,
-        ),
+        lambda: run_study(
+            table_storage_study(
+                bench_config,
+                traffic_patterns=(traffic,),
+                loads=loads,
+                include_full_table=True,
+            )
+        ).rows,
     )
     benchmark.extra_info["rows"] = rows
     report(

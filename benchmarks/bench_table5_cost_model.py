@@ -8,13 +8,16 @@ node 3-D network quoted in Section 5.2.1.
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
-from repro.core.experiments.cost_table import run_cost_table
+from repro.scenario import run_study
+from repro.scenario.builtin import cost_table_study
 
 _COLUMNS = ["scheme", "entries_per_router", "scalability", "adaptivity", "topologies"]
 
 
 def bench_table5_cost_model(benchmark, report):
-    rows = run_once(benchmark, lambda: run_cost_table(num_nodes=256, n_dims=2))
+    rows = run_once(
+        benchmark, lambda: run_study(cost_table_study(num_nodes=256, n_dims=2)).rows
+    )
     benchmark.extra_info["rows"] = rows
     report(
         "table5_cost_model_256",
@@ -28,7 +31,9 @@ def bench_table5_cost_model(benchmark, report):
 
 
 def bench_table5_cost_model_cray_t3d(benchmark, report):
-    rows = run_once(benchmark, lambda: run_cost_table(num_nodes=2048, n_dims=3))
+    rows = run_once(
+        benchmark, lambda: run_study(cost_table_study(num_nodes=2048, n_dims=3)).rows
+    )
     benchmark.extra_info["rows"] = rows
     report(
         "table5_cost_model_t3d",

@@ -14,24 +14,24 @@ Usage::
 
 from __future__ import annotations
 
-from repro import SimulationConfig, format_rows, run_load_sweep
+from repro import SimulationConfig, format_rows, run_study
 from repro.core.simulator import NetworkSimulator, build_topology
 from repro.routing.providers import north_last_provider
+from repro.scenario.builtin import sweep_study
 from repro.tables.economical import EconomicalStorageTable
 
 
 def sweep(config: SimulationConfig, loads) -> list:
-    rows = []
-    for point in run_load_sweep(config, loads):
-        rows.append(
-            {
-                "routing": config.routing,
-                "load": point.normalized_load,
-                "latency": point.result.latency_label(),
-                "hops": point.result.summary.avg_hops,
-            }
-        )
-    return rows
+    outcome = run_study(sweep_study(config, loads))
+    return [
+        {
+            "routing": config.routing,
+            "load": point.config.normalized_load,
+            "latency": result.latency_label(),
+            "hops": result.summary.avg_hops,
+        }
+        for point, result in zip(outcome.points, outcome.results)
+    ]
 
 
 def main() -> None:

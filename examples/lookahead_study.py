@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro import SimulationConfig, format_rows
-from repro.core.experiments.lookahead import run_lookahead_comparison
-from repro.core.experiments.message_length import run_message_length_study
+from repro import SimulationConfig, format_rows, run_study
+from repro.scenario.builtin import lookahead_study, message_length_study
 
 
 def main() -> None:
@@ -35,9 +34,9 @@ def main() -> None:
         loads = (0.15, 0.4)
 
     print("=== Figure 5 (scaled): % latency increase over the LA-ADAPT router ===")
-    rows = run_lookahead_comparison(
-        base, traffic_patterns=("uniform", "transpose"), loads=loads
-    )
+    rows = run_study(
+        lookahead_study(base, traffic_patterns=("uniform", "transpose"), loads=loads)
+    ).rows
     columns = [
         "traffic", "load", "la_adapt_latency",
         "no-la-det_pct_increase", "no-la-adapt_pct_increase", "la-det_pct_increase",
@@ -47,7 +46,9 @@ def main() -> None:
 
     print("=== Table 3 (scaled): look-ahead benefit versus message length ===")
     lengths = (5, 20) if args.quick else (5, 10, 20, 50)
-    rows = run_message_length_study(base, message_lengths=lengths, load=0.2)
+    rows = run_study(
+        message_length_study(base, message_lengths=lengths, load=0.2)
+    ).rows
     print(format_rows(rows, columns=[
         "message_length", "lookahead_latency", "no_lookahead_latency", "pct_improvement",
     ]))

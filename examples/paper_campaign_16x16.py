@@ -31,9 +31,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.campaign import run_campaign
 from repro.core.config import PaperDefaults, SimulationConfig
 from repro.exec import make_backend
+from repro.scenario import run_study
+from repro.scenario.builtin import campaign_study
 
 
 def build_config(args: argparse.Namespace) -> SimulationConfig:
@@ -74,12 +75,12 @@ def main(argv=None) -> int:
           f"{base.measure_messages:,} measured messages per point", file=sys.stderr)
 
     with make_backend(workers=args.workers, cache_dir=args.cache_dir) as backend:
-        report = run_campaign(
+        study = campaign_study(
             base,
             loads_low_high=(0.15, 0.4),
             traffic_patterns=PaperDefaults.TRAFFIC_PATTERNS,
-            backend=backend,
         )
+        report = run_study(study, backend=backend)
         simulated = backend.simulations_run
         cache = backend.cache
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro import SimulationConfig, format_rows
-from repro.core.experiments.path_selection import PAPER_SELECTORS, run_path_selection_study
+from repro import SimulationConfig, format_rows, run_study
+from repro.scenario.builtin import PAPER_SELECTORS, path_selection_study
 
 
 def main() -> None:
@@ -33,12 +33,14 @@ def main() -> None:
         base = SimulationConfig.small()
         loads = (0.2, 0.4)
 
-    rows = run_path_selection_study(
-        base,
-        selectors=PAPER_SELECTORS,
-        traffic_patterns=("uniform", "transpose"),
-        loads=loads,
-    )
+    rows = run_study(
+        path_selection_study(
+            base,
+            selectors=PAPER_SELECTORS,
+            traffic_patterns=("uniform", "transpose"),
+            loads=loads,
+        )
+    ).rows
     columns = ["traffic", "load"] + [f"{name}_latency" for name in PAPER_SELECTORS]
     print("=== Figure 6 (scaled): average latency per path-selection heuristic ===")
     print(format_rows(rows, columns=columns))

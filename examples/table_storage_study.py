@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import argparse
 
-from repro import SimulationConfig, format_rows
-from repro.core.experiments.cost_table import run_cost_table
-from repro.core.experiments.es_programming import run_es_programming_example
-from repro.core.experiments.table_storage import run_table_storage_study
+from repro import SimulationConfig, format_rows, run_study
+from repro.scenario.builtin import (
+    cost_table_study,
+    es_programming_study,
+    table_storage_study,
+)
 
 
 def main() -> None:
@@ -34,14 +36,14 @@ def main() -> None:
 
     print("=== Table 5: storage cost per router (256-node 2-D mesh) ===")
     print(format_rows(
-        run_cost_table(num_nodes=256, n_dims=2),
+        run_study(cost_table_study(num_nodes=256, n_dims=2)).rows,
         columns=["scheme", "entries_per_router", "scalability", "adaptivity"],
     ))
     print()
 
     print("=== Figure 7(d): economical-storage table of router (1,1), North-Last ===")
     print(format_rows(
-        run_es_programming_example(),
+        run_study(es_programming_study()).rows,
         columns=["destination", "sign_x", "sign_y", "candidate_ports", "north_last_ports"],
     ))
     print()
@@ -56,9 +58,11 @@ def main() -> None:
         patterns = ("uniform", "transpose")
 
     print("=== Table 4 (scaled): latency per table-storage scheme ===")
-    rows = run_table_storage_study(
-        base, traffic_patterns=patterns, loads=loads, include_full_table=True
-    )
+    rows = run_study(
+        table_storage_study(
+            base, traffic_patterns=patterns, loads=loads, include_full_table=True
+        )
+    ).rows
     print(format_rows(rows, columns=[
         "traffic", "load",
         "meta_adaptive_label", "meta_deterministic_label",

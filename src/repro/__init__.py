@@ -32,13 +32,11 @@ repro internals.
 from repro.core.config import PaperDefaults, SimulationConfig
 from repro.core.results import SimulationResult, format_rows
 from repro.core.simulator import NetworkSimulator
-from repro.core.sweep import LoadSweepPoint, run_load_sweep
 from repro.scenario import Scenario, Study, StudyResult, load_study, run_study
 
 __version__ = "1.1.0"
 
 __all__ = [
-    "LoadSweepPoint",
     "NetworkSimulator",
     "PaperDefaults",
     "Scenario",
@@ -48,7 +46,6 @@ __all__ = [
     "StudyResult",
     "format_rows",
     "load_study",
-    "run_load_sweep",
     "run_study",
     "__version__",
 ]

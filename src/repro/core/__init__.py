@@ -1,4 +1,4 @@
-"""Public API: configuration, the simulator facade and experiment runners.
+"""Public API: configuration, results and the simulator facade.
 
 Typical use::
 
@@ -8,22 +8,18 @@ Typical use::
     result = NetworkSimulator(config).run()
     print(result.summary.avg_total_latency)
 
-The :mod:`repro.core.experiments` package contains one runner per table or
-figure of the paper's evaluation section; the benchmark harness and the
-examples are thin wrappers around those runners.
+The paper's experiments, sweeps and campaign are declarative studies
+(:mod:`repro.scenario.builtin`) run through :func:`repro.scenario.run_study`.
 """
 
 from repro.core.config import PaperDefaults, SimulationConfig
 from repro.core.results import SimulationResult, format_rows
 from repro.core.simulator import NetworkSimulator
-from repro.core.sweep import LoadSweepPoint, run_load_sweep
 
 __all__ = [
-    "LoadSweepPoint",
     "NetworkSimulator",
     "PaperDefaults",
     "SimulationConfig",
     "SimulationResult",
     "format_rows",
-    "run_load_sweep",
 ]

@@ -168,11 +168,8 @@ def render_report_section(
     columns: Optional[Sequence[str]] = None,
     precision: int = 2,
 ) -> str:
-    """One experiment section of a campaign/study Markdown report.
-
-    The single renderer behind both the legacy ``ExperimentReport`` and
-    the scenario layer's ``StudyResult`` -- one format, no drift.
-    """
+    """One experiment section of a study's Markdown report
+    (see :meth:`repro.scenario.runner.StudyResult.to_markdown`)."""
     table = format_rows(rows, columns=columns, precision=precision)
     return (
         f"### {title}\n\n"

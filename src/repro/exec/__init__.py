@@ -1,7 +1,7 @@
 """Batch execution layer: backends and the content-addressed result cache.
 
-The sweep, campaign and experiment runners submit batches of independent
-simulation points through an :class:`ExecutionBackend`:
+:func:`repro.scenario.run_study` submits every study's batches of
+independent simulation points through an :class:`ExecutionBackend`:
 
 * :class:`SerialBackend` -- in-process, one point at a time (the default,
   exactly the historical behaviour);
@@ -13,10 +13,11 @@ result as JSON keyed by a stable hash of its configuration so repeated
 points are served from disk instead of being re-simulated::
 
     from repro.exec import ProcessPoolBackend, ResultCache
+    from repro.scenario import load_study, run_study
 
     cache = ResultCache(".lapses-cache")
     with ProcessPoolBackend(workers=4, cache=cache) as backend:
-        report = run_campaign(SimulationConfig.small(), backend=backend)
+        outcome = run_study(load_study("campaign"), backend=backend)
 
 Use the backend as a context manager (or call ``close()``) so the worker
 processes are released when the batch work is done.

@@ -260,10 +260,7 @@ PIPELINES = Registry("router pipeline", ["repro.router.pipeline"])
 CORE_MODES = Registry("core schedule", ["repro.network.flatcore"])
 WORKLOADS = Registry("closed-loop workload", ["repro.workload.builtin"])
 REPORTERS = Registry("study reporter", ["repro.scenario.reporters"])
-ANALYTICS = Registry(
-    "analytic experiment",
-    ["repro.core.experiments.cost_table", "repro.core.experiments.es_programming"],
-)
+ANALYTICS = Registry("analytic experiment", ["repro.scenario.analytics"])
 STUDIES = Registry("built-in study", ["repro.scenario.builtin"])
 
 #: Registry lookup by short kind keyword (the first argument of :func:`register`).

@@ -3,16 +3,17 @@
 Every table and figure of the paper's evaluation -- plus the plain load
 sweep and the full reproduction campaign -- is expressed here as a
 declarative :class:`~repro.scenario.spec.Study` built from a base
-configuration and the experiment's sweep axes.  The builder functions
-parameterize scale and scope exactly like the legacy ``run_*`` functions
-they replace (which now delegate here); the zero-argument builders
-registered in the ``study`` registry produce the tiny-scale default specs
-shipped as JSON files next to this module (``figure5.json``, ...), which
-is what ``repro.cli study figure5`` runs.
+configuration and the experiment's sweep axes; ``run_study(<builder>(...))``
+runs one.  The zero-argument builders registered in the ``study``
+registry are what ``load_study(name)`` (and so ``repro.cli study
+<name>``) calls.  The JSON files next to this module (``figure5.json``,
+...) are their serialized copies, kept in step by
+``tests/test_scenario_spec.py`` and the ``lint`` R-checks.
 
-The row layouts produced by each study's reporter are bit-identical to
-the legacy experiment runners -- enforced by the golden tests in
-``tests/test_scenario_golden.py``.
+Spec bases store only the fields that differ from ``SimulationConfig()``;
+:meth:`~repro.scenario.spec.Study.base_config` fills in the defaults, so
+a new configuration field leaves every spec unchanged.  The report rows
+of each study are pinned by digests in ``tests/test_scenario_golden.py``.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ __all__ = [
 #: Directory holding the shipped JSON instances of the built-in studies.
 BUILTIN_SPEC_DIR = Path(__file__).resolve().parent
 
-#: The four router organisations of Figure 5, as configuration overrides
-#: (mirrors ``repro.core.experiments.lookahead.ROUTER_VARIANTS``).
+#: The four router organisations of Figure 5, as configuration overrides.
 ROUTER_VARIANTS: Dict[str, Dict[str, str]] = {
     "no-la-det": {"pipeline": "proud", "routing": "dimension-order"},
     "no-la-adapt": {"pipeline": "proud", "routing": "duato"},
@@ -81,10 +81,16 @@ def spec_path(name: str) -> Path:
 
 
 def _base_dict(base_config: Optional[SimulationConfig], **overrides) -> Dict[str, object]:
+    """The spec ``base``: the fields of the configuration (default
+    :meth:`SimulationConfig.small`, plus ``overrides``) that differ from
+    ``SimulationConfig()``."""
     config = base_config if base_config is not None else SimulationConfig.small()
     if overrides:
         config = config.variant(**overrides)
-    return config.to_dict()
+    defaults = SimulationConfig().to_dict()
+    return {
+        key: value for key, value in config.to_dict().items() if value != defaults[key]
+    }
 
 
 # -- single run and sweep ---------------------------------------------------------
@@ -504,9 +510,8 @@ def campaign_study(
 ) -> Study:
     """The full reproduction campaign as a suite of the six experiments.
 
-    Mirrors :func:`repro.core.campaign.run_campaign`: the (low, high)
-    loads parameterize the latency experiments (Table 3 samples only the
-    low load, Figure 6 only the high one).
+    The (low, high) loads parameterize the latency experiments (Table 3
+    samples only the low load, Figure 6 only the high one).
     """
     config = base_config if base_config is not None else SimulationConfig.small()
     loads = tuple(loads_low_high)
@@ -554,7 +559,7 @@ def campaign_study(
         name="campaign",
         kind="suite",
         title="Reproduction campaign",
-        base=config.to_dict(),
+        base=_base_dict(config),
         members=members,
     )
 
@@ -562,8 +567,9 @@ def campaign_study(
 # -- registered default-scale builders --------------------------------------------
 #
 # Zero-argument builders at SimulationConfig.tiny() scale, matching the CLI's
-# historical `experiment --scale tiny` default; `repro.cli study <name>` loads
-# the shipped JSON instances, which tests keep in sync with these builders.
+# `experiment --scale tiny` default.  `load_study(name)` calls these; the
+# shipped JSON files are their serialized copies, kept in step by the spec
+# sync test and the lint R-checks.
 
 
 @register("study", "run")

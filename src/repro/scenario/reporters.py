@@ -4,9 +4,9 @@ A *reporter* is a registered function ``reporter(study, points, results,
 **options) -> List[Dict]`` that shapes the raw
 :class:`~repro.core.results.SimulationResult` batch of a grid study into
 the row dictionaries printed by the CLI and the Markdown reports.  The
-row layouts here reproduce the legacy experiment runners column for
-column (the golden tests compare them), and user code can register new
-reporters via ``repro.registry.register("reporter", name)``.
+row layouts, column order included, are pinned by digests in the golden
+tests, and user code can register new reporters via
+``repro.registry.register("reporter", name)``.
 
 Rows are grouped by the study's **value-axis** coordinates in expansion
 order; **variant-axis** coordinates become per-variant columns inside a
@@ -46,7 +46,7 @@ def replication_columns(
     ``{prefix}n`` / ``{prefix}latency_ci95`` / ``{prefix}throughput_ci95``
     (the ``95`` tracks the block's confidence level).  Single-seed
     results produce no columns, so unreplicated studies keep their
-    legacy row layouts byte for byte.
+    plain row layouts byte for byte.
     """
     block = result.replicates
     if not block:

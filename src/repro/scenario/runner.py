@@ -8,8 +8,7 @@ submits them through an :class:`~repro.exec.backend.ExecutionBackend`
 stop policy and reporter, and returns a :class:`StudyResult`.
 
 Every simulation is seeded by its configuration alone, so the outcome is
-bit-identical whichever backend runs it -- which is what lets the legacy
-``run_*`` experiment functions survive as thin shims over this path.
+bit-identical whichever backend runs it.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class StudyResult:
         raise KeyError(f"no member study named {name!r} in {self.study.name!r}")
 
     def to_markdown(self) -> str:
-        """Render the study as Markdown, matching the legacy campaign report."""
+        """Render the study as Markdown (a campaign report for suites)."""
         if self.study.kind == "suite":
             return render_campaign_header(self.study.base_config()) + "\n".join(
                 member.to_markdown() for member in self.members

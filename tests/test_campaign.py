@@ -1,42 +1,43 @@
-"""Tests for the full reproduction campaign runner."""
+"""Tests for the full reproduction campaign suite study."""
 
 import pytest
 
-from repro.core.campaign import CampaignReport, ExperimentReport, run_campaign
 from repro.core.config import SimulationConfig
+from repro.scenario import Study, StudyResult, run_study
+from repro.scenario.builtin import campaign_study
 
 
 @pytest.fixture(scope="module")
 def campaign():
     base = SimulationConfig.tiny(measure_messages=200, warmup_messages=20)
-    return run_campaign(
-        base, loads_low_high=(0.2,), traffic_patterns=("uniform",)
+    return run_study(
+        campaign_study(base, loads_low_high=(0.2,), traffic_patterns=("uniform",))
     )
 
 
 def test_campaign_covers_every_paper_experiment(campaign):
-    names = [experiment.name for experiment in campaign.experiments]
+    names = [member.study.name for member in campaign.members]
     assert names == ["figure5", "table3", "figure6", "table4", "table5", "figure7"]
 
 
 def test_campaign_experiment_lookup(campaign):
-    assert campaign.experiment("table5").rows
+    assert campaign.member("table5").rows
     with pytest.raises(KeyError):
-        campaign.experiment("figure99")
+        campaign.member("figure99")
 
 
 def test_campaign_rows_are_populated(campaign):
-    for experiment in campaign.experiments:
-        assert experiment.rows, experiment.name
-        assert experiment.paper_claim
+    for member in campaign.members:
+        assert member.rows, member.study.name
+        assert member.study.paper_claim
 
 
 def test_campaign_reproduces_headline_claims(campaign):
-    figure5 = campaign.experiment("figure5").rows[0]
+    figure5 = campaign.member("figure5").rows[0]
     assert figure5["no-la-adapt_pct_increase"] > 0
-    table4 = campaign.experiment("table4").rows[0]
+    table4 = campaign.member("table4").rows[0]
     assert table4["economical_latency"] == pytest.approx(table4["full_table_latency"])
-    table5 = {row["scheme"]: row for row in campaign.experiment("table5").rows}
+    table5 = {row["scheme"]: row for row in campaign.member("table5").rows}
     assert table5["economical-storage"]["entries_per_router"] == 9
 
 
@@ -49,10 +50,10 @@ def test_campaign_markdown_rendering(campaign):
 
 
 def test_experiment_report_markdown_contains_table():
-    report = ExperimentReport(
-        name="demo",
-        title="Demo experiment",
-        paper_claim="something holds",
+    report = StudyResult(
+        study=Study(name="demo", title="Demo experiment", paper_claim="something holds"),
+        points=(),
+        results=(),
         rows=[{"a": 1.0, "b": 2.0}],
     )
     text = report.to_markdown()
@@ -62,5 +63,6 @@ def test_experiment_report_markdown_contains_table():
 
 
 def test_campaign_report_is_a_dataclass_with_config(campaign):
-    assert isinstance(campaign, CampaignReport)
-    assert campaign.config.mesh_dims == (4, 4)
+    assert isinstance(campaign, StudyResult)
+    assert campaign.study.kind == "suite"
+    assert campaign.study.base_config().mesh_dims == (4, 4)

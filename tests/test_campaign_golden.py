@@ -1,4 +1,4 @@
-"""Golden regression tests for :func:`run_campaign` at ``SimulationConfig.small()``.
+"""Golden regression tests for the campaign suite at ``SimulationConfig.small()``.
 
 These pin the campaign's *shape* -- experiment names, row columns and the
 Markdown report structure -- so future refactors cannot silently change
@@ -14,15 +14,16 @@ module-scoped reports.
 
 import pytest
 
-from repro.core.campaign import run_campaign
+from repro.core.config import SimulationConfig
+from repro.exec.backend import ProcessPoolBackend, SerialBackend
+from repro.exec.cache import ResultCache
+from repro.scenario import run_study
+from repro.scenario.builtin import campaign_study
 
 #: The three module-scoped campaign runs dominate the suite's wall clock,
 #: so the whole module lives behind the ``slow`` marker (the full-matrix
 #: CI job runs it; tier-1 does not).
 pytestmark = pytest.mark.slow
-from repro.core.config import SimulationConfig
-from repro.exec.backend import ProcessPoolBackend, SerialBackend
-from repro.exec.cache import ResultCache
 
 #: Reduced scope (one pattern, one load) keeps the small-scale runs tractable.
 CAMPAIGN_KWARGS = {"loads_low_high": (0.15,), "traffic_patterns": ("uniform",)}
@@ -78,6 +79,10 @@ GOLDEN_COLUMNS = {
 }
 
 
+def campaign_report(config, backend):
+    return run_study(campaign_study(config, **CAMPAIGN_KWARGS), backend=backend)
+
+
 @pytest.fixture(scope="module")
 def small_config():
     return SimulationConfig.small()
@@ -91,30 +96,30 @@ def serial_cache_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def serial_report(small_config, serial_cache_dir):
     backend = SerialBackend(cache=ResultCache(serial_cache_dir))
-    return run_campaign(small_config, backend=backend, **CAMPAIGN_KWARGS)
+    return campaign_report(small_config, backend)
 
 
 @pytest.fixture(scope="module")
 def parallel_report(small_config, tmp_path_factory):
     cache = ResultCache(tmp_path_factory.mktemp("campaign-cache-parallel"))
     with ProcessPoolBackend(workers=4, cache=cache) as backend:
-        return run_campaign(small_config, backend=backend, **CAMPAIGN_KWARGS)
+        return campaign_report(small_config, backend)
 
 
 def test_campaign_experiment_names_are_pinned(serial_report):
-    assert [experiment.name for experiment in serial_report.experiments] == GOLDEN_NAMES
+    assert [member.study.name for member in serial_report.members] == GOLDEN_NAMES
 
 
 def test_campaign_row_columns_are_pinned(serial_report):
     for name, columns in GOLDEN_COLUMNS.items():
-        rows = serial_report.experiment(name).rows
+        rows = serial_report.member(name).rows
         assert rows, name
         assert list(rows[0].keys()) == columns, name
 
 
 def test_campaign_row_counts_are_pinned(serial_report):
     counts = {
-        name: len(serial_report.experiment(name).rows) for name in GOLDEN_NAMES
+        name: len(serial_report.member(name).rows) for name in GOLDEN_NAMES
     }
     assert counts == {
         "figure5": 1,   # one (pattern, load) cell
@@ -141,11 +146,10 @@ def test_campaign_markdown_structure_is_pinned(serial_report):
 
 
 def test_process_pool_campaign_equals_serial_campaign(serial_report, parallel_report):
-    assert [e.name for e in parallel_report.experiments] == GOLDEN_NAMES
+    assert [m.study.name for m in parallel_report.members] == GOLDEN_NAMES
     for name in GOLDEN_NAMES:
         assert (
-            parallel_report.experiment(name).rows
-            == serial_report.experiment(name).rows
+            parallel_report.member(name).rows == serial_report.member(name).rows
         ), name
     assert parallel_report == serial_report
     assert parallel_report.to_markdown() == serial_report.to_markdown()
@@ -156,7 +160,7 @@ def test_warm_cache_repeats_the_campaign_with_zero_simulations(
 ):
     cache = ResultCache(serial_cache_dir)
     with ProcessPoolBackend(workers=4, cache=cache) as backend:
-        warm_report = run_campaign(small_config, backend=backend, **CAMPAIGN_KWARGS)
+        warm_report = campaign_report(small_config, backend)
         assert backend.simulations_run == 0
     assert cache.misses == 0
     assert cache.hits > 0

@@ -4,6 +4,13 @@ import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
 
+
+def wrapper_warns():
+    """The ``experiment``/``campaign`` subcommands warn that they wrap the
+    study path (see tests/test_deprecations.py)."""
+    return pytest.warns(FutureWarning, match="wrapper over the study path")
+
+
 TINY_ARGS = [
     "--mesh", "4x4",
     "--message-length", "4",
@@ -82,7 +89,8 @@ def test_experiment_names_cover_every_paper_item():
 
 
 def test_experiment_table5_is_analytic_and_fast(capsys):
-    exit_code = main(["experiment", "table5", "--scale", "tiny"])
+    with wrapper_warns():
+        exit_code = main(["experiment", "table5", "--scale", "tiny"])
     assert exit_code == 0
     output = capsys.readouterr().out
     assert "economical-storage" in output
@@ -90,7 +98,8 @@ def test_experiment_table5_is_analytic_and_fast(capsys):
 
 
 def test_experiment_figure7_prints_the_programming_table(capsys):
-    exit_code = main(["experiment", "figure7"])
+    with wrapper_warns():
+        exit_code = main(["experiment", "figure7"])
     assert exit_code == 0
     output = capsys.readouterr().out
     assert "north_last_ports" in output
@@ -120,9 +129,10 @@ def test_sweep_command_accepts_workers(capsys):
 
 
 def test_campaign_command_prints_markdown_report(capsys):
-    exit_code = main(
-        ["campaign", "--scale", "tiny", "--loads", "0.2", "--patterns", "uniform"]
-    )
+    with wrapper_warns():
+        exit_code = main(
+            ["campaign", "--scale", "tiny", "--loads", "0.2", "--patterns", "uniform"]
+        )
     assert exit_code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("## Reproduction campaign")
@@ -134,16 +144,19 @@ def test_campaign_command_warm_cache_runs_zero_simulations(tmp_path, capsys):
     cache_dir = str(tmp_path / "campaign-cache")
     args = ["campaign", "--scale", "tiny", "--loads", "0.2",
             "--patterns", "uniform", "--cache-dir", cache_dir]
-    assert main(args) == 0
+    with wrapper_warns():
+        assert main(args) == 0
     capsys.readouterr()
-    assert main([*args, "--workers", "2"]) == 0
+    with wrapper_warns():
+        assert main([*args, "--workers", "2"]) == 0
     captured = capsys.readouterr()
     assert "campaign: 0 simulations run" in captured.err
 
 
 def test_analytic_experiments_do_not_create_a_cache_dir(tmp_path, capsys):
     cache_dir = tmp_path / "never-created"
-    assert main(["experiment", "table5", "--cache-dir", str(cache_dir)]) == 0
+    with wrapper_warns():
+        assert main(["experiment", "table5", "--cache-dir", str(cache_dir)]) == 0
     capsys.readouterr()
     assert not cache_dir.exists()
 
@@ -164,7 +177,7 @@ def test_cache_dir_pointing_at_a_file_fails_cleanly(tmp_path):
 
 
 def test_campaign_bad_output_path_still_prints_the_report(capsys):
-    with pytest.raises(SystemExit) as excinfo:
+    with pytest.raises(SystemExit) as excinfo, wrapper_warns():
         main(["campaign", "--scale", "tiny", "--loads", "0.2",
               "--patterns", "uniform", "--output", "/no/such/dir/report.md"])
     assert "cannot write report" in str(excinfo.value)
@@ -179,10 +192,11 @@ def test_campaign_rejects_more_than_two_loads():
 
 def test_campaign_command_writes_output_file(tmp_path, capsys):
     output = tmp_path / "report.md"
-    exit_code = main(
-        ["campaign", "--scale", "tiny", "--loads", "0.2",
-         "--patterns", "uniform", "--output", str(output)]
-    )
+    with wrapper_warns():
+        exit_code = main(
+            ["campaign", "--scale", "tiny", "--loads", "0.2",
+             "--patterns", "uniform", "--output", str(output)]
+        )
     assert exit_code == 0
     capsys.readouterr()
     assert output.read_text().startswith("## Reproduction campaign")

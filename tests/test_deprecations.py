@@ -1,99 +1,7 @@
-"""Every legacy entry point warns once and points at its Study equivalent."""
+"""The CLI's pre-study subcommands warn and point at their Study equivalent."""
 
 
 import pytest
-
-from repro.core.campaign import run_campaign
-from repro.core.config import SimulationConfig
-from repro.core.experiments import (
-    run_cost_table,
-    run_es_programming_example,
-    run_lookahead_comparison,
-    run_message_length_study,
-    run_path_selection_study,
-    run_table_storage_study,
-)
-from repro.core.sweep import run_load_sweep
-from repro.exec.backend import SerialBackend
-from repro.exec.cache import ResultCache
-
-#: Small enough that the whole file stays fast; shared cache across cases.
-TINY = SimulationConfig.tiny(measure_messages=60, warmup_messages=10)
-
-
-@pytest.fixture(scope="module")
-def backend(tmp_path_factory):
-    return SerialBackend(cache=ResultCache(tmp_path_factory.mktemp("dep-cache")))
-
-
-def assert_single_study_warning(record, study_name):
-    messages = [str(w.message) for w in record if w.category is DeprecationWarning]
-    assert len(messages) == 1, messages
-    assert f"'{study_name}' Study" in messages[0]
-    assert "run_study" in messages[0]
-
-
-def test_run_load_sweep_warns(backend):
-    with pytest.warns(DeprecationWarning) as record:
-        run_load_sweep(TINY, [0.1], backend=backend)
-    assert_single_study_warning(record, "sweep")
-
-
-def test_run_lookahead_comparison_warns(backend):
-    with pytest.warns(DeprecationWarning) as record:
-        run_lookahead_comparison(
-            TINY, traffic_patterns=("uniform",), loads=(0.1,), backend=backend
-        )
-    assert_single_study_warning(record, "figure5")
-
-
-def test_run_message_length_study_warns(backend):
-    with pytest.warns(DeprecationWarning) as record:
-        run_message_length_study(
-            TINY, message_lengths=(4,), load=0.1, backend=backend
-        )
-    assert_single_study_warning(record, "table3")
-
-
-def test_run_path_selection_study_warns(backend):
-    with pytest.warns(DeprecationWarning) as record:
-        run_path_selection_study(
-            TINY, selectors=("static-xy",), traffic_patterns=("uniform",),
-            loads=(0.1,), backend=backend,
-        )
-    assert_single_study_warning(record, "figure6")
-
-
-def test_run_table_storage_study_warns(backend):
-    with pytest.warns(DeprecationWarning) as record:
-        run_table_storage_study(
-            TINY, traffic_patterns=("uniform",), loads=(0.1,),
-            schemes={"economical": "economical"}, backend=backend,
-        )
-    assert_single_study_warning(record, "table4")
-
-
-def test_run_cost_table_warns():
-    with pytest.warns(DeprecationWarning) as record:
-        run_cost_table(num_nodes=16, n_dims=2)
-    assert_single_study_warning(record, "table5")
-
-
-def test_run_es_programming_example_warns():
-    with pytest.warns(DeprecationWarning) as record:
-        run_es_programming_example()
-    assert_single_study_warning(record, "figure7")
-
-
-def test_run_campaign_warns_once(backend):
-    # The campaign shim routes through the study path directly, so the
-    # member experiments must NOT add their own nested warnings.
-    with pytest.warns(DeprecationWarning) as record:
-        run_campaign(
-            TINY, loads_low_high=(0.1,), traffic_patterns=("uniform",),
-            backend=backend,
-        )
-    assert_single_study_warning(record, "campaign")
 
 
 def test_cli_experiment_and_campaign_wrappers_warn(capsys):

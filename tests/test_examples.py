@@ -1,24 +1,30 @@
-"""Tests that the example scripts are importable and runnable.
+"""Tests that the example and benchmark scripts are importable and runnable.
 
-The three study scripts are executed in their ``--quick`` smoke-test mode
-as subprocesses (they exercise the public API end to end); the remaining
-examples are compile-checked so a syntax or import regression cannot slip
-through unnoticed.
+Every example and every ``benchmarks/bench_*.py`` script is imported as a
+module, so a syntax error or a stale import cannot slip through unnoticed
+(examples run only under their ``__main__`` guard, benchmark scripts only
+define functions).  The three study scripts are also executed in their
+``--quick`` smoke-test mode as subprocesses (they exercise the public API
+end to end).
 """
 
 from __future__ import annotations
 
-import py_compile
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+from repro.registry import REGISTRIES
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = REPO_ROOT / "examples"
+SRC_DIR = REPO_ROOT / "src"
 
 ALL_EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
+BENCH_SCRIPTS = sorted((REPO_ROOT / "benchmarks").glob("bench_*.py"))
 QUICK_EXAMPLES = [
     "lookahead_study.py",
     "path_selection_study.py",
@@ -42,9 +48,25 @@ def test_examples_directory_has_at_least_three_scenarios():
     assert (EXAMPLES_DIR / "quickstart.py").exists()
 
 
-@pytest.mark.parametrize("path", ALL_EXAMPLES, ids=[p.name for p in ALL_EXAMPLES])
-def test_every_example_compiles(path):
-    py_compile.compile(str(path), doraise=True)
+@pytest.mark.parametrize(
+    "path", ALL_EXAMPLES + BENCH_SCRIPTS, ids=lambda path: path.name
+)
+def test_every_example_compiles(path, monkeypatch):
+    # Benchmark scripts import ``benchmarks.conftest`` from the repo root.
+    monkeypatch.syspath_prepend(str(REPO_ROOT))
+    registered = {kind: set(registry.names()) for kind, registry in REGISTRIES.items()}
+    name = f"_import_check_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        # Plugin examples register components on import; forget them so
+        # later tests load them through ``load_plugin`` as usual.
+        for kind, registry in REGISTRIES.items():
+            for added in set(registry.names()) - registered[kind]:
+                registry.unregister(added)
 
 
 @pytest.mark.slow

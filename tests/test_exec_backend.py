@@ -10,7 +10,6 @@ import pytest
 from repro import registry
 from repro.core.config import SimulationConfig
 from repro.core.results import SimulationResult
-from repro.core.sweep import run_load_sweep
 from repro.exec.backend import (
     ExecutionBackend,
     ProcessPoolBackend,
@@ -18,6 +17,8 @@ from repro.exec.backend import (
     make_backend,
 )
 from repro.exec.cache import ResultCache, config_cache_key
+from repro.scenario import run_study
+from repro.scenario.builtin import sweep_study
 from repro.selection.base import PathSelector
 from repro.stats.latency import LatencySummary
 
@@ -139,17 +140,21 @@ def test_make_backend_selects_by_worker_count(tmp_path):
     assert isinstance(pool.cache, ResultCache)
 
 
+def sweep_loads(outcome) -> List[float]:
+    return [point.config.normalized_load for point in outcome.points]
+
+
 def test_sweep_stops_at_saturation_regardless_of_wave_size():
     base = SimulationConfig.tiny()
     loads = [0.1, 0.2, 0.3, 0.5, 0.6, 0.7]
     serial_like = FakeBackend(wave_size=1, saturation_load=0.3)
     wide = FakeBackend(wave_size=4, saturation_load=0.3)
-    points_serial = run_load_sweep(base, loads, backend=serial_like)
-    points_wide = run_load_sweep(base, loads, backend=wide)
+    curve_serial = run_study(sweep_study(base, loads), backend=serial_like)
+    curve_wide = run_study(sweep_study(base, loads), backend=wide)
     # Both curves end at the first saturated load (0.3), inclusive.
-    assert [p.normalized_load for p in points_serial] == [0.1, 0.2, 0.3]
-    assert [p.normalized_load for p in points_wide] == [0.1, 0.2, 0.3]
-    assert points_serial[-1].saturated and points_wide[-1].saturated
+    assert sweep_loads(curve_serial) == [0.1, 0.2, 0.3]
+    assert sweep_loads(curve_wide) == [0.1, 0.2, 0.3]
+    assert curve_serial.results[-1].saturated and curve_wide.results[-1].saturated
     # Serial waves never simulate past the saturated point; a wide wave may
     # (those extra points are wasted work at most, never extra output rows).
     assert [c.normalized_load for c in serial_like.executed] == [0.1, 0.2, 0.3]
@@ -159,8 +164,10 @@ def test_sweep_stops_at_saturation_regardless_of_wave_size():
 def test_sweep_without_saturation_stop_submits_one_batch():
     base = SimulationConfig.tiny()
     backend = FakeBackend(wave_size=2)
-    points = run_load_sweep(base, [0.1, 0.6, 0.7], stop_at_saturation=False, backend=backend)
-    assert [p.normalized_load for p in points] == [0.1, 0.6, 0.7]
+    curve = run_study(
+        sweep_study(base, [0.1, 0.6, 0.7], stop_at_saturation=False), backend=backend
+    )
+    assert sweep_loads(curve) == [0.1, 0.6, 0.7]
     assert backend.simulations_run == 3
 
 

@@ -8,11 +8,11 @@ and (c) after a JSON round trip through the result cache.
 
 import pytest
 
-from repro.core.campaign import run_campaign
 from repro.core.config import SimulationConfig
 from repro.core.results import SimulationResult
-from repro.core.sweep import run_load_sweep
 from repro.exec.backend import ProcessPoolBackend, SerialBackend, simulate_config
+from repro.scenario import run_study
+from repro.scenario.builtin import campaign_study, sweep_study
 
 
 @pytest.fixture(scope="module")
@@ -45,28 +45,22 @@ def test_serial_and_process_pool_backends_agree(tiny_config, serial_result):
 
 def test_load_sweep_is_identical_through_both_backends(tiny_config):
     loads = (0.1, 0.25, 0.4)
-    serial_points = run_load_sweep(tiny_config, loads, backend=SerialBackend())
+    study = sweep_study(tiny_config, loads)
+    serial = run_study(study, backend=SerialBackend())
     with ProcessPoolBackend(workers=2) as pool:
-        parallel_points = run_load_sweep(tiny_config, loads, backend=pool)
-    assert [p.normalized_load for p in serial_points] == [
-        p.normalized_load for p in parallel_points
-    ]
-    for serial_point, parallel_point in zip(serial_points, parallel_points):
-        assert serial_point.result == parallel_point.result
+        parallel = run_study(study, backend=pool)
+    assert serial.points == parallel.points
+    assert serial.results == parallel.results
 
 
 @pytest.mark.slow
 def test_campaign_is_identical_through_both_backends(tiny_config):
-    serial_report = run_campaign(
+    study = campaign_study(
         tiny_config, loads_low_high=(0.2,), traffic_patterns=("uniform",)
     )
+    serial_report = run_study(study)
     with ProcessPoolBackend(workers=2) as pool:
-        parallel_report = run_campaign(
-            tiny_config,
-            loads_low_high=(0.2,),
-            traffic_patterns=("uniform",),
-            backend=pool,
-        )
+        parallel_report = run_study(study, backend=pool)
     assert serial_report == parallel_report
     assert serial_report.to_markdown() == parallel_report.to_markdown()
 

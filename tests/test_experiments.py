@@ -1,9 +1,7 @@
 """Tests for the paper's per-table/figure experiments.
 
-Each experiment runs through its builtin Study (the supported path; the
-legacy ``run_*`` shims are deprecated and covered by
-``test_deprecations.py`` only) with a deliberately tiny configuration so
-the whole file stays fast.  The semantic assertions check the paper's
+Each experiment runs through its builtin Study with a deliberately tiny
+configuration so the whole file stays fast.  The semantic assertions check the paper's
 qualitative claims (look-ahead helps at low load, ES equals the full
 table, the Figure 7 programming) rather than absolute numbers.
 """

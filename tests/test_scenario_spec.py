@@ -57,11 +57,17 @@ def test_every_builtin_study_round_trips():
 
 def test_shipped_spec_files_match_the_registered_builders():
     # The JSON files next to repro/scenario/builtin are the serialized
-    # default-parameter builders; this keeps them from rotting.
+    # default-parameter builders; this keeps them from rotting.  Their
+    # bases hold only overrides of SimulationConfig(), so adding a
+    # defaulted configuration field leaves every file unchanged.
+    defaults = SimulationConfig().to_dict()
     for name in STUDIES.names():
         built = STUDIES.get(name)()
         shipped = Study.from_json(spec_path(name).read_text(encoding="utf-8"))
         assert shipped == built, name
+        for study in (shipped,) + shipped.members:
+            for key, value in study.base.items():
+                assert value != defaults[key], (name, study.name, key)
 
 
 def test_spec_files_are_plain_json():
