@@ -1,18 +1,18 @@
 #!/usr/bin/env python
 """Micro-benchmark: the flat C core vs. the object network.
 
-Times complete simulations under both core schedules (both on the default
-activity kernel; the object core is the executable reference),
-verifies that the schedules produce bit-identical latency/throughput
+Times complete simulations under both core schedules (the object core is
+the executable reference, stepped every cycle; the flat core lets the
+kernel jump over the idle spans it forecasts), verifies that the schedules produce bit-identical latency/throughput
 numbers, and writes the wall-clock report to ``BENCH_core.json`` at the
 repository root so the core performance trajectory is tracked across PRs.
 
 The measured grid is the regime map of the optimisation:
 
 * **8x8 and 16x16 meshes** -- the test scale and the paper scale;
-* **load 0.02** -- almost everything is idle; the flat core's single
-  active-index pass and the object core's per-component quiescence both
-  skip nearly everything (the flat core must not regress here);
+* **load 0.02** -- almost everything is idle; the flat core's busy-router
+  worklist and fast-forward skip nearly everything, while the object
+  core still visits every component every cycle;
 * **load 0.1** -- light traffic, mixed regime;
 * **saturation (load 0.8)** -- every router moves flits every cycle, the
   regime the flat core targets: one inlined pass over global arrays
@@ -184,7 +184,6 @@ def run_benchmark(smoke: bool = False, repeats: int = 3) -> Dict[str, object]:
     report = {
         "benchmark": "core",
         "scale": "smoke" if smoke else "full",
-        "kernel_mode": "activity",
         "message_length": 20,
         "seed": 7,
         "repeats": repeats,

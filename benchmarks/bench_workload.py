@@ -2,8 +2,8 @@
 """Micro-benchmark: closed-loop workload runs, flat core vs. object network.
 
 Times complete DAG-driven workload simulations under both core schedules
-(both on the default activity kernel; the object core is the executable
-reference), verifies that the schedules produce bit-identical
+(the object core is the executable reference, stepped every cycle),
+verifies that the schedules produce bit-identical
 latency/throughput numbers *and* bit-identical drain metrics, and writes
 the wall-clock report to ``BENCH_workload.json`` at the repository root
 so the closed-loop performance trajectory is tracked across PRs.
@@ -12,8 +12,8 @@ The measured grid covers the three built-in generator families in their
 characteristic regimes:
 
 * **ring all-reduce** -- a long serial dependency chain of neighbour
-  transfers; the network is mostly idle, so both cores lean on their
-  quiescence machinery (the flat core must not regress here);
+  transfers; the network is mostly idle, so the flat core leans on its
+  worklist, wake heap and fast-forward;
 * **phased all-to-all** -- barrier-synchronised bursts where every group
   member sends simultaneously, the congested regime;
 * **tensor-parallel LLM decode** -- compute delays interleaved with
@@ -204,7 +204,6 @@ def run_benchmark(smoke: bool = False, repeats: int = 3) -> Dict[str, object]:
     report = {
         "benchmark": "workload",
         "scale": "smoke" if smoke else "full",
-        "kernel_mode": "activity",
         "message_length": 20,
         "seed": 7,
         "repeats": repeats,

@@ -3,8 +3,8 @@
 
 The paper's evaluation runs on a 256-node (16x16) mesh with 20-flit
 messages.  A full flit-level reproduction at that scale used to be
-prohibitively slow in pure Python; the activity-aware simulation kernel
-(idle components are skipped, idle spans are fast-forwarded) combined
+prohibitively slow in pure Python; the flat C core (only busy routers
+and due interfaces are visited, idle spans are fast-forwarded) combined
 with the parallel execution backend and the on-disk result cache makes it
 a practical batch job.  This example reproduces the complete campaign --
 the look-ahead comparison, message-length study, path-selection study and

@@ -1,11 +1,11 @@
 """Static analysis of the repro house style.
 
-The repo's fast paths (the activity kernel and the flat C core) stay
-bit-identical to their references (the exhaustive kernel and the object
-core) only while a handful of conventions hold: seeded RNG streams
-only, no unordered iteration in simulation code, a hand-bumped
-``CACHE_FORMAT_VERSION`` whenever the cache-key surface moves, and a
-wake/active-hint guard at every quiescence-relevant mutation site.  This package enforces those
+The repo's fast path (the flat C core) stays bit-identical to its
+reference (the object core) only while a handful of conventions hold:
+seeded RNG streams only, no unordered iteration in simulation code, a
+hand-bumped ``CACHE_FORMAT_VERSION`` whenever the cache-key surface
+moves, and a pending counter or wake beside every growth of state that
+is read through a summary.  This package enforces those
 conventions *statically*, before an expensive campaign can diverge:
 
 =========  =========================================================

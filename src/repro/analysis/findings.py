@@ -10,8 +10,8 @@ names its checker family:
     Cache-key drift: the result-cache key surface versus the committed
     fingerprint (:mod:`repro.analysis.cachekey`).
 ``W``
-    Wake contract: quiescence-relevant state mutations paired with their
-    wake/active-hint guards (:mod:`repro.analysis.wake`).
+    Wake contract: schedule-relevant state mutations paired with their
+    pending counter or wake (:mod:`repro.analysis.wake`).
 ``R``
     Registry/spec consistency: constructible registry entries, valid
     study-spec fields, complete schedule mode pairs
@@ -113,10 +113,10 @@ RULES: Dict[str, Rule] = {
         Rule(
             "W001",
             "unpaired-quiescence-mutation",
-            "A declared quiescence-relevant container grew without its "
-            "wake/active-hint guard (or pending-counter update) in the "
-            "same method: the activity-aware kernel could sleep through "
-            "the new work.  See repro.analysis.wake.WAKE_CONTRACTS.",
+            "A declared schedule-relevant container grew without its "
+            "pending-counter update (or wake) in the same method: the "
+            "schedule could skip the new work.  See "
+            "repro.analysis.wake.WAKE_CONTRACTS.",
         ),
         Rule(
             "R001",
@@ -137,7 +137,7 @@ RULES: Dict[str, Rule] = {
             "incomplete-schedule-mode-pair",
             "Every two-implementations-one-semantics registry kind must "
             "ship both its reference and its fast entry, or the "
-            "equivalence cube silently stops covering the pair.",
+            "equivalence suite silently stops covering the pair.",
         ),
     )
 }

@@ -13,8 +13,8 @@ Three contracts over the live registries and the shipped study specs:
   both the registered study builders and the shipped JSON spec files.
 * **R003** -- the ``core`` registry kind ships its full pair: the
   ``objects`` reference and the ``flat`` fast path, so the
-  four-combination (kernel x core) equivalence cube keeps covering
-  what users can select.
+  objects-vs-flat equivalence suite keeps covering what users can
+  select.
 """
 
 from __future__ import annotations

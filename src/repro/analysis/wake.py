@@ -1,26 +1,23 @@
-"""W-checks: quiescence-relevant mutations paired with wake guards.
+"""W-checks: schedule-relevant mutations paired with their bookkeeping.
 
-The activity-aware kernel sleeps a component until its reported
-``next_event_cycle``; anything that *adds* work to a component must
-therefore either wake it (the ``set_wake``/active-hint guard idiom ::
-
-    if not self._kernel_active[self._kernel_index]:
-        self._wake(arrival_cycle)
-
-) or update the pending counter / wake cycle that ``next_event_cycle``
-reads.  :data:`WAKE_CONTRACTS` declares, per module, which attributes
-hold that quiescence-relevant state and which guard identifiers count as
-its pairing.  The checker then verifies every growth site (``append``,
-``extend``, ``add``, ``insert``, ``bisect.insort``, ``heapq.heappush``)
-of a declared attribute -- reached directly (``self._attr...``) or
-through local aliases (``mailboxes = self._attr``, ``box = mailboxes[0]``)
--- appears in a top-level method that also mentions at least one
-complete guard group.
+Some Python state is read through a summary rather than scanned: the
+object router's ``deliver`` skips its per-port mailboxes while their
+pending counters read zero, and the flat core only visits an interface
+whose wake cycle is due, so a released workload step must lower that
+wake.  Anything that *adds* work to such state must therefore update
+its summary in the same method, or the work is silently skipped.
+:data:`WAKE_CONTRACTS` declares, per module, which attributes hold that
+state and which guard identifiers count as its pairing. The checker then
+verifies every growth site (``append``, ``extend``, ``add``, ``insert``,
+``bisect.insort``, ``heapq.heappush``) of a declared attribute --
+reached directly (``self._attr...``) or through local aliases
+(``mailboxes = self._attr``, ``box = mailboxes[0]``) -- appears in a
+top-level method that also mentions at least one complete guard group.
 
 The pairing is deliberately *lexical* (identifier presence in the same
 method, closures included): it cannot prove the guard dominates the
 mutation, but it catches the realistic regression -- a new fast path
-that grows a mailbox or queue and forgets the wake machinery
+that grows a mailbox or queue and forgets its bookkeeping
 entirely -- with no false positives on the current tree.
 """
 
@@ -47,18 +44,13 @@ _GROW_FUNCS = {"insort", "insort_left", "insort_right", "heappush"}
 #: (wake-callback guard, pending counter, ...).
 GuardGroups = Tuple[Tuple[str, ...], ...]
 
-#: The declared quiescence-relevant state, per module.
+#: The declared schedule-relevant state, per module.
 WAKE_CONTRACTS: Dict[str, Dict[str, GuardGroups]] = {
     "repro.router.router": {
         # Per-port tuple deques, paired with the pending counters
-        # next_event_cycle sums.
+        # deliver reads before scanning them.
         "_flit_mailboxes": (("_pending_flits",),),
         "_credit_mailboxes": (("_pending_credits",),),
-    },
-    "repro.network.interface": {
-        "_eject_mailbox": (("_wake", "_kernel_active"),),
-        "_credit_mailbox": (("_wake", "_kernel_active"),),
-        "_injection_queue": (("_wake", "_kernel_active"),),
     },
     # The flat core's wheels, wake heap and worklist live in C
     # (repro/network/_flatcore.c), out of this checker's reach;
@@ -66,7 +58,8 @@ WAKE_CONTRACTS: Dict[str, Dict[str, GuardGroups]] = {
     "repro.workload.engine": {
         # Released DAG steps land in per-node pending lists the sources'
         # next_due_cycle forecasts read; every insort must re-arm the
-        # home node's interface through the attached wake callback.
+        # home node's interface in the flat core through the attached
+        # wake callback.
         "_pending": (("_wake_home",),),
     },
 }
@@ -105,7 +98,7 @@ class WakeChecker(Checker):
                         line=site_line,
                         col=site_col,
                         message=(
-                            f"{source.module}: growth of quiescence-relevant "
+                            f"{source.module}: growth of schedule-relevant "
                             f"{attr!r} in {unit.name}() without its wake "
                             f"pairing; expected all of one group: {groups}"
                         ),

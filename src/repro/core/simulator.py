@@ -17,7 +17,7 @@ from typing import Optional
 from repro import registry
 from repro.core.config import SimulationConfig
 from repro.core.results import SimulationResult
-from repro.engine.kernel import KERNEL_MODES, SimulationKernel
+from repro.engine.kernel import SimulationKernel
 from repro.engine.rng import SimulationRNG
 from repro.network.flatcore import FlatCoreParts, FlatNetworkCore, core_schedule_by_name
 from repro.network.network import Network
@@ -74,30 +74,20 @@ class NetworkSimulator:
     ----------
     config:
         The plain-data description of the run.
-    kernel_mode:
-        Scheduling mode of the cycle kernel: ``"activity"`` (default)
-        skips quiescent components and fast-forwards over idle spans;
-        ``"exhaustive"`` runs every component every cycle.  Both produce
-        bit-identical results (enforced by
-        ``tests/test_kernel_equivalence.py``); the exhaustive schedule is
-        kept as the reference implementation.
 
-    The core is the other axis, selected by ``config.core_mode``:
-    ``"flat"`` (default) builds the whole network as one flat C core
-    (:mod:`repro.network.flatcore`) and assembles no object network,
-    while ``"objects"`` assembles a :class:`~repro.network.network.Network`
-    -- the executable reference, and the fallback without a C compiler --
-    and registers every router and interface with the kernel
-    individually.  The two axes compose freely and are enforced
-    bit-identical across the four-combination cube by
-    ``tests/test_link_equivalence.py``.
+    ``config.core_mode`` selects the core.  ``"flat"`` (default) builds
+    the whole network as one flat C core (:mod:`repro.network.flatcore`),
+    registers it with the kernel as its only component and assembles no
+    object network; the kernel fast-forwards over the idle spans the
+    core forecasts.  ``"objects"`` assembles a
+    :class:`~repro.network.network.Network` -- the executable reference,
+    and the fallback without a C compiler -- and registers every router
+    and interface individually; they have no forecast, so the kernel
+    steps every cycle.  The two cores are enforced bit-identical by
+    ``tests/test_link_equivalence.py`` and ``tests/test_core_fuzz.py``.
     """
 
-    def __init__(self, config: SimulationConfig, kernel_mode: str = "activity") -> None:
-        if kernel_mode not in KERNEL_MODES:
-            raise ValueError(
-                f"unknown kernel mode {kernel_mode!r}; expected one of {KERNEL_MODES}"
-            )
+    def __init__(self, config: SimulationConfig) -> None:
         if config.replications > 1:
             raise ValueError(
                 "NetworkSimulator runs a single seed; submit configurations "
@@ -174,7 +164,7 @@ class NetworkSimulator:
             # clamps super-unit rates); used for the cycle budget and the
             # result.
             self._message_rate = process.rate
-        self._kernel = SimulationKernel(mode=kernel_mode)
+        self._kernel = SimulationKernel()
         self._network: Optional[Network]
         self._core: Optional[FlatNetworkCore]
         if core_schedule_by_name(config.core_mode).flat:
@@ -202,21 +192,17 @@ class NetworkSimulator:
             )
             self._core = None
             self._kernel.register_all(self._network.components())
-        if self._workload is not None:
+        if self._workload is not None and self._core is not None:
             # Released DAG steps must re-arm their home node's interface
-            # in whichever core executes the network.
-            if self._core is not None:
-                core = self._core
-                self._workload.attach_wakes(
-                    [
-                        (lambda cycle, node=node: core.wake_interface(node, cycle))
-                        for node in range(self._topology.num_nodes)
-                    ]
-                )
-            else:
-                self._workload.attach_wakes(
-                    [interface.wake_source for interface in self.network.interfaces]
-                )
+            # in the flat core's wake heap; the object interfaces poll
+            # their sources every cycle.
+            core = self._core
+            self._workload.attach_wakes(
+                [
+                    (lambda cycle, node=node: core.wake_interface(node, cycle))
+                    for node in range(self._topology.num_nodes)
+                ]
+            )
         if self._workload is not None:
             # Stop when the whole DAG drains (trailing compute steps may
             # finish after the last transfer is delivered).

@@ -13,19 +13,17 @@ pieces of such a simulator that are independent of routers and networks:
 * :class:`~repro.engine.kernel.SimulationKernel` -- the per-cycle driver
   that advances a collection of :class:`~repro.engine.kernel.Clocked`
   components in a fixed phase order and supports stop conditions.  It
-  offers two schedules over the same two-phase semantics: the exhaustive
-  reference schedule and a bit-identical activity-aware one that skips
-  quiescent components and fast-forwards over idle spans.
+  steps every component every cycle and jumps the clock over idle spans
+  only when every component forecasts its next event (the flat core).
 """
 
 from repro.engine.clock import Clock
-from repro.engine.kernel import KERNEL_MODES, Clocked, SimulationKernel, StopCondition
+from repro.engine.kernel import Clocked, SimulationKernel, StopCondition
 from repro.engine.rng import SimulationRNG
 
 __all__ = [
     "Clock",
     "Clocked",
-    "KERNEL_MODES",
     "SimulationKernel",
     "SimulationRNG",
     "StopCondition",

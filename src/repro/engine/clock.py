@@ -2,8 +2,8 @@
 
 Every component of the simulated network (routers, links, network
 interfaces, statistics collectors) shares a single :class:`Clock`
-instance.  The clock only ever moves forward, one cycle at a time, under
-the control of the simulation kernel.
+instance.  The clock only ever moves forward, under the control of the
+simulation kernel.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class Clock:
     def tick(self, cycles: int = 1) -> int:
         """Advance the clock by ``cycles`` and return the new time.
 
-        The activity-aware kernel passes ``cycles > 1`` to fast-forward
-        over spans in which every component is quiescent.
+        The kernel passes ``cycles > 1`` to fast-forward over spans in
+        which every component forecasts no work.
 
         Parameters
         ----------

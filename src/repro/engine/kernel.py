@@ -15,66 +15,40 @@ same-cycle decisions.  This mirrors the two-phase (read/compute) update of
 hardware simulators and keeps the simulation independent of component
 iteration order.
 
-Scheduling modes
-----------------
-The kernel supports two schedules over the same two-phase semantics:
+Fast-forward
+------------
+Every registered component runs both phases every cycle, with one
+exception.  When *every* component has a ``next_event_cycle(cycle)``
+hook and all of them report a cycle after the current one (or ``None``,
+idle for good), the clock jumps straight to the earliest report, or to
+the end of the budget.  In practice that is the flat core
+(:mod:`repro.network.flatcore`), which registers alone and forecasts
+from its own worklist and wake heap; the object network's routers and
+interfaces have no hook, so the object core steps every cycle.
 
-``"exhaustive"``
-    Every registered component runs both phases every cycle.  This is the
-    reference schedule: simple, obviously correct, and what the original
-    simulator did.
+A jump is bit-identical to stepping through the skipped cycles as long
+as two contracts hold:
 
-``"activity"``
-    Components that declare themselves quiescent (via the optional
-    :meth:`Clocked.next_event_cycle` hook) are skipped until either their
-    self-reported next event cycle arrives or another component wakes them
-    (via the callback installed with ``set_wake`` -- called by the mailbox
-    ``receive_flit``/``receive_credit`` methods when a flit or credit is
-    scheduled to arrive).  When *no* component is runnable, the kernel
-    fast-forwards the clock straight to the next scheduled event instead
-    of burning empty cycles.
-
-    The activity schedule is bit-identical to the exhaustive one as long
-    as two contracts hold:
-
-    * a component's ``next_event_cycle`` never reports a cycle later than
-      its earliest possible state change, and every externally scheduled
-      event triggers a wake -- both guaranteed by the router, interface
-      and traffic-source implementations in this package; and
-    * stop conditions are monotone functions of simulation *progress*
-      (for example "all measured messages delivered"), not of the raw
-      cycle number, because in activity mode they are only evaluated at
-      the cycles the kernel actually visits.
-
-    Components that do not implement the quiescence hooks (plain
-    ``deliver``/``evaluate`` objects) are simply run every cycle, so the
-    activity schedule degrades gracefully to the exhaustive one.
+* a hook never reports a cycle later than the component's earliest
+  possible state change -- the flat core's forecast is checked against
+  whole-network scans by ``tests/test_flat_schedule.py``; and
+* stop conditions are monotone functions of simulation *progress* (for
+  example "all measured messages delivered"), not of the raw cycle
+  number, because they are only evaluated at the cycles the kernel
+  visits.  Each one is checked at the visited cycle *before* any jump.
 """
 
 from __future__ import annotations
 
-import heapq
-from functools import partial
 from typing import Callable, Iterable, List, Optional, Protocol, runtime_checkable
 
 from repro.engine.clock import Clock
 
-__all__ = ["Clocked", "KERNEL_MODES", "SimulationKernel", "StopCondition", "no_wake"]
+__all__ = ["Clocked", "SimulationKernel", "StopCondition"]
 
 
 #: A stop condition receives the current cycle and returns True to halt.
 StopCondition = Callable[[int], bool]
-
-#: Scheduling modes accepted by :class:`SimulationKernel`.
-KERNEL_MODES = ("exhaustive", "activity")
-
-
-def no_wake(cycle: int) -> None:
-    """Default wake callback for quiescence-aware components.
-
-    Exhaustive kernels never sleep components, so nothing listens; an
-    activity kernel replaces this via ``set_wake`` at registration.
-    """
 
 
 @runtime_checkable
@@ -86,19 +60,10 @@ class Clocked(Protocol):
     ``evaluate`` performs this cycle's decision making (e.g. arbitration)
     using only state visible after all components delivered.
 
-    Components may additionally implement the *quiescence* hooks used by
-    the activity-aware schedule:
-
-    ``next_event_cycle(cycle)``
-        The earliest cycle (``>= cycle``) at which the component could
-        have work to do, or ``None`` when it is idle until an external
-        event wakes it.  Returning ``cycle`` itself keeps the component
-        in the active set.
-
-    ``set_wake(callback)``
-        Store ``callback`` and invoke it as ``callback(event_cycle)``
-        whenever an event (flit or credit arrival) is scheduled for this
-        component, so the kernel can re-activate it in time.
+    A component may also implement ``next_event_cycle(cycle)``: the
+    earliest cycle (``>= cycle``) at which it could have work to do, or
+    ``None`` when it never will.  The kernel only jumps when every
+    component implements it (see the module docstring).
     """
 
     def deliver(self, cycle: int) -> None:  # pragma: no cover - protocol
@@ -115,39 +80,17 @@ class SimulationKernel:
     ----------
     clock:
         Global clock to use (a fresh one is created when omitted).
-    mode:
-        ``"exhaustive"`` (default) runs every component every cycle;
-        ``"activity"`` skips quiescent components and fast-forwards over
-        fully idle spans.  Both modes execute the same two-phase
-        semantics; see the module docstring for the equivalence contract.
     """
 
-    def __init__(self, clock: Optional[Clock] = None, mode: str = "exhaustive") -> None:
-        if mode not in KERNEL_MODES:
-            raise ValueError(f"unknown kernel mode {mode!r}; expected one of {KERNEL_MODES}")
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self._clock = clock if clock is not None else Clock()
-        self._mode = mode
         self._components: List[Clocked] = []
         self._stop_conditions: List[StopCondition] = []
-        # Activity-schedule bookkeeping (indexed like self._components).
-        self._active: List[bool] = []
-        self._aware: List[bool] = []
-        self._active_count = 0
-        #: Earliest scheduled wake per sleeping component (None = none).
-        self._pending_wake: List[Optional[int]] = []
-        #: Min-heap of (cycle, index) wake events, with lazy deletion:
-        #: an entry is stale unless it matches ``_pending_wake[index]``.
-        self._wake_heap: List[tuple] = []
 
     @property
     def clock(self) -> Clock:
         """The global clock owned by this kernel."""
         return self._clock
-
-    @property
-    def mode(self) -> str:
-        """The scheduling mode ("exhaustive" or "activity")."""
-        return self._mode
 
     @property
     def components(self) -> List[Clocked]:
@@ -156,25 +99,7 @@ class SimulationKernel:
 
     def register(self, component: Clocked) -> None:
         """Add a component to the per-cycle schedule."""
-        index = len(self._components)
         self._components.append(component)
-        self._active.append(True)
-        self._active_count += 1
-        self._pending_wake.append(None)
-        aware = callable(getattr(component, "next_event_cycle", None))
-        self._aware.append(aware)
-        if self._mode == "activity" and aware:
-            set_wake = getattr(component, "set_wake", None)
-            if callable(set_wake):
-                set_wake(partial(self._wake, index))
-        # Expose the live active-flag list so the component's send paths
-        # can skip the wake callback with one boolean read when the
-        # receiver is already active -- the common case at saturation.
-        # Installed in *both* modes: the exhaustive schedule keeps every
-        # flag True forever, so senders skip the (no-op) callback too.
-        set_active_hint = getattr(component, "set_active_hint", None)
-        if callable(set_active_hint):
-            set_active_hint(self._active, index)
 
     def register_all(self, components: Iterable[Clocked]) -> None:
         """Add several components, preserving their iteration order."""
@@ -185,73 +110,14 @@ class SimulationKernel:
         """Halt the run as soon as ``condition(cycle)`` returns True."""
         self._stop_conditions.append(condition)
 
-    # -- activity bookkeeping ----------------------------------------------------
-
-    def _wake(self, index: int, cycle: int) -> None:
-        """Schedule component ``index`` to re-activate at ``cycle``."""
-        if self._active[index]:
-            return
-        pending = self._pending_wake[index]
-        if pending is not None and pending <= cycle:
-            return
-        self._pending_wake[index] = cycle
-        heapq.heappush(self._wake_heap, (cycle, index))
-
-    def _activate_due(self, cycle: int) -> None:
-        """Move every component whose wake time has arrived to the active set."""
-        heap = self._wake_heap
-        while heap and heap[0][0] <= cycle:
-            when, index = heapq.heappop(heap)
-            if self._pending_wake[index] == when and not self._active[index]:
-                self._active[index] = True
-                self._active_count += 1
-                self._pending_wake[index] = None
-
-    def _next_scheduled(self) -> Optional[int]:
-        """The earliest pending wake cycle, discarding stale heap entries."""
-        heap = self._wake_heap
-        while heap:
-            when, index = heap[0]
-            if self._pending_wake[index] == when and not self._active[index]:
-                return when
-            heapq.heappop(heap)
-        return None
-
-    def _quiesce(self, indices: List[int], next_cycle: int) -> None:
-        """Let the just-run activity-aware components report their next
-        event and put the quiescent ones to sleep."""
-        for index in indices:
-            if not self._aware[index]:
-                continue
-            upcoming = self._components[index].next_event_cycle(next_cycle)
-            if upcoming is not None and upcoming <= next_cycle:
-                continue
-            self._active[index] = False
-            self._active_count -= 1
-            if upcoming is not None:
-                self._pending_wake[index] = upcoming
-                heapq.heappush(self._wake_heap, (upcoming, index))
-
     # -- execution ---------------------------------------------------------------
 
     def _run_cycle(self, cycle: int) -> None:
-        """Run both phases of one cycle over the runnable component set."""
-        if self._mode == "activity":
-            self._activate_due(cycle)
-            components = self._components
-            active = self._active
-            indices = [index for index in range(len(components)) if active[index]]
-            runnable = [components[index] for index in indices]
-            for component in runnable:
-                component.deliver(cycle)
-            for component in runnable:
-                component.evaluate(cycle)
-            self._quiesce(indices, cycle + 1)
-        else:
-            for component in self._components:
-                component.deliver(cycle)
-            for component in self._components:
-                component.evaluate(cycle)
+        """Run both phases of one cycle over every component."""
+        for component in self._components:
+            component.deliver(cycle)
+        for component in self._components:
+            component.evaluate(cycle)
 
     def step(self) -> int:
         """Execute exactly one cycle and return the cycle that was executed."""
@@ -260,58 +126,70 @@ class SimulationKernel:
         self._clock.tick()
         return cycle
 
+    def _forecasts(self) -> Optional[List[Callable[[int], Optional[int]]]]:
+        """Every component's ``next_event_cycle``, read from the instance,
+        or None when a component lacks one (no jumps at all)."""
+        forecasts = []
+        for component in self._components:
+            forecast = getattr(component, "next_event_cycle", None)
+            if not callable(forecast):
+                return None
+            forecasts.append(forecast)
+        return forecasts or None
+
+    @staticmethod
+    def _next_event(
+        forecasts: List[Callable[[int], Optional[int]]], cycle: int
+    ) -> Optional[int]:
+        """The earliest forecast at or after ``cycle``; None when idle for good."""
+        upcoming: Optional[int] = None
+        for forecast in forecasts:
+            when = forecast(cycle)
+            if when is None:
+                continue
+            if when <= cycle:
+                return cycle
+            if upcoming is None or when < upcoming:
+                upcoming = when
+        return upcoming
+
     def run(self, max_cycles: int) -> int:
         """Run until a stop condition fires or ``max_cycles`` cycles elapse.
 
-        Returns the number of cycles that elapsed in this call.  In
-        activity mode, cycles skipped by fast-forwarding over a fully idle
-        system count as elapsed, so the clock advances exactly as it would
-        under the exhaustive schedule.
+        Returns the number of cycles that elapsed in this call.  Cycles
+        jumped over by a fast-forward count as elapsed, so the clock
+        lands exactly where stepping every cycle would land it.
         """
         if max_cycles < 0:
             raise ValueError(f"max_cycles must be non-negative, got {max_cycles}")
-        if self._mode == "activity":
-            return self._run_activity(max_cycles)
-        executed = 0
-        while executed < max_cycles:
-            if self._should_stop(self._clock.now):
-                break
-            self.step()
-            executed += 1
-        return executed
-
-    def _run_activity(self, max_cycles: int) -> int:
-        executed = 0
-        while executed < max_cycles:
-            now = self._clock.now
+        clock = self._clock
+        forecasts = self._forecasts()
+        start = clock.now
+        end = start + max_cycles
+        now = start
+        while now < end:
             if self._should_stop(now):
                 break
-            self._activate_due(now)
-            if self._active_count == 0:
-                remaining = max_cycles - executed
-                target = self._next_scheduled()
-                if target is None:
-                    # Nothing will ever happen again: burn the rest of the
-                    # budget in one jump, as the exhaustive schedule would
-                    # burn it one empty cycle at a time.
-                    self._clock.tick(remaining)
-                    executed = max_cycles
-                    break
-                skip = min(target - now, remaining)
-                if skip > 0:
-                    self._clock.tick(skip)
-                    executed += skip
+            if forecasts is not None:
+                upcoming = self._next_event(forecasts, now)
+                if upcoming != now:
+                    target = end if upcoming is None else min(upcoming, end)
+                    clock.tick(target - now)
+                    now = target
                     continue
             self._run_cycle(now)
-            self._clock.tick()
-            executed += 1
-        return executed
+            clock.tick()
+            now += 1
+        return now - start
 
     def _should_stop(self, cycle: int) -> bool:
-        return any(condition(cycle) for condition in self._stop_conditions)
+        for condition in self._stop_conditions:
+            if condition(cycle):
+                return True
+        return False
 
     def __repr__(self) -> str:
         return (
-            f"SimulationKernel(cycle={self._clock.now}, mode={self._mode!r}, "
+            f"SimulationKernel(cycle={self._clock.now}, "
             f"components={len(self._components)})"
         )

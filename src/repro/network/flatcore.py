@@ -1,6 +1,6 @@
 """Core schedules: the object network vs. the flat struct-of-arrays core.
 
-The simulator's fourth two-implementations-one-semantics axis, selected
+The simulator's one two-implementations-one-semantics axis, selected
 by :attr:`~repro.core.config.SimulationConfig.core_mode`:
 
 ``"objects"``
@@ -24,18 +24,18 @@ by :attr:`~repro.core.config.SimulationConfig.core_mode`:
     cycle it drains the wheels once, runs virtual-channel allocation,
     switch allocation and forwarding as one pass over the *busy-router
     worklist*, then the injection pass over the interfaces the *wake
-    heap* reports due; ``next_event_cycle`` reads the same structures.
+    heap* reports due; ``next_event_cycle`` reads the same structures,
+    and the kernel jumps the clock over the idle spans it reports.
     The benchmark trajectory of this path lives in ``perfbench/``.
 
 Both schedules are bit-identical: the flat core replays the object
 core's per-cycle phase order exactly (all routers deliver, interfaces
 deliver, routers evaluate in node order, interfaces evaluate in node
-order), keeps every RNG consultation site (path selectors, traffic
-sources, the shared message budget) in the same order, and reports the
-same quiescence cycles to the activity kernel.
-``tests/test_link_equivalence.py`` enforces this across the kernel x
-core cube, and ``tests/test_core_fuzz.py`` on random
-configurations.
+order) and keeps every RNG consultation site (path selectors, traffic
+sources, the shared message budget) in the same order; the cycles its
+forecast lets the kernel skip are provable no-ops.
+``tests/test_link_equivalence.py`` enforces this on a fixed grid, and
+``tests/test_core_fuzz.py`` on random configurations.
 
 The C core
 ----------

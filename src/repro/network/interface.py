@@ -24,9 +24,8 @@ models the interfaces in its own arrays.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Iterator, List, Optional, Tuple
 
-from repro.engine.kernel import no_wake
 from repro.network.topology import LOCAL_PORT
 from repro.router.router import Router
 from repro.routing.base import RoutingAlgorithm
@@ -77,12 +76,6 @@ class NetworkInterface:
         # Ejection-side mailboxes of (arrival_cycle, vc[, flit]) tuples.
         self._eject_mailbox: Deque[Tuple[int, int, Flit]] = deque()
         self._credit_mailbox: Deque[Tuple[int, int]] = deque()
-        #: Wake callback installed by an activity-aware kernel.
-        self._wake: Callable[[int], None] = no_wake
-        # Kernel active-flag view (see set_active_hint): the default
-        # always reads False, so un-registered interfaces wake per event.
-        self._kernel_active: Sequence[bool] = (False,)
-        self._kernel_index = 0
 
     # -- identity --------------------------------------------------------------
 
@@ -103,12 +96,7 @@ class NetworkInterface:
 
     def offer(self, message: Message) -> None:
         """Place a message in the source queue (used by tests and sources)."""
-        # Deliberately unguarded: components start every run in the
-        # active set, so pre-run offers are always picked up, and the
-        # interface's own evaluate() offers while it is already active;
-        # mid-run offers from *outside* the schedule need an
-        # exhaustive-mode kernel (documented in next_event_cycle).
-        self._injection_queue.append(message)  # repro: allow=W001
+        self._injection_queue.append(message)
         self._stats.record_created(message)
 
     # -- mailbox interface (called by the router) --------------------------------
@@ -116,14 +104,10 @@ class NetworkInterface:
     def receive_flit(self, port: int, vc: int, flit: Flit, arrival_cycle: int) -> None:
         """Accept an ejected flit from the router's local output port."""
         self._eject_mailbox.append((arrival_cycle, vc, flit))
-        if not self._kernel_active[self._kernel_index]:
-            self._wake(arrival_cycle)
 
     def receive_credit(self, port: int, vc: int, arrival_cycle: int) -> None:
         """Accept a credit for a freed slot of the router's local input port."""
         self._credit_mailbox.append((arrival_cycle, vc))
-        if not self._kernel_active[self._kernel_index]:
-            self._wake(arrival_cycle)
 
     # -- per-cycle behaviour ------------------------------------------------------
 
@@ -195,80 +179,6 @@ class NetworkInterface:
                 slot.busy = False
             self._next_slot = (index + 1) % num_slots
             return
-
-    # -- quiescence (activity-aware kernel) ----------------------------------------
-
-    def set_wake(self, callback: Callable[[int], None]) -> None:
-        """Install the kernel callback invoked when an event is scheduled
-        for this interface (an ejected flit or a returned credit)."""
-        self._wake = callback
-
-    def set_active_hint(self, flags: Sequence[bool], index: int) -> None:
-        """Install the kernel's live active-flag view of this interface;
-        send paths read ``flags[index]`` and skip the wake callback when
-        the interface is already active (see ``Router.set_active_hint``)."""
-        self._kernel_active = flags
-        self._kernel_index = index
-
-    def wake_source(self, cycle: int) -> None:
-        """Wake this interface for a source event scheduled at ``cycle``.
-
-        Closed-loop sources (:mod:`repro.workload`) queue new work from
-        *outside* the interface's own evaluation -- a delivery elsewhere
-        releases a DAG successor here -- so they call this to re-arm an
-        interface the activity kernel may have put to sleep on a ``None``
-        forecast.  The released work is always strictly future
-        (``cycle`` is after the current one), matching the kernel's
-        wake contract.
-        """
-        if not self._kernel_active[self._kernel_index]:
-            self._wake(cycle)
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Earliest cycle (``>= cycle``) at which this interface has work.
-
-        Returns ``cycle`` when a flit can be injected (a slot with flits
-        and credits) or a queued message can claim a free slot; otherwise
-        the earliest of the pending mailbox arrivals and the source's next
-        due cycle (credit-blocked slots are unblocked by a credit arrival,
-        which wakes the interface); and ``None`` when the source is
-        exhausted and nothing is queued or in flight.  Components start
-        every run in the active set, so messages placed with :meth:`offer`
-        before the run begins are always picked up; mid-run external
-        offers require an exhaustive-schedule kernel.
-        """
-        free_slot = False
-        for slot in self._slots:
-            if slot.flits:
-                if slot.credits > 0:
-                    # A flit can be injected this cycle.
-                    return cycle
-                # Credit-blocked: the returning credit wakes us.
-            elif not slot.busy:
-                free_slot = True
-        if self._injection_queue and free_slot:
-            # A queued message can claim a free virtual channel now.
-            return cycle
-        upcoming: Optional[int] = None
-        if self._eject_mailbox:
-            upcoming = self._eject_mailbox[0][0]
-        if self._credit_mailbox:
-            arrival = self._credit_mailbox[0][0]
-            if upcoming is None or arrival < upcoming:
-                upcoming = arrival
-        source = self._source
-        if source is not None:
-            next_due = getattr(source, "next_due_cycle", None)
-            if next_due is None:
-                # Sources without a due-cycle forecast must be polled
-                # every cycle for new messages.
-                return cycle
-            due = next_due()
-            if due is not None:
-                due = max(due, cycle)
-                if upcoming is None or due < upcoming:
-                    upcoming = due
-        return upcoming
 
     # -- introspection ---------------------------------------------------------------
 

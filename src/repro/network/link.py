@@ -6,9 +6,9 @@ downstream buffer at ``s + switch_delay + link_delay``), which avoids a
 per-link object in the simulation's inner loop.  Because every link and
 credit delay is at least one cycle (enforced here and in
 :class:`~repro.router.config.RouterConfig`), a scheduled arrival always
-lies strictly in the future -- the invariant that lets the activity-aware
-kernel sleep a component until its next mailbox arrival without ever
-missing a same-cycle event.  :class:`Link` is the descriptive record the
+lies strictly in the future -- the invariant that lets the flat core's
+forecast skip to its next arrival without ever missing a same-cycle
+event.  :class:`Link` is the descriptive record the
 network assembly keeps for each unidirectional connection so that wiring
 can be inspected, validated and reported.
 """

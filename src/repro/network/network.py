@@ -134,9 +134,8 @@ class Network:
         Registration order is the per-cycle phase order *and* the order in
         which interfaces draw from the shared network-wide message budget,
         so it must be deterministic: routers by node id, then interfaces
-        by node id.  Every component implements the quiescence hooks
-        (``next_event_cycle``/``set_wake``), so this list can be driven by
-        either kernel schedule with bit-identical results.
+        by node id.  None of them forecasts its next event, so the kernel
+        runs every one of them every cycle.
         """
         return list(self._routers) + list(self._interfaces)
 

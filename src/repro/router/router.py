@@ -37,9 +37,8 @@ reproduce it bit for bit; ``tests/test_link_equivalence.py`` and
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
-from repro.engine.kernel import no_wake
 from repro.network.topology import LOCAL_PORT, Topology, port_direction
 from repro.router.arbiter import RoundRobinArbiter
 from repro.router.channels import InputVirtualChannel, OutputPort, VCState
@@ -114,8 +113,8 @@ class Router:
             deque() for _ in range(radix)
         ]
         #: Entries currently enqueued across all mailboxes of each kind;
-        #: lets ``deliver`` and ``next_event_cycle`` skip the per-port
-        #: scans entirely when nothing is in flight.
+        #: lets ``deliver`` skip the per-port scans entirely when nothing
+        #: is in flight.
         self._pending_flits = 0
         self._pending_credits = 0
         # Crossbar arbiters: one per input port (among its VCs) and one per
@@ -124,22 +123,6 @@ class Router:
             RoundRobinArbiter(config.vcs_per_port) for _ in range(radix)
         ]
         self._output_arbiters = [RoundRobinArbiter(radix) for _ in range(radix)]
-        #: Wake callback installed by an activity-aware kernel.
-        self._wake: Callable[[int], None] = no_wake
-        # Kernel active-flag view (see set_active_hint): the default
-        # always reads False, so un-registered routers wake on every event.
-        self._kernel_active: Sequence[bool] = (False,)
-        self._kernel_index = 0
-        #: Input virtual channels not in the IDLE state (cheap quiescence
-        #: check; kept exact by the three state-transition sites below).
-        self._occupied_channels = 0
-        #: Whether this cycle's switch stage released an output virtual
-        #: channel.  VC allocation runs *before* switch allocation within
-        #: ``evaluate``, so a header that failed allocation this cycle may
-        #: be unblocked by a tail departing later in the same cycle -- an
-        #: event no mailbox wake reports, because it is internal to this
-        #: router.  ``next_event_cycle`` consults this flag.
-        self._released_output_vc = False
 
         # Hot-path constants hoisted out of the per-flit loops.
         self._selection_offset = self._pipeline.selection_offset
@@ -251,15 +234,11 @@ class Router:
         """Schedule a flit to appear in input ``(port, vc)`` at ``arrival_cycle``."""
         self._flit_mailboxes[port].append((arrival_cycle, vc, flit))
         self._pending_flits += 1
-        if not self._kernel_active[self._kernel_index]:
-            self._wake(arrival_cycle)
 
     def receive_credit(self, port: int, vc: int, arrival_cycle: int) -> None:
         """Schedule a credit return for output ``(port, vc)`` at ``arrival_cycle``."""
         self._credit_mailboxes[port].append((arrival_cycle, vc))
         self._pending_credits += 1
-        if not self._kernel_active[self._kernel_index]:
-            self._wake(arrival_cycle)
 
     def free_input_vcs(self, port: int) -> List[int]:
         """Input VCs of ``port`` that are idle and empty (used by injection)."""
@@ -296,7 +275,6 @@ class Router:
                     ):
                         channel.state = VCState.ROUTING
                         channel.ready_cycle = cycle + self._selection_offset
-                        self._occupied_channels += 1
             self._pending_flits -= absorbed
         if self._pending_credits:
             absorbed = 0
@@ -313,7 +291,6 @@ class Router:
 
     def evaluate(self, cycle: int) -> None:
         """Run this cycle's virtual-channel allocation and switch allocation."""
-        self._released_output_vc = False
         self._allocate_virtual_channels(cycle)
         self._allocate_switch(cycle)
 
@@ -512,9 +489,7 @@ class Router:
 
         if flit.is_tail:
             out_channel.release()
-            self._released_output_vc = True
             channel.release()
-            self._occupied_channels -= 1
             self._start_next_message(channel, cycle)
 
     def _start_next_message(self, channel: InputVirtualChannel, cycle: int) -> None:
@@ -531,102 +506,6 @@ class Router:
         channel.ready_cycle = max(
             head.arrival_cycle + self._selection_offset, cycle + 1
         )
-        self._occupied_channels += 1
-
-    # -- quiescence (activity-aware kernel) ---------------------------------------
-
-    def set_wake(self, callback: Callable[[int], None]) -> None:
-        """Install the kernel callback invoked when an event is scheduled
-        for this router (a flit or credit posted to one of its mailboxes)."""
-        self._wake = callback
-
-    def set_active_hint(self, flags: Sequence[bool], index: int) -> None:
-        """Install the kernel's live active-flag view of this router.
-
-        Send paths read ``flags[index]`` before invoking the wake
-        callback: when the router is already active the callback would
-        return immediately, so one boolean read replaces a call per
-        scheduled flit/credit arrival.  Without a kernel the default
-        hint reads False, so every event still wakes.
-        """
-        self._kernel_active = flags
-        self._kernel_index = index
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Earliest cycle (``>= cycle``) at which this router has work.
-
-        The kernel calls this right after the router's ``evaluate``, with
-        ``cycle`` being the *next* cycle.  Skipped cycles must be provable
-        no-ops; the reasoning per input-channel state:
-
-        * ``ACTIVE`` with buffered flits and downstream credits: sendable,
-          run now.
-        * ``ACTIVE`` but credit-blocked or waiting for flits: switch
-          allocation skips it, and the blocking event (a credit or flit
-          arrival) lands in a mailbox, which wakes the router.
-        * ``ROUTING`` with a future ``ready_cycle``: the pipeline keeps
-          the header ineligible until then; sleep until ``ready_cycle``.
-        * ``ROUTING`` already past ``ready_cycle``: the allocation attempt
-          *this* cycle failed.  Failed attempts are pure no-ops, and their
-          inputs (output-VC ownership) change in exactly two ways: a tail
-          forwarded by this router's own switch stage later in the same
-          cycle (tracked by ``_released_output_vc``, which keeps the
-          router awake for the retry), or a tail forwarded on a future
-          cycle -- which requires a sendable channel then, and becoming
-          sendable takes a mailbox event, which wakes the router.  So
-          when no VC was released this cycle, the retry can wait for the
-          next wake.
-
-        Mailbox arrivals bound the sleep; ``None`` means fully idle until
-        ``receive_flit``/``receive_credit`` wakes the router.
-        """
-        upcoming: Optional[int] = None
-        if self._occupied_channels:
-            idle, routing, active = VCState.IDLE, VCState.ROUTING, VCState.ACTIVE
-            outputs = self._outputs
-            for inputs in self._inputs:
-                for channel in inputs:
-                    state = channel.state
-                    if state is idle:
-                        if channel.buffer:  # defensive: cannot normally happen
-                            return cycle
-                        continue
-                    if state is routing:
-                        ready = channel.ready_cycle
-                        if ready >= cycle:
-                            if upcoming is None or ready < upcoming:
-                                upcoming = ready
-                        elif self._released_output_vc:
-                            # The failed allocation may succeed next cycle:
-                            # a tail departing through this router's own
-                            # switch stage freed an output VC after the
-                            # allocation stage ran.
-                            return cycle
-                        # else: just failed allocation with inputs that can
-                        # only change on a wake event; sleep until then.
-                    elif state is active:
-                        if channel.buffer:
-                            out = outputs[channel.out_port].vcs[channel.out_vc]
-                            if out.credits > 0:
-                                return cycle
-                        # else: credit-blocked or mid-message bubble; the
-                        # unblocking credit/flit arrival wakes the router.
-                    else:  # pragma: no cover - WAITING is unused, be safe
-                        return cycle
-        # Mailbox arrivals: the earliest head of any flit/credit mailbox.
-        if self._pending_flits:
-            for mailbox in self._flit_mailboxes:
-                if mailbox:
-                    arrival = mailbox[0][0]
-                    if upcoming is None or arrival < upcoming:
-                        upcoming = arrival
-        if self._pending_credits:
-            for mailbox in self._credit_mailboxes:
-                if mailbox:
-                    arrival = mailbox[0][0]
-                    if upcoming is None or arrival < upcoming:
-                        upcoming = arrival
-        return upcoming
 
     # -- introspection -----------------------------------------------------------
 

@@ -144,8 +144,8 @@ class TrafficSource:
         An arrival at continuous time ``t`` is created by the
         :meth:`messages_due` call of cycle ``floor(t)`` (the first cycle
         with ``t < cycle + 1``).  Once the network-wide budget is
-        exhausted no source creates messages any more, so an
-        activity-aware kernel may stop polling it; the remaining
+        exhausted no source creates messages any more, so the flat core
+        may stop polling it; the remaining
         inter-arrival draws it skips feed nothing observable (each node's
         arrival stream is private to that node).
         """

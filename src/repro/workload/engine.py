@@ -11,12 +11,12 @@ through exactly the machinery they already have.
 
 Release semantics (the one rule everything else follows): a step whose
 last predecessor completes at cycle ``c`` becomes *ready* at ``c + 1`` --
-strictly in the future.  Deliveries are observed during the kernel's
-deliver phase, after the activity schedule has already fixed the current
-cycle's runnable set, so a same-cycle release would be picked up this
-cycle by the exhaustive schedule but only next cycle by the activity
-schedule; deferring every release by one cycle keeps all four
-kernel x core combinations bit-identical.  A ready
+strictly in the future.  Compute steps complete inside an interface's
+evaluate, so a same-cycle release would be picked up this cycle by a
+home node that evaluates later and next cycle by one that evaluated
+earlier; deferring every release by one cycle makes the outcome
+independent of node order, and of how each core visits its
+interfaces.  A ready
 transfer is injected at its ready cycle; a ready compute step completes
 ``delay`` cycles later without touching the network.
 
@@ -27,9 +27,10 @@ ejection point shared by the object interfaces and the flat core), and
 compute steps via the owning source's ``messages_due`` poll at their
 completion cycle.  Every release wakes the successor's home node through
 a per-node wake callback (:meth:`WorkloadEngine.attach_wakes`), so the
-activity kernel never sleeps through newly unblocked work; the pending
-lists back ``next_due_cycle`` exactly, which keeps the forecast safe
-under the flat core's end-of-evaluate wake recomputation.
+flat core's wake heap never sleeps through newly unblocked work (the
+object interfaces poll their sources every cycle and attach none); the
+pending lists back ``next_due_cycle`` exactly, which keeps the forecast
+safe under the flat core's end-of-evaluate wake recomputation.
 
 All retained state is O(DAG + in-flight): pending entries and the
 in-flight map shrink as the workload drains, and the drain metrics
@@ -86,11 +87,12 @@ class WorkloadEngine:
         return [WorkloadSource(self, node) for node in range(self._num_nodes)]
 
     def attach_wakes(self, wakes: List[Callable[[int], None]]) -> None:
-        """Install the per-node wake callbacks of the executing core.
+        """Install the flat core's per-node wake callbacks.
 
         ``wakes[node](cycle)`` must wake node ``node``'s interface for
-        ``cycle``: :meth:`NetworkInterface.wake_source` on the object
-        core, :meth:`FlatNetworkCore.wake_interface` on the flat core.
+        ``cycle`` (:meth:`FlatNetworkCore.wake_interface`).  The object
+        core attaches none: its interfaces poll their sources every
+        cycle.
         """
         if len(wakes) != self._num_nodes:
             raise ValueError(
@@ -104,8 +106,8 @@ class WorkloadEngine:
         """Earliest pending due cycle at ``node``, or None when idle.
 
         None does *not* mean "never again": a later release re-arms the
-        node through its wake callback, so the activity kernel may sleep
-        the interface until then.
+        node through its wake callback, so the flat core may sleep the
+        interface until then.
         """
         pending = self._pending[node]
         return pending[0][0] if pending else None

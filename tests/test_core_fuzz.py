@@ -5,8 +5,9 @@ implement separately -- mesh or torus, Duato or dimension-order routing,
 full or economical tables, every built-in path selector, PROUD or
 LA-PROUD, virtual-channel count, buffer depth, link and credit delays,
 the open traffic patterns and a closed-loop workload -- and runs each
-twice: on the object core under the exhaustive kernel (the reference)
-and on the flat core under the activity kernel (the default fast path).  The two
+twice: on the object core, stepped every cycle (the reference), and on
+the flat core, which the kernel fast-forwards over idle spans (the
+default fast path).  The two
 :class:`~repro.core.results.SimulationResult` documents must be equal
 apart from the ``core_mode`` field, and both runs pass their
 message-conservation checks (``run()`` raises otherwise).
@@ -84,8 +85,8 @@ def spec_json(config: SimulationConfig) -> str:
     return Study(name="core-fuzz-failure", base=config.to_dict()).to_json()
 
 
-def _document(config: SimulationConfig, core_mode: str, kernel_mode: str) -> dict:
-    simulator = NetworkSimulator(config.variant(core_mode=core_mode), kernel_mode=kernel_mode)
+def _document(config: SimulationConfig, core_mode: str) -> dict:
+    simulator = NetworkSimulator(config.variant(core_mode=core_mode))
     document = json.loads(simulator.run().to_json())
     del document["config"]["core_mode"]
     return document
@@ -93,8 +94,8 @@ def _document(config: SimulationConfig, core_mode: str, kernel_mode: str) -> dic
 
 def _check(config: SimulationConfig) -> None:
     note(f"failing config as a study spec:\n{spec_json(config)}")
-    reference = _document(config, "objects", "exhaustive")
-    fast = _document(config, "flat", "activity")
+    reference = _document(config, "objects")
+    fast = _document(config, "flat")
     assert fast == reference
 
 

@@ -235,12 +235,12 @@ def test_a_released_output_vc_alone_wakes_the_blocked_header(tmp_path):
         assert simulator.workload.drained
         return cycles
 
-    reference = NetworkSimulator(config.variant(core_mode="objects"), kernel_mode="exhaustive")
+    reference = NetworkSimulator(config.variant(core_mode="objects"))
     router = reference.network.routers[1]
     expected = allocation_cycles(reference, lambda: router.headers_routed)
     assert len(expected) == 2 and expected[1] == expected[0] + 1, expected
 
-    flat = NetworkSimulator(config, kernel_mode="activity")
+    flat = NetworkSimulator(config)
     core = flat.core
     checked = []
 

@@ -222,27 +222,6 @@ def test_single_flit_messages_inject_and_eject():
     assert len(router.credits) == 1
 
 
-def test_next_event_cycle_reports_true_earliest_lane_arrival():
-    """With no injectable work, next_event_cycle is the earliest pending
-    mailbox arrival across both lanes -- and None when both are empty."""
-    interface, router, stats, topology = build_interface()
-    assert interface.next_event_cycle(0) is None
-    interface.receive_flit(LOCAL_PORT, 0, _single_flit(0, 4), 9)
-    assert interface.next_event_cycle(5) == 9
-    interface.receive_credit(LOCAL_PORT, 0, 7)
-    assert interface.next_event_cycle(5) == 7
-    interface.deliver(7)  # consumes the credit; the flit is still pending
-    assert interface.next_event_cycle(8) == 9
-    interface.deliver(9)
-    assert interface.next_event_cycle(10) is None
-
-
-def test_injectable_work_reports_the_current_cycle():
-    interface, router, stats, topology = build_interface()
-    interface.offer(Message(source=4, destination=0, length=2, creation_cycle=0))
-    assert interface.next_event_cycle(3) == 3
-
-
 def test_out_of_order_external_pushes_are_head_blocked():
     """External pushes with non-monotonic arrival cycles follow the
     mailbox-deque contract: a flit queued behind a later-due flit waits

@@ -85,207 +85,144 @@ def test_components_property_preserves_registration_order():
     assert kernel.components == [first, second]
 
 
-# -- activity-aware schedule --------------------------------------------------
+# -- the fast-forward rule --------------------------------------------------
 
 
-class SleepyComponent(RecordingComponent):
-    """Activity-aware component scripted with a queue of event cycles.
+class ForecastingComponent(RecordingComponent):
+    """Component scripted with the cycles at which it has work.
 
-    Runs (and logs) only when the kernel schedules it; reports the next
-    scripted event from ``events`` and sleeps in between (``None`` once
-    the script is exhausted).
+    ``next_event_cycle`` reports the next scripted cycle at or after the
+    asked one, or ``None`` once the script is exhausted.
     """
 
     def __init__(self, name, log, events):
         super().__init__(name, log)
         self.events = sorted(events)
-        self.wake = None
-
-    def set_wake(self, callback):
-        self.wake = callback
 
     def next_event_cycle(self, cycle):
-        while self.events and self.events[0] < cycle:
-            self.events.pop(0)
-        return self.events[0] if self.events else None
+        later = [event for event in self.events if event >= cycle]
+        return later[0] if later else None
+
+
+def _delivered_cycles(log, name=None):
+    return [
+        entry[0]
+        for entry in log
+        if entry[2] == "deliver" and (name is None or entry[1] == name)
+    ]
 
 
 def test_unknown_mode_is_rejected():
-    with pytest.raises(ValueError):
-        SimulationKernel(mode="lazy")
+    """There is one schedule: the kernel takes only a clock."""
+    with pytest.raises(TypeError):
+        SimulationKernel(mode="activity")
 
 
-def test_activity_mode_runs_plain_components_every_cycle():
-    """Components without quiescence hooks degrade to the exhaustive schedule."""
-    log_activity, log_exhaustive = [], []
-    for mode, log in (("activity", log_activity), ("exhaustive", log_exhaustive)):
-        kernel = SimulationKernel(mode=mode)
-        kernel.register_all([RecordingComponent("a", log), RecordingComponent("b", log)])
-        kernel.run(4)
-    assert log_activity == log_exhaustive
-
-
-def test_activity_mode_skips_quiescent_components():
+def test_hooked_idle_components_jump_to_their_earliest_event():
+    """With every component forecasting, the kernel runs exactly the
+    cycles some component has work at, and the clock lands where
+    stepping every cycle would land it."""
     log = []
-    kernel = SimulationKernel(mode="activity")
-    kernel.register(SleepyComponent("s", log, events=[0, 3, 7]))
-    executed = kernel.run(10)
-    assert executed == 10
-    assert kernel.clock.now == 10
-    # Both phases ran exactly at the scripted event cycles.
-    assert [entry[0] for entry in log if entry[2] == "deliver"] == [0, 3, 7]
+    kernel = SimulationKernel()
+    kernel.register_all(
+        [
+            ForecastingComponent("a", log, events=[0, 7]),
+            ForecastingComponent("b", log, events=[3, 7, 9]),
+        ]
+    )
+    executed = kernel.run(12)
+    assert executed == 12
+    assert _delivered_cycles(log, "a") == [0, 3, 7, 9]
+    assert _delivered_cycles(log, "a") == _delivered_cycles(log, "b")
+
+    stepped = SimulationKernel()
+    stepped.register(ForecastingComponent("a", [], events=[0, 7]))
+    for _ in range(12):
+        stepped.step()
+    assert kernel.clock.now == stepped.clock.now == 12
 
 
-def test_activity_mode_fast_forwards_an_idle_system():
-    """With every component asleep the clock jumps straight between events
-    instead of burning empty cycles, and still lands on the full budget."""
+def test_one_hookless_component_disables_every_jump():
+    """A single component without ``next_event_cycle`` keeps every
+    component on the every-cycle schedule."""
     log = []
-    kernel = SimulationKernel(mode="activity")
-    kernel.register(SleepyComponent("s", log, events=[100]))
-    executed = kernel.run(1000)
-    assert executed == 1000
+    kernel = SimulationKernel()
+    kernel.register_all(
+        [
+            ForecastingComponent("hooked", log, events=[5]),
+            RecordingComponent("plain", log),
+        ]
+    )
+    assert kernel.run(8) == 8
+    assert _delivered_cycles(log, "hooked") == list(range(8))
+    assert _delivered_cycles(log, "plain") == list(range(8))
+
+
+def test_all_none_forecasts_burn_the_budget_in_one_tick():
+    """Components idle for good: nothing runs, and the whole budget
+    elapses in one clock tick."""
+    log = []
+    ticks = []
+
+    class CountingClock(Clock):
+        __slots__ = ()
+
+        def tick(self, cycles=1):
+            ticks.append(cycles)
+            return super().tick(cycles)
+
+    kernel = SimulationKernel(clock=CountingClock())
+    kernel.register_all(
+        [
+            ForecastingComponent("a", log, events=[]),
+            ForecastingComponent("b", log, events=[]),
+        ]
+    )
+    assert kernel.run(1000) == 1000
     assert kernel.clock.now == 1000
-    assert [entry[0] for entry in log if entry[2] == "deliver"] == [0, 100]
+    assert log == []
+    assert ticks == [1000]
 
 
-def test_wake_callback_reactivates_a_sleeping_component():
+def test_stop_conditions_are_checked_before_a_jump():
+    """A stop condition is checked at the visited cycle before the
+    kernel jumps from it, so the run ends where the every-cycle schedule
+    ends it."""
     log = []
-    sleeper = SleepyComponent("s", log, events=[])
-    kernel = SimulationKernel(mode="activity")
-    kernel.register(sleeper)
-    kernel.run(3)  # runs at cycle 0, then sleeps with no scheduled event
-    assert [entry[0] for entry in log] == [0, 0]
-    sleeper.wake(5)
-    kernel.run(10)
-    assert [entry[0] for entry in log if entry[2] == "deliver"] == [0, 5]
-    assert kernel.clock.now == 13
-
-
-def test_wake_keeps_the_earliest_of_several_requests():
-    log = []
-    sleeper = SleepyComponent("s", log, events=[])
-    kernel = SimulationKernel(mode="activity")
-    kernel.register(sleeper)
-    kernel.run(1)
-    sleeper.wake(9)
-    sleeper.wake(4)  # earlier wake supersedes the later one
-    sleeper.wake(7)  # later wake is ignored while an earlier one is pending
-    kernel.run(20)
-    assert [entry[0] for entry in log if entry[2] == "deliver"] == [0, 4]
-
-
-def test_activity_mode_honours_stop_conditions_at_visited_cycles():
-    log = []
-    kernel = SimulationKernel(mode="activity")
-    kernel.register(SleepyComponent("s", log, events=[0, 2, 4, 6]))
-    kernel.add_stop_condition(lambda cycle: cycle >= 5)
+    kernel = SimulationKernel()
+    kernel.register(ForecastingComponent("s", log, events=[0, 2, 4, 9]))
+    kernel.add_stop_condition(lambda cycle: len(_delivered_cycles(log)) == 3)
     executed = kernel.run(100)
-    # Stop conditions are checked at every loop iteration (cycle 5 included,
-    # before any fast-forward decision), exactly as the exhaustive kernel
-    # would: both stop with the clock at 5.
-    assert [entry[0] for entry in log if entry[2] == "deliver"] == [0, 2, 4]
+    # Cycle 4 ran the third event; the condition fires at cycle 5, the
+    # first cycle visited after it, not at the jump target 9.
+    assert _delivered_cycles(log) == [0, 2, 4]
     assert executed == 5
     assert kernel.clock.now == 5
 
 
-def test_activity_step_executes_single_cycles():
+def test_step_runs_every_component_whatever_it_forecasts():
     log = []
-    kernel = SimulationKernel(mode="activity")
-    kernel.register(SleepyComponent("s", log, events=[0, 2]))
-    assert kernel.step() == 0
-    assert kernel.step() == 1  # sleeper skipped, clock still advances
-    assert kernel.step() == 2
-    assert [entry[0] for entry in log if entry[2] == "deliver"] == [0, 2]
-
-
-# -- sender-side active hint --------------------------------------------------
-
-
-class HintedComponent(SleepyComponent):
-    """Sleepy component that also accepts the kernel's active-flag view,
-    the way routers and interfaces do via ``set_active_hint``."""
-
-    def __init__(self, name, log, events):
-        super().__init__(name, log, events)
-        self.flags = None
-        self.index = None
-
-    def set_active_hint(self, flags, index):
-        self.flags = flags
-        self.index = index
-
-
-def test_register_installs_the_live_active_flag_view_in_both_modes():
-    """``set_active_hint`` receives the kernel's *own* active list (not a
-    copy) plus the component's slot, in exhaustive and activity mode
-    alike, and the slot starts True."""
-    for mode in ("exhaustive", "activity"):
-        kernel = SimulationKernel(mode=mode)
-        component = HintedComponent("h", [], events=[])
-        kernel.register(component)
-        assert component.flags is kernel._active, mode
-        assert component.index == 0, mode
-        assert component.flags[component.index] is True, mode
-
-
-def test_active_hint_tracks_quiescence_and_wakeups():
-    """The flag the senders read goes False when the component sleeps and
-    True again once a wake re-activates it."""
-    log = []
-    kernel = SimulationKernel(mode="activity")
-    component = HintedComponent("h", log, events=[])
-    kernel.register(component)
-    assert component.flags[component.index]
-    kernel.run(2)  # runs cycle 0, then quiesces with nothing scheduled
-    assert not component.flags[component.index]
-    component.wake(3)
-    kernel.run(5)  # re-activated at cycle 3, then quiesces again
-    assert [entry[0] for entry in log if entry[2] == "deliver"] == [0, 3]
-    assert not component.flags[component.index]
-
-
-def test_exhaustive_mode_keeps_the_hint_true_forever():
-    """Exhaustive kernels never sleep components, so a guarded sender
-    (skip the callback when the flag is True) never calls it at all."""
     kernel = SimulationKernel()
-    component = HintedComponent("h", [], events=[])
-    kernel.register(component)
-    kernel.run(5)
-    assert component.flags[component.index] is True
+    kernel.register(ForecastingComponent("s", log, events=[2]))
+    assert [kernel.step() for _ in range(3)] == [0, 1, 2]
+    assert _delivered_cycles(log) == [0, 1, 2]
 
 
-def _drive_wake_schedule(skip_when_active):
-    """One receiver plus a scripted sender; the sender either always
-    invokes the wake callback (the old behaviour) or first checks the
-    active flag the way the wired send paths now do."""
+def test_forecasts_are_read_from_the_instance():
+    """A forecast replaced on the instance (as a tracer wraps it) is the
+    one the kernel asks."""
     log = []
-    kernel = SimulationKernel(mode="activity")
-    receiver = HintedComponent("r", log, events=[])
-    kernel.register(receiver)
+    component = ForecastingComponent("s", log, events=[0, 4])
+    asked = []
+    original = component.next_event_cycle
 
-    def send(when):
-        if skip_when_active and receiver.flags[receiver.index]:
-            return
-        receiver.wake(when)
+    def traced(cycle):
+        asked.append(cycle)
+        return original(cycle)
 
-    send(0)  # receiver still active from registration
-    kernel.run(3)  # receiver runs cycle 0, then sleeps
-    send(5)  # receiver asleep: the wake must go through
-    send(7)  # still asleep; later wake ignored while 5 is pending
-    kernel.run(10)
-    return [entry[0] for entry in log if entry[2] == "deliver"]
-
-
-def test_skipping_wake_when_active_is_identical_to_always_waking():
-    """The senders' flag check is exactly the condition under which
-    ``_wake`` early-returns, so guarding the callback changes nothing
-    about which cycles the receiver runs."""
-    guarded = _drive_wake_schedule(skip_when_active=True)
-    always = _drive_wake_schedule(skip_when_active=False)
-    assert guarded == always == [0, 5]
-
-
-def test_mode_is_reported():
-    assert SimulationKernel().mode == "exhaustive"
-    assert SimulationKernel(mode="activity").mode == "activity"
-    assert "activity" in repr(SimulationKernel(mode="activity"))
+    component.next_event_cycle = traced
+    kernel = SimulationKernel()
+    kernel.register(component)
+    kernel.run(6)
+    assert _delivered_cycles(log) == [0, 4]
+    assert asked == [0, 1, 4, 5]

@@ -1,40 +1,30 @@
-"""Bit-identical equivalence across the schedule cube.
+"""Bit-identical equivalence of the object core and the flat C core.
 
-The simulator has two independent two-implementations-one-semantics
-axes: the kernel schedule (``exhaustive``/``activity``) and the core
+The simulator has one two-implementations-one-semantics axis: the core
 (``core_mode``: the per-component object network versus the flat C
-core).  Every run of a seeded randomized configuration must produce a
+core).  Every run of a seeded configuration must produce a
 field-for-field identical :class:`~repro.core.results.SimulationResult`
-under all four (kernel, core) combinations, with the
-(exhaustive, objects) corner as the executable specification.
+under both, with the object core -- stepped every cycle by the kernel
+-- as the executable specification.
 
 The flat core lowers the *whole network* -- every router and interface
--- into global flat arrays walked once per cycle, so its combinations
-exercise a completely independent implementation of VC allocation,
-switch arbitration, link transport and injection against the same
-semantics: same arrival cycles, same FIFO order per link, same wake
-cycles reported to the activity kernel.  Everything is driven by seeded
-``random.Random`` instances, so failures reproduce exactly.
+-- into global flat arrays walked once per cycle, and lets the kernel
+jump over the idle spans it forecasts, so it exercises a completely
+independent implementation of VC allocation, switch arbitration, link
+transport, injection and idle skipping against the same semantics:
+same arrival cycles, same FIFO order per link, same RNG draws, same
+final cycle.  Everything is driven by seeded ``random.Random``
+instances, so failures reproduce exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.simulator import NetworkSimulator
-
-KERNEL_MODES = ("exhaustive", "activity")
-CORE_MODES = ("objects", "flat")
-
-#: All four schedule combinations; the first entry is the specification
-#: corner every other combination is compared against.
-SCHEDULE_CUBE = tuple(itertools.product(KERNEL_MODES, CORE_MODES))
-assert SCHEDULE_CUBE[0] == ("exhaustive", "objects")
-
 
 def _random_config(seed: int) -> SimulationConfig:
     """A small, drainable configuration drawn from a seeded RNG.
@@ -68,11 +58,11 @@ def _random_config(seed: int) -> SimulationConfig:
     )
 
 
-def _run(config: SimulationConfig, kernel: str, core: str = "objects"):
-    return NetworkSimulator(config.variant(core_mode=core), kernel_mode=kernel).run()
+def _run(config: SimulationConfig, core: str):
+    return NetworkSimulator(config.variant(core_mode=core)).run()
 
 
-def _assert_equivalent(actual, reference, combo) -> None:
+def _assert_equivalent(actual, reference) -> None:
     """Field-for-field equality of everything the simulation computed.
 
     The configs deliberately differ in ``core_mode`` only, so the
@@ -81,120 +71,177 @@ def _assert_equivalent(actual, reference, combo) -> None:
     """
     expected = reference.summary.as_dict()
     got = actual.summary.as_dict()
-    assert set(got) == set(expected), combo
+    assert set(got) == set(expected)
     for field, value in expected.items():
         assert got[field] == value, (
-            f"LatencySummary.{field} diverged under {combo}: "
+            f"LatencySummary.{field} diverged on the flat core: "
             f"{got[field]!r} != {value!r}"
         )
-    assert actual.cycles == reference.cycles, combo
-    assert actual.zero_load_latency == reference.zero_load_latency, combo
-    assert actual.effective_message_rate == reference.effective_message_rate, combo
-    assert actual.drain == reference.drain, combo
-    assert (
-        actual.config.variant(core_mode="objects")
-        == reference.config.variant(core_mode="objects")
-    ), combo
+    assert actual.cycles == reference.cycles
+    assert actual.zero_load_latency == reference.zero_load_latency
+    assert actual.effective_message_rate == reference.effective_message_rate
+    assert actual.drain == reference.drain
+    assert actual.config.variant(core_mode="objects") == reference.config.variant(
+        core_mode="objects"
+    )
+
+
+def _assert_cores_agree(config: SimulationConfig):
+    """Run ``config`` on the object core (the specification) and the flat
+    core, compare, and return the reference result."""
+    reference = _run(config, "objects")
+    _assert_equivalent(_run(config, "flat"), reference)
+    return reference
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_full_schedule_cube_is_bit_identical(seed):
-    """Every (kernel, core) combination reproduces the (exhaustive,
-    objects) specification corner bit for bit on a randomized
-    configuration."""
-    config = _random_config(seed)
-    baseline = _run(config, *SCHEDULE_CUBE[0])
-    for combo in SCHEDULE_CUBE[1:]:
-        _assert_equivalent(_run(config, *combo), baseline, combo)
+    """The flat core reproduces the object core bit for bit on a
+    randomized configuration."""
+    _assert_cores_agree(_random_config(seed))
 
 
-#: Contention-heavy variants: few VCs, shallow buffers and long messages
-#: force credit stalls and busy links -- the regime where an ordering bug
-#: in the flat core's arrival wheels diverges.
-CONTENTION_GRID = [
-    {"vcs_per_port": 2, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.9},
-    {"vcs_per_port": 2, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.6,
-     "traffic": "transpose"},
-    {"vcs_per_port": 2, "buffer_depth": 5, "message_length": 4, "normalized_load": 0.9,
-     "injection": "bernoulli"},
+#: (routing, traffic, injection, load) grid covering the adaptive and
+#: deterministic routers, random and permutation patterns (including the
+#: clamped mesh tornado), both injection processes, and a load close to
+#: saturation where the network stays busy end to end.
+GRID = [
+    ("duato", "uniform", "exponential", 0.2),
+    ("duato", "shuffle", "exponential", 0.15),
+    ("duato", "uniform", "bernoulli", 0.3),
+    ("dimension-order", "transpose", "exponential", 0.2),
+    ("west-first", "tornado", "exponential", 0.25),
+    ("duato", "uniform", "exponential", 0.75),
 ]
 
 
-@pytest.mark.parametrize("kernel_mode", KERNEL_MODES)
 @pytest.mark.parametrize(
-    "overrides",
-    CONTENTION_GRID,
-    ids=[
-        f"vcs{o['vcs_per_port']}-buf{o['buffer_depth']}-len{o['message_length']}"
-        f"-load{o['normalized_load']}"
-        for o in CONTENTION_GRID
-    ],
+    ("routing", "traffic", "injection", "load"),
+    GRID,
+    ids=[f"{r}-{t}-{i}-{l}" for r, t, i, l in GRID],
 )
-def test_link_axis_under_contention(overrides, kernel_mode):
+def test_latency_summary_is_bit_identical(routing, traffic, injection, load):
+    _assert_cores_agree(
+        SimulationConfig.tiny(
+            routing=routing,
+            traffic=traffic,
+            injection=injection,
+            normalized_load=load,
+            seed=11,
+        )
+    )
+
+
+#: Contention-heavy variants: few VCs, shallow buffers and long messages
+#: force VC-allocation failures, credit stalls and busy links -- the
+#: regime where an ordering bug in the flat core's arrival wheels, or
+#: an unsound forecast (a header blocked on an output VC that its own
+#: router's switch stage frees later in the same cycle), diverges.  The
+#: re-seeded rows replay the three hardest shapes on other traffic draws.
+CONTENTION_GRID = [
+    {"vcs_per_port": 2, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.6},
+    {"vcs_per_port": 2, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.9},
+    {"vcs_per_port": 2, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.9,
+     "seed": 2},
+    {"vcs_per_port": 2, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.9,
+     "seed": 3},
+    {"vcs_per_port": 2, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.6,
+     "traffic": "transpose"},
+    {"vcs_per_port": 2, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.6,
+     "traffic": "transpose", "seed": 2},
+    {"vcs_per_port": 3, "buffer_depth": 2, "message_length": 8, "normalized_load": 0.6,
+     "traffic": "transpose"},
+    {"vcs_per_port": 2, "buffer_depth": 5, "message_length": 4, "normalized_load": 0.9,
+     "injection": "bernoulli"},
+    {"vcs_per_port": 2, "buffer_depth": 5, "message_length": 4, "normalized_load": 0.9,
+     "injection": "bernoulli", "seed": 2},
+    {"vcs_per_port": 2, "buffer_depth": 5, "message_length": 4, "normalized_load": 0.9,
+     "pipeline": "proud"},
+]
+
+
+def _contention_id(overrides) -> str:
+    extra = [
+        str(overrides[key])
+        for key in ("traffic", "injection", "pipeline")
+        if key in overrides
+    ]
+    if "seed" in overrides:
+        extra.append(f"seed{overrides['seed']}")
+    return "-".join(
+        [
+            f"vcs{overrides['vcs_per_port']}",
+            f"buf{overrides['buffer_depth']}",
+            f"len{overrides['message_length']}",
+            f"load{overrides['normalized_load']}",
+            *extra,
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides", CONTENTION_GRID, ids=[_contention_id(o) for o in CONTENTION_GRID]
+)
+def test_link_axis_under_contention(overrides):
     """Link transport under contention: the flat core's arrival wheels
     must deliver exactly what the object core's per-port mailboxes do."""
-    config = SimulationConfig.tiny(seed=1).variant(
-        measure_messages=150, warmup_messages=20, **overrides
+    _assert_cores_agree(
+        SimulationConfig.tiny(seed=1).variant(
+            measure_messages=150, warmup_messages=20, **overrides
+        )
     )
-    reference = _run(config, kernel_mode, "objects")
-    flat = _run(config, kernel_mode, "flat")
-    _assert_equivalent(flat, reference, (kernel_mode, "flat"))
+
+
+def test_equivalence_across_selectors_with_rng_draws():
+    """The 'random' selector draws from per-router RNG streams during VC
+    allocation; cycles the flat core skips must not shift those draws."""
+    _assert_cores_agree(
+        SimulationConfig.tiny(selector="random", normalized_load=0.35, seed=3)
+    )
+
+
+def test_equivalence_on_proud_pipeline_without_lookahead():
+    _assert_cores_agree(
+        SimulationConfig.tiny(pipeline="proud", normalized_load=0.2, seed=5)
+    )
+
+
+def test_equivalence_when_budget_caps_the_run():
+    """With a hard cycle limit the clock must land on the same cycle,
+    even though the flat core fast-forwards over idle spans."""
+    config = SimulationConfig.tiny(normalized_load=0.1, max_cycles=400, seed=9)
+    reference = _assert_cores_agree(config)
+    assert reference.cycles == 400
 
 
 def test_single_flit_messages_cross_the_cube():
     """Head==tail flits exercise every transport transition in one entry:
-    the whole cube must agree on a single-flit workload."""
-    config = SimulationConfig.tiny(
-        message_length=1, normalized_load=0.5, seed=11
+    both cores must agree on a single-flit workload."""
+    _assert_cores_agree(
+        SimulationConfig.tiny(message_length=1, normalized_load=0.5, seed=11)
     )
-    baseline = _run(config, *SCHEDULE_CUBE[0])
-    for combo in SCHEDULE_CUBE[1:]:
-        _assert_equivalent(_run(config, *combo), baseline, combo)
 
 
 def test_multi_cycle_link_and_credit_delays():
-    """Delays above one cycle stagger arrivals across cycles: the whole
-    cube must still agree."""
-    config = SimulationConfig.tiny(
-        link_delay=2, credit_delay=3, normalized_load=0.4, seed=13
+    """Delays above one cycle stagger arrivals across cycles: both cores
+    must still agree."""
+    _assert_cores_agree(
+        SimulationConfig.tiny(link_delay=2, credit_delay=3, normalized_load=0.4, seed=13)
     )
-    baseline = _run(config, *SCHEDULE_CUBE[0])
-    for combo in SCHEDULE_CUBE[1:]:
-        _assert_equivalent(_run(config, *combo), baseline, combo)
 
 
 def test_core_mode_recorded_in_result_config():
     config = SimulationConfig.tiny(normalized_load=0.1, seed=5)
-    objects = _run(config, "activity", "objects")
-    flat = _run(config, "activity", "flat")
+    objects = _run(config, "objects")
+    flat = _run(config, "flat")
     assert objects.config.core_mode == "objects"
     assert flat.config.core_mode == "flat"
 
 
-def test_link_axis_identical_json_across_kernels():
-    """The object core's link transport (per-port mailboxes) must give
-    the same full result JSON -- config included -- across the kernel
-    axis."""
-    config = SimulationConfig.tiny(normalized_load=0.6, seed=17)
-    activity = _run(config, "activity", "objects")
-    exhaustive = _run(config, "exhaustive", "objects")
-    assert activity.to_json() == exhaustive.to_json()
-
-
-def test_core_axis_identical_json_across_kernels():
-    """For the flat core the full result JSON -- config included -- must
-    match across the kernel axis."""
-    config = SimulationConfig.tiny(normalized_load=0.6, seed=17)
-    activity = _run(config, "activity", "flat")
-    exhaustive = _run(config, "exhaustive", "flat")
-    assert activity.to_json() == exhaustive.to_json()
-
-
 #: The workload axis: closed-loop workloads.  One small instance per
-#: built-in generator family plus the trace replayer; each must cross
-#: the whole four-combination cube bit for bit, drain metrics
-#: included (the flat core fires the same delivery callbacks as the
-#: object interfaces).
+#: built-in generator family plus the trace replayer; both cores must
+#: agree bit for bit, drain metrics included (the flat core fires the
+#: same delivery callbacks as the object interfaces).
 def _workload_overrides():
     from repro.workload import example_trace_path
 
@@ -212,23 +259,20 @@ def _workload_overrides():
 
 @pytest.mark.parametrize("workload", sorted(_workload_overrides()))
 def test_workload_axis_crosses_the_cube(workload):
-    """Every closed-loop generator reproduces the specification corner
-    bit for bit -- summary, cycles and drain block -- under all four
-    (kernel, core) combinations."""
+    """Every closed-loop generator reproduces the object core bit for
+    bit on the flat core -- summary, cycles and drain block."""
     config = SimulationConfig(
         mesh_dims=(3, 3), message_length=4, seed=3,
         **_workload_overrides()[workload],
     )
-    baseline = _run(config, *SCHEDULE_CUBE[0])
+    baseline = _assert_cores_agree(config)
     assert baseline.drain is not None and baseline.drain["drained"], workload
-    for combo in SCHEDULE_CUBE[1:]:
-        _assert_equivalent(_run(config, *combo), baseline, combo)
 
 
-#: The topology axis: wrapping points crossing the full cube.  The
+#: The topology axis: wrapping points on both cores.  The
 #: saturation-load uniform and tornado runs on the 4x4x4 torus are the
 #: acceptance workloads for the dateline escape discipline -- wrap-link
-#: pressure in every dimension, in both cores, under both kernels.
+#: pressure in every dimension, in both cores.
 TORUS_POINTS = {
     "torus2d-tornado-duato": dict(
         mesh_dims=(4, 4), torus=True, routing="duato", num_escape_vcs=2,
@@ -252,21 +296,19 @@ TORUS_POINTS = {
 
 @pytest.mark.parametrize("point", sorted(TORUS_POINTS))
 def test_torus_axis_crosses_the_cube(point):
-    """Every wrapping-topology point reproduces the specification corner
-    bit for bit under all four (kernel, core) combinations -- the
-    dateline discipline is mirrored exactly."""
+    """Every wrapping-topology point reproduces the object core bit for
+    bit on the flat core -- the dateline discipline is mirrored
+    exactly."""
     config = SimulationConfig(
         message_length=4, warmup_messages=20, measure_messages=120, seed=9,
         **TORUS_POINTS[point],
     )
-    baseline = _run(config, *SCHEDULE_CUBE[0])
+    baseline = _assert_cores_agree(config)
     # Full measured completion is the no-deadlock witness: the run stops
     # the cycle the last measured message ejects, so warmup stragglers
     # may legitimately still be in flight.
     assert baseline.summary.measured == config.measure_messages, point
     assert baseline.summary.completion_ratio == 1.0, point
-    for combo in SCHEDULE_CUBE[1:]:
-        _assert_equivalent(_run(config, *combo), baseline, combo)
 
 
 def test_config_rejects_unknown_core_mode():
