@@ -132,13 +132,6 @@ RULES: Dict[str, Rule] = {
             "SimulationConfig field; the spec would raise only when it is "
             "expanded and run.",
         ),
-        Rule(
-            "R003",
-            "incomplete-schedule-mode-pair",
-            "Every two-implementations-one-semantics registry kind must "
-            "ship both its reference and its fast entry, or the "
-            "equivalence suite silently stops covering the pair.",
-        ),
     )
 }
 

@@ -1,6 +1,6 @@
 """R-checks: registry and study-spec consistency.
 
-Three contracts over the live registries and the shipped study specs:
+Two contracts over the live registries and the built-in study builders:
 
 * **R001** -- every registered entry is constructible through its
   documented factory signature (see the table in :mod:`repro.registry`),
@@ -10,18 +10,13 @@ Three contracts over the live registries and the shipped study specs:
 * **R002** -- every configuration key a builtin study spec can apply
   (``base``, axis ``field``, variant and scenario ``overrides``) is a
   real :class:`~repro.core.config.SimulationConfig` field, checked for
-  both the registered study builders and the shipped JSON spec files.
-* **R003** -- the ``core`` registry kind ships its full pair: the
-  ``objects`` reference and the ``flat`` fast path, so the
-  objects-vs-flat equivalence suite keeps covering what users can
-  select.
+  every registered study builder.
 """
 
 from __future__ import annotations
 
 import importlib.util
 from dataclasses import fields
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.base import Checker
@@ -29,17 +24,10 @@ from repro.analysis.findings import Finding
 from repro.analysis.source import PythonSource
 
 __all__ = [
-    "REQUIRED_SCHEDULE_PAIRS",
     "RegistryChecker",
     "probe_registry_entries",
-    "schedule_pair_findings",
     "study_spec_findings",
 ]
-
-#: Mode-style registry kinds and the entries each must ship (R003).
-REQUIRED_SCHEDULE_PAIRS: Dict[str, Tuple[str, ...]] = {
-    "core": ("objects", "flat"),
-}
 
 
 def _probe_config():
@@ -56,10 +44,9 @@ def _probe_rng():
 
 def _probes() -> Dict[str, Callable[[object, str], None]]:
     """Per-kind constructibility probes: ``probe(factory, name)`` raises
-    on failure.  Instances of the schedule kinds are type-checked against
-    their declared base class instead of called."""
+    on failure.  Pipeline timings are type-checked against their class
+    instead of called."""
     from repro.core.config import SimulationConfig
-    from repro.network.flatcore import CoreSchedule
     from repro.router.pipeline import PipelineTiming
     from repro.scenario.spec import Study
     from repro.core.simulator import build_table, build_topology
@@ -137,7 +124,6 @@ def _probes() -> Dict[str, Callable[[object, str], None]]:
         "traffic": lambda factory, name: factory(topology),
         "injection": lambda factory, name: factory(base, 0.01),
         "pipeline": _expect_instance(PipelineTiming),
-        "core": _expect_instance(CoreSchedule),
         "reporter": _expect_callable,
         "analytic": _expect_callable,
         "study": _probe_study,
@@ -236,19 +222,9 @@ def study_spec_findings(study, origin: str) -> List[Finding]:
     return findings
 
 
-def _builtin_spec_files() -> List[Path]:
-    """The shipped JSON study specs (next to repro.scenario.builtin)."""
-    import repro.scenario.builtin as builtin
-
-    spec_dir = Path(builtin.__file__).parent
-    return sorted(spec_dir.glob("*.json"))
-
-
 def _all_builtin_studies() -> List[Tuple[object, str]]:
-    """Every builtin study with its origin: registered builders and the
-    shipped JSON spec files (both must stay field-consistent)."""
+    """Every registered builtin study with its origin."""
     from repro.registry import STUDIES
-    from repro.scenario.spec import Study
 
     studies: List[Tuple[object, str]] = []
     for name in STUDIES.names():
@@ -259,54 +235,16 @@ def _all_builtin_studies() -> List[Tuple[object, str]]:
             # R001's study probe reports the construction failure.
             continue
         studies.append((study, f"<builtin study {name!r}>"))
-    for path in _builtin_spec_files():
-        try:
-            study = Study.from_json(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as error:
-            studies.append((None, f"{path}: unreadable spec ({error})"))
-            continue
-        studies.append((study, str(path)))
     return studies
 
 
-def schedule_pair_findings() -> List[Finding]:
-    """R003 findings for mode kinds missing part of their schedule pair."""
-    from repro.registry import REGISTRIES
-
-    findings: List[Finding] = []
-    for kind, required in sorted(REQUIRED_SCHEDULE_PAIRS.items()):
-        registered = set(REGISTRIES[kind].names())
-        for name in required:
-            if name not in registered:
-                findings.append(
-                    Finding(
-                        rule="R003",
-                        path="src/repro/registry.py",
-                        line=1,
-                        message=(
-                            f"registry kind {kind!r} is missing its "
-                            f"{name!r} schedule entry; both halves of the "
-                            "two-implementations-one-semantics pair must "
-                            "be registered"
-                        ),
-                    )
-                )
-    return findings
-
-
 class RegistryChecker(Checker):
-    """Project-level R-checks over the live registries and builtin specs."""
+    """Project-level R-checks over the live registries and builtin studies."""
 
-    rules = ("R001", "R002", "R003")
+    rules = ("R001", "R002")
 
     def check_project(self, sources: Sequence[PythonSource]) -> List[Finding]:
         findings = probe_registry_entries()
         for study, origin in _all_builtin_studies():
-            if study is None:
-                findings.append(
-                    Finding(rule="R002", path=origin, line=1, message=origin)
-                )
-                continue
             findings.extend(study_spec_findings(study, origin))
-        findings.extend(schedule_pair_findings())
         return findings

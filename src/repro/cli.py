@@ -1,6 +1,6 @@
 """Command-line interface for the LAPSES reproduction.
 
-Five subcommands cover the common workflows:
+Four subcommands cover the common workflows:
 
 ``study``
     Run a declarative study: a JSON spec file or the name of a built-in
@@ -12,23 +12,17 @@ Five subcommands cover the common workflows:
     Simulate a single configuration and print its summary.
 ``sweep``
     Run a latency-versus-load sweep for one configuration.
-``experiment``
-    Regenerate one of the paper's tables/figures (figure5, table3,
-    figure6, table4, table5, figure7) at a chosen scale.
-``campaign``
-    Run every paper experiment and print the Markdown report.
 ``lint``
     Run the house-style linter (:mod:`repro.analysis`): determinism,
     cache-key drift, wake-contract and registry/spec checks.
 
-``run``/``sweep``/``experiment``/``campaign`` are thin wrappers that
-build the equivalent study spec and execute it through the same path as
-``study``.  Every simulation-backed subcommand accepts ``--workers N``
-(simulate N points at a time on a process pool; default serial) and
-``--cache-dir PATH`` (persist results as JSON keyed by the configuration
-hash, so repeated points are served from disk).  Results are
-bit-identical for any worker count because every simulation is seeded by
-its configuration.
+``run``/``sweep`` are thin wrappers that build the equivalent study spec
+and execute it through the same path as ``study``.  Every
+simulation-backed subcommand accepts ``--workers N`` (simulate N points
+at a time on a process pool; default serial) and ``--cache-dir PATH``
+(persist results as JSON keyed by the configuration hash, so repeated
+points are served from disk).  Results are bit-identical for any worker
+count because every simulation is seeded by its configuration.
 
 The console script ``lapses`` (installed with the package) and
 ``python -m repro.cli`` both dispatch to :func:`main`.
@@ -38,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import List, Optional, Sequence
 
 from repro import registry
@@ -51,15 +44,6 @@ from repro.scenario import builtin as builtin_studies
 from repro.selection.heuristics import SELECTOR_NAMES
 
 __all__ = ["build_parser", "main"]
-
-#: Experiment names accepted by the ``experiment`` subcommand.
-EXPERIMENTS = ("figure5", "table3", "figure6", "table4", "table5", "figure7")
-
-_SCALES = {
-    "tiny": SimulationConfig.tiny,
-    "small": SimulationConfig.small,
-    "paper": SimulationConfig.paper,
-}
 
 
 def _parse_dims(text: str) -> tuple:
@@ -77,13 +61,6 @@ def _parse_loads(text: str) -> List[float]:
         return [float(part) for part in text.split(",") if part]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid load list {text!r}; expected e.g. 0.1,0.2")
-
-
-def _parse_patterns(text: str) -> List[str]:
-    patterns = [part.strip() for part in text.split(",") if part.strip()]
-    if not patterns:
-        raise argparse.ArgumentTypeError("expected at least one traffic pattern")
-    return patterns
 
 
 def _parse_workers(text: str) -> int:
@@ -136,7 +113,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="virtual channels per physical channel")
     parser.add_argument("--core-mode", choices=("objects", "flat"),
                         default="flat", dest="core_mode",
-                        help="core schedule: flat C core (default) or the "
+                        help="network core: flat C core (default) or the "
                              "object network (reference; needs no compiler)")
     parser.add_argument("--messages", type=int, default=1200,
                         help="measured messages per data point")
@@ -207,32 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_arguments(sweep_parser)
     sweep_parser.add_argument("--loads", type=_parse_loads, default=[0.1, 0.2, 0.3, 0.4],
                               metavar="L1,L2,...", help="normalized loads to sweep")
-
-    experiment_parser = subparsers.add_parser(
-        "experiment", help="regenerate one of the paper's tables/figures"
-    )
-    experiment_parser.add_argument("name", choices=EXPERIMENTS,
-                                   help="which table/figure to regenerate")
-    experiment_parser.add_argument("--scale", choices=sorted(_SCALES), default="tiny",
-                                   help="simulation scale (default: tiny)")
-    experiment_parser.add_argument("--seed", type=int, default=1, help="master random seed")
-    _add_exec_arguments(experiment_parser)
-
-    campaign_parser = subparsers.add_parser(
-        "campaign", help="run every paper experiment and print the Markdown report"
-    )
-    campaign_parser.add_argument("--scale", choices=sorted(_SCALES), default="tiny",
-                                 help="simulation scale (default: tiny)")
-    campaign_parser.add_argument("--seed", type=int, default=1, help="master random seed")
-    campaign_parser.add_argument("--loads", type=_parse_loads, default=[0.15, 0.4],
-                                 metavar="L1,L2,...",
-                                 help="(low, high) normalized loads for the latency experiments")
-    campaign_parser.add_argument("--patterns", type=_parse_patterns,
-                                 default=["uniform", "transpose"], metavar="P1,P2,...",
-                                 help="traffic patterns for the simulation-backed experiments")
-    campaign_parser.add_argument("--output", default=None, metavar="FILE",
-                                 help="also write the Markdown report to FILE")
-    _add_exec_arguments(campaign_parser)
 
     lint_parser = subparsers.add_parser(
         "lint",
@@ -333,6 +284,7 @@ def _command_study(args: argparse.Namespace) -> int:
         with backend:
             outcome = _run_study_or_exit(study, backend)
         text = _render_study(outcome)
+        # Print before writing: a bad --output path must not discard the report.
         print(text)
         _write_output(text, args.output)
         _print_backend_summary(f"study {study.name}", backend)
@@ -376,78 +328,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiment_study(name: str, base: SimulationConfig) -> Study:
-    if name == "figure5":
-        return builtin_studies.lookahead_study(base)
-    if name == "table3":
-        return builtin_studies.message_length_study(base)
-    if name == "figure6":
-        return builtin_studies.path_selection_study(base)
-    if name == "table4":
-        return builtin_studies.table_storage_study(base, include_full_table=True)
-    if name == "table5":
-        return builtin_studies.cost_table_study(
-            num_nodes=base.num_nodes, n_dims=len(base.mesh_dims)
-        )
-    if name == "figure7":
-        return builtin_studies.es_programming_study()
-    raise ValueError(f"unknown experiment {name!r}")  # pragma: no cover
-
-
-def _command_experiment(args: argparse.Namespace) -> int:
-    # FutureWarning, not DeprecationWarning: the default filter hides the
-    # latter outside __main__, so the installed console script would never
-    # show the migration notice.
-    warnings.warn(
-        "the 'experiment' subcommand is a wrapper over the study path; "
-        f"prefer 'study {args.name}' (or a JSON spec file)",
-        FutureWarning,
-        stacklevel=2,
-    )
-    base = _SCALES[args.scale](seed=args.seed)
-    study = _experiment_study(args.name, base)
-    # table5 and figure7 are analytical: no simulations, so no backend (and
-    # no cache directory is created for them).
-    if _study_needs_backend(study):
-        with _backend_from_args(args) as backend:
-            outcome = run_study(study, backend=backend)
-    else:
-        outcome = run_study(study)
-    print(format_rows(outcome.rows, precision=2))
-    return 0
-
-
-def _command_campaign(args: argparse.Namespace) -> int:
-    # campaign_study interprets the list as (low, high): table3 samples only
-    # the low load and figure6 only the high one, so more than two loads
-    # would silently produce mismatched grids across experiments.
-    if not 1 <= len(args.loads) <= 2:
-        raise SystemExit(
-            "lapses: campaign --loads expects one or two loads (low[,high]), "
-            f"got {len(args.loads)}"
-        )
-    warnings.warn(
-        "the 'campaign' subcommand is a wrapper over the study path; "
-        "prefer 'study campaign' (or a JSON spec file)",
-        FutureWarning,
-        stacklevel=2,
-    )
-    base = _SCALES[args.scale](seed=args.seed)
-    study = builtin_studies.campaign_study(
-        base,
-        loads_low_high=tuple(args.loads),
-        traffic_patterns=tuple(args.patterns),
-    )
-    with _backend_from_args(args) as backend:
-        outcome = run_study(study, backend=backend)
-    text = outcome.to_markdown()
-    # Print before writing: a bad --output path must not discard the report.
-    print(text)
-    _write_output(text, args.output)
-    _print_backend_summary("campaign", backend)
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -458,10 +338,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_run(args)
     if args.command == "sweep":
         return _command_sweep(args)
-    if args.command == "experiment":
-        return _command_experiment(args)
-    if args.command == "campaign":
-        return _command_campaign(args)
     if args.command == "lint":
         from repro.analysis.runner import run_from_args
 

@@ -76,10 +76,10 @@ class SimulationConfig:
     link_delay: int = 1
     #: Credit return delay in cycles.
     credit_delay: int = 1
-    #: Core schedule: ``"flat"`` (the whole network lowered into one
+    #: Network core: ``"flat"`` (the whole network lowered into one
     #: flat struct-of-arrays kernel component, the default) or
     #: ``"objects"`` (the per-component router/interface network kept as
-    #: the executable specification).  Both schedules are bit-identical;
+    #: the executable specification).  Both cores are bit-identical;
     #: see :mod:`repro.network.flatcore`.
     core_mode: str = "flat"
 
@@ -166,6 +166,11 @@ class SimulationConfig:
             object.__setattr__(self, "link_delays", tuple(self.link_delays))
         if len(self.mesh_dims) < 1:
             raise ValueError("mesh_dims needs at least one dimension")
+        if self.core_mode not in ("objects", "flat"):
+            raise ValueError(
+                f"SimulationConfig.core_mode: unknown core {self.core_mode!r}; "
+                "expected 'objects' or 'flat'"
+            )
         if self.torus and self.topology == "mesh":
             raise ValueError(
                 "SimulationConfig: torus=True contradicts topology='mesh'; "

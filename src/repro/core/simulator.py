@@ -19,7 +19,7 @@ from repro.core.config import SimulationConfig
 from repro.core.results import SimulationResult
 from repro.engine.kernel import SimulationKernel
 from repro.engine.rng import SimulationRNG
-from repro.network.flatcore import FlatCoreParts, FlatNetworkCore, core_schedule_by_name
+from repro.network.flatcore import FlatCoreParts, FlatNetworkCore
 from repro.network.network import Network
 from repro.network.topology import Topology
 from repro.router.config import RouterConfig
@@ -167,7 +167,7 @@ class NetworkSimulator:
         self._kernel = SimulationKernel()
         self._network: Optional[Network]
         self._core: Optional[FlatNetworkCore]
-        if core_schedule_by_name(config.core_mode).flat:
+        if config.core_mode == "flat":
             selectors = [
                 self._make_selector(node) for node in range(self._topology.num_nodes)
             ]

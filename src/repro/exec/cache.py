@@ -71,7 +71,10 @@ __all__ = [
 #: (added in versions 4 and 5) were removed with their batched
 #: implementations, together with their component provenance, so every
 #: entry keyed on them hashes to a different slot.
-CACHE_FORMAT_VERSION = 10
+#: Version 11: ``core_mode`` became a closed two-value field instead of a
+#: registry kind, so its schedule provenance left the component map and
+#: every entry keyed on it hashes to a different slot.
+CACHE_FORMAT_VERSION = 11
 
 #: ``*.tmp`` files younger than this many seconds are presumed to belong
 #: to a live concurrent writer and are left alone by :meth:`ResultCache.clear`.

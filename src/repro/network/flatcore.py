@@ -1,7 +1,8 @@
-"""Core schedules: the object network vs. the flat struct-of-arrays core.
+"""Network cores: the object network vs. the flat struct-of-arrays core.
 
 The simulator's one two-implementations-one-semantics axis, selected
-by :attr:`~repro.core.config.SimulationConfig.core_mode`:
+by :attr:`~repro.core.config.SimulationConfig.core_mode` (a closed
+choice of two; the simulator branches on it directly):
 
 ``"objects"``
     The executable specification.  The simulator assembles an object
@@ -28,7 +29,7 @@ by :attr:`~repro.core.config.SimulationConfig.core_mode`:
     and the kernel jumps the clock over the idle spans it reports.
     The benchmark trajectory of this path lives in ``perfbench/``.
 
-Both schedules are bit-identical: the flat core replays the object
+Both cores are bit-identical: the flat core replays the object
 core's per-cycle phase order exactly (all routers deliver, interfaces
 deliver, routers evaluate in node order, interfaces evaluate in node
 order) and keeps every RNG consultation site (path selectors, traffic
@@ -68,7 +69,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.network.topology import LOCAL_PORT, port_direction
-from repro.registry import CORE_MODES, register
 from repro.selection.base import OutputPortStatus, PathSelector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,62 +77,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.routing.base import RoutingAlgorithm
 
 __all__ = [
-    "CORE_MODE_NAMES",
-    "CoreSchedule",
-    "FLAT",
     "FlatCoreParts",
     "FlatNetworkCore",
-    "OBJECTS",
     "build_command",
     "core_extension",
-    "core_schedule_by_name",
     "extension_path",
 ]
 
 #: The C core's source, compiled on first use (see "The C core" above).
 _SOURCE = Path(__file__).with_name("_flatcore.c")
-
-
-@dataclass(frozen=True)
-class CoreSchedule:
-    """One named implementation of the whole-network core.
-
-    Parameters
-    ----------
-    name:
-        Report name ("objects" or "flat").
-    flat:
-        Whether the simulator should build a :class:`FlatNetworkCore`
-        instead of assembling an object network and registering its
-        components individually.
-    """
-
-    name: str
-    flat: bool
-
-
-#: The per-component object network (the executable specification).
-OBJECTS = CoreSchedule(name="objects", flat=False)
-
-#: The flat struct-of-arrays whole-network core (default).
-FLAT = CoreSchedule(name="flat", flat=True)
-
-register("core", OBJECTS.name, obj=OBJECTS, provenance=f"{__name__}:OBJECTS")
-register("core", FLAT.name, obj=FLAT, provenance=f"{__name__}:FLAT")
-
-#: Built-in schedule names.
-CORE_MODE_NAMES = (OBJECTS.name, FLAT.name)
-
-
-def core_schedule_by_name(name: str) -> CoreSchedule:
-    """Look up a registered core schedule by its report name."""
-    schedule = CORE_MODES.get(name)
-    if not isinstance(schedule, CoreSchedule):
-        raise ValueError(
-            f"core mode {name!r} is registered but is not a CoreSchedule: "
-            f"{schedule!r}"
-        )
-    return schedule
 
 
 def _cache_dir() -> Path:

@@ -1,9 +1,9 @@
 """Named, introspectable plugin registries for every pluggable component.
 
-The simulator is assembled from nine kinds of interchangeable parts --
+The simulator is assembled from eight kinds of interchangeable parts --
 topologies, routing algorithms, routing-table organisations,
 path-selection heuristics, traffic patterns, injection processes, router
-pipelines, core schedules and closed-loop workloads -- plus the scenario layer's
+pipelines and closed-loop workloads -- plus the scenario layer's
 reporters, analytic experiments and built-in studies.  Each kind has a :class:`Registry`
 mapping report names (the strings stored in
 :class:`~repro.core.config.SimulationConfig`) to factories, so user code
@@ -29,7 +29,6 @@ Factory signatures by kind (what the simulator calls for each entry):
 ``traffic``    ``factory(topology, **kwargs) -> TrafficPattern``
 ``injection``  ``factory(config, rate) -> InjectionProcess``
 ``pipeline``   a :class:`~repro.router.pipeline.PipelineTiming` instance
-``core``       a :class:`~repro.network.flatcore.CoreSchedule` instance
 ``workload``   ``factory(config, topology) -> WorkloadDag``
 ``reporter``   ``reporter(study, points, results, **options) -> rows``
 ``analytic``   ``analytic(**options) -> rows``
@@ -54,7 +53,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ANALYTICS",
-    "CORE_MODES",
     "INJECTIONS",
     "PIPELINES",
     "REGISTRIES",
@@ -257,7 +255,6 @@ SELECTORS = Registry("path-selection heuristic", ["repro.selection.heuristics"])
 TRAFFIC_PATTERNS = Registry("traffic pattern", ["repro.traffic.patterns"])
 INJECTIONS = Registry("injection process", ["repro.traffic.injection"])
 PIPELINES = Registry("router pipeline", ["repro.router.pipeline"])
-CORE_MODES = Registry("core schedule", ["repro.network.flatcore"])
 WORKLOADS = Registry("closed-loop workload", ["repro.workload.builtin"])
 REPORTERS = Registry("study reporter", ["repro.scenario.reporters"])
 ANALYTICS = Registry("analytic experiment", ["repro.scenario.analytics"])
@@ -272,7 +269,6 @@ REGISTRIES: Dict[str, Registry] = {
     "traffic": TRAFFIC_PATTERNS,
     "injection": INJECTIONS,
     "pipeline": PIPELINES,
-    "core": CORE_MODES,
     "workload": WORKLOADS,
     "reporter": REPORTERS,
     "analytic": ANALYTICS,
@@ -312,7 +308,6 @@ CONFIG_FIELD_KINDS: Dict[str, str] = {
     "table": "table",
     "selector": "selector",
     "pipeline": "pipeline",
-    "core_mode": "core",
     "injection": "injection",
     # Optional: None selects open-loop traffic and is skipped by the
     # validation/provenance walks below.

@@ -6,9 +6,9 @@ declarative :class:`~repro.scenario.spec.Study` built from a base
 configuration and the experiment's sweep axes; ``run_study(<builder>(...))``
 runs one.  The zero-argument builders registered in the ``study``
 registry are what ``load_study(name)`` (and so ``repro.cli study
-<name>``) calls.  The JSON files next to this module (``figure5.json``,
-...) are their serialized copies, kept in step by
-``tests/test_scenario_spec.py`` and the ``lint`` R-checks.
+<name>``) calls; they are the only copy of each built-in study.  To
+start a spec file of your own, serialize one:
+``load_study("figure5").to_json()``.
 
 Spec bases store only the fields that differ from ``SimulationConfig()``;
 :meth:`~repro.scenario.spec.Study.base_config` fills in the defaults, so
@@ -19,7 +19,6 @@ of each study are pinned by digests in ``tests/test_scenario_golden.py``.
 from __future__ import annotations
 
 from dataclasses import replace
-from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.config import SimulationConfig
@@ -27,7 +26,6 @@ from repro.registry import register
 from repro.scenario.spec import Axis, Report, StopPolicy, Study, Variant
 
 __all__ = [
-    "BUILTIN_SPEC_DIR",
     "LOOKAHEAD_REFERENCE",
     "PAPER_SELECTORS",
     "ROUTER_VARIANTS",
@@ -41,7 +39,6 @@ __all__ = [
     "refine_sweep_study",
     "replicated_lookahead_study",
     "single_run_study",
-    "spec_path",
     "sweep_study",
     "table_storage_study",
     "torus3d_adaptivity_study",
@@ -49,9 +46,6 @@ __all__ = [
     "workload_allreduce_study",
     "workload_llm_decode_study",
 ]
-
-#: Directory holding the shipped JSON instances of the built-in studies.
-BUILTIN_SPEC_DIR = Path(__file__).resolve().parent
 
 #: The four router organisations of Figure 5, as configuration overrides.
 ROUTER_VARIANTS: Dict[str, Dict[str, str]] = {
@@ -73,11 +67,6 @@ TABLE_SCHEMES: Dict[str, str] = {
     "meta_deterministic": "meta-row",
     "economical": "economical",
 }
-
-
-def spec_path(name: str) -> Path:
-    """Path of the shipped JSON spec of one built-in study."""
-    return BUILTIN_SPEC_DIR / f"{name}.json"
 
 
 def _base_dict(base_config: Optional[SimulationConfig], **overrides) -> Dict[str, object]:
@@ -453,7 +442,7 @@ def workload_allreduce_study(
         ),
         axes=(
             # List-valued (not tuple) so the study equals its JSON
-            # round-trip, like every shipped mesh sweep.
+            # round-trip, like every built-in mesh sweep.
             Axis(
                 field="mesh_dims",
                 values=tuple(list(m) for m in mesh_sizes),
@@ -511,10 +500,17 @@ def campaign_study(
     """The full reproduction campaign as a suite of the six experiments.
 
     The (low, high) loads parameterize the latency experiments (Table 3
-    samples only the low load, Figure 6 only the high one).
+    samples only the low load, Figure 6 only the high one); a single load
+    serves as both.  Any other count raises ``ValueError``, since the
+    members would otherwise sample mismatched grids.
     """
     config = base_config if base_config is not None else SimulationConfig.small()
     loads = tuple(loads_low_high)
+    if not 1 <= len(loads) <= 2:
+        raise ValueError(
+            "campaign_study expects one or two loads (low[,high]), "
+            f"got {len(loads)}: {loads!r}"
+        )
     members = (
         lookahead_study(
             config, traffic_patterns=traffic_patterns, loads=loads
@@ -566,10 +562,8 @@ def campaign_study(
 
 # -- registered default-scale builders --------------------------------------------
 #
-# Zero-argument builders at SimulationConfig.tiny() scale, matching the CLI's
-# `experiment --scale tiny` default.  `load_study(name)` calls these; the
-# shipped JSON files are their serialized copies, kept in step by the spec
-# sync test and the lint R-checks.
+# Zero-argument builders at SimulationConfig.tiny() scale.  `load_study(name)`
+# calls these; the lint R-checks validate every one of them.
 
 
 @register("study", "run")

@@ -46,7 +46,7 @@ def test_rule_table_is_complete_and_stable():
         "D001", "D002", "D003", "D004",
         "C001", "C002",
         "W001",
-        "R001", "R002", "R003",
+        "R001", "R002",
     }
     for rule_id, rule in RULES.items():
         assert rule.id == rule_id
@@ -232,7 +232,7 @@ def test_exit_code_is_the_or_of_the_failing_family_bits():
     assert LintReport(findings=[finding("D001")]).exit_code == 1
     assert LintReport(findings=[finding("C002")]).exit_code == 2
     assert LintReport(findings=[finding("W001")]).exit_code == 4
-    assert LintReport(findings=[finding("R003")]).exit_code == 8
+    assert LintReport(findings=[finding("R001")]).exit_code == 8
     mixed = LintReport(
         findings=[finding("D001"), finding("W001"), finding("R001")]
     )

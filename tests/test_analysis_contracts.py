@@ -33,9 +33,7 @@ from repro.analysis.cachekey import (
     write_fingerprint,
 )
 from repro.analysis.registry_spec import (
-    REQUIRED_SCHEDULE_PAIRS,
     probe_registry_entries,
-    schedule_pair_findings,
     study_spec_findings,
 )
 from repro.analysis.runner import main, run_lint
@@ -254,28 +252,6 @@ def test_r002_accepts_real_config_fields():
     assert study_spec_findings(study, "<fixture>") == []
 
 
-def test_every_schedule_mode_ships_its_pair():
-    assert schedule_pair_findings() == []
-    for kind, required in REQUIRED_SCHEDULE_PAIRS.items():
-        assert set(required) <= set(REGISTRIES[kind].names())
-
-
-def test_r003_fires_when_half_a_pair_goes_missing():
-    registry = REGISTRIES["core"]
-    entry = registry.entry("flat")
-    registry.unregister("flat")
-    try:
-        findings = schedule_pair_findings()
-        assert [f.rule for f in findings] == ["R003"]
-        assert "'core'" in findings[0].message
-        assert "'flat'" in findings[0].message
-    finally:
-        registry.register(
-            "flat", obj=entry.factory, provenance=entry.provenance
-        )
-    assert schedule_pair_findings() == []
-
-
 # -- the repository itself is lint-clean ---------------------------------------------
 
 
@@ -309,7 +285,7 @@ def test_list_rules_covers_every_rule(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("D001", "D002", "D003", "D004", "C001", "C002",
-                    "W001", "R001", "R002", "R003"):
+                    "W001", "R001", "R002"):
         assert rule_id in out
 
 

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
-
-
-def wrapper_warns():
-    """The ``experiment``/``campaign`` subcommands warn that they wrap the
-    study path (see tests/test_deprecations.py)."""
-    return pytest.warns(FutureWarning, match="wrapper over the study path")
+from repro.cli import build_parser, main
 
 
 TINY_ARGS = [
@@ -83,32 +77,47 @@ def test_sweep_command_prints_one_row_per_load(capsys):
 
 
 def test_experiment_names_cover_every_paper_item():
-    assert set(EXPERIMENTS) == {
+    from repro.registry import STUDIES
+
+    assert set(STUDIES.names()) >= {
         "figure5", "table3", "figure6", "table4", "table5", "figure7",
     }
 
 
+def test_retired_wrapper_subcommands_are_invalid_choices(capsys):
+    # Built-in studies run through `study <name>`, the only door to them.
+    for retired in ("experiment", "campaign"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([retired])
+        assert "invalid choice" in capsys.readouterr().err
+
+
 def test_experiment_table5_is_analytic_and_fast(capsys):
-    with wrapper_warns():
-        exit_code = main(["experiment", "table5", "--scale", "tiny"])
-    assert exit_code == 0
+    assert main(["study", "table5"]) == 0
     output = capsys.readouterr().out
     assert "economical-storage" in output
     assert "full-table" in output
 
 
-def test_experiment_figure7_prints_the_programming_table(capsys):
-    with wrapper_warns():
-        exit_code = main(["experiment", "figure7"])
-    assert exit_code == 0
+def test_experiment_figure7_prints_the_programming_table(tmp_path, capsys):
+    # The Figure 7 study, written out as a spec file, prints the same table
+    # as running the built-in by name.
+    from repro.scenario.builtin import es_programming_study
+
+    spec_file = tmp_path / "figure7.json"
+    spec_file.write_text(es_programming_study().to_json(), encoding="utf-8")
+    assert main(["study", str(spec_file)]) == 0
     output = capsys.readouterr().out
     assert "north_last_ports" in output
     assert "+Y" in output
 
 
-def test_experiment_rejects_unknown_name():
-    with pytest.raises(SystemExit):
-        main(["experiment", "figure99"])
+def test_experiment_rejects_unknown_name(tmp_path):
+    cache_dir = tmp_path / "never-created"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["study", "figure99", "--cache-dir", str(cache_dir)])
+    assert "unknown built-in study 'figure99'" in str(excinfo.value)
+    assert not cache_dir.exists()
 
 
 def test_run_command_caches_results(tmp_path, capsys):
@@ -128,35 +137,40 @@ def test_sweep_command_accepts_workers(capsys):
     assert len(lines) == 4
 
 
-def test_campaign_command_prints_markdown_report(capsys):
-    with wrapper_warns():
-        exit_code = main(
-            ["campaign", "--scale", "tiny", "--loads", "0.2", "--patterns", "uniform"]
-        )
-    assert exit_code == 0
+@pytest.fixture
+def campaign_spec(tmp_path):
+    """A one-load, one-pattern tiny campaign (21 simulations) as a spec file."""
+    from repro.core.config import SimulationConfig
+    from repro.scenario.builtin import campaign_study
+
+    study = campaign_study(
+        SimulationConfig.tiny(), loads_low_high=(0.2,), traffic_patterns=("uniform",)
+    )
+    spec_file = tmp_path / "campaign.json"
+    spec_file.write_text(study.to_json(), encoding="utf-8")
+    return str(spec_file)
+
+
+def test_campaign_command_prints_markdown_report(campaign_spec, capsys):
+    assert main(["study", campaign_spec]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("## Reproduction campaign")
     assert "### Figure 5" in captured.out
-    assert "simulations run" in captured.err
+    assert "study campaign: 21 simulations run" in captured.err
 
 
-def test_campaign_command_warm_cache_runs_zero_simulations(tmp_path, capsys):
-    cache_dir = str(tmp_path / "campaign-cache")
-    args = ["campaign", "--scale", "tiny", "--loads", "0.2",
-            "--patterns", "uniform", "--cache-dir", cache_dir]
-    with wrapper_warns():
-        assert main(args) == 0
+def test_campaign_command_warm_cache_runs_zero_simulations(campaign_spec, tmp_path, capsys):
+    args = ["study", campaign_spec, "--cache-dir", str(tmp_path / "campaign-cache")]
+    assert main(args) == 0
     capsys.readouterr()
-    with wrapper_warns():
-        assert main([*args, "--workers", "2"]) == 0
+    assert main([*args, "--workers", "2"]) == 0
     captured = capsys.readouterr()
-    assert "campaign: 0 simulations run" in captured.err
+    assert "study campaign: 0 simulations run" in captured.err
 
 
 def test_analytic_experiments_do_not_create_a_cache_dir(tmp_path, capsys):
     cache_dir = tmp_path / "never-created"
-    with wrapper_warns():
-        assert main(["experiment", "table5", "--cache-dir", str(cache_dir)]) == 0
+    assert main(["study", "table5", "--cache-dir", str(cache_dir)]) == 0
     capsys.readouterr()
     assert not cache_dir.exists()
 
@@ -176,30 +190,17 @@ def test_cache_dir_pointing_at_a_file_fails_cleanly(tmp_path):
     assert "cannot use cache directory" in str(excinfo.value)
 
 
-def test_campaign_bad_output_path_still_prints_the_report(capsys):
-    with pytest.raises(SystemExit) as excinfo, wrapper_warns():
-        main(["campaign", "--scale", "tiny", "--loads", "0.2",
-              "--patterns", "uniform", "--output", "/no/such/dir/report.md"])
+def test_campaign_bad_output_path_still_prints_the_report(campaign_spec, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["study", campaign_spec, "--output", "/no/such/dir/report.md"])
     assert "cannot write report" in str(excinfo.value)
     assert capsys.readouterr().out.startswith("## Reproduction campaign")
 
 
-def test_campaign_rejects_more_than_two_loads():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["campaign", "--scale", "tiny", "--loads", "0.1,0.2,0.3"])
-    assert "one or two loads" in str(excinfo.value)
-
-
-def test_campaign_command_writes_output_file(tmp_path, capsys):
+def test_campaign_command_writes_output_file(campaign_spec, tmp_path, capsys):
     output = tmp_path / "report.md"
-    with wrapper_warns():
-        exit_code = main(
-            ["campaign", "--scale", "tiny", "--loads", "0.2",
-             "--patterns", "uniform", "--output", str(output)]
-        )
-    assert exit_code == 0
-    capsys.readouterr()
-    assert output.read_text().startswith("## Reproduction campaign")
+    assert main(["study", campaign_spec, "--output", str(output)]) == 0
+    assert output.read_text() + "\n" == capsys.readouterr().out
 
 
 # -- the study subcommand ------------------------------------------------------------
@@ -262,12 +263,12 @@ def test_study_runs_a_spec_file_and_writes_output(tmp_path, capsys):
 
 def test_study_campaign_prints_markdown(tmp_path, capsys):
     # The tiny builtin campaign is the slowest study; trim it via a spec
-    # derived from the shipped one with only the two analytic members.
+    # derived from the builtin one with only the two analytic members.
     import json as json_module
 
-    from repro.scenario.builtin import spec_path
+    from repro.scenario import load_study
 
-    data = json_module.loads(spec_path("campaign").read_text(encoding="utf-8"))
+    data = load_study("campaign").to_dict()
     data["members"] = [m for m in data["members"] if m["kind"] == "analytic"]
     spec_file = tmp_path / "analytic_campaign.json"
     spec_file.write_text(json_module.dumps(data), encoding="utf-8")

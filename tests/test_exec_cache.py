@@ -218,7 +218,7 @@ def test_cache_key_is_stable_across_processes():
 # -- format v3+: component provenance in the key -------------------------------------
 
 
-def test_cache_format_is_v10():
+def test_cache_format_is_v11():
     # v3 added component provenance; v4 added the switch_mode config
     # field and its schedule provenance; v5 added link_mode; v6 added
     # core_mode and its schedule provenance; v7 added the closed-loop
@@ -226,14 +226,15 @@ def test_cache_format_is_v10():
     # v8 added the topology and link_delays fields (torus/torus3d
     # support); v9 added replications/seed_stride, the streaming p50/p99
     # summary fields and the replicates result block; v10 removed
-    # switch_mode and link_mode again (see CACHE_FORMAT_VERSION docs).
+    # switch_mode and link_mode again; v11 dropped the core_mode
+    # provenance (see CACHE_FORMAT_VERSION docs).
     from repro.exec.cache import CACHE_FORMAT_VERSION
 
-    assert CACHE_FORMAT_VERSION == 10
+    assert CACHE_FORMAT_VERSION == 11
 
 
 def test_core_mode_feeds_the_key():
-    # The two core schedules are bit-identical, but their results live in
+    # The two cores are bit-identical, but their results live in
     # distinct slots so pinned-core studies never serve each other's
     # entries.
     base = SimulationConfig.tiny()

@@ -118,11 +118,11 @@ def test_describe_registries_covers_every_kind():
 def test_component_provenance_is_stable_and_complete():
     config = SimulationConfig.tiny()
     provenance = registry.config_component_provenance(config)
+    # core_mode is a closed two-value field, keyed by its value alone.
     assert set(provenance) == {
         "traffic", "routing", "table", "selector", "pipeline", "injection",
-        "core_mode", "topology",
+        "topology",
     }
-    assert provenance["core_mode"] == "repro.network.flatcore:FLAT"
     assert provenance["traffic"] == "repro.traffic.patterns:UniformPattern"
     assert provenance == registry.config_component_provenance(config)
 

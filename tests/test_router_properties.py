@@ -36,7 +36,7 @@ from repro.core.config import SimulationConfig
 from repro.core.simulator import NetworkSimulator
 from repro.router.arbiter import RoundRobinArbiter
 
-CORE_MODES = ("objects", "flat")
+CORES = ("objects", "flat")
 
 
 # -- randomized end-to-end runs ------------------------------------------------------
@@ -141,7 +141,7 @@ def test_flit_and_credit_conservation(seed):
     assert forwarded == flit_hops
 
 
-@pytest.mark.parametrize("core_mode", CORE_MODES)
+@pytest.mark.parametrize("core_mode", CORES)
 def test_in_order_delivery_per_source_destination_vc(core_mode):
     """Deterministic routing + one VC per port = one FIFO lane per
     (source, destination, VC) triple: ejection order must equal creation

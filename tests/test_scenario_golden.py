@@ -61,7 +61,7 @@ def digest(rows) -> str:
     return hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
 
 
-def test_sweep_study_matches_run_load_sweep(cache_dir):
+def test_sweep_study_matches_golden_results(cache_dir):
     outcome = run_study(sweep_study(TINY, LOADS), backend=cached_backend(cache_dir))
     assert [p.config.normalized_load for p in outcome.points] == list(LOADS)
     # Every result field except the (already pinned) configuration.
@@ -75,7 +75,7 @@ def test_sweep_study_matches_run_load_sweep(cache_dir):
     assert digest(results) == GOLDEN_DIGESTS["sweep"]
 
 
-def test_figure5_study_matches_legacy_rows(cache_dir):
+def test_figure5_study_matches_golden_rows(cache_dir):
     outcome = run_study(
         lookahead_study(TINY, traffic_patterns=PATTERNS, loads=LOADS),
         backend=cached_backend(cache_dir),
@@ -83,7 +83,7 @@ def test_figure5_study_matches_legacy_rows(cache_dir):
     assert digest(outcome.rows) == GOLDEN_DIGESTS["figure5"]
 
 
-def test_table3_study_matches_legacy_rows(cache_dir):
+def test_table3_study_matches_golden_rows(cache_dir):
     outcome = run_study(
         message_length_study(
             TINY, message_lengths=(2, 8), traffic="uniform", load=LOADS[0]
@@ -93,7 +93,7 @@ def test_table3_study_matches_legacy_rows(cache_dir):
     assert digest(outcome.rows) == GOLDEN_DIGESTS["table3"]
 
 
-def test_figure6_study_matches_legacy_rows(cache_dir):
+def test_figure6_study_matches_golden_rows(cache_dir):
     outcome = run_study(
         path_selection_study(TINY, traffic_patterns=PATTERNS, loads=LOADS[-1:]),
         backend=cached_backend(cache_dir),
@@ -101,7 +101,7 @@ def test_figure6_study_matches_legacy_rows(cache_dir):
     assert digest(outcome.rows) == GOLDEN_DIGESTS["figure6"]
 
 
-def test_table4_study_matches_legacy_rows(cache_dir):
+def test_table4_study_matches_golden_rows(cache_dir):
     outcome = run_study(
         table_storage_study(
             TINY, traffic_patterns=PATTERNS, loads=LOADS, include_full_table=True
@@ -111,18 +111,18 @@ def test_table4_study_matches_legacy_rows(cache_dir):
     assert digest(outcome.rows) == GOLDEN_DIGESTS["table4"]
 
 
-def test_table5_study_matches_legacy_rows():
+def test_table5_study_matches_golden_rows():
     outcome = run_study(cost_table_study(num_nodes=16, n_dims=2))
     assert digest(outcome.rows) == GOLDEN_DIGESTS["table5"]
 
 
-def test_figure7_study_matches_legacy_rows():
+def test_figure7_study_matches_golden_rows():
     outcome = run_study(es_programming_study())
     assert digest(outcome.rows) == GOLDEN_DIGESTS["figure7"]
 
 
 @pytest.mark.slow
-def test_campaign_suite_markdown_matches_legacy_report(cache_dir):
+def test_campaign_suite_markdown_matches_golden_report(cache_dir):
     outcome = run_study(
         campaign_study(TINY, loads_low_high=LOADS, traffic_patterns=PATTERNS),
         backend=cached_backend(cache_dir),

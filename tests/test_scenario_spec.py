@@ -10,7 +10,6 @@ from repro.scenario import Axis, Report, Scenario, StopPolicy, Study, Variant, l
 from repro.scenario.builtin import (
     campaign_study,
     lookahead_study,
-    spec_path,
     sweep_study,
 )
 
@@ -56,22 +55,19 @@ def test_every_builtin_study_round_trips():
 
 
 def test_shipped_spec_files_match_the_registered_builders():
-    # The JSON files next to repro/scenario/builtin are the serialized
-    # default-parameter builders; this keeps them from rotting.  Their
-    # bases hold only overrides of SimulationConfig(), so adding a
-    # defaulted configuration field leaves every file unchanged.
+    # The registered builders are the only copy of each built-in study.
+    # Their bases hold only overrides of SimulationConfig(), so adding a
+    # defaulted configuration field leaves every serialized spec unchanged.
     defaults = SimulationConfig().to_dict()
     for name in STUDIES.names():
         built = STUDIES.get(name)()
-        shipped = Study.from_json(spec_path(name).read_text(encoding="utf-8"))
-        assert shipped == built, name
-        for study in (shipped,) + shipped.members:
+        for study in (built,) + built.members:
             for key, value in study.base.items():
                 assert value != defaults[key], (name, study.name, key)
 
 
 def test_spec_files_are_plain_json():
-    data = json.loads(spec_path("figure5").read_text(encoding="utf-8"))
+    data = json.loads(load_study("figure5").to_json())
     assert data["study"] == "figure5"
     assert data["kind"] == "grid"
     assert data["stop"] == {"mode": "reference", "reference": "la-adapt"}
@@ -197,6 +193,14 @@ def test_campaign_suite_contains_the_six_experiments():
     assert [member.name for member in suite.members] == [
         "figure5", "table3", "figure6", "table4", "table5", "figure7",
     ]
+
+
+@pytest.mark.parametrize("loads", [(), (0.1, 0.2, 0.3)], ids=["no-load", "three-loads"])
+def test_campaign_study_rejects_load_counts_other_than_one_or_two(loads):
+    # Table 3 samples the first load and Figure 6 the last, so any other
+    # count would build mismatched member grids.
+    with pytest.raises(ValueError, match="one or two loads"):
+        campaign_study(SimulationConfig.tiny(), loads_low_high=loads)
 
 
 def test_lookahead_study_appends_missing_reference():
