@@ -256,9 +256,8 @@ class SimulationConfig:
     def small(cls, **overrides) -> "SimulationConfig":
         """A scaled-down configuration preserving the paper's shape.
 
-        8x8 mesh, 20-flit messages, 4 VCs: small enough for tests and the
-        benchmark harness, large enough to show the adaptive-routing and
-        look-ahead effects.
+        8x8 mesh, 20-flit messages, 4 VCs: small enough for tests, large
+        enough to show the adaptive-routing and look-ahead effects.
         """
         base = cls(
             mesh_dims=(8, 8),

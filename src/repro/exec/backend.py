@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.cache import ResultCache, config_cache_key
 
@@ -61,6 +61,10 @@ class ExecutionBackend(ABC):
         self.cache = cache
         #: Simulations actually executed (cache hits are not counted).
         self.simulations_run = 0
+        #: Every result this backend simulated, by configuration: a point
+        #: submitted again (in a later batch or another suite member) is
+        #: not simulated twice, with or without a cache.
+        self._simulated: Dict["SimulationConfig", "SimulationResult"] = {}
 
     @property
     @abstractmethod
@@ -90,11 +94,12 @@ class ExecutionBackend(ABC):
         """Run a batch of configurations, returning results in submission order.
 
         Cached points are served from disk; only misses are simulated (and
-        then stored back).  Duplicate configurations within one batch are
-        simulated once.  A configuration with ``replications > 1`` fans
-        out into its seed-offset replicate configurations (each an
-        ordinary single-seed cache slot) and comes back as one merged
-        result carrying confidence intervals (see
+        then stored back).  A configuration this backend already simulated,
+        in this batch or an earlier one, is not simulated again.  A
+        configuration with ``replications > 1`` fans out into its
+        seed-offset replicate configurations (each an ordinary single-seed
+        cache slot) and comes back as one merged result carrying
+        confidence intervals (see
         :func:`repro.stats.confidence.merge_replicates`); the replicates
         run through the same cache/dedup/parallel path as everything
         else, so serial and pool backends stay bit-identical.
@@ -123,36 +128,32 @@ class ExecutionBackend(ABC):
     ) -> List["SimulationResult"]:
         """The cache-lookup/dedup/execute path for single-seed configurations."""
         results: List[Optional["SimulationResult"]] = [None] * len(configs)
-        pending_indices: List[int] = []
-        if self.cache is not None:
-            for index, config in enumerate(configs):
-                cached = self.cache.get(config)
-                if cached is not None:
-                    results[index] = cached
-                else:
-                    pending_indices.append(index)
-        else:
-            pending_indices = list(range(len(configs)))
+        # Unique configurations neither the cache nor this backend has a
+        # result for.  The cache is asked first, so its hit count is the
+        # same whether or not this backend ran the point before.
+        missing: Dict["SimulationConfig", None] = {}
+        for index, config in enumerate(configs):
+            if self.cache is not None:
+                results[index] = self.cache.get(config)
+            if results[index] is None:
+                results[index] = self._simulated.get(config)
+            if results[index] is None:
+                missing[config] = None
 
-        if pending_indices:
-            # Deduplicate identical configs within the batch.
-            unique: List["SimulationConfig"] = []
-            slot_of: dict = {}
-            for index in pending_indices:
-                config = configs[index]
-                if config not in slot_of:
-                    slot_of[config] = len(unique)
-                    unique.append(config)
+        if missing:
+            unique = list(missing)
             # Persist each point as soon as it completes, so an interrupted
             # batch loses only its in-flight points, never finished ones.
             def on_result(slot: int, result: "SimulationResult") -> None:
                 self.simulations_run += 1
+                self._simulated[unique[slot]] = result
                 if self.cache is not None:
                     self.cache.put(unique[slot], result)
 
-            executed = self._execute(unique, on_result)
-            for index in pending_indices:
-                results[index] = executed[slot_of[configs[index]]]
+            self._execute(unique, on_result)
+            for index, config in enumerate(configs):
+                if results[index] is None:
+                    results[index] = self._simulated[config]
         return results  # type: ignore[return-value]
 
     def run_one(self, config: "SimulationConfig") -> "SimulationResult":

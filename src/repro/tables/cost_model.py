@@ -5,7 +5,7 @@ economical-storage routing for a 2^N-node network along five axes: table
 size, scalability, adaptivity, topology coverage and lookup time.  This
 module reproduces the quantitative column (table size) exactly and encodes
 the qualitative columns so the comparison table can be regenerated
-programmatically by ``benchmarks/bench_table5_cost_model.py``.
+programmatically (``python -m repro.cli study table5``).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The paper evaluates four patterns -- uniform, transpose, bit-reversal and
 perfect shuffle -- "consistent with standard definitions for synthetic
 traffic patterns used in interconnection network studies" (Fulgham &
 Snyder).  Bit-complement, tornado, nearest-neighbour and hotspot patterns
-are provided as well for the extension benchmarks.
+are provided as well for studies beyond the paper's four patterns.
 
 The bit-oriented permutations operate on the binary node address (which
 requires a power-of-two node count); transpose swaps the X and Y

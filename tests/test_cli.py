@@ -139,7 +139,7 @@ def test_sweep_command_accepts_workers(capsys):
 
 @pytest.fixture
 def campaign_spec(tmp_path):
-    """A one-load, one-pattern tiny campaign (21 simulations) as a spec file."""
+    """A one-load, one-pattern tiny campaign (19 distinct simulations) as a spec file."""
     from repro.core.config import SimulationConfig
     from repro.scenario.builtin import campaign_study
 
@@ -156,7 +156,21 @@ def test_campaign_command_prints_markdown_report(campaign_spec, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("## Reproduction campaign")
     assert "### Figure 5" in captured.out
-    assert "study campaign: 21 simulations run" in captured.err
+    assert "study campaign: 19 simulations run" in captured.err
+
+
+def test_study_campaign_simulates_each_distinct_point_once(tmp_path, capsys):
+    # 6 of the built-in campaign's 50 points repeat another member's
+    # point; with or without a cache each is simulated once, and the
+    # report is the same.
+    assert main(["study", "campaign"]) == 0
+    uncached = capsys.readouterr()
+    assert uncached.err == "study campaign: 44 simulations run\n"
+    cache_dir = tmp_path / "campaign-cache"
+    assert main(["study", "campaign", "--cache-dir", str(cache_dir)]) == 0
+    cold = capsys.readouterr()
+    assert "study campaign: 44 simulations run, 6 served from cache" in cold.err
+    assert cold.out == uncached.out
 
 
 def test_campaign_command_warm_cache_runs_zero_simulations(campaign_spec, tmp_path, capsys):

@@ -1,9 +1,8 @@
-"""Tests that the example and benchmark scripts are importable and runnable.
+"""Tests that the example scripts are importable and runnable.
 
-Every example and every ``benchmarks/bench_*.py`` script is imported as a
-module, so a syntax error or a stale import cannot slip through unnoticed
-(examples run only under their ``__main__`` guard, benchmark scripts only
-define functions).  The three study scripts are also executed in their
+Every example is imported as a module, so a syntax error or a stale
+import cannot slip through unnoticed (examples run only under their
+``__main__`` guard).  The three study scripts are also executed in their
 ``--quick`` smoke-test mode as subprocesses (they exercise the public API
 end to end).
 """
@@ -24,7 +23,6 @@ EXAMPLES_DIR = REPO_ROOT / "examples"
 SRC_DIR = REPO_ROOT / "src"
 
 ALL_EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
-BENCH_SCRIPTS = sorted((REPO_ROOT / "benchmarks").glob("bench_*.py"))
 QUICK_EXAMPLES = [
     "lookahead_study.py",
     "path_selection_study.py",
@@ -48,12 +46,8 @@ def test_examples_directory_has_at_least_three_scenarios():
     assert (EXAMPLES_DIR / "quickstart.py").exists()
 
 
-@pytest.mark.parametrize(
-    "path", ALL_EXAMPLES + BENCH_SCRIPTS, ids=lambda path: path.name
-)
+@pytest.mark.parametrize("path", ALL_EXAMPLES, ids=lambda path: path.name)
 def test_every_example_compiles(path, monkeypatch):
-    # Benchmark scripts import ``benchmarks.conftest`` from the repo root.
-    monkeypatch.syspath_prepend(str(REPO_ROOT))
     registered = {kind: set(registry.names()) for kind, registry in REGISTRIES.items()}
     name = f"_import_check_{path.stem}"
     spec = importlib.util.spec_from_file_location(name, path)

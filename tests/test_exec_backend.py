@@ -97,6 +97,15 @@ def test_backend_deduplicates_identical_configs_within_a_batch():
     assert results[2].config.seed == 2
 
 
+def test_backend_does_not_resimulate_a_config_from_an_earlier_batch():
+    backend = FakeBackend()
+    config = SimulationConfig.tiny()
+    first = backend.run_configs([config])
+    again = backend.run_configs([config.variant(seed=2), config])
+    assert backend.simulations_run == 2
+    assert again[1] is first[0]
+
+
 def test_backend_serves_cache_hits_without_simulating(tmp_path):
     cache = ResultCache(tmp_path)
     config = SimulationConfig.tiny()

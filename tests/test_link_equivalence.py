@@ -230,6 +230,22 @@ def test_multi_cycle_link_and_credit_delays():
     )
 
 
+@pytest.mark.slow
+def test_paper_mesh_at_saturation_load():
+    """The paper's 16x16 mesh at load 0.8 (~3 s on the object core): the
+    only point of this file past the small meshes."""
+    _assert_cores_agree(
+        SimulationConfig(
+            mesh_dims=(16, 16),
+            message_length=20,
+            normalized_load=0.8,
+            warmup_messages=100,
+            measure_messages=400,
+            seed=7,
+        )
+    )
+
+
 def test_core_mode_recorded_in_result_config():
     config = SimulationConfig.tiny(normalized_load=0.1, seed=5)
     objects = _run(config, "objects")

@@ -12,6 +12,7 @@ from repro.scenario import Axis, Report, Scenario, StopPolicy, Study, Variant, r
 from repro.scenario.builtin import (
     cost_table_study,
     es_programming_study,
+    refine_sweep_study,
     single_run_study,
     sweep_study,
 )
@@ -287,6 +288,35 @@ def test_refine_bisects_toward_the_saturation_knee():
     sat = min(p for p, r in zip([0.1, 0.9, 0.5, 0.3, 0.4], outcome.results)
               if r.saturated)
     assert sat - unsat <= 0.1
+
+
+def test_refine_brackets_a_simulated_knee_in_fewer_points_than_a_fixed_grid():
+    # Transpose under dimension-order routing has a pronounced knee
+    # inside (0.1, 0.9); the window is long enough for the backlog past
+    # it to trip the saturation detector.
+    base = SimulationConfig(
+        mesh_dims=(8, 8),
+        traffic="transpose",
+        routing="dimension-order",
+        message_length=20,
+        warmup_messages=150,
+        measure_messages=1_200,
+        seed=7,
+    )
+    tolerance = 0.1
+    outcome = run_study(
+        refine_sweep_study(base, loads=(0.1, 0.9), tolerance=tolerance, max_points=0)
+    )
+    executed = [
+        (point.config.normalized_load, result.saturated)
+        for point, result in zip(outcome.points, outcome.results)
+    ]
+    high = min(load for load, saturated in executed if saturated)
+    low = max(load for load, saturated in executed if not saturated and load < high)
+    assert high - low <= tolerance + 1e-12, executed
+    # A fixed grid locating the knee as closely steps the whole span.
+    fixed_grid_points = round((0.9 - 0.1) / tolerance) + 1
+    assert len(executed) < fixed_grid_points, executed
 
 
 def test_refine_respects_the_point_budget():

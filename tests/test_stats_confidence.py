@@ -201,6 +201,22 @@ def test_p2_tracks_random_streams(fraction):
     assert abs(tracker.value - exact) < 0.02 * spread
 
 
+def test_p2_p50_and_p99_track_exact_percentiles_on_a_latency_stream():
+    # A seeded exponential latency stream (mean 80 above a 20-cycle
+    # floor): the five-marker trackers stay within 2% of the exact
+    # keep_samples percentiles.
+    rng = random.Random(7)
+    values = [rng.expovariate(1.0 / 80.0) + 20.0 for _ in range(50_000)]
+    streaming = RunningStats(quantiles=(0.5, 0.99))
+    exact = RunningStats(keep_samples=True)
+    for value in values:
+        streaming.add(value)
+        exact.add(value)
+    for fraction in (0.5, 0.99):
+        truth = exact.percentile(fraction)
+        assert abs(streaming.quantile(fraction) - truth) / truth < 0.02
+
+
 def test_p2_on_adversarial_streams():
     # Sorted input is the classic P² stressor; constant input must be
     # exact; a well-separated bimodal stream must land in the right mode.
