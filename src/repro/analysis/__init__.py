@@ -2,10 +2,9 @@
 
 The repo's fast path (the flat C core) stays bit-identical to its
 reference (the object core) only while a handful of conventions hold:
-seeded RNG streams only, no unordered iteration in simulation code, a
-hand-bumped ``CACHE_FORMAT_VERSION`` whenever the cache-key surface
-moves, and a pending counter or wake beside every growth of state that
-is read through a summary.  This package enforces those
+seeded RNG streams only, no unordered iteration in simulation code,
+a pending counter or wake beside every growth of state that is read
+through a summary, and registry entries and study specs that construct.  This package enforces those
 conventions *statically*, before an expensive campaign can diverge:
 
 =========  =========================================================
@@ -14,8 +13,6 @@ family     checks
 ``D``      determinism: set iteration, ambient ``random``, unseeded
            RNGs, wall-clock/`id()` ordering
            (:mod:`repro.analysis.determinism`)
-``C``      cache-key drift against the committed
-           ``cache_key.fingerprint`` (:mod:`repro.analysis.cachekey`)
 ``W``      wake-contract pairing at declared mutation sites
            (:mod:`repro.analysis.wake`)
 ``R``      registry constructibility, study-spec fields, the core
@@ -25,16 +22,10 @@ family     checks
 Run it with ``python -m repro.analysis src/repro`` or ``repro.cli
 lint``; suppress a finding inline with ``# repro: allow=<RULE>``
 (documented in :mod:`repro.analysis.source`).  The exit code is the OR
-of the failing families' bits (D=1, C=2, W=4, R=8).
+of the failing families' bits (D=1, W=4, R=8; bit 2 belonged to the
+retired cache-key family and stays unused).
 """
 
-from repro.analysis.cachekey import (
-    cache_key_findings,
-    current_fingerprint,
-    default_fingerprint_path,
-    load_fingerprint,
-    write_fingerprint,
-)
 from repro.analysis.findings import FAMILIES, FAMILY_EXIT_BITS, RULES, Finding, Rule
 from repro.analysis.runner import LintReport, main, run_lint
 from repro.analysis.source import PythonSource, discover_sources
@@ -49,12 +40,7 @@ __all__ = [
     "RULES",
     "Rule",
     "WAKE_CONTRACTS",
-    "cache_key_findings",
-    "current_fingerprint",
-    "default_fingerprint_path",
     "discover_sources",
-    "load_fingerprint",
     "main",
     "run_lint",
-    "write_fingerprint",
 ]

@@ -7,7 +7,7 @@ A checker implements one (or both) of two hooks:
     findings it returns are subject to that file's inline suppressions.
 
 ``check_project(sources)``
-    One whole-project pass (cache-key fingerprint, registry probes);
+    One whole-project pass (registry probes, study specs);
     its findings are not suppressible from source comments -- they
     describe cross-file state, not a line of code.
 """

@@ -6,9 +6,6 @@ names its checker family:
 ``D``
     Determinism: unordered iteration, ambient randomness and wall-clock
     reads in simulation code (:mod:`repro.analysis.determinism`).
-``C``
-    Cache-key drift: the result-cache key surface versus the committed
-    fingerprint (:mod:`repro.analysis.cachekey`).
 ``W``
     Wake contract: schedule-relevant state mutations paired with their
     pending counter or wake (:mod:`repro.analysis.wake`).
@@ -19,7 +16,10 @@ names its checker family:
 
 Identifiers are part of the public contract: suppressions
 (``# repro: allow=D001``), exit codes and the JSON report all use them,
-so renaming or renumbering a rule is a breaking change.
+so renaming or renumbering a rule is a breaking change.  The retired
+``C`` family (cache-key drift) leaves its exit bit unused: the
+result-cache key hashes every configuration field and the component
+provenance, so it follows the configuration by construction.
 """
 
 from __future__ import annotations
@@ -36,12 +36,13 @@ __all__ = [
 ]
 
 #: Checker families in report order.
-FAMILIES: Tuple[str, ...] = ("D", "C", "W", "R")
+FAMILIES: Tuple[str, ...] = ("D", "W", "R")
 
 #: Exit-code bit of each family: the linter's exit status is the OR of
 #: the bits of every family with at least one finding (0 = clean), so a
-#: caller can tell *which* contracts failed from the code alone.
-FAMILY_EXIT_BITS: Dict[str, int] = {"D": 1, "C": 2, "W": 4, "R": 8}
+#: caller can tell *which* contracts failed from the code alone.  Bit 2
+#: belonged to the retired ``C`` family and stays unused.
+FAMILY_EXIT_BITS: Dict[str, int] = {"D": 1, "W": 4, "R": 8}
 
 
 @dataclass(frozen=True)
@@ -91,24 +92,6 @@ RULES: Dict[str, Rule] = {
             "time.* reads and id(...) values vary between runs and "
             "interpreters; simulation decisions must depend only on the "
             "simulated clock and stable identifiers.",
-        ),
-        Rule(
-            "C001",
-            "cache-key-drift-without-version-bump",
-            "The cache-key surface (SimulationConfig fields/defaults and "
-            "the provenance field list) changed while CACHE_FORMAT_VERSION "
-            "did not: cached results computed before the change would be "
-            "served for configurations that no longer mean the same thing. "
-            "Bump CACHE_FORMAT_VERSION in src/repro/exec/cache.py, then "
-            "regenerate the fingerprint (lint --update-fingerprint).",
-        ),
-        Rule(
-            "C002",
-            "stale-cache-key-fingerprint",
-            "The committed analysis/cache_key.fingerprint no longer "
-            "matches the live cache-key surface (or is missing); "
-            "regenerate it with lint --update-fingerprint and commit the "
-            "result.",
         ),
         Rule(
             "W001",

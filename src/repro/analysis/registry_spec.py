@@ -56,7 +56,7 @@ def _probes() -> Dict[str, Callable[[object, str], None]]:
     table = build_table(base, topology)
     # A wrapping probe instance: every routing entry must either accept a
     # torus (dateline discipline) or refuse it with a pointed ValueError.
-    torus_config = SimulationConfig(mesh_dims=(4, 4), torus=True, num_escape_vcs=2)
+    torus_config = SimulationConfig(mesh_dims=(4, 4), topology="torus", num_escape_vcs=2)
     torus = build_topology(torus_config)
     torus_table = build_table(torus_config, torus)
 
@@ -69,17 +69,6 @@ def _probes() -> Dict[str, Callable[[object, str], None]]:
                 )
 
         return probe
-
-    def _probe_topology(factory, name):
-        if name == "torus":
-            config = torus_config
-        elif name == "torus3d":
-            config = SimulationConfig(
-                mesh_dims=(4, 4, 4), topology="torus3d", num_escape_vcs=2
-            )
-        else:
-            config = base
-        factory(config)
 
     def _probe_routing(factory, name):
         factory(topology, table, base)
@@ -117,7 +106,7 @@ def _probes() -> Dict[str, Callable[[object, str], None]]:
             )
 
     return {
-        "topology": _probe_topology,
+        "topology": lambda factory, name: factory(base),
         "table": lambda factory, name: factory(topology, base),
         "routing": _probe_routing,
         "selector": lambda factory, name: factory(_probe_rng()),

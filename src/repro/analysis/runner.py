@@ -4,7 +4,8 @@
 (shared by ``python -m repro.analysis`` and ``repro.cli lint``).  The
 exit code is the OR of the failing families' bits
 (:data:`~repro.analysis.findings.FAMILY_EXIT_BITS`): ``0`` clean, bit 0
-determinism, bit 1 cache-key, bit 2 wake contract, bit 3 registry/spec.
+determinism, bit 2 wake contract, bit 3 registry/spec (bit 1 belonged
+to the retired cache-key family and stays unused).
 """
 
 from __future__ import annotations
@@ -16,11 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.cachekey import (
-    CacheKeyChecker,
-    default_fingerprint_path,
-    write_fingerprint,
-)
 from repro.analysis.determinism import DeterminismChecker
 from repro.analysis.findings import FAMILIES, FAMILY_EXIT_BITS, RULES, Finding
 from repro.analysis.registry_spec import RegistryChecker
@@ -30,7 +26,8 @@ from repro.analysis.wake import WakeChecker
 __all__ = ["LintReport", "add_lint_arguments", "main", "run_lint", "run_from_args"]
 
 #: JSON report schema version (bump on breaking shape changes).
-REPORT_FORMAT = 1
+#: Version 2: ``counts`` lost the retired ``C`` family.
+REPORT_FORMAT = 2
 
 
 @dataclass
@@ -81,26 +78,17 @@ class LintReport:
         return "\n".join(lines)
 
 
-def default_checkers(fingerprint_path: Optional[Path] = None):
-    """The four checker families at their committed configuration."""
-    return (
-        DeterminismChecker(),
-        WakeChecker(),
-        CacheKeyChecker(fingerprint_path=fingerprint_path),
-        RegistryChecker(),
-    )
+def default_checkers():
+    """The three checker families at their committed configuration."""
+    return (DeterminismChecker(), WakeChecker(), RegistryChecker())
 
 
-def run_lint(
-    paths: Sequence[Path],
-    checkers=None,
-    fingerprint_path: Optional[Path] = None,
-) -> LintReport:
+def run_lint(paths: Sequence[Path], checkers=None) -> LintReport:
     """Lint every Python file under ``paths`` with ``checkers`` (default:
-    all four families), honouring inline suppressions, and return the
+    all three families), honouring inline suppressions, and return the
     sorted report."""
     if checkers is None:
-        checkers = default_checkers(fingerprint_path=fingerprint_path)
+        checkers = default_checkers()
     sources = discover_sources(paths)
     findings: List[Finding] = []
     for source in sources:
@@ -137,19 +125,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="also write the JSON report to FILE (independent of --format)",
     )
     parser.add_argument(
-        "--fingerprint",
-        default=None,
-        metavar="FILE",
-        help="cache-key fingerprint to check against (default: the "
-        "committed src/repro/analysis/cache_key.fingerprint)",
-    )
-    parser.add_argument(
-        "--update-fingerprint",
-        action="store_true",
-        help="record the current cache-key surface into the fingerprint "
-        "file and exit (after bumping CACHE_FORMAT_VERSION)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list every rule id with its rationale and exit",
@@ -170,14 +145,9 @@ def run_from_args(args: argparse.Namespace) -> int:
             print(f"{rule.id}  {rule.name}  [exit bit {bit}]")
             print(f"      {rule.rationale}")
         return 0
-    fingerprint = Path(args.fingerprint) if args.fingerprint else None
-    if args.update_fingerprint:
-        path = write_fingerprint(fingerprint or default_fingerprint_path())
-        print(f"cache-key fingerprint written: {path}")
-        return 0
     paths = [Path(p) for p in args.paths] or _default_paths()
     try:
-        report = run_lint(paths, fingerprint_path=fingerprint)
+        report = run_lint(paths)
     except FileNotFoundError as error:
         print(f"lint: {error}", file=sys.stderr)
         return 64
@@ -202,8 +172,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
         description=(
-            "House-style linter: determinism (D), cache-key drift (C), "
-            "wake contract (W) and registry/spec consistency (R) checks"
+            "House-style linter: determinism (D), wake contract (W) and "
+            "registry/spec consistency (R) checks"
         ),
     )
     add_lint_arguments(parser)

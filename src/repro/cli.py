@@ -14,7 +14,7 @@ Four subcommands cover the common workflows:
     Run a latency-versus-load sweep for one configuration.
 ``lint``
     Run the house-style linter (:mod:`repro.analysis`): determinism,
-    cache-key drift, wake-contract and registry/spec checks.
+    wake-contract and registry/spec checks.
 
 ``run``/``sweep`` are thin wrappers that build the equivalent study spec
 and execute it through the same path as ``study``.  Every
@@ -187,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = subparsers.add_parser(
         "lint",
-        help="run the house-style linter (determinism, cache-key, "
-             "wake-contract and registry/spec checks)",
+        help="run the house-style linter (determinism, wake-contract "
+             "and registry/spec checks)",
     )
     from repro.analysis.runner import add_lint_arguments
 

@@ -52,13 +52,9 @@ class SimulationConfig:
     # -- topology -----------------------------------------------------------------
     #: Mesh/torus extent per dimension, e.g. ``(16, 16)``.
     mesh_dims: Tuple[int, ...] = (8, 8)
-    #: Use wraparound (torus) links instead of a mesh.
-    torus: bool = False
-    #: Topology registry name (``"mesh"``, ``"torus"``, ``"torus3d"`` or a
-    #: plugin).  Empty selects automatically from ``torus``: ``"torus"``
-    #: when set, ``"mesh"`` otherwise.  Setting both ``torus=True`` and
-    #: ``topology="mesh"`` is a contradiction and fails validation.
-    topology: str = ""
+    #: Topology registry name: ``"mesh"``, ``"torus"`` (wraparound links
+    #: in every dimension, any number of dimensions) or a plugin.
+    topology: str = "mesh"
     #: Optional per-dimension link delays: entry ``d`` is the traversal
     #: time of every dimension-``d`` router link (e.g. slow TSV Z-links
     #: on a stacked 3-D torus).  ``None`` keeps the uniform
@@ -171,12 +167,6 @@ class SimulationConfig:
                 f"SimulationConfig.core_mode: unknown core {self.core_mode!r}; "
                 "expected 'objects' or 'flat'"
             )
-        if self.torus and self.topology == "mesh":
-            raise ValueError(
-                "SimulationConfig: torus=True contradicts topology='mesh'; "
-                "drop one of the two (topology='' selects from the torus "
-                "flag automatically)"
-            )
         if self.link_delays is not None:
             if len(self.link_delays) != len(self.mesh_dims):
                 raise ValueError(
@@ -219,10 +209,10 @@ class SimulationConfig:
         """Check every registry-backed string field against its registry.
 
         Runs eagerly at construction (``__post_init__``), so a typo in
-        ``traffic``/``routing``/``table``/``selector``/``pipeline``/
-        ``injection`` raises a ``ValueError`` naming the bad value and the
-        sorted registered alternatives instead of failing deep inside
-        network assembly.  Register plugin components (see
+        ``topology``/``traffic``/``routing``/``table``/``selector``/
+        ``pipeline``/``injection`` raises a ``ValueError`` naming the bad
+        value and the sorted registered alternatives instead of failing
+        deep inside network assembly.  Register plugin components (see
         :mod:`repro.registry`) *before* constructing configurations that
         name them.
         """

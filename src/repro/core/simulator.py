@@ -12,6 +12,7 @@ drives the cycle-level kernel and returns a
 
 from __future__ import annotations
 
+import random
 from typing import Optional
 
 from repro import registry
@@ -39,7 +40,7 @@ __all__ = ["NetworkSimulator", "build_table", "build_routing", "build_topology"]
 
 def build_topology(config: SimulationConfig) -> Topology:
     """Construct the topology described by ``config`` via the registry."""
-    factory = registry.TOPOLOGIES.get(registry.topology_name(config))
+    factory = registry.TOPOLOGIES.get(config.topology)
     return factory(config)
 
 
@@ -144,6 +145,21 @@ class NetworkSimulator:
                 self._topology, config.message_length, config.normalized_load
             )
             pattern = make_pattern(config.traffic, self._topology)
+            # One probe draw per node (from a private generator, so the
+            # run's own streams are untouched) finds a pattern under
+            # which every node is a fixed point: such a run would create
+            # no message and end as an empty, unsaturated result.
+            probe = random.Random(0)
+            if all(
+                pattern.destination(node, probe) is None
+                for node in range(self._topology.num_nodes)
+            ):
+                raise ValueError(
+                    f"traffic pattern {config.traffic!r} sends from no node "
+                    f"of the {config.topology} with mesh_dims="
+                    f"{config.mesh_dims}: every node is a fixed point, so "
+                    "the run would create no message"
+                )
             process = _build_injection(config, message_rate)
             self._generator = TrafficGenerator(
                 topology=self._topology,

@@ -29,10 +29,12 @@ __all__ = [
     "config_cache_key",
 ]
 
-#: Bumped whenever the stored-JSON schema, the simulator's numeric
-#: behaviour or the key derivation changes within a release; folded into
-#: the key so stale entries become misses instead of silently serving old
-#: results.
+#: Bumped only when the stored-JSON schema or the simulator's numeric
+#: behaviour changes within a release; folded into the key so stale
+#: entries become misses instead of silently serving old results.
+#: Configuration changes need no bump: the key hashes every field of
+#: ``SimulationConfig.to_dict()`` and the component provenance, so adding,
+#: removing or re-defaulting a field moves every affected key by itself.
 #: Version 2: results record the effective per-node message rate.
 #: Version 3: the provenance (``module:qualname``) of every
 #: registry-provided component named by the configuration feeds the key,

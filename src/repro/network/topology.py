@@ -20,7 +20,6 @@ __all__ = [
     "LOCAL_PORT",
     "MeshTopology",
     "Topology",
-    "Torus3D",
     "TorusTopology",
     "port_direction",
     "port_for",
@@ -371,26 +370,6 @@ class TorusTopology(Topology):
         return (1 << dimension) if crosses else 0
 
 
-class Torus3D(TorusTopology):
-    """3-ary torus with (optionally) heterogeneous per-dimension links.
-
-    Geometry and routing are exactly the n-dimensional torus restricted
-    to three dimensions; what the class adds is the stacked-die shape
-    (gem5-Garnet's ``Torus3D``), where the Z dimension is typically built
-    from slower through-silicon vias.  The per-dimension latencies
-    themselves live in :attr:`SimulationConfig.link_delays` and are
-    plumbed through :class:`~repro.router.config.RouterConfig` into both
-    network cores; the topology only pins the 3-D shape.
-    """
-
-    def __init__(self, dims: Sequence[int]) -> None:
-        if len(dims) != 3:
-            raise ValueError(
-                f"Torus3D needs exactly 3 dimensions, got mesh_dims={tuple(dims)}"
-            )
-        super().__init__(dims)
-
-
 # -- registry factories --------------------------------------------------------------
 
 from repro.registry import register as _register  # noqa: E402  (leaf import)
@@ -412,24 +391,3 @@ def _make_torus(config) -> TorusTopology:
 
 
 _make_torus.wraps = True
-
-
-@_register("topology", "torus3d")
-def _make_torus3d(config) -> Torus3D:
-    """3-D torus (stacked-die shape; pair with ``link_delays`` for slow
-    TSV Z-links)."""
-    return Torus3D(config.mesh_dims)
-
-
-_make_torus3d.wraps = True
-
-
-def _validate_torus3d_config(config) -> None:
-    if len(config.mesh_dims) != 3:
-        raise ValueError(
-            "SimulationConfig.topology='torus3d' needs exactly 3 mesh "
-            f"dimensions, got mesh_dims={config.mesh_dims}"
-        )
-
-
-_make_torus3d.validate_config = _validate_torus3d_config

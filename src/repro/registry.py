@@ -303,6 +303,7 @@ def describe_registries() -> Dict[str, List[Dict[str, str]]]:
 #: SimulationConfig field -> registry kind keyword, for the eager validation
 #: and for folding component provenance into the result-cache key.
 CONFIG_FIELD_KINDS: Dict[str, str] = {
+    "topology": "topology",
     "traffic": "traffic",
     "routing": "routing",
     "table": "table",
@@ -315,32 +316,18 @@ CONFIG_FIELD_KINDS: Dict[str, str] = {
 }
 
 
-def topology_name(config) -> str:
-    """Registry name of the topology a configuration selects.
-
-    The explicit ``topology`` field wins; an empty string falls back to
-    the ``torus`` flag (``"torus"`` when set, ``"mesh"`` otherwise).
-    """
-    explicit = getattr(config, "topology", "")
-    if explicit:
-        return explicit
-    return "torus" if config.torus else "mesh"
-
-
 def validate_config_names(config) -> None:
     """Check every registry-backed string field of ``config``.
 
     Raises ``ValueError`` naming the offending field, the bad value and
     the sorted registered alternatives -- at configuration-construction
-    time, instead of deep inside network assembly.  Cross-field checks
-    ride along: the selected topology factory may veto the configuration
-    (``validate_config`` attribute, e.g. torus3d requiring three
-    dimensions), and on a wrapping topology (``wraps`` attribute) the
-    routing factory's ``validate_wraparound`` runs, so a routing x
-    topology x escape-VC mismatch fails here with a pointed error
-    instead of a ValueError from deep inside network wiring.  Plugin
-    factories without these attributes are skipped and keep their
-    wiring-time behaviour.
+    time, instead of deep inside network assembly.  One cross-field
+    check rides along: on a wrapping topology (``wraps`` attribute of
+    its factory) the routing factory's ``validate_wraparound`` runs, so
+    a routing x topology x escape-VC mismatch fails here with a pointed
+    error instead of a ValueError from deep inside network wiring.
+    Plugin factories without these attributes are skipped and keep
+    their wiring-time behaviour.
     """
     for field, kind in CONFIG_FIELD_KINDS.items():
         registry = REGISTRIES[kind]
@@ -352,17 +339,7 @@ def validate_config_names(config) -> None:
                 f"SimulationConfig.{field}: unknown {registry.kind} {value!r}; "
                 f"registered alternatives: {', '.join(registry.names()) or '(none)'}"
             )
-    name = topology_name(config)
-    if name not in TOPOLOGIES:
-        raise ValueError(
-            f"SimulationConfig.topology: unknown topology {name!r}; "
-            f"registered alternatives: {', '.join(TOPOLOGIES.names())}"
-        )
-    topology_factory = TOPOLOGIES.get(name)
-    topology_check = getattr(topology_factory, "validate_config", None)
-    if topology_check is not None:
-        topology_check(config)
-    if getattr(topology_factory, "wraps", False):
+    if getattr(TOPOLOGIES.get(config.topology), "wraps", False):
         routing_factory = ROUTING_ALGORITHMS.get(config.routing)
         wrap_check = getattr(routing_factory, "validate_wraparound", None)
         if wrap_check is not None:
@@ -377,13 +354,11 @@ def config_component_provenance(config) -> Dict[str, Optional[str]]:
     different plugin).  Unregistered names map to None, which still changes
     the key relative to any registered implementation.
     """
-    provenance: Dict[str, Optional[str]] = {
+    return {
         field: REGISTRIES[kind].provenance(getattr(config, field))
         for field, kind in CONFIG_FIELD_KINDS.items()
         if getattr(config, field) is not None
     }
-    provenance["topology"] = TOPOLOGIES.provenance(topology_name(config))
-    return provenance
 
 
 # -- plugin loading -----------------------------------------------------------------

@@ -356,7 +356,7 @@ def torus_tornado_study(
         title="Tornado on a torus - adaptivity over the dateline discipline",
         base=_base_dict(
             base_config,
-            torus=True,
+            topology="torus",
             num_escape_vcs=2,
             traffic="tornado",
             pipeline="la-proud",
@@ -386,8 +386,8 @@ def torus3d_adaptivity_study(
 ) -> Study:
     """Uniform traffic on a 3-D torus whose vertical links are slow.
 
-    Models a stacked-die part: the ``torus3d`` topology with
-    per-dimension ``link_delays`` makes the Z (through-silicon-via)
+    Models a stacked-die part: a three-dimensional ``torus`` whose
+    per-dimension ``link_delays`` make the Z (through-silicon-via)
     links ``z_link_delay`` cycles against 1 in plane.  Adaptive routing
     can spread load around the slow dimension's congestion while
     dimension-order cannot, which is what the variant pair measures.
@@ -398,7 +398,7 @@ def torus3d_adaptivity_study(
         base=_base_dict(
             base_config,
             mesh_dims=tuple(dims),
-            topology="torus3d",
+            topology="torus",
             num_escape_vcs=2,
             link_delays=(1, 1, z_link_delay),
             pipeline="la-proud",

@@ -44,7 +44,6 @@ def lint_source(checker: Checker, source: PythonSource):
 def test_rule_table_is_complete_and_stable():
     assert set(RULES) == {
         "D001", "D002", "D003", "D004",
-        "C001", "C002",
         "W001",
         "R001", "R002",
     }
@@ -56,7 +55,8 @@ def test_rule_table_is_complete_and_stable():
 
 
 def test_every_family_has_a_distinct_exit_bit():
-    assert FAMILY_EXIT_BITS == {"D": 1, "C": 2, "W": 4, "R": 8}
+    # Bit 2 belonged to the retired cache-key family and is not reused.
+    assert FAMILY_EXIT_BITS == {"D": 1, "W": 4, "R": 8}
 
 
 # -- D-checks ------------------------------------------------------------------------
@@ -230,7 +230,6 @@ def test_exit_code_is_the_or_of_the_failing_family_bits():
 
     assert LintReport(findings=[]).exit_code == 0
     assert LintReport(findings=[finding("D001")]).exit_code == 1
-    assert LintReport(findings=[finding("C002")]).exit_code == 2
     assert LintReport(findings=[finding("W001")]).exit_code == 4
     assert LintReport(findings=[finding("R001")]).exit_code == 8
     mixed = LintReport(
@@ -245,13 +244,13 @@ def test_report_dict_schema_and_text_rendering():
     data = report.to_dict()
     assert data["format"] == REPORT_FORMAT
     assert data["files_checked"] == 3
-    assert data["counts"] == {"D": 1, "C": 0, "W": 0, "R": 0}
+    assert data["counts"] == {"D": 1, "W": 0, "R": 0}
     assert data["exit_code"] == 1
     assert data["findings"] == [finding.to_dict()]
     assert finding.format() == "src/x.py:12:4: D001 boom"
     text = report.format_text()
     assert "src/x.py:12:4: D001 boom" in text
-    assert "1 finding(s) (D:1 C:0 W:0 R:0) across 3 file(s)" in text
+    assert "1 finding(s) (D:1 W:0 R:0) across 3 file(s)" in text
     assert "clean" in LintReport(files_checked=2).format_text()
 
 

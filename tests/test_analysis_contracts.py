@@ -1,11 +1,8 @@
 """Contract-level tests of the house-style linter.
 
-Three things live here because they exercise the *live* tree rather than
+Two things live here because they exercise the *live* tree rather than
 fixtures:
 
-* the C-check workflow end to end -- a drifted cache-key surface must
-  fail (C001) until ``CACHE_FORMAT_VERSION`` is bumped, then keep
-  failing (C002) until the fingerprint is regenerated, then pass;
 * the R-checks against the real registries and builtin study specs,
   plus deliberately broken temporary entries;
 * the tier-1 guarantee that the repository itself lints clean through
@@ -17,7 +14,6 @@ exist to protect: simulation results are bit-identical across
 ``PYTHONHASHSEED`` values.
 """
 
-import copy
 import json
 import os
 import subprocess
@@ -25,13 +21,6 @@ import sys
 from pathlib import Path
 
 import repro
-from repro.analysis.cachekey import (
-    cache_key_findings,
-    current_fingerprint,
-    default_fingerprint_path,
-    load_fingerprint,
-    write_fingerprint,
-)
 from repro.analysis.registry_spec import (
     probe_registry_entries,
     study_spec_findings,
@@ -43,116 +32,6 @@ from repro.scenario.spec import Study
 
 SRC_REPRO = Path(repro.__file__).resolve().parent
 REPO_ROOT = SRC_REPRO.parent.parent
-
-FINGERPRINT = Path("cache_key.fingerprint")  # name reused for tmp copies
-
-
-# -- C-checks: pure drift scenarios --------------------------------------------------
-
-
-def test_matching_fingerprint_is_clean():
-    current = current_fingerprint()
-    assert cache_key_findings(current, copy.deepcopy(current), FINGERPRINT) == []
-
-
-def test_missing_fingerprint_is_c002():
-    findings = cache_key_findings(current_fingerprint(), None, FINGERPRINT)
-    assert [f.rule for f in findings] == ["C002"]
-    assert "--update-fingerprint" in findings[0].message
-
-
-def test_surface_drift_without_version_bump_is_c001():
-    current = current_fingerprint()
-    recorded = copy.deepcopy(current)
-    recorded["config_fields"].pop("buffer_depth")
-    findings = cache_key_findings(current, recorded, FINGERPRINT)
-    assert [f.rule for f in findings] == ["C001"]
-    message = findings[0].message
-    assert "CACHE_FORMAT_VERSION" in message
-    assert "buffer_depth" in message  # the drift is described
-    # C001 anchors at the version constant, where the fix goes.
-    assert findings[0].path.endswith("cache.py")
-
-
-def test_default_change_and_provenance_change_are_both_drift():
-    current = current_fingerprint()
-    recorded = copy.deepcopy(current)
-    recorded["config_fields"]["seed"] = "999"
-    assert [
-        f.rule for f in cache_key_findings(current, recorded, FINGERPRINT)
-    ] == ["C001"]
-    recorded = copy.deepcopy(current)
-    recorded["provenance_fields"] = ["traffic"]
-    assert [
-        f.rule for f in cache_key_findings(current, recorded, FINGERPRINT)
-    ] == ["C001"]
-
-
-def test_drift_with_version_bump_downgrades_to_stale_fingerprint():
-    current = current_fingerprint()
-    recorded = copy.deepcopy(current)
-    recorded["config_fields"]["new_knob"] = "None"
-    recorded["cache_format_version"] = current["cache_format_version"] - 1
-    findings = cache_key_findings(current, recorded, FINGERPRINT)
-    assert [f.rule for f in findings] == ["C002"]
-    assert "regenerate" in findings[0].message
-
-
-def test_version_only_change_requires_regeneration():
-    current = current_fingerprint()
-    recorded = copy.deepcopy(current)
-    recorded["cache_format_version"] = current["cache_format_version"] + 1
-    assert [
-        f.rule for f in cache_key_findings(current, recorded, FINGERPRINT)
-    ] == ["C002"]
-
-
-def test_cache_key_drift_end_to_end(tmp_path, monkeypatch):
-    """The full workflow on disk: drift fails until the version is
-    bumped, keeps failing until the fingerprint is regenerated, then
-    passes -- all through ``run_lint`` with a doctored fingerprint."""
-    import repro.exec.cache as cache_module
-
-    fingerprint_path = tmp_path / "cache_key.fingerprint"
-    target = tmp_path / "empty.py"
-    target.write_text("", encoding="utf-8")
-
-    def lint():
-        return run_lint([target], fingerprint_path=fingerprint_path)
-
-    # 1. A fingerprint recorded before a (simulated) surface change:
-    #    same version, one field the current surface does not have.
-    recorded = current_fingerprint()
-    recorded["config_fields"]["retired_knob"] = "3"
-    fingerprint_path.write_text(json.dumps(recorded), encoding="utf-8")
-    report = lint()
-    assert [f.rule for f in report.findings] == ["C001"]
-    assert report.exit_code & 2
-
-    # 2. Bumping CACHE_FORMAT_VERSION clears C001 but the stale
-    #    fingerprint still fails the build until regenerated.
-    monkeypatch.setattr(
-        cache_module, "CACHE_FORMAT_VERSION", cache_module.CACHE_FORMAT_VERSION + 1
-    )
-    report = lint()
-    assert [f.rule for f in report.findings] == ["C002"]
-    assert report.exit_code & 2
-
-    # 3. Regenerating the fingerprint makes the tree clean again.
-    write_fingerprint(fingerprint_path)
-    report = lint()
-    assert report.findings == []
-    assert report.exit_code == 0
-
-
-def test_committed_fingerprint_matches_the_live_surface():
-    """Tier-1 guard: editing SimulationConfig or the provenance surface
-    without bumping CACHE_FORMAT_VERSION must fail here too."""
-    path = default_fingerprint_path()
-    assert path.exists(), "committed fingerprint is missing"
-    assert cache_key_findings(
-        current_fingerprint(), load_fingerprint(path), path
-    ) == []
 
 
 # -- R-checks ------------------------------------------------------------------------
@@ -284,8 +163,7 @@ def test_module_entry_point_reports_clean(capsys):
 def test_list_rules_covers_every_rule(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("D001", "D002", "D003", "D004", "C001", "C002",
-                    "W001", "R001", "R002"):
+    for rule_id in ("D001", "D002", "D003", "D004", "W001", "R001", "R002"):
         assert rule_id in out
 
 
@@ -296,10 +174,10 @@ def test_json_report_artifact(tmp_path, capsys):
     )
     assert code == 0
     data = json.loads(artifact.read_text(encoding="utf-8"))
-    assert data["format"] == 1
+    assert data["format"] == 2
     assert data["exit_code"] == 0
     assert data["findings"] == []
-    assert data["counts"] == {"D": 0, "C": 0, "W": 0, "R": 0}
+    assert data["counts"] == {"D": 0, "W": 0, "R": 0}
     assert json.loads(capsys.readouterr().out) == data
 
 

@@ -67,11 +67,11 @@ def test_list_valued_sequence_fields_normalize_to_tuples():
     # JSON-sourced overrides (study specs) arrive as lists; the config
     # must still hash and compare equal to its tuple-built twin.
     config = SimulationConfig(
-        mesh_dims=[3, 3, 3], topology="torus3d", routing="duato",
+        mesh_dims=[3, 3, 3], topology="torus", routing="duato",
         num_escape_vcs=2, link_delays=[1, 1, 2],
     )
     twin = SimulationConfig(
-        mesh_dims=(3, 3, 3), topology="torus3d", routing="duato",
+        mesh_dims=(3, 3, 3), topology="torus", routing="duato",
         num_escape_vcs=2, link_delays=(1, 1, 2),
     )
     assert config.mesh_dims == (3, 3, 3)

@@ -1,10 +1,11 @@
 """Random configurations run on both cores must agree exactly.
 
 Hypothesis draws small configurations across the axes the two cores
-implement separately -- mesh or torus, Duato or dimension-order routing,
-full or economical tables, every built-in path selector, PROUD or
-LA-PROUD, virtual-channel count, buffer depth, link and credit delays,
-the open traffic patterns and a closed-loop workload -- and runs each
+implement separately -- mesh, 2-D torus or 3x3x3 torus, Duato or
+dimension-order routing, full or economical tables, every built-in path
+selector, PROUD or LA-PROUD, virtual-channel count, buffer depth,
+uniform or per-dimension link delays, credit delays, the open traffic
+patterns and a closed-loop workload -- and runs each
 twice: on the object core, stepped every cycle (the reference), and on
 the flat core, which the kernel fast-forwards over idle spans (the
 default fast path).  The two
@@ -31,22 +32,34 @@ from repro.scenario.spec import Study
 
 #: Patterns that need a power-of-two node count.
 _POWER_OF_TWO = {"bit-complement", "bit-reversal", "shuffle"}
+#: Patterns defined on a 3x3x3 torus.
+_CUBE_PATTERNS = ["hotspot", "neighbor", "tornado", "uniform"]
 
 
 @st.composite
 def configs(draw):
-    torus = draw(st.booleans())
-    pattern = draw(st.sampled_from(sorted(registry.TRAFFIC_PATTERNS.names())))
+    shape = draw(st.sampled_from(["mesh", "torus", "cube"]))
+    torus = shape != "mesh"
     closed_loop = draw(st.integers(0, 5)) == 0
-    if pattern in _POWER_OF_TWO and not closed_loop:
-        extents = st.sampled_from([2, 4])
+    if shape == "cube":
+        # A 3x3x3 torus: 27 nodes, so no power-of-two or transpose traffic.
+        pattern = draw(st.sampled_from(_CUBE_PATTERNS))
+        dims = (3, 3, 3)
     else:
-        extents = st.integers(3, 4) if torus else st.integers(2, 4)
-    x = draw(extents)
-    y = x if pattern == "transpose" else draw(extents)
-    if torus and (x < 3 or y < 3):
-        # A 2-node ring duplicates its single link; tori start at 3.
-        x, y = max(x, 4), max(y, 4)
+        pattern = draw(st.sampled_from(sorted(registry.TRAFFIC_PATTERNS.names())))
+        if pattern in _POWER_OF_TWO and not closed_loop:
+            extents = st.sampled_from([2, 4])
+        else:
+            extents = st.integers(3, 4) if torus else st.integers(2, 4)
+        x = draw(extents)
+        y = x if pattern == "transpose" else draw(extents)
+        if torus and (x < 3 or y < 3):
+            # A 2-node ring duplicates its single link; tori start at 3.
+            x, y = max(x, 4), max(y, 4)
+        if pattern == "tornado" and not torus and max(x, y) < 4:
+            # Mesh tornado below extent 4 makes every node a fixed point.
+            x = 4
+        dims = (x, y)
     routing = draw(st.sampled_from(["duato", "dimension-order"]))
     escape = 2 if torus else 1
     if routing == "duato":
@@ -54,8 +67,11 @@ def configs(draw):
     else:
         vcs = draw(st.integers(2 if torus else 1, 3))
     fields = dict(
-        mesh_dims=(x, y),
-        torus=torus,
+        mesh_dims=dims,
+        topology="torus" if torus else "mesh",
+        link_delays=draw(
+            st.none() | st.tuples(*[st.integers(1, 2) for _ in dims])
+        ),
         routing=routing,
         num_escape_vcs=escape,
         vcs_per_port=vcs,
@@ -120,7 +136,7 @@ def test_objects_and_flat_cores_agree_on_many_random_configs(config):
 
 
 def test_spec_json_replays_the_config():
-    config = SimulationConfig.tiny(torus=True, routing="duato", num_escape_vcs=2)
+    config = SimulationConfig.tiny(topology="torus", routing="duato", num_escape_vcs=2)
     study = Study.from_json(spec_json(config))
     [point] = study.expand()
     assert point.config == config

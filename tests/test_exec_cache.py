@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import repro
 from repro.core.config import SimulationConfig
 from repro.core.results import SimulationResult
 from repro.exec.cache import ResultCache, config_cache_key
+from repro.registry import CONFIG_FIELD_KINDS, REGISTRIES
 from repro.stats.latency import LatencySummary
 
 
@@ -233,12 +235,71 @@ def test_cache_format_is_v11():
     assert CACHE_FORMAT_VERSION == 11
 
 
-def test_core_mode_feeds_the_key():
+#: Base of the key-surface tests: a tiny mesh with two escape VCs, so
+#: the torus alternative below is a valid configuration too.
+_KEY_BASE = SimulationConfig.tiny(num_escape_vcs=2)
+
+#: A valid value other than ``_KEY_BASE``'s for every SimulationConfig
+#: field.
+_KEY_ALTERNATIVES = {
+    "mesh_dims": (4, 3),
+    "topology": "torus",
+    "link_delays": (1, 2),
+    "vcs_per_port": 3,
+    "buffer_depth": 2,
+    "pipeline": "proud",
+    "link_delay": 2,
+    "credit_delay": 2,
     # The two cores are bit-identical, but their results live in
     # distinct slots so pinned-core studies never serve each other's
     # entries.
-    base = SimulationConfig.tiny()
-    assert config_cache_key(base) != config_cache_key(base.variant(core_mode="objects"))
+    "core_mode": "objects",
+    "routing": "dimension-order",
+    "num_escape_vcs": 1,
+    "table": "full",
+    "selector": "lru",
+    "traffic": "transpose",
+    "normalized_load": 0.3,
+    "message_length": 8,
+    "injection": "bernoulli",
+    "workload": "allreduce",
+    "workload_iters": 2,
+    "workload_window": 3,
+    "workload_layers": 3,
+    "workload_hidden": 32,
+    "workload_group": 2,
+    "workload_compute": 1,
+    "workload_trace": "dag.json",
+    "warmup_messages": 10,
+    "measure_messages": 100,
+    "max_cycles": 5_000,
+    "drain_factor": 2.0,
+    "seed": 2,
+    "keep_samples": True,
+    "replications": 2,
+    "seed_stride": 2,
+}
+
+
+@pytest.mark.parametrize("field", [spec.name for spec in fields(SimulationConfig)])
+def test_every_config_field_feeds_the_key(field):
+    # The key hashes the whole configuration, so a field added, removed
+    # or re-defaulted moves every affected key without a format bump.
+    assert field in _KEY_ALTERNATIVES, f"no alternative value for {field!r}"
+    changed = _KEY_BASE.variant(**{field: _KEY_ALTERNATIVES[field]})
+    assert getattr(changed, field) != getattr(_KEY_BASE, field)
+    assert config_cache_key(changed) != config_cache_key(_KEY_BASE)
+
+
+@pytest.mark.parametrize("field", sorted(CONFIG_FIELD_KINDS))
+def test_every_named_component_feeds_the_key(field, monkeypatch):
+    # A plugin registered under a built-in's name computes different
+    # results, so the named component's provenance is part of the key.
+    config = _KEY_BASE.variant(workload="allreduce")
+    before = config_cache_key(config)
+    entry = REGISTRIES[CONFIG_FIELD_KINDS[field]].entry(getattr(config, field))
+    monkeypatch.setattr(entry, "provenance", "plugin:Replacement")
+    assert config_cache_key(config) != before
 
 
 def _v5_style_key(config):

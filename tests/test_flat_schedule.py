@@ -146,7 +146,7 @@ def small_configs(draw):
         vcs = draw(st.integers(2 if torus else 1, 3))
     return SimulationConfig(
         mesh_dims=dims,
-        torus=torus,
+        topology="torus" if torus else "mesh",
         routing=routing,
         num_escape_vcs=escape,
         vcs_per_port=vcs,

@@ -52,6 +52,13 @@ def test_every_builtin_study_round_trips():
     for name in STUDIES.names():
         study = STUDIES.get(name)()
         assert Study.from_json(study.to_json()) == study, name
+    # Expanding builds every point's configuration, so a bad value in a
+    # built-in base or axis fails here rather than at run time.
+    for name in STUDIES.names():
+        built = STUDIES.get(name)()
+        for study in (built,) + built.members:
+            if study.kind == "grid":
+                assert study.expand(), (name, study.name)
 
 
 def test_shipped_spec_files_match_the_registered_builders():

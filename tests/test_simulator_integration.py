@@ -185,24 +185,38 @@ def test_builders_reject_unknown_names():
 
 
 def test_torus_with_wrap_refusing_routing_fails_at_config_construction():
-    # Regression for the old late-failure path: torus=True with a routing
+    # Regression for the old late-failure path: a torus with a routing
     # that cannot be made deadlock free on wraparound links used to pass
     # config validation and only blow up at NetworkSimulator wiring time.
     # The cross-field check must now raise at construction, with a
     # pointed routing x topology x escape-VC message.
     with pytest.raises(ValueError, match="2 escape VCs"):
-        SimulationConfig.tiny(torus=True, routing="duato", num_escape_vcs=1)
+        SimulationConfig.tiny(topology="torus", routing="duato", num_escape_vcs=1)
     with pytest.raises(ValueError, match="turn-model"):
-        SimulationConfig.tiny(torus=True, routing="north-last")
+        SimulationConfig.tiny(topology="torus", routing="north-last")
     with pytest.raises(ValueError, match="dateline"):
-        SimulationConfig.tiny(torus=True, routing="dimension-order", vcs_per_port=1)
+        SimulationConfig.tiny(topology="torus", routing="dimension-order", vcs_per_port=1)
     # The safe combinations construct (and wire) cleanly.
-    config = SimulationConfig.tiny(torus=True, routing="duato", num_escape_vcs=2)
+    config = SimulationConfig.tiny(topology="torus", routing="duato", num_escape_vcs=2)
     NetworkSimulator(config)
     config3d = SimulationConfig.tiny(
-        mesh_dims=(3, 3, 3), topology="torus3d", num_escape_vcs=2
+        mesh_dims=(3, 3, 3), topology="torus", num_escape_vcs=2
     )
     NetworkSimulator(config3d)
+
+
+@pytest.mark.parametrize("core_mode", ["flat", "objects"])
+def test_a_pattern_without_a_sending_node_is_refused(core_mode):
+    # Mesh tornado offsets each coordinate by extent // 2 - 1, which is 0
+    # on a 3x3 mesh: every node is a fixed point, and the run would
+    # create no message and report an empty, unsaturated result.
+    config = SimulationConfig.tiny(
+        mesh_dims=(3, 3), traffic="tornado", core_mode=core_mode
+    )
+    with pytest.raises(ValueError, match=r"'tornado'.*mesh_dims=\(3, 3\)"):
+        NetworkSimulator(config)
+    # One extent of 4 gives the pattern senders again.
+    assert run(config.variant(mesh_dims=(4, 3))).summary.measured == 200
 
 
 def test_object_core_counts_every_message_mid_run():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.topology import MeshTopology, Torus3D, TorusTopology
+from repro.network.topology import MeshTopology, TorusTopology
 from repro.routing.providers import (
     dimension_order_provider,
     minimal_adaptive_provider,
@@ -84,7 +84,7 @@ def test_interval_tree_routing_is_deadlock_free(mesh):
 
 
 @pytest.mark.parametrize(
-    "torus", [TorusTopology((4, 4)), Torus3D((4, 4, 4))], ids=["2d", "3d"]
+    "torus", [TorusTopology((4, 4)), TorusTopology((4, 4, 4))], ids=["2d", "3d"]
 )
 def test_torus_without_datelines_is_cyclic(torus):
     # The wraparound rings close a dependency cycle in every dimension
@@ -95,7 +95,7 @@ def test_torus_without_datelines_is_cyclic(torus):
 
 
 @pytest.mark.parametrize(
-    "torus", [TorusTopology((4, 4)), Torus3D((4, 4, 4))], ids=["2d", "3d"]
+    "torus", [TorusTopology((4, 4)), TorusTopology((4, 4, 4))], ids=["2d", "3d"]
 )
 def test_torus_with_datelines_is_deadlock_free(torus):
     # The two-class dateline discipline breaks every wraparound ring's

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.topology import LOCAL_PORT, Torus3D, TorusTopology, port_for
+from repro.network.topology import LOCAL_PORT, TorusTopology, port_for
 
 
 def test_wrap_flag(torus4x4):
@@ -87,39 +87,36 @@ def test_each_ring_has_one_dateline_per_direction(torus4x4):
             assert marked == 4
 
 
-def test_torus3d_requires_three_dimensions():
-    with pytest.raises(ValueError, match="exactly 3 dimensions"):
-        Torus3D((4, 4))
-    with pytest.raises(ValueError, match="exactly 3 dimensions"):
-        Torus3D((2, 2, 2, 2))
-
-
 def test_torus3d_geometry_matches_generic_torus():
-    cube = Torus3D((4, 4, 4))
-    generic = TorusTopology((4, 4, 4))
+    # A 3-D torus is the n-dimensional torus at n = 3: the "torus"
+    # registry entry builds it from three mesh_dims.
+    from repro.core.config import SimulationConfig
+    from repro.core.simulator import build_topology
+
+    cube = build_topology(
+        SimulationConfig(mesh_dims=(4, 4, 4), topology="torus", num_escape_vcs=2)
+    )
+    assert type(cube) is TorusTopology
     assert cube.wraps is True
     assert cube.num_nodes == 64
     assert cube.radix == 7  # ejection + 2 ports per dimension
-    for node in (0, 21, 63):
-        for port in range(1, cube.radix):
-            assert cube.neighbor(node, port) == generic.neighbor(node, port)
-            assert cube.dateline_bits(node, port) == generic.dateline_bits(
-                node, port
-            )
+    corner = cube.node_id((3, 3, 3))
+    for dimension in range(3):
+        up = port_for(dimension, positive=True)
+        assert cube.neighbor(corner, up) == cube.node_id(
+            tuple(0 if d == dimension else 3 for d in range(3))
+        )
+        assert cube.dateline_bits(corner, up) == 1 << dimension
+        assert cube.dateline_bits(cube.node_id((0, 0, 0)), up) == 0
 
 
 def test_torus3d_registry_entry():
+    # A 3-D torus has no name of its own: "torus3d" fails at
+    # construction, listing the registered spellings.
     from repro.core.config import SimulationConfig
-    from repro.registry import TOPOLOGIES
 
-    config = SimulationConfig(
-        mesh_dims=(4, 4, 4), topology="torus3d", routing="duato",
-        num_escape_vcs=2,
-    )
-    topology = TOPOLOGIES.get("torus3d")(config)
-    assert isinstance(topology, Torus3D)
-    with pytest.raises(ValueError, match="torus3d"):
+    with pytest.raises(ValueError, match="registered alternatives: mesh, torus"):
         SimulationConfig(
-            mesh_dims=(4, 4), topology="torus3d", routing="duato",
+            mesh_dims=(4, 4, 4), topology="torus3d", routing="duato",
             num_escape_vcs=2,
         )

@@ -24,11 +24,11 @@ from repro.network.topology import port_direction
 
 TORI = {
     "torus2d-tornado": dict(
-        mesh_dims=(4, 4), torus=True, routing="duato", num_escape_vcs=2,
+        mesh_dims=(4, 4), topology="torus", routing="duato", num_escape_vcs=2,
         traffic="tornado", normalized_load=0.9,
     ),
     "torus3d-uniform": dict(
-        mesh_dims=(3, 3, 3), topology="torus3d", routing="duato",
+        mesh_dims=(3, 3, 3), topology="torus", routing="duato",
         num_escape_vcs=2, traffic="uniform", normalized_load=0.8,
     ),
 }
