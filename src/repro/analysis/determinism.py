@@ -26,9 +26,8 @@ missing order, so it never counts as unordered iteration.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.analysis.base import Checker
 from repro.analysis.findings import Finding
 from repro.analysis.source import PythonSource
 
@@ -74,10 +73,8 @@ def _in_module(module: str, prefixes: Tuple[str, ...]) -> bool:
     )
 
 
-class DeterminismChecker(Checker):
+class DeterminismChecker:
     """Per-file D-checks (see the module docstring)."""
-
-    rules = ("D001", "D002", "D003", "D004")
 
     def check_source(self, source: PythonSource) -> List[Finding]:
         module = source.module
@@ -131,6 +128,24 @@ def _import_bindings(tree: ast.AST):
     return random_aliases, time_aliases, from_random, from_time
 
 
+def walk_units(tree: ast.AST) -> Iterable[ast.AST]:
+    """The analysis units of a module: every top-level function.
+
+    A unit is a module-level ``def`` or a direct method of a module-level
+    class; functions nested inside a unit (closures, prebound receivers)
+    belong to their enclosing unit, because a closure sees the names of
+    the function that builds it.
+    """
+    assert isinstance(tree, ast.Module)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item
+
+
 def _scopes(tree: ast.AST) -> List[List[ast.AST]]:
     """Node lists of each analysis scope of a module.
 
@@ -139,8 +154,6 @@ def _scopes(tree: ast.AST) -> List[List[ast.AST]]:
     functions, so the set inference never leaks a binding from one
     method into an unrelated one.
     """
-    from repro.analysis.base import walk_units
-
     units = list(walk_units(tree))
     unit_ids = {id(unit) for unit in units}
     scopes = [list(ast.walk(unit)) for unit in units]

@@ -1,25 +1,9 @@
 """Rule metadata and finding records of the house-style linter.
 
-Every rule has a stable identifier ``<FAMILY><NNN>`` whose first letter
-names its checker family:
-
-``D``
-    Determinism: unordered iteration, ambient randomness and wall-clock
-    reads in simulation code (:mod:`repro.analysis.determinism`).
-``W``
-    Wake contract: schedule-relevant state mutations paired with their
-    pending counter or wake (:mod:`repro.analysis.wake`).
-``R``
-    Registry/spec consistency: constructible registry entries, valid
-    study-spec fields, complete schedule mode pairs
-    (:mod:`repro.analysis.registry_spec`).
-
-Identifiers are part of the public contract: suppressions
-(``# repro: allow=D001``), exit codes and the JSON report all use them,
-so renaming or renumbering a rule is a breaking change.  The retired
-``C`` family (cache-key drift) leaves its exit bit unused: the
-result-cache key hashes every configuration field and the component
-provenance, so it follows the configuration by construction.
+Every rule has a stable identifier ``D<NNN>`` (the determinism checks of
+:mod:`repro.analysis.determinism`).  Identifiers are part of the public
+contract: suppressions (``# repro: allow=D001``) and the JSON report use
+them, so renaming or renumbering a rule is a breaking change.
 """
 
 from __future__ import annotations
@@ -27,22 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-__all__ = [
-    "FAMILIES",
-    "FAMILY_EXIT_BITS",
-    "Finding",
-    "RULES",
-    "Rule",
-]
-
-#: Checker families in report order.
-FAMILIES: Tuple[str, ...] = ("D", "W", "R")
-
-#: Exit-code bit of each family: the linter's exit status is the OR of
-#: the bits of every family with at least one finding (0 = clean), so a
-#: caller can tell *which* contracts failed from the code alone.  Bit 2
-#: belonged to the retired ``C`` family and stays unused.
-FAMILY_EXIT_BITS: Dict[str, int] = {"D": 1, "W": 4, "R": 8}
+__all__ = ["Finding", "RULES", "Rule"]
 
 
 @dataclass(frozen=True)
@@ -52,11 +21,6 @@ class Rule:
     id: str
     name: str
     rationale: str
-
-    @property
-    def family(self) -> str:
-        """Family letter (the id's first character)."""
-        return self.id[0]
 
 
 #: Every rule the linter can emit, keyed by id.
@@ -93,28 +57,6 @@ RULES: Dict[str, Rule] = {
             "interpreters; simulation decisions must depend only on the "
             "simulated clock and stable identifiers.",
         ),
-        Rule(
-            "W001",
-            "unpaired-quiescence-mutation",
-            "A declared schedule-relevant container grew without its "
-            "pending-counter update (or wake) in the same method: the "
-            "schedule could skip the new work.  See "
-            "repro.analysis.wake.WAKE_CONTRACTS.",
-        ),
-        Rule(
-            "R001",
-            "unconstructible-registry-entry",
-            "A registered component could not be constructed through its "
-            "documented factory signature; studies naming it would fail "
-            "deep inside network assembly.",
-        ),
-        Rule(
-            "R002",
-            "unknown-study-spec-field",
-            "A study spec override names a key that is not a "
-            "SimulationConfig field; the spec would raise only when it is "
-            "expanded and run.",
-        ),
     )
 }
 
@@ -129,11 +71,6 @@ class Finding:
     message: str
     col: int = 0
 
-    @property
-    def family(self) -> str:
-        """Family letter of the finding's rule."""
-        return self.rule[0]
-
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
 
@@ -145,7 +82,6 @@ class Finding:
         """JSON-report row."""
         return {
             "rule": self.rule,
-            "family": self.family,
             "path": self.path,
             "line": self.line,
             "col": self.col,

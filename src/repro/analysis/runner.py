@@ -1,11 +1,9 @@
-"""Lint orchestration: discovery, checker dispatch, reports, exit codes.
+"""Lint orchestration: discovery, checking, reports, exit codes.
 
 :func:`run_lint` is the library entry point; :func:`main` the CLI one
 (shared by ``python -m repro.analysis`` and ``repro.cli lint``).  The
-exit code is the OR of the failing families' bits
-(:data:`~repro.analysis.findings.FAMILY_EXIT_BITS`): ``0`` clean, bit 0
-determinism, bit 2 wake contract, bit 3 registry/spec (bit 1 belonged
-to the retired cache-key family and stays unused).
+exit code is ``0`` clean, ``1`` on any finding and ``64`` on a usage
+error (a missing path or a file that does not parse).
 """
 
 from __future__ import annotations
@@ -18,16 +16,14 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.analysis.determinism import DeterminismChecker
-from repro.analysis.findings import FAMILIES, FAMILY_EXIT_BITS, RULES, Finding
-from repro.analysis.registry_spec import RegistryChecker
+from repro.analysis.findings import RULES, Finding
 from repro.analysis.source import discover_sources
-from repro.analysis.wake import WakeChecker
 
 __all__ = ["LintReport", "add_lint_arguments", "main", "run_lint", "run_from_args"]
 
 #: JSON report schema version (bump on breaking shape changes).
-#: Version 2: ``counts`` lost the retired ``C`` family.
-REPORT_FORMAT = 2
+#: Version 3: no ``counts`` block and no per-finding ``family``.
+REPORT_FORMAT = 3
 
 
 @dataclass
@@ -39,24 +35,13 @@ class LintReport:
 
     @property
     def exit_code(self) -> int:
-        """OR of the failing families' exit bits (0 = clean)."""
-        code = 0
-        for finding in self.findings:
-            code |= FAMILY_EXIT_BITS[finding.family]
-        return code
-
-    def counts(self) -> dict:
-        """Findings per family, in report order."""
-        counts = {family: 0 for family in FAMILIES}
-        for finding in self.findings:
-            counts[finding.family] += 1
-        return counts
+        """1 when there is any finding, 0 when clean."""
+        return 1 if self.findings else 0
 
     def to_dict(self) -> dict:
         return {
             "format": REPORT_FORMAT,
             "files_checked": self.files_checked,
-            "counts": self.counts(),
             "exit_code": self.exit_code,
             "findings": [finding.to_dict() for finding in self.findings],
         }
@@ -67,37 +52,25 @@ class LintReport:
     def format_text(self) -> str:
         """Human-readable report: one line per finding plus a summary."""
         lines = [finding.format() for finding in self.findings]
-        counts = self.counts()
-        per_family = " ".join(f"{family}:{counts[family]}" for family in FAMILIES)
         lines.append(
-            f"{len(self.findings)} finding(s) ({per_family}) "
-            f"across {self.files_checked} file(s)"
+            f"{len(self.findings)} finding(s) across {self.files_checked} file(s)"
             if self.findings
             else f"clean: 0 findings across {self.files_checked} file(s)"
         )
         return "\n".join(lines)
 
 
-def default_checkers():
-    """The three checker families at their committed configuration."""
-    return (DeterminismChecker(), WakeChecker(), RegistryChecker())
-
-
-def run_lint(paths: Sequence[Path], checkers=None) -> LintReport:
-    """Lint every Python file under ``paths`` with ``checkers`` (default:
-    all three families), honouring inline suppressions, and return the
-    sorted report."""
-    if checkers is None:
-        checkers = default_checkers()
+def run_lint(paths: Sequence[Path]) -> LintReport:
+    """Lint every Python file under ``paths``, honouring inline
+    suppressions, and return the sorted report."""
+    checker = DeterminismChecker()
     sources = discover_sources(paths)
-    findings: List[Finding] = []
-    for source in sources:
-        for checker in checkers:
-            for finding in checker.check_source(source):
-                if not source.is_suppressed(finding.rule, finding.line):
-                    findings.append(finding)
-    for checker in checkers:
-        findings.extend(checker.check_project(sources))
+    findings: List[Finding] = [
+        finding
+        for source in sources
+        for finding in checker.check_source(source)
+        if not source.is_suppressed(finding.rule, finding.line)
+    ]
     findings.sort(key=Finding.sort_key)
     return LintReport(findings=findings, files_checked=len(sources))
 
@@ -141,8 +114,7 @@ def run_from_args(args: argparse.Namespace) -> int:
     if args.list_rules:
         for rule_id in sorted(RULES):
             rule = RULES[rule_id]
-            bit = FAMILY_EXIT_BITS[rule.family]
-            print(f"{rule.id}  {rule.name}  [exit bit {bit}]")
+            print(f"{rule.id}  {rule.name}")
             print(f"      {rule.rationale}")
         return 0
     paths = [Path(p) for p in args.paths] or _default_paths()
@@ -172,8 +144,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
         description=(
-            "House-style linter: determinism (D), wake contract (W) and "
-            "registry/spec consistency (R) checks"
+            "House-style linter: determinism checks (D001-D004) of "
+            "simulation code"
         ),
     )
     add_lint_arguments(parser)

@@ -1,6 +1,6 @@
 """Source loading for the linter: parsing, module names, suppressions.
 
-A :class:`PythonSource` bundles everything the per-file checkers need:
+A :class:`PythonSource` bundles everything the checker needs:
 the file's path, its inferred dotted module name (how the scoped rules
 decide whether a file is simulation code), the parsed AST and the inline
 suppressions.
@@ -10,7 +10,7 @@ Suppression syntax
 A comment of the form ::
 
     # repro: allow=D001
-    # repro: allow=W001,D002 -- optional justification
+    # repro: allow=D001,D004 -- optional justification
 
 disables the named rules for the line it sits on *and* the following
 line (so it can trail the flagged statement or sit on its own line just
@@ -55,7 +55,7 @@ def parse_suppressions(text: str) -> Dict[int, FrozenSet[str]]:
 
 
 class PythonSource:
-    """One parsed Python file plus the metadata the checkers consume."""
+    """One parsed Python file plus the metadata the checker consumes."""
 
     __slots__ = ("path", "module", "text", "tree", "_allowed")
 

@@ -13,8 +13,8 @@ Four subcommands cover the common workflows:
 ``sweep``
     Run a latency-versus-load sweep for one configuration.
 ``lint``
-    Run the house-style linter (:mod:`repro.analysis`): determinism,
-    wake-contract and registry/spec checks.
+    Run the house-style linter (:mod:`repro.analysis`): the static
+    determinism checks ``D001``-``D004``.
 
 ``run``/``sweep`` are thin wrappers that build the equivalent study spec
 and execute it through the same path as ``study``.  Every
@@ -187,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = subparsers.add_parser(
         "lint",
-        help="run the house-style linter (determinism, wake-contract "
-             "and registry/spec checks)",
+        help="run the house-style linter (determinism checks D001-D004)",
     )
     from repro.analysis.runner import add_lint_arguments
 

@@ -140,8 +140,6 @@ class SimulationConfig:
     drain_factor: float = 4.0
     #: Master random seed.
     seed: int = 1
-    #: Retain per-message latency samples (enables percentiles).
-    keep_samples: bool = False
     #: Seed-offset replicate runs per point.  1 (the default) is a single
     #: run; larger values fan the point into ``replications`` runs at
     #: seeds ``seed, seed + seed_stride, ...`` when submitted through an
@@ -315,11 +313,19 @@ class SimulationConfig:
     def from_dict(cls, data: Dict[str, object]) -> "SimulationConfig":
         """Rebuild a configuration from :meth:`to_dict` output.
 
-        Unknown keys are ignored so caches written by newer versions with
-        extra fields still load (missing fields fall back to defaults).
+        Missing fields fall back to their defaults.  An unknown key raises
+        ``ValueError`` naming every such key: a dropped key would silently
+        rebuild a different configuration (a result cache treats the raise
+        as a miss and discards the entry).
         """
         known = {spec.name for spec in fields(cls)}
-        kwargs = {key: value for key, value in data.items() if key in known}
+        unknown = sorted(key for key in data if key not in known)
+        if unknown:
+            raise ValueError(
+                f"SimulationConfig.from_dict: unknown configuration key(s) "
+                f"{', '.join(map(repr, unknown))}"
+            )
+        kwargs = dict(data)
         if "mesh_dims" in kwargs:
             kwargs["mesh_dims"] = tuple(int(extent) for extent in kwargs["mesh_dims"])
         if kwargs.get("link_delays") is not None:

@@ -125,7 +125,6 @@ class NetworkSimulator:
                 warmup_messages=0,
                 measure_messages=dag.num_transfers if dag.num_transfers else None,
                 num_nodes=self._topology.num_nodes,
-                keep_samples=config.keep_samples,
             )
             self._stats.add_delivery_callback(self._workload.on_delivered)
             self._message_rate = 0.0
@@ -174,7 +173,6 @@ class NetworkSimulator:
                 warmup_messages=config.warmup_messages,
                 measure_messages=config.measure_messages,
                 num_nodes=self._topology.num_nodes,
-                keep_samples=config.keep_samples,
             )
             # The rate the injection process actually offers (Bernoulli
             # clamps super-unit rates); used for the cycle budget and the

@@ -563,7 +563,8 @@ def campaign_study(
 # -- registered default-scale builders --------------------------------------------
 #
 # Zero-argument builders at SimulationConfig.tiny() scale.  `load_study(name)`
-# calls these; the lint R-checks validate every one of them.
+# calls these; tests/test_registry.py builds and tests/test_scenario_spec.py
+# expands every one of them.
 
 
 @register("study", "run")

@@ -30,7 +30,6 @@ class StatsCollector:
         warmup_messages: int = 0,
         measure_messages: Optional[int] = None,
         num_nodes: int = 1,
-        keep_samples: bool = False,
     ) -> None:
         if warmup_messages < 0:
             raise ValueError("warm-up message count cannot be negative")
@@ -44,12 +43,10 @@ class StatsCollector:
         self._measured_flits = 0
         self._order: Dict[int, int] = {}
         # p50/p99 ride on streaming P² estimators, so the headline
-        # percentiles survive keep_samples=False (the memory-flat default
-        # on 400k-message runs); with samples retained they are exact.
-        self._total_latency = RunningStats(
-            keep_samples=keep_samples, quantiles=REPORTED_QUANTILES
-        )
-        self._network_latency = RunningStats(keep_samples=keep_samples)
+        # percentiles need no per-message sample list (memory stays flat
+        # on 400k-message runs).
+        self._total_latency = RunningStats(quantiles=REPORTED_QUANTILES)
+        self._network_latency = RunningStats()
         self._hops = RunningStats()
         self._first_measured_delivery: Optional[int] = None
         self._last_delivery_cycle = 0

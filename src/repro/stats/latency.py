@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from dataclasses import fields as dataclasses_fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["LatencySummary", "P2Quantile", "RunningStats"]
 
@@ -119,8 +119,8 @@ class P2Quantile:
     def value(self) -> float:
         """The current quantile estimate (0.0 when no samples were seen).
 
-        Exact (nearest-rank, the :meth:`RunningStats.percentile` rule)
-        while fewer than five samples have arrived.
+        Exact (nearest-rank with a ceiling rule: rank
+        ``ceil(fraction * n)``) while fewer than five samples have arrived.
         """
         if self._heights:
             return self._heights[2]
@@ -139,23 +139,19 @@ class RunningStats:
 
     Keeping only the running moments lets the collector absorb hundreds of
     thousands of samples (the paper measures 400,000 messages) without
-    storing them, while optional sample retention supports percentiles in
-    smaller runs.  ``quantiles`` attaches one streaming
+    storing them.  ``quantiles`` attaches one streaming
     :class:`P2Quantile` estimator per listed fraction, so selected
-    percentiles (p50/p99) stay available without ``keep_samples=True``.
+    percentiles (p50/p99) stay available without a sample list.
     """
 
-    __slots__ = ("_count", "_mean", "_m2", "_min", "_max", "_samples", "_quantiles")
+    __slots__ = ("_count", "_mean", "_m2", "_min", "_max", "_quantiles")
 
-    def __init__(
-        self, keep_samples: bool = False, quantiles: Sequence[float] = ()
-    ) -> None:
+    def __init__(self, quantiles: Sequence[float] = ()) -> None:
         self._count = 0
         self._mean = 0.0
         self._m2 = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._samples: Optional[List[float]] = [] if keep_samples else None
         self._quantiles: Dict[float, P2Quantile] = {
             float(fraction): P2Quantile(float(fraction)) for fraction in quantiles
         }
@@ -169,7 +165,7 @@ class RunningStats:
         minimum: float = math.inf,
         maximum: float = -math.inf,
     ) -> "RunningStats":
-        """Rebuild an accumulator from stored moments (no samples retained).
+        """Rebuild an accumulator from stored moments.
 
         ``m2`` is the sum of squared deviations (``variance * (count - 1)``).
         The bounds default to the empty-state sentinels, for callers that
@@ -198,8 +194,6 @@ class RunningStats:
             self._min = value
         if value > self._max:
             self._max = value
-        if self._samples is not None:
-            self._samples.append(value)
         for tracker in self._quantiles.values():
             tracker.add(value)
 
@@ -210,8 +204,7 @@ class RunningStats:
         al.), so merging the same sample multiset in any partition and any
         order yields the same count/mean/variance/min/max up to float
         rounding -- what lets per-seed replicate summaries pool into one
-        message-level aggregate.  Retained samples survive only when both
-        sides kept them.  Streaming quantile trackers are path dependent
+        message-level aggregate.  Streaming quantile trackers are path dependent
         (P² marker state) and therefore not mergeable: merging an
         accumulator that tracks quantiles raises ``ValueError``.
         Returns ``self``.
@@ -223,8 +216,6 @@ class RunningStats:
                 "combine quantile estimates separately"
             )
         if other._count == 0:
-            if self._samples is not None and other._samples is None:
-                self._samples = None
             return self
         if self._count == 0:
             self._count = other._count
@@ -232,10 +223,6 @@ class RunningStats:
             self._m2 = other._m2
             self._min = other._min
             self._max = other._max
-            if self._samples is not None:
-                self._samples = (
-                    list(other._samples) if other._samples is not None else None
-                )
             return self
         total = self._count + other._count
         delta = other._mean - self._mean
@@ -246,11 +233,6 @@ class RunningStats:
             self._min = other._min
         if other._max > self._max:
             self._max = other._max
-        if self._samples is not None:
-            if other._samples is not None:
-                self._samples.extend(other._samples)
-            else:
-                self._samples = None
         return self
 
     @property
@@ -283,48 +265,20 @@ class RunningStats:
         """Largest sample (0.0 when empty)."""
         return self._max if self._count else 0.0
 
-    def percentile(self, fraction: float) -> float:
-        """Exact sample percentile; requires ``keep_samples=True``.
-
-        Nearest-rank with an explicit ceiling rule: the result is the
-        smallest retained sample whose cumulative fraction reaches
-        ``fraction`` (rank ``ceil(fraction * n)``, clamped to the sample
-        range), so ``percentile(0.0)`` is the minimum, ``percentile(1.0)``
-        the maximum, and no banker's rounding is involved.  The fraction
-        is validated before the empty-accumulator early return.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("percentile fraction must be within [0, 1]")
-        if self._samples is None:
-            raise ValueError(
-                "percentiles need keep_samples=True; use quantile() for a "
-                "streaming estimate"
-            )
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = math.ceil(fraction * len(ordered))
-        return ordered[min(len(ordered) - 1, max(0, rank - 1))]
-
     def quantile(self, fraction: float) -> float:
-        """Best-available quantile: exact when samples are retained, else
-        the P² streaming estimate of a tracked fraction.
+        """The P² streaming estimate of a tracked fraction.
 
-        Raises ``ValueError`` for a fraction that is neither computable
-        exactly (``keep_samples=True``) nor tracked by a streaming
-        estimator passed at construction.
+        The fraction is validated first; a fraction in range that no
+        estimator passed at construction tracks raises ``ValueError``.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("quantile fraction must be within [0, 1]")
-        if self._samples is not None:
-            return self.percentile(fraction)
         tracker = self._quantiles.get(float(fraction))
         if tracker is None:
             tracked = sorted(self._quantiles)
             raise ValueError(
                 f"fraction {fraction!r} is not tracked (streaming quantiles: "
-                f"{tracked!r}); pass it via RunningStats(quantiles=...) or "
-                "retain samples with keep_samples=True"
+                f"{tracked!r}); pass it via RunningStats(quantiles=...)"
             )
         return tracker.value
 

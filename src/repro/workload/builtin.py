@@ -276,5 +276,5 @@ register("workload", "trace", obj=TraceWorkload())
 
 
 def example_trace_path() -> Path:
-    """The shipped example trace (used by docs, tests and the R-checks)."""
+    """The shipped example trace (used by docs and tests)."""
     return Path(__file__).resolve().parent / "example_trace.json"

@@ -1,23 +1,21 @@
 """Self-tests of the house-style linter (:mod:`repro.analysis`).
 
-Every checker family is exercised against the fixture snippets under
+Every rule is exercised against the fixture snippets under
 ``tests/fixtures/analysis``: the *bad* variant must fire and the *good*
 (fixed) variant must stay silent, so the linter itself cannot silently
-rot.  The suppression syntax, report formats and exit-code mapping are
-pinned here too; the repo-wide clean run and the C/R contract tests live
-in ``test_analysis_contracts.py``.
+rot.  The suppression syntax, report formats and exit codes are pinned
+here too; the repo-wide clean run and the CLI contract tests live in
+``test_analysis_contracts.py``.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.base import Checker
 from repro.analysis.determinism import DeterminismChecker, SIM_MODULE_PREFIXES
-from repro.analysis.findings import FAMILIES, FAMILY_EXIT_BITS, RULES, Finding
+from repro.analysis.findings import RULES, Finding
 from repro.analysis.runner import REPORT_FORMAT, LintReport, run_lint
 from repro.analysis.source import PythonSource, discover_sources, parse_suppressions
-from repro.analysis.wake import WAKE_CONTRACTS, WakeChecker
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "analysis"
 
@@ -29,7 +27,7 @@ def load(name: str, module: str = SIM_FIXTURE_MODULE) -> PythonSource:
     return PythonSource.from_path(FIXTURES / name, module=module)
 
 
-def lint_source(checker: Checker, source: PythonSource):
+def lint_source(checker: DeterminismChecker, source: PythonSource):
     """check_source plus the runner's suppression filter."""
     return [
         finding
@@ -42,21 +40,10 @@ def lint_source(checker: Checker, source: PythonSource):
 
 
 def test_rule_table_is_complete_and_stable():
-    assert set(RULES) == {
-        "D001", "D002", "D003", "D004",
-        "W001",
-        "R001", "R002",
-    }
+    assert set(RULES) == {"D001", "D002", "D003", "D004"}
     for rule_id, rule in RULES.items():
         assert rule.id == rule_id
-        assert rule.family == rule_id[0]
-        assert rule.family in FAMILIES
         assert rule.name and rule.rationale
-
-
-def test_every_family_has_a_distinct_exit_bit():
-    # Bit 2 belonged to the retired cache-key family and is not reused.
-    assert FAMILY_EXIT_BITS == {"D": 1, "W": 4, "R": 8}
 
 
 # -- D-checks ------------------------------------------------------------------------
@@ -121,58 +108,6 @@ def test_sim_scope_covers_the_order_sensitive_packages():
         assert prefix in SIM_MODULE_PREFIXES
 
 
-# -- W-checks ------------------------------------------------------------------------
-
-FIXTURE_CONTRACTS = {
-    "repro.network._wake_fixture": {"_flit_lanes": (("_flit_pending",),)},
-}
-
-
-def test_w001_fires_on_unguarded_growth_through_an_alias():
-    source = load("w_wake_bad.py", module="repro.network._wake_fixture")
-    findings = lint_source(WakeChecker(contracts=FIXTURE_CONTRACTS), source)
-    assert [f.rule for f in findings] == ["W001"]
-    message = findings[0].message
-    assert "_flit_lanes" in message and "push" in message
-    assert "_flit_pending" in message  # the expected guard group is named
-
-
-def test_w001_is_silent_once_the_pending_counter_is_paired():
-    source = load("w_wake_good.py", module="repro.network._wake_fixture")
-    assert lint_source(WakeChecker(contracts=FIXTURE_CONTRACTS), source) == []
-
-
-HEAP_FIXTURE_CONTRACTS = {
-    "repro.network._heap_fixture": {"_ni_heap": (("_ni_wake",),)},
-}
-
-
-def test_w001_treats_heappush_as_growth():
-    source = load("w_wake_heap_bad.py", module="repro.network._heap_fixture")
-    findings = lint_source(WakeChecker(contracts=HEAP_FIXTURE_CONTRACTS), source)
-    assert [f.rule for f in findings] == ["W001"]
-    message = findings[0].message
-    assert "_ni_heap" in message and "rearm" in message
-    assert "_ni_wake" in message
-
-
-def test_w001_is_silent_on_a_paired_heappush_and_on_pops():
-    source = load("w_wake_heap_good.py", module="repro.network._heap_fixture")
-    assert lint_source(WakeChecker(contracts=HEAP_FIXTURE_CONTRACTS), source) == []
-
-
-def test_w001_ignores_modules_without_a_contract():
-    source = load("w_wake_bad.py", module="repro.network._other")
-    assert lint_source(WakeChecker(contracts=FIXTURE_CONTRACTS), source) == []
-
-
-def test_live_wake_contract_modules_exist():
-    import importlib.util
-
-    for module in WAKE_CONTRACTS:
-        assert importlib.util.find_spec(module) is not None, module
-
-
 # -- suppressions --------------------------------------------------------------------
 
 
@@ -180,10 +115,10 @@ def test_parse_suppressions_maps_lines_to_rule_sets():
     text = (
         "x = 1\n"
         "# repro: allow=D001 -- reason\n"
-        "y = 2  # repro: allow=D002,W001\n"
+        "y = 2  # repro: allow=D002,D004\n"
     )
     allowed = parse_suppressions(text)
-    assert allowed == {2: frozenset({"D001"}), 3: frozenset({"D002", "W001"})}
+    assert allowed == {2: frozenset({"D001"}), 3: frozenset({"D002", "D004"})}
 
 
 def test_suppressions_silence_only_the_named_rules():
@@ -203,39 +138,27 @@ def test_suppressions_silence_only_the_named_rules():
 def test_run_lint_applies_suppressions_per_file(tmp_path):
     target = tmp_path / "snippet.py"
     target.write_text(
-        "a = 1\nb = 2  # repro: allow=D001\n", encoding="utf-8"
+        "import random\n"
+        "a = random.random()\n"
+        "b = random.random()  # repro: allow=D002\n",
+        encoding="utf-8",
     )
-
-    class EveryLine(Checker):
-        rules = ("D001",)
-
-        def check_source(self, source):
-            return [
-                Finding(rule="D001", path=str(source.path), line=line, message="stub")
-                for line in (1, 2)
-            ]
-
-    report = run_lint([target], checkers=(EveryLine(),))
-    assert [f.line for f in report.findings] == [1]
+    report = run_lint([target])
+    assert [(f.rule, f.line) for f in report.findings] == [("D002", 2)]
     assert report.files_checked == 1
-    assert report.exit_code == FAMILY_EXIT_BITS["D"]
+    assert report.exit_code == 1
 
 
 # -- report shape and exit codes -----------------------------------------------------
 
 
-def test_exit_code_is_the_or_of_the_failing_family_bits():
+def test_any_finding_exits_one():
     def finding(rule):
         return Finding(rule=rule, path="x.py", line=1, message="m")
 
     assert LintReport(findings=[]).exit_code == 0
     assert LintReport(findings=[finding("D001")]).exit_code == 1
-    assert LintReport(findings=[finding("W001")]).exit_code == 4
-    assert LintReport(findings=[finding("R001")]).exit_code == 8
-    mixed = LintReport(
-        findings=[finding("D001"), finding("W001"), finding("R001")]
-    )
-    assert mixed.exit_code == 1 | 4 | 8
+    assert LintReport(findings=[finding("D001"), finding("D004")]).exit_code == 1
 
 
 def test_report_dict_schema_and_text_rendering():
@@ -244,19 +167,20 @@ def test_report_dict_schema_and_text_rendering():
     data = report.to_dict()
     assert data["format"] == REPORT_FORMAT
     assert data["files_checked"] == 3
-    assert data["counts"] == {"D": 1, "W": 0, "R": 0}
     assert data["exit_code"] == 1
     assert data["findings"] == [finding.to_dict()]
+    assert set(data) == {"format", "files_checked", "exit_code", "findings"}
+    assert set(finding.to_dict()) == {"rule", "path", "line", "col", "message"}
     assert finding.format() == "src/x.py:12:4: D001 boom"
     text = report.format_text()
     assert "src/x.py:12:4: D001 boom" in text
-    assert "1 finding(s) (D:1 W:0 R:0) across 3 file(s)" in text
+    assert "1 finding(s) across 3 file(s)" in text
     assert "clean" in LintReport(files_checked=2).format_text()
 
 
 def test_findings_sort_by_location_then_rule():
     findings = [
-        Finding(rule="W001", path="b.py", line=1, message="m"),
+        Finding(rule="D004", path="b.py", line=1, message="m"),
         Finding(rule="D001", path="a.py", line=9, message="m"),
         Finding(rule="D001", path="a.py", line=2, message="m"),
     ]

@@ -98,13 +98,21 @@ def test_config_to_dict_round_trip():
     assert SimulationConfig.from_dict(data) == config
 
 
-def test_config_from_dict_ignores_unknown_keys_and_defaults_missing_ones():
-    rebuilt = SimulationConfig.from_dict(
-        {"mesh_dims": [4, 4], "traffic": "transpose", "future_field": "x"}
-    )
+def test_config_from_dict_refuses_unknown_keys_and_defaults_missing_ones():
+    rebuilt = SimulationConfig.from_dict({"mesh_dims": [4, 4], "traffic": "transpose"})
     assert rebuilt.mesh_dims == (4, 4)
     assert rebuilt.traffic == "transpose"
     assert rebuilt.seed == SimulationConfig().seed
+    with pytest.raises(ValueError, match="'future_field', 'other_field'"):
+        SimulationConfig.from_dict(
+            {"mesh_dims": [4, 4], "other_field": 1, "future_field": "x"}
+        )
+    # The retired `torus` flag once selected the torus topology; dropping
+    # it silently would rebuild a mesh.
+    with pytest.raises(ValueError, match="'torus'"):
+        SimulationConfig.from_dict(
+            {"mesh_dims": [4, 4], "torus": True, "num_escape_vcs": 2}
+        )
 
 
 def test_config_to_dict_is_json_stable():

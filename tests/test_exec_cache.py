@@ -179,6 +179,16 @@ def test_stale_entry_for_another_config_is_a_miss(cache):
     assert cache.get(config) is None
 
 
+def test_entry_whose_config_has_an_unknown_key_is_a_miss_and_is_discarded(cache):
+    config = SimulationConfig.tiny()
+    data = json.loads(make_result(config).to_json())
+    data["config"]["retired_knob"] = True
+    cache.path_for(config).write_text(json.dumps(data), encoding="utf-8")
+    assert cache.get(config) is None
+    assert cache.misses == 1 and cache.hits == 0
+    assert not cache.path_for(config).exists()
+
+
 def test_clear_removes_every_entry(cache):
     config = SimulationConfig.tiny()
     cache.put(config, make_result(config))
@@ -275,7 +285,6 @@ _KEY_ALTERNATIVES = {
     "max_cycles": 5_000,
     "drain_factor": 2.0,
     "seed": 2,
-    "keep_samples": True,
     "replications": 2,
     "seed_stride": 2,
 }

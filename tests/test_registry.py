@@ -1,5 +1,6 @@
 """Tests for the component registries and plugin machinery."""
 
+import functools
 import random
 
 import pytest
@@ -7,6 +8,11 @@ import pytest
 from repro import registry
 from repro.registry import REGISTRIES, Registry, register
 from repro.core.config import SimulationConfig
+from repro.core.simulator import build_table, build_topology
+from repro.engine.rng import SimulationRNG
+from repro.router.pipeline import PipelineTiming
+from repro.scenario.spec import Study
+from repro.workload import WorkloadDag, example_trace_path
 from repro.selection.base import PathSelector
 from repro.traffic.patterns import TrafficPattern, make_pattern
 from repro.network.topology import MeshTopology
@@ -136,6 +142,90 @@ def test_component_provenance_includes_workloads_and_skips_none():
         SimulationConfig.tiny(workload="allreduce")
     )
     assert closed["workload"] == "repro.workload.builtin:ring_allreduce_workload"
+
+
+# -- every registered entry constructs -----------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_networks():
+    """A 4x4 mesh and a 4x4 torus, each with its configuration and table."""
+    mesh = SimulationConfig(mesh_dims=(4, 4))
+    torus = SimulationConfig(mesh_dims=(4, 4), topology="torus", num_escape_vcs=2)
+    networks = []
+    for config in (mesh, torus):
+        topology = build_topology(config)
+        networks.append((config, topology, build_table(config, topology)))
+    return tuple(networks)
+
+
+def _probe_entry(kind, name, factory):
+    """Build ``factory`` through its kind's signature (the factory table in
+    the :mod:`repro.registry` docstring) on a 4x4 mesh; raises on failure."""
+    (config, topology, table), torus = _probe_networks()
+    if kind == "topology":
+        factory(config)
+    elif kind == "table":
+        factory(topology, config)
+    elif kind == "routing":
+        factory(topology, table, config)
+        # Every routing entry either accepts a torus (dateline
+        # discipline) or refuses it with a pointed ValueError.
+        torus_config, torus_topology, torus_table = torus
+        try:
+            factory(torus_topology, torus_table, torus_config)
+        except ValueError:
+            pass
+    elif kind == "selector":
+        factory(SimulationRNG(seed=0).stream("registry-probe"))
+    elif kind == "traffic":
+        factory(topology)
+    elif kind == "injection":
+        factory(config, 0.01)
+    elif kind == "pipeline":
+        assert isinstance(factory, PipelineTiming), type(factory).__name__
+    elif kind in ("reporter", "analytic"):
+        assert callable(factory), factory
+    elif kind == "study":
+        study = factory()
+        assert isinstance(study, Study), type(study).__name__
+    elif kind == "workload":
+        workload_config = config.variant(
+            workload=name, workload_trace=str(example_trace_path())
+        )
+        dag = factory(workload_config, topology)
+        assert isinstance(dag, WorkloadDag), type(dag).__name__
+    else:
+        pytest.fail(f"no constructibility probe for registry kind {kind!r}")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [f"{kind}/{name}" for kind in sorted(REGISTRIES) for name in REGISTRIES[kind].names()],
+)
+def test_every_registry_entry_constructs(entry):
+    # A study naming an unconstructible component would otherwise fail
+    # only deep inside network assembly, possibly mid-campaign.
+    kind, name = entry.split("/", 1)
+    _probe_entry(kind, name, REGISTRIES[kind].get(name))
+
+
+def _raising_factory(*args):
+    raise RuntimeError("deliberately unconstructible")
+
+
+@pytest.mark.parametrize(
+    "kind, factory, error",
+    [
+        ("selector", _raising_factory, RuntimeError),
+        ("workload", _raising_factory, RuntimeError),
+        ("workload", lambda config, topology: {"not": "a dag"}, AssertionError),
+    ],
+    ids=["raising-selector", "raising-workload", "workload-returning-a-dict"],
+)
+def test_registry_probe_rejects_broken_entries(kind, factory, error):
+    with pytest.raises(error):
+        _probe_entry(kind, "trace", factory)
 
 
 # -- plugging in user components -----------------------------------------------------

@@ -53,12 +53,53 @@ def test_every_builtin_study_round_trips():
         study = STUDIES.get(name)()
         assert Study.from_json(study.to_json()) == study, name
     # Expanding builds every point's configuration, so a bad value in a
-    # built-in base or axis fails here rather than at run time.
+    # built-in base or axis fails here rather than at run time; suites do
+    # not expand, so their own base is built directly.
     for name in STUDIES.names():
         built = STUDIES.get(name)()
         for study in (built,) + built.members:
+            study.base_config()
             if study.kind == "grid":
                 assert study.expand(), (name, study.name)
+
+
+@pytest.mark.parametrize(
+    "where",
+    [
+        {"base": {"bogus_knob": 1}},
+        {"axes": [{"field": "bogus_knob", "values": [1, 2]}]},
+        {
+            "axes": [
+                {
+                    "name": "shape",
+                    "variants": [{"name": "bad", "overrides": {"bogus_knob": 1}}],
+                }
+            ]
+        },
+        {"scenarios": [{"name": "bad", "overrides": {"bogus_knob": 1}}]},
+    ],
+    ids=["base", "axis-field", "variant-overrides", "scenario-overrides"],
+)
+def test_unknown_config_key_fails_expansion_by_name(where):
+    study = Study.from_dict({"study": "fixture", **where})
+    with pytest.raises(TypeError, match="bogus_knob"):
+        study.expand()
+
+
+def test_real_config_keys_pass_expansion():
+    study = Study.from_dict(
+        {
+            "study": "fixture",
+            "base": {"normalized_load": 0.2, "mesh_dims": [4, 4]},
+            "axes": [{"field": "vcs_per_port", "values": [2, 4]}],
+            "scenarios": [{"name": "hot", "overrides": {"traffic": "hotspot"}}],
+        }
+    )
+    # The scenario comes first, then the axis grid, all over the base.
+    hot, vcs2, vcs4 = study.expand()
+    assert hot.config.traffic == "hotspot"
+    assert (vcs2.config.vcs_per_port, vcs4.config.vcs_per_port) == (2, 4)
+    assert {p.config.mesh_dims for p in (hot, vcs2, vcs4)} == {(4, 4)}
 
 
 def test_shipped_spec_files_match_the_registered_builders():

@@ -40,19 +40,19 @@ def test_running_stats_empty_defaults():
     assert stats.maximum == 0.0
 
 
-def test_running_stats_percentiles_require_samples():
-    without = RunningStats()
-    without.add(1.0)
-    with pytest.raises(ValueError):
-        without.percentile(0.5)
-    with_samples = RunningStats(keep_samples=True)
+def test_running_stats_quantiles_require_a_tracker():
+    untracked = RunningStats()
+    untracked.add(1.0)
+    with pytest.raises(ValueError, match="not tracked"):
+        untracked.quantile(0.5)
+    tracked = RunningStats(quantiles=(0.5,))
     for value in range(1, 101):
-        with_samples.add(float(value))
-    assert with_samples.percentile(0.0) == 1.0
-    assert with_samples.percentile(1.0) == 100.0
-    assert with_samples.percentile(0.5) == pytest.approx(50.0, abs=1.0)
+        tracked.add(float(value))
+    assert tracked.minimum == 1.0
+    assert tracked.maximum == 100.0
+    assert tracked.quantile(0.5) == pytest.approx(50.0, abs=1.0)
     with pytest.raises(ValueError):
-        with_samples.percentile(1.5)
+        tracked.quantile(1.5)
 
 
 # -- StatsCollector ----------------------------------------------------------------

@@ -3,7 +3,8 @@
 Covers the parallel-merge algebra of :class:`RunningStats`, the
 streaming P² percentile estimator, the pure-stdlib Student-t critical
 values and :func:`merge_replicates`, plus the percentile bugfixes
-(validation order, explicit ceil indexing rule).
+(validation order, explicit ceil indexing rule) as they hold for the
+streaming quantiles.
 """
 
 import math
@@ -22,7 +23,8 @@ from repro.stats.latency import P2Quantile, RunningStats
 
 
 def exact_percentile(values, fraction):
-    """The ceil-rule nearest-rank percentile RunningStats pins."""
+    """The ceil-rule nearest-rank percentile: the exact reference the
+    streaming quantiles are held to."""
     ordered = sorted(values)
     rank = math.ceil(fraction * len(ordered))
     return ordered[min(len(ordered) - 1, max(0, rank - 1))]
@@ -34,37 +36,36 @@ def exact_percentile(values, fraction):
 def test_percentile_validates_fraction_before_the_empty_check():
     # The historical bug: an empty collector returned 0.0 for any
     # fraction, hiding out-of-range callers until samples arrived.
-    empty = RunningStats(keep_samples=True)
+    empty = RunningStats(quantiles=(0.5,))
     with pytest.raises(ValueError, match=r"within \[0, 1\]"):
-        empty.percentile(1.5)
+        empty.quantile(1.5)
     with pytest.raises(ValueError, match=r"within \[0, 1\]"):
-        empty.percentile(-0.1)
-    assert empty.percentile(0.5) == 0.0  # in-range on empty stays 0.0
+        empty.quantile(-0.1)
+    assert empty.quantile(0.5) == 0.0  # in-range on empty stays 0.0
 
 
 def test_percentile_uses_the_ceil_rule_not_bankers_rounding():
-    stats = RunningStats(keep_samples=True)
+    # Below five samples the P² trackers are exact nearest-rank.
+    stats = RunningStats(quantiles=(0.25, 0.5, 0.75, 0.99))
     for value in (10.0, 20.0, 30.0, 40.0):
         stats.add(value)
     # int(round(0.5 * 4)) == 2 under banker's rounding picked 30.0 here;
     # the nearest-rank ceil rule pins the lower median.
-    assert stats.percentile(0.0) == 10.0
-    assert stats.percentile(0.25) == 10.0
-    assert stats.percentile(0.5) == 20.0
-    assert stats.percentile(0.75) == 30.0
-    assert stats.percentile(0.99) == 40.0
-    assert stats.percentile(1.0) == 40.0
+    assert stats.quantile(0.25) == 10.0
+    assert stats.quantile(0.5) == 20.0
+    assert stats.quantile(0.75) == 30.0
+    assert stats.quantile(0.99) == 40.0
 
 
 def test_percentile_matches_reference_rule_on_random_streams():
     rng = random.Random(7)
     for trial in range(20):
-        values = [rng.uniform(0, 100) for _ in range(rng.randrange(1, 50))]
-        stats = RunningStats(keep_samples=True)
+        values = [rng.uniform(0, 100) for _ in range(rng.randrange(1, 5))]
+        fraction = rng.uniform(0.01, 0.99)
+        stats = RunningStats(quantiles=(fraction,))
         for value in values:
             stats.add(value)
-        fraction = rng.random()
-        assert stats.percentile(fraction) == exact_percentile(values, fraction)
+        assert stats.quantile(fraction) == exact_percentile(values, fraction)
 
 
 # -- merge algebra ------------------------------------------------------------------
@@ -119,22 +120,6 @@ def test_merge_with_empty_sides():
     assert RunningStats().merge(filled).mean == pytest.approx(2.0)
     assert filled.merge(empty).count == 3
     assert RunningStats().merge(RunningStats()).count == 0
-
-
-def test_merge_keeps_samples_only_when_both_sides_kept_them():
-    left = RunningStats(keep_samples=True)
-    right = RunningStats(keep_samples=True)
-    left.add(1.0)
-    right.add(2.0)
-    assert left.merge(right).percentile(1.0) == 2.0
-    with_samples = RunningStats(keep_samples=True)
-    with_samples.add(1.0)
-    without = RunningStats()
-    without.add(2.0)
-    merged = with_samples.merge(without)
-    assert merged.count == 2
-    with pytest.raises(ValueError, match="keep_samples"):
-        merged.percentile(0.5)
 
 
 def test_merge_refuses_quantile_trackers():
@@ -204,16 +189,14 @@ def test_p2_tracks_random_streams(fraction):
 def test_p2_p50_and_p99_track_exact_percentiles_on_a_latency_stream():
     # A seeded exponential latency stream (mean 80 above a 20-cycle
     # floor): the five-marker trackers stay within 2% of the exact
-    # keep_samples percentiles.
+    # percentiles.
     rng = random.Random(7)
     values = [rng.expovariate(1.0 / 80.0) + 20.0 for _ in range(50_000)]
     streaming = RunningStats(quantiles=(0.5, 0.99))
-    exact = RunningStats(keep_samples=True)
     for value in values:
         streaming.add(value)
-        exact.add(value)
     for fraction in (0.5, 0.99):
-        truth = exact.percentile(fraction)
+        truth = exact_percentile(values, fraction)
         assert abs(streaming.quantile(fraction) - truth) / truth < 0.02
 
 
@@ -240,15 +223,18 @@ def test_p2_on_adversarial_streams():
 
 
 def test_quantile_method_routes_exact_or_streaming():
-    exact = RunningStats(keep_samples=True)
+    # Exact nearest-rank below five samples, the P² estimate after.
     streaming = RunningStats(quantiles=(0.5, 0.99))
     rng = random.Random(5)
-    for _ in range(1_000):
-        value = rng.uniform(0, 100)
-        exact.add(value)
+    values = [rng.uniform(0, 100) for _ in range(1_000)]
+    for value in values[:4]:
         streaming.add(value)
-    assert exact.quantile(0.5) == exact.percentile(0.5)
-    assert streaming.quantile(0.5) == pytest.approx(exact.percentile(0.5), abs=3.0)
+    assert streaming.quantile(0.5) == exact_percentile(values[:4], 0.5)
+    for value in values[4:]:
+        streaming.add(value)
+    assert streaming.quantile(0.5) == pytest.approx(
+        exact_percentile(values, 0.5), abs=3.0
+    )
     with pytest.raises(ValueError, match="tracked"):
         streaming.quantile(0.25)
     with pytest.raises(ValueError):
@@ -260,7 +246,7 @@ def test_streaming_quantiles_use_constant_memory():
     for value in range(100_000):
         stats.add(float(value))
     # No sample list: the only per-quantile state is the 5 P² markers.
-    assert stats._samples is None
+    assert "_samples" not in RunningStats.__slots__
     assert stats.quantile(0.5) == pytest.approx(50_000, rel=0.05)
 
 
