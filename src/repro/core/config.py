@@ -73,7 +73,7 @@ class SimulationConfig:
     #: Credit return delay in cycles.
     credit_delay: int = 1
     #: Network core: ``"flat"`` (the whole network lowered into one
-    #: flat struct-of-arrays kernel component, the default) or
+    #: flat struct-of-arrays core, the default) or
     #: ``"objects"`` (the per-component router/interface network kept as
     #: the executable specification).  Both cores are bit-identical;
     #: see :mod:`repro.network.flatcore`.

@@ -3,17 +3,18 @@
 :class:`NetworkSimulator` is the main entry point of the library.  It
 translates the plain-data :class:`~repro.core.config.SimulationConfig`
 into topology, tables, routing, selection, traffic and statistics objects,
-hands them to the core the configuration selects -- the C
+hands them to the one network core the configuration selects -- the C
 :class:`~repro.network.flatcore.FlatNetworkCore` (default) or the object
 :class:`~repro.network.network.Network`, the executable reference --
-drives the cycle-level kernel and returns a
+drives that core with the cycle-level kernel and returns a
 :class:`~repro.core.results.SimulationResult`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from typing import Optional
+from typing import Callable, Optional
 
 from repro import registry
 from repro.core.config import SimulationConfig
@@ -28,7 +29,7 @@ from repro.router.pipeline import pipeline_by_name
 from repro.routing.base import RoutingAlgorithm
 from repro.selection.heuristics import make_selector
 from repro.stats.collector import StatsCollector
-from repro.stats.saturation import SaturationPolicy, is_saturated
+from repro.stats.saturation import is_saturated
 from repro.tables.base import RoutingTable
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.injection import InjectionProcess, message_rate_for_load
@@ -76,16 +77,17 @@ class NetworkSimulator:
     config:
         The plain-data description of the run.
 
-    ``config.core_mode`` selects the core.  ``"flat"`` (default) builds
-    the whole network as one flat C core (:mod:`repro.network.flatcore`),
-    registers it with the kernel as its only component and assembles no
-    object network; the kernel fast-forwards over the idle spans the
-    core forecasts.  ``"objects"`` assembles a
-    :class:`~repro.network.network.Network` -- the executable reference,
-    and the fallback without a C compiler -- and registers every router
-    and interface individually; they have no forecast, so the kernel
-    steps every cycle.  The two cores are enforced bit-identical by
-    ``tests/test_link_equivalence.py`` and ``tests/test_core_fuzz.py``.
+    ``config.core_mode`` selects the core the kernel drives.  ``"flat"``
+    (default) builds the whole network as one flat C core
+    (:mod:`repro.network.flatcore`) and assembles no object network; the
+    kernel fast-forwards over the idle spans the core forecasts.
+    ``"objects"`` assembles a :class:`~repro.network.network.Network` --
+    the executable reference, and the fallback without a C compiler --
+    which has no forecast, so the kernel steps it every cycle.  The run
+    stops when every measured message is delivered (open loop) or the
+    workload drains (closed loop).  The two cores are enforced
+    bit-identical by ``tests/test_link_equivalence.py`` and
+    ``tests/test_core_fuzz.py``.
     """
 
     def __init__(self, config: SimulationConfig) -> None:
@@ -112,10 +114,9 @@ class NetworkSimulator:
         )
         if config.workload is not None:
             # Closed-loop run: the workload DAG replaces the stochastic
-            # generator.  Every transfer is "measured" (warmup 0), so the
-            # existing all-delivered stop condition ends the run exactly
-            # when the DAG drains; the traffic self-throttles, so there
-            # is no offered rate and no saturation flagging.
+            # generator.  Every transfer is "measured" (warmup 0), and the
+            # run stops when the DAG drains; the traffic self-throttles,
+            # so there is no offered rate and no saturation flagging.
             workload_factory = registry.WORKLOADS.get(config.workload)
             dag = workload_factory(config, self._topology)
             self._workload = WorkloadEngine(dag, self._topology.num_nodes)
@@ -178,7 +179,6 @@ class NetworkSimulator:
             # clamps super-unit rates); used for the cycle budget and the
             # result.
             self._message_rate = process.rate
-        self._kernel = SimulationKernel()
         self._network: Optional[Network]
         self._core: Optional[FlatNetworkCore]
         if config.core_mode == "flat":
@@ -194,7 +194,7 @@ class NetworkSimulator:
             )
             self._network = None
             self._core = FlatNetworkCore(parts, self._stats)
-            self._kernel.register(self._core)
+            core: object = self._core
         else:
             self._network = Network(
                 topology=self._topology,
@@ -205,26 +205,28 @@ class NetworkSimulator:
                 sources=sources,
             )
             self._core = None
-            self._kernel.register_all(self._network.components())
+            core = self._network
         if self._workload is not None and self._core is not None:
             # Released DAG steps must re-arm their home node's interface
             # in the flat core's wake heap; the object interfaces poll
             # their sources every cycle.
-            core = self._core
+            flat = self._core
             self._workload.attach_wakes(
                 [
-                    (lambda cycle, node=node: core.wake_interface(node, cycle))
+                    (lambda cycle, node=node: flat.wake_interface(node, cycle))
                     for node in range(self._topology.num_nodes)
                 ]
             )
-        if self._workload is not None:
-            # Stop when the whole DAG drains (trailing compute steps may
-            # finish after the last transfer is delivered).
-            self._kernel.add_stop_condition(lambda cycle: self._workload.drained)
-        else:
-            self._kernel.add_stop_condition(
-                lambda cycle: self._stats.all_measured_delivered()
-            )
+        # Open loop stops once every measured message is delivered; closed
+        # loop once the whole DAG drains (trailing compute steps may
+        # finish after the last transfer is delivered).
+        workload = self._workload
+        done: Callable[[], bool] = (
+            self._stats.all_measured_delivered
+            if workload is None
+            else (lambda: workload.drained)
+        )
+        self._kernel = SimulationKernel(core, done)
 
     def _make_selector(self, node: int):
         return make_selector(self._config.selector, self._rng.stream(f"selector-{node}"))
@@ -354,9 +356,10 @@ class NetworkSimulator:
             summary = self._stats.summary(cycles, saturated=False)
             drain = self._workload.drain_metrics(cycles, self._critical_path)
         else:
-            preliminary = self._stats.summary(cycles)
-            saturated = is_saturated(preliminary, zero_load, SaturationPolicy())
-            summary = self._stats.summary(cycles, saturated=saturated)
+            summary = self._stats.summary(cycles)
+            summary = dataclasses.replace(
+                summary, saturated=is_saturated(summary, zero_load)
+            )
             drain = None
         return SimulationResult(
             config=self._config,

@@ -156,10 +156,6 @@ class ExecutionBackend(ABC):
                     results[index] = self._simulated[config]
         return results  # type: ignore[return-value]
 
-    def run_one(self, config: "SimulationConfig") -> "SimulationResult":
-        """Run a single configuration through the batch path."""
-        return self.run_configs([config])[0]
-
     def close(self) -> None:
         """Release any worker resources (no-op for serial execution)."""
 

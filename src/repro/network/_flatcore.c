@@ -1586,24 +1586,6 @@ Core_counters(Core *c, PyObject *arg)
     return i64_list(headers ? c->headers_routed : c->flits_forwarded, c->num_nodes, 0);
 }
 
-static PyObject *
-Core_channel(Core *c, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (check_nargs("channel", nargs, 3) < 0 || check_ready(c) < 0)
-        return NULL;
-    long node = PyLong_AsLong(args[0]), port = PyLong_AsLong(args[1]),
-         vc = PyLong_AsLong(args[2]);
-    if (PyErr_Occurred() || check_node(c, node) < 0)
-        return NULL;
-    if (port < 0 || port >= c->radix || vc < 0 || vc >= c->vcs) {
-        PyErr_Format(PyExc_IndexError, "port %ld / vc %ld out of range", port, vc);
-        return NULL;
-    }
-    int g = (int)((node * c->radix + port) * c->vcs + vc);
-    return Py_BuildValue("(iiii)", c->in_state[g], c->buf_len[g], c->out_credits[g],
-                         c->out_owner[g]);
-}
-
 /* -- construction ------------------------------------------------------------------ */
 
 static int
@@ -1974,8 +1956,6 @@ static PyMethodDef Core_methods[] = {
      "Every state array as plain Python lists, in a dict."},
     {"counters", (PyCFunction)Core_counters, METH_O,
      "Per-node headers_routed (True) or flits_forwarded (False) counters."},
-    {"channel", (PyCFunction)(void (*)(void))Core_channel, METH_FASTCALL,
-     "(input state, buffered flits, output credits, output owner) of one channel."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -6,13 +6,13 @@ choice of two; the simulator branches on it directly):
 
 ``"objects"``
     The executable specification.  The simulator assembles an object
-    :class:`~repro.network.network.Network` and registers its routers
-    and interfaces with the kernel as individual components; all
-    per-cycle behaviour lives in :class:`~repro.router.router.Router`
-    and :class:`~repro.network.interface.NetworkInterface`.
+    :class:`~repro.network.network.Network`, which the kernel steps
+    every cycle; all per-cycle behaviour lives in
+    :class:`~repro.router.router.Router` and
+    :class:`~repro.network.interface.NetworkInterface`.
 
 ``"flat"``
-    The default.  The whole network is one kernel component,
+    The default.  The whole network is one core,
     :class:`FlatNetworkCore`, built straight from the topology, the
     router configuration, the routing algorithm and the per-node
     selectors and sources (:class:`FlatCoreParts`) -- no object network
@@ -195,7 +195,7 @@ class FlatCoreParts:
 
 
 class FlatNetworkCore:
-    """The whole network as one kernel component backed by the C core.
+    """The whole network as one kernel-driven core backed by the C extension.
 
     Built from a :class:`FlatCoreParts` record -- topology, router
     configuration, routing algorithm, per-node path selectors and
@@ -406,18 +406,6 @@ class FlatNetworkCore:
         """Drop a live slot's message without delivering it -- the fault
         :meth:`message_conservation_error` exists to catch (its tests)."""
         self._core.clear_slot(slot)
-
-    def input_state(self, node: int, port: int, vc: int) -> Tuple[int, int]:
-        """(state, buffered flits) of one input VC (tests, introspection)."""
-        return self._core.channel(node, port, vc)[:2]
-
-    def output_credits(self, node: int, port: int, vc: int) -> int:
-        """Current credit count of one output VC (tests, introspection)."""
-        return self._core.channel(node, port, vc)[2]
-
-    def output_owner(self, node: int, port: int, vc: int) -> int:
-        """Owning global input channel of one output VC (-1 when free)."""
-        return self._core.channel(node, port, vc)[3]
 
     def in_flight_credits(self, node: int) -> List[Tuple[int, int]]:
         """``(port, vc)`` of every credit in flight toward ``node``'s

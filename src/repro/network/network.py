@@ -1,12 +1,11 @@
-"""Network assembly: routers, interfaces and links wired from a topology."""
+"""Network assembly: routers and interfaces wired from a topology."""
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
 from repro.network.interface import NetworkInterface
-from repro.network.link import Link
-from repro.network.topology import LOCAL_PORT, Topology, port_direction
+from repro.network.topology import LOCAL_PORT, Topology
 from repro.router.config import RouterConfig
 from repro.router.router import Router
 from repro.routing.base import RoutingAlgorithm
@@ -20,7 +19,11 @@ SelectorFactory = Callable[[int], PathSelector]
 
 
 class Network:
-    """A complete simulatable network.
+    """A complete simulatable network: the object core.
+
+    The kernel drives it through :meth:`deliver` and :meth:`evaluate`;
+    it has no ``next_event_cycle`` forecast, so it is stepped every
+    cycle.
 
     Parameters
     ----------
@@ -73,7 +76,6 @@ class Network:
             )
             for node in range(topology.num_nodes)
         ]
-        self._links: List[Link] = []
         self._wire()
 
     def _wire(self) -> None:
@@ -81,17 +83,6 @@ class Network:
         for node, port, neighbor, neighbor_port in self._topology.links():
             self._routers[node].connect_output(port, self._routers[neighbor], neighbor_port)
             self._routers[neighbor].set_upstream(neighbor_port, self._routers[node], port)
-            self._links.append(
-                Link(
-                    source=node,
-                    source_port=port,
-                    destination=neighbor,
-                    destination_port=neighbor_port,
-                    delay=self._router_config.link_delay_for(
-                        port_direction(port)[0]
-                    ),
-                )
-            )
         for node in range(self._topology.num_nodes):
             router = self._routers[node]
             interface = self._interfaces[node]
@@ -115,11 +106,6 @@ class Network:
         """All network interfaces, indexed by node id."""
         return self._interfaces
 
-    @property
-    def links(self) -> List[Link]:
-        """Descriptors of every unidirectional router-to-router link."""
-        return list(self._links)
-
     def router(self, node: int) -> Router:
         """The router of one node."""
         return self._routers[node]
@@ -128,16 +114,29 @@ class Network:
         """The network interface of one node."""
         return self._interfaces[node]
 
-    def components(self) -> List[object]:
-        """All clocked components in kernel registration order.
+    # -- the two phases of a cycle ----------------------------------------------
+    #
+    # Within each phase the routers run in node order, then the interfaces
+    # in node order: the order the flat core replays.  The interfaces'
+    # node order is observable -- it orders same-cycle deliveries (the
+    # statistics' streaming quantiles, workload releases) and the draws
+    # from the shared network-wide message budget.  The routers' order is
+    # not: every link and credit delay is at least one cycle, so nothing
+    # a router does reaches another router or interface in the same phase.
 
-        Registration order is the per-cycle phase order *and* the order in
-        which interfaces draw from the shared network-wide message budget,
-        so it must be deterministic: routers by node id, then interfaces
-        by node id.  None of them forecasts its next event, so the kernel
-        runs every one of them every cycle.
-        """
-        return list(self._routers) + list(self._interfaces)
+    def deliver(self, cycle: int) -> None:
+        """Deliver this cycle's arrivals at every router, then interface."""
+        for router in self._routers:
+            router.deliver(cycle)
+        for interface in self._interfaces:
+            interface.deliver(cycle)
+
+    def evaluate(self, cycle: int) -> None:
+        """Run this cycle's decisions at every router, then interface."""
+        for router in self._routers:
+            router.evaluate(cycle)
+        for interface in self._interfaces:
+            interface.evaluate(cycle)
 
     def is_idle(self) -> bool:
         """True when no flit is buffered or in flight anywhere."""

@@ -51,6 +51,10 @@ class RouterConfig:
     credit_delay: int = 1
 
     def __post_init__(self) -> None:
+        # Every link and credit delay is at least one cycle, so a
+        # scheduled arrival always lies strictly in the future: the
+        # invariant that lets the flat core's forecast skip to its next
+        # arrival without ever missing a same-cycle event.
         if self.vcs_per_port < 1:
             raise ValueError("at least one virtual channel per port is required")
         if self.buffer_depth < 1:

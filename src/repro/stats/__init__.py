@@ -8,7 +8,7 @@ saturation.  This subpackage provides:
   with warm-up exclusion;
 * :class:`~repro.stats.latency.LatencySummary` -- aggregated latency and
   throughput figures;
-* :mod:`repro.stats.saturation` -- the saturation-detection policy used to
+* :mod:`repro.stats.saturation` -- the saturation thresholds used to
   print "Sat." rows like the paper's Table 4;
 * :mod:`repro.stats.confidence` -- Student-t confidence intervals and the
   per-seed replicate merge behind ``config.replications``.
@@ -22,14 +22,13 @@ from repro.stats.confidence import (
     t_critical,
 )
 from repro.stats.latency import LatencySummary, P2Quantile, RunningStats
-from repro.stats.saturation import SaturationPolicy, is_saturated
+from repro.stats.saturation import is_saturated
 
 __all__ = [
     "ConfidenceInterval",
     "LatencySummary",
     "P2Quantile",
     "RunningStats",
-    "SaturationPolicy",
     "StatsCollector",
     "is_saturated",
     "mean_confidence_interval",

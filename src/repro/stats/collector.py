@@ -129,11 +129,6 @@ class StatsCollector:
         """Number of leading messages excluded from statistics."""
         return self._warmup
 
-    @property
-    def measure_target(self) -> Optional[int]:
-        """Number of measured messages the run intends to deliver."""
-        return self._measure_target
-
     def all_measured_delivered(self) -> bool:
         """True once every intended measured message has been delivered."""
         if self._measure_target is None:

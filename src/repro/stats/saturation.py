@@ -11,43 +11,22 @@ contention-free base latency.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from repro.stats.latency import LatencySummary
 
-__all__ = ["SaturationPolicy", "is_saturated"]
+__all__ = ["LATENCY_MULTIPLIER", "MIN_COMPLETION_RATIO", "is_saturated"]
+
+#: A run delivering less than this fraction of its measured messages
+#: within the cycle budget is saturated.
+MIN_COMPLETION_RATIO = 0.95
+
+#: A run whose average total latency exceeds this multiple of the
+#: zero-load latency is saturated.
+LATENCY_MULTIPLIER = 12.0
 
 
-@dataclass(frozen=True)
-class SaturationPolicy:
-    """Thresholds used to flag a run as saturated.
-
-    Attributes
-    ----------
-    min_completion_ratio:
-        A run delivering less than this fraction of its measured messages
-        within the cycle budget is saturated.
-    latency_multiplier:
-        A run whose average total latency exceeds
-        ``latency_multiplier x zero_load_latency`` is saturated.
-    """
-
-    min_completion_ratio: float = 0.95
-    latency_multiplier: float = 12.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.min_completion_ratio <= 1.0:
-            raise ValueError("completion ratio threshold must be in (0, 1]")
-        if self.latency_multiplier <= 1.0:
-            raise ValueError("latency multiplier must exceed 1")
-
-
-def is_saturated(
-    summary: LatencySummary,
-    zero_load_latency: float,
-    policy: SaturationPolicy = SaturationPolicy(),
-) -> bool:
-    """Apply ``policy`` to one run summary.
+def is_saturated(summary: LatencySummary, zero_load_latency: float) -> bool:
+    """Apply the two thresholds above to one run summary.
 
     ``zero_load_latency`` is the analytic contention-free latency of an
     average message (hop latency times average distance plus
@@ -73,10 +52,10 @@ def is_saturated(
             stacklevel=2,
         )
         return False
-    if summary.completion_ratio < policy.min_completion_ratio:
+    if summary.completion_ratio < MIN_COMPLETION_RATIO:
         return True
     if zero_load_latency > 0 and summary.avg_total_latency > (
-        policy.latency_multiplier * zero_load_latency
+        LATENCY_MULTIPLIER * zero_load_latency
     ):
         return True
     return False

@@ -220,7 +220,7 @@ def test_discover_sources_raises_on_syntax_errors(tmp_path):
 
 
 def test_module_names_are_inferred_from_the_package_layout():
-    import repro.network.link as link
+    import repro.engine.clock as clock
 
-    source = PythonSource.from_path(Path(link.__file__))
-    assert source.module == "repro.network.link"
+    source = PythonSource.from_path(Path(clock.__file__))
+    assert source.module == "repro.engine.clock"

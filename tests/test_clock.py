@@ -1,4 +1,4 @@
-"""Tests for the global simulation clock."""
+"""Tests for the simulation clock."""
 
 import pytest
 
@@ -7,15 +7,6 @@ from repro.engine.clock import Clock
 
 def test_clock_starts_at_zero():
     assert Clock().now == 0
-
-
-def test_clock_starts_at_custom_cycle():
-    assert Clock(start=42).now == 42
-
-
-def test_clock_rejects_negative_start():
-    with pytest.raises(ValueError):
-        Clock(start=-1)
 
 
 def test_tick_advances_by_one_by_default():
@@ -36,13 +27,6 @@ def test_tick_rejects_zero_and_negative():
         clock.tick(0)
     with pytest.raises(ValueError):
         clock.tick(-5)
-
-
-def test_reset_returns_to_zero():
-    clock = Clock()
-    clock.tick(7)
-    clock.reset()
-    assert clock.now == 0
 
 
 def test_repr_mentions_current_cycle():

@@ -1,8 +1,7 @@
-"""Tests for the network assembly (routers + interfaces + links)."""
+"""Tests for the network assembly (routers + interfaces wired by the topology)."""
 
 import pytest
 
-from repro.network.link import Link
 from repro.network.network import Network
 from repro.network.topology import LOCAL_PORT, MeshTopology
 from repro.router.config import RouterConfig
@@ -36,18 +35,37 @@ def test_one_router_and_interface_per_node(network):
 
 
 def test_components_order_routers_then_interfaces(network):
-    components = network.components()
-    assert len(components) == 18
-    assert components[:9] == network.routers
-    assert components[9:] == network.interfaces
+    """Each phase visits every router in node order, then every
+    interface in node order: the order the flat core replays and the
+    order interfaces draw from the shared message budget."""
+    log = []
+    for kind, members in (("router", network.routers), ("interface", network.interfaces)):
+        for member in members:
+            for phase in ("deliver", "evaluate"):
+                original = getattr(member, phase)
+
+                def recorded(cycle, original=original, entry=(phase, kind, member.node_id)):
+                    log.append((cycle, *entry))
+                    original(cycle)
+
+                setattr(member, phase, recorded)
+    network.deliver(3)
+    network.evaluate(3)
+    walk = [("router", node) for node in range(9)] + [
+        ("interface", node) for node in range(9)
+    ]
+    assert log == [(3, "deliver", *member) for member in walk] + [
+        (3, "evaluate", *member) for member in walk
+    ]
 
 
 def test_every_network_link_is_described(network):
     # A 3x3 mesh has 2 * (2*3 + 2*3) = 24 unidirectional links.
-    assert len(network.links) == 24
-    for link in network.links:
-        assert isinstance(link, Link)
-        assert network.topology.neighbor(link.source, link.source_port) == link.destination
+    links = list(network.topology.links())
+    assert len(links) == 24
+    for node, port, neighbor, _ in links:
+        assert network.topology.neighbor(node, port) == neighbor
+        assert network.router(node).output_port(port).connected
 
 
 def test_router_ports_connected_according_to_topology(network):
@@ -63,12 +81,3 @@ def test_router_ports_connected_according_to_topology(network):
 def test_fresh_network_is_idle(network):
     assert network.is_idle()
 
-
-def test_link_descriptor_validation():
-    with pytest.raises(ValueError):
-        Link(source=1, source_port=1, destination=1, destination_port=2)
-    with pytest.raises(ValueError):
-        Link(source=1, source_port=1, destination=2, destination_port=2, delay=0)
-    link = Link(source=1, source_port=1, destination=2, destination_port=2)
-    assert link.reversed().source == 2
-    assert link.reversed().destination == 1

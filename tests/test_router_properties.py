@@ -260,7 +260,8 @@ def test_flat_core_flit_and_credit_conservation(seed):
     depth = config.buffer_depth
     radix = simulator.topology.radix
     vcs = config.vcs_per_port
-    connected = core.state()["out_connected"]
+    state = core.state()
+    connected = state["out_connected"]
     for node in range(config.num_nodes):
         in_flight = defaultdict(int)
         for port, vc in core.in_flight_credits(node):
@@ -269,11 +270,12 @@ def test_flat_core_flit_and_credit_conservation(seed):
             if not connected[node * radix + port]:
                 continue
             for vc in range(vcs):
-                assert core.output_owner(node, port, vc) == -1, (
+                channel = (node * radix + port) * vcs + vc
+                assert state["out_owner"][channel] == -1, (
                     f"node {node} port {port} VC {vc} still allocated "
                     f"after drain (seed {seed}, flat core)"
                 )
-                total = core.output_credits(node, port, vc) + in_flight[(port, vc)]
+                total = state["out_credits"][channel] + in_flight[(port, vc)]
                 assert total == depth, (
                     f"node {node} port {port} VC {vc} credits do not "
                     f"conserve: {total} != {depth} (seed {seed}, flat core)"

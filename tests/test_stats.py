@@ -6,7 +6,7 @@ import pytest
 
 from repro.stats.collector import StatsCollector
 from repro.stats.latency import LatencySummary, RunningStats
-from repro.stats.saturation import SaturationPolicy, is_saturated
+from repro.stats.saturation import LATENCY_MULTIPLIER, MIN_COMPLETION_RATIO, is_saturated
 from repro.traffic.message import Message
 
 
@@ -163,13 +163,18 @@ def make_summary(latency=50.0, completion=1.0, measured=100, created=None, deliv
 
 
 def test_low_completion_is_saturated():
+    """Below 95% of the measured messages delivered is saturation."""
+    assert MIN_COMPLETION_RATIO == 0.95
     assert is_saturated(make_summary(completion=0.5), zero_load_latency=40.0)
+    assert is_saturated(make_summary(completion=0.949), zero_load_latency=40.0)
+    assert not is_saturated(make_summary(completion=0.95), zero_load_latency=40.0)
 
 
 def test_exploded_latency_is_saturated():
-    policy = SaturationPolicy(latency_multiplier=10.0)
-    assert is_saturated(make_summary(latency=800.0), zero_load_latency=40.0, policy=policy)
-    assert not is_saturated(make_summary(latency=200.0), zero_load_latency=40.0, policy=policy)
+    """An average latency above 12x the zero-load latency is saturation."""
+    assert LATENCY_MULTIPLIER == 12.0
+    assert is_saturated(make_summary(latency=481.0), zero_load_latency=40.0)
+    assert not is_saturated(make_summary(latency=480.0), zero_load_latency=40.0)
 
 
 def test_zero_measured_with_undelivered_backlog_is_saturated():
@@ -216,9 +221,3 @@ def test_zero_measured_short_budget_run_end_to_end():
 def test_healthy_run_is_not_saturated():
     assert not is_saturated(make_summary(latency=60.0), zero_load_latency=40.0)
 
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        SaturationPolicy(min_completion_ratio=0.0)
-    with pytest.raises(ValueError):
-        SaturationPolicy(latency_multiplier=1.0)
