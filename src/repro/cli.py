@@ -41,7 +41,6 @@ from repro.exec.backend import ExecutionBackend, make_backend
 from repro.registry import STUDIES, load_plugin
 from repro.scenario import Study, StudyResult, load_study, run_study
 from repro.scenario import builtin as builtin_studies
-from repro.selection.heuristics import SELECTOR_NAMES
 
 __all__ = ["build_parser", "main"]
 
@@ -98,16 +97,17 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="normalized load (1.0 = bisection saturation)")
     parser.add_argument("--message-length", type=int, default=20,
                         help="message length in flits (paper default: 20)")
-    parser.add_argument("--pipeline", choices=("proud", "la-proud"), default="la-proud",
+    parser.add_argument("--pipeline", choices=registry.PIPELINES.names(),
+                        default="la-proud",
                         help="router pipeline: 5-stage PROUD or 4-stage LA-PROUD")
     parser.add_argument("--routing", default="duato",
-                        choices=("duato", "dimension-order", "north-last",
-                                 "west-first", "negative-first"),
+                        choices=registry.ROUTING_ALGORITHMS.names(),
                         help="routing algorithm")
     parser.add_argument("--table", default="economical",
-                        choices=("full", "economical", "meta-row", "meta-block", "interval"),
+                        choices=registry.ROUTING_TABLES.names(),
                         help="routing-table storage organisation")
-    parser.add_argument("--selector", default="static-xy", choices=SELECTOR_NAMES,
+    parser.add_argument("--selector", default="static-xy",
+                        choices=registry.SELECTORS.names(),
                         help="path-selection heuristic")
     parser.add_argument("--vcs", type=int, default=4,
                         help="virtual channels per physical channel")

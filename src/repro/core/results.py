@@ -180,9 +180,10 @@ def render_report_section(
 
 def render_campaign_header(config: SimulationConfig) -> str:
     """The base-configuration header of a campaign/suite Markdown report."""
+    extents = "x".join(str(extent) for extent in config.mesh_dims)
     return (
         "## Reproduction campaign\n\n"
-        f"Base configuration: {config.mesh_dims[0]}x{config.mesh_dims[1]} mesh, "
+        f"Base configuration: {extents} {config.topology}, "
         f"{config.message_length}-flit messages, "
         f"{config.vcs_per_port} VCs/channel, "
         f"{config.measure_messages} measured messages per point, "

@@ -13,9 +13,10 @@
  *
  * Python is called back only where the randomness, plugins and
  * statistics live, in the object core's order: the routing algorithm's
- * decide_cached (bound at build), selectors[node].select / record_use,
- * source.messages_due / next_due_cycle, and the statistics collector's
- * record_created / record_injected / record_delivered.
+ * decide_cached (bound at build), selectors[node].select (handed each
+ * candidate's OutputPortStatus, whose usage_count / last_used_cycle are
+ * out_usage / out_last_used), source.messages_due / next_due_cycle, and
+ * the statistics collector's record_created / record_delivered.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -42,10 +43,9 @@ typedef long long i64;
 #define MAX_RADIX 64
 
 /* Interned attribute and method names. */
-static PyObject *s_select, *s_record_use, *s_messages_due, *s_next_due_cycle,
-    *s_record_created, *s_record_injected, *s_record_delivered, *s_hops,
-    *s_injection_cycle, *s_ejection_cycle, *s_destination, *s_length,
-    *s_adaptive_ports, *s_escape_port;
+static PyObject *s_select, *s_messages_due, *s_next_due_cycle, *s_record_created,
+    *s_record_delivered, *s_hops, *s_injection_cycle, *s_ejection_cycle, *s_destination,
+    *s_length, *s_adaptive_ports, *s_escape_port;
 
 /* -- growable int vectors ------------------------------------------------- */
 
@@ -168,7 +168,6 @@ typedef struct {
     int num_nodes, radix, vcs, per_node, num_ports, num_channels, num_slots;
     int capacity, atomic, selection_offset, lookahead;
     int local_delay, link_delay, credit_delay, wheel;
-    int selector_records;
 
     /* Virtual-channel classes: the adaptive VCs, and per port the two
        dateline-class escape pools at pools[(port * 2 + cls) * vcs]. */
@@ -176,7 +175,9 @@ typedef struct {
     int *adaptive_vcs, *pools, *pool_n;
     int *port_dimension, *port_hop_delay;
 
-    /* Per global port. */
+    /* Per global port; out_usage / out_last_used are the use history
+       (flits forwarded, last forwarding cycle) that path selectors read
+       and that counters(False) sums per node. */
     int *dateline_bits, *port_neighbor, *in_prio, *out_prio;
     char *out_connected;
     i64 *out_usage, *out_last_used;
@@ -190,11 +191,12 @@ typedef struct {
     int *go_flit_dest, *g_credit_dest;
 
     /* Per node: sorted ROUTING / ACTIVE member arrays of local channels
-       (rows of per_node entries), the busy worklist and the counters. */
+       (rows of per_node entries), the busy worklist and the headers
+       routed. */
     int *rm, *rm_n, *am, *am_n, *busy;
     int busy_n;
     char *released;
-    i64 *flits_forwarded, *headers_routed;
+    i64 *headers_routed;
 
     /* Message slots. */
     Slot *slots;
@@ -752,22 +754,6 @@ done:
 
 /* -- the router pass --------------------------------------------------------- */
 
-/* Call selectors[node].record_use(port, cycle). */
-static int
-record_use(Core *c, int node, int port, PyObject *py_cycle)
-{
-    PyObject *py_port = small_int(c, port);
-    if (py_port == NULL)
-        return -1;
-    PyObject *args[3] = {PyList_GET_ITEM(c->selectors, node), py_port, py_cycle};
-    PyObject *done = PyObject_VectorcallMethod(s_record_use, args, 3, NULL);
-    Py_DECREF(py_port);
-    if (done == NULL)
-        return -1;
-    Py_DECREF(done);
-    return 0;
-}
-
 /* Add one to message.hops. */
 static int
 count_hop(PyObject *message)
@@ -788,7 +774,7 @@ count_hop(PyObject *message)
    sendable VC nominated per input port), switch stage 2 (one nominating
    input granted per output) and crossbar forwarding of the grants. */
 static int
-evaluate_routers(Core *c, i64 cycle, PyObject **py_cycle)
+evaluate_routers(Core *c, i64 cycle)
 {
     int vcs = c->vcs, radix = c->radix, per_node = c->per_node, wheel = c->wheel;
     int credit_slot = (int)((cycle + c->credit_delay) % wheel);
@@ -918,12 +904,6 @@ evaluate_routers(Core *c, i64 cycle, PyObject **py_cycle)
             c->out_credits[go]--;
             c->out_usage[pidx]++;
             c->out_last_used[pidx] = cycle;
-            if (c->selector_records) {
-                if (*py_cycle == NULL && (*py_cycle = PyLong_FromLongLong(cycle)) == NULL)
-                    return -1;
-                if (record_use(c, node, out_port, *py_cycle) < 0)
-                    return -1;
-            }
             /* Return a credit for the input buffer slot just freed. */
             int up = c->g_credit_dest[g];
             if (up >= 0) {
@@ -984,7 +964,6 @@ evaluate_routers(Core *c, i64 cycle, PyObject **py_cycle)
                 }
             }
         }
-        c->flits_forwarded[node] += grants;
         if (!*an && !*rn)
             emptied = 1;
     }
@@ -1113,15 +1092,9 @@ evaluate_interface(Core *c, int node, i64 cycle, PyObject *py_cycle)
         c->ni_left[s] = left - 1;
         c->ni_credits[s]--;
         if (left == c->slots[slot].len) {
-            PyObject *message = c->slots[slot].msg;
             flit |= HEAD;
-            if (PyObject_SetAttr(message, s_injection_cycle, py_cycle) < 0)
+            if (PyObject_SetAttr(c->slots[slot].msg, s_injection_cycle, py_cycle) < 0)
                 return -1;
-            PyObject *args[3] = {c->stats, message, py_cycle};
-            PyObject *done = PyObject_VectorcallMethod(s_record_injected, args, 3, NULL);
-            if (done == NULL)
-                return -1;
-            Py_DECREF(done);
         }
         IntVec *lane = &c->flit_lanes[(cycle + c->link_delay) % c->wheel];
         if (ivec_push2(lane, flit, node * c->per_node + vc) < 0)
@@ -1151,42 +1124,42 @@ Core_evaluate(Core *c, PyObject *arg)
     i64 cycle;
     if (check_ready(c) < 0 || parse_cycle(arg, &cycle) < 0)
         return NULL;
-    PyObject *py_cycle = NULL;
-    if (c->busy_n && evaluate_routers(c, cycle, &py_cycle) < 0)
-        goto fail;
-    if (c->soon.n || (c->heap_n && c->heap[0].wake <= cycle)) {
-        /* Swap the next-pass list out: the pass re-arms into an empty one. */
-        IntVec due = c->soon;
-        c->soon = c->due;
-        c->soon.n = 0;
-        c->due = due;
-        while (c->heap_n && c->heap[0].wake <= cycle) {
-            HeapEntry entry = heap_pop(c);
-            if (c->ni_wake[entry.node] == entry.wake && ivec_push(&c->due, entry.node) < 0)
-                goto fail;
-        }
-        /* Sort and deduplicate through a node bitmap. */
-        for (Py_ssize_t i = 0; i < c->due.n; i++)
-            c->due_mark[c->due.v[i]] = 1;
-        Py_ssize_t count = 0;
-        for (int node = 0; node < c->num_nodes; node++) {
-            if (c->due_mark[node]) {
-                c->due_mark[node] = 0;
-                c->due.v[count++] = node;
-            }
-        }
-        c->due.n = count;
-        if (py_cycle == NULL && (py_cycle = PyLong_FromLongLong(cycle)) == NULL)
-            goto fail;
-        for (Py_ssize_t i = 0; i < count; i++)
-            if (evaluate_interface(c, c->due.v[i], cycle, py_cycle) < 0)
-                goto fail;
+    if (c->busy_n && evaluate_routers(c, cycle) < 0)
+        return NULL;
+    if (!c->soon.n && !(c->heap_n && c->heap[0].wake <= cycle))
+        Py_RETURN_NONE;
+    /* Swap the next-pass list out: the pass re-arms into an empty one. */
+    IntVec due = c->soon;
+    c->soon = c->due;
+    c->soon.n = 0;
+    c->due = due;
+    while (c->heap_n && c->heap[0].wake <= cycle) {
+        HeapEntry entry = heap_pop(c);
+        if (c->ni_wake[entry.node] == entry.wake && ivec_push(&c->due, entry.node) < 0)
+            return NULL;
     }
-    Py_XDECREF(py_cycle);
+    /* Sort and deduplicate through a node bitmap. */
+    for (Py_ssize_t i = 0; i < c->due.n; i++)
+        c->due_mark[c->due.v[i]] = 1;
+    Py_ssize_t count = 0;
+    for (int node = 0; node < c->num_nodes; node++) {
+        if (c->due_mark[node]) {
+            c->due_mark[node] = 0;
+            c->due.v[count++] = node;
+        }
+    }
+    c->due.n = count;
+    PyObject *py_cycle = PyLong_FromLongLong(cycle);
+    if (py_cycle == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        if (evaluate_interface(c, c->due.v[i], cycle, py_cycle) < 0) {
+            Py_DECREF(py_cycle);
+            return NULL;
+        }
+    }
+    Py_DECREF(py_cycle);
     Py_RETURN_NONE;
-fail:
-    Py_XDECREF(py_cycle);
-    return NULL;
 }
 
 /* -- quiescence ---------------------------------------------------------------- */
@@ -1533,7 +1506,6 @@ Core_state(Core *c, PyObject *Py_UNUSED(ignored))
         || put(d, "routing_members", rows_list(c->rm, c->rm_n, nn, c->per_node)) < 0
         || put(d, "active_members", rows_list(c->am, c->am_n, nn, c->per_node)) < 0
         || put(d, "released", bool_list(c->released, nn)) < 0
-        || put(d, "flits_forwarded", i64_list(c->flits_forwarded, nn, 0)) < 0
         || put(d, "headers_routed", i64_list(c->headers_routed, nn, 0)) < 0
         || put(d, "in_buf", in_buf) < 0
         || put(d, "in_state", in_state) < 0
@@ -1574,7 +1546,8 @@ Core_state(Core *c, PyObject *Py_UNUSED(ignored))
     return d;
 }
 
-/* Per-node crossbar or header counters as a list. */
+/* Per-node header counters (True), or the flits each node's crossbar
+   forwarded (False): the sum of its output ports' use counters. */
 static PyObject *
 Core_counters(Core *c, PyObject *arg)
 {
@@ -1583,7 +1556,20 @@ Core_counters(Core *c, PyObject *arg)
     int headers = PyObject_IsTrue(arg);
     if (headers < 0)
         return NULL;
-    return i64_list(headers ? c->headers_routed : c->flits_forwarded, c->num_nodes, 0);
+    if (headers)
+        return i64_list(c->headers_routed, c->num_nodes, 0);
+    PyObject *list = PyList_New(c->num_nodes);
+    for (int node = 0; list != NULL && node < c->num_nodes; node++) {
+        i64 forwarded = 0;
+        for (int port = 0; port < c->radix; port++)
+            forwarded += c->out_usage[node * c->radix + port];
+        PyObject *value = PyLong_FromLongLong(forwarded);
+        if (value == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, node, value);
+    }
+    return list;
 }
 
 /* -- construction ------------------------------------------------------------------ */
@@ -1678,8 +1664,7 @@ Core_init(Core *c, PyObject *args, PyObject *kwargs)
         || spec_int(spec, "local_delay", &c->local_delay) < 0
         || spec_int(spec, "link_delay", &c->link_delay) < 0
         || spec_int(spec, "credit_delay", &c->credit_delay) < 0
-        || spec_int(spec, "wheel_size", &c->wheel) < 0
-        || spec_int(spec, "selector_records", &c->selector_records) < 0)
+        || spec_int(spec, "wheel_size", &c->wheel) < 0)
         return -1;
     if (c->num_nodes < 1 || c->radix < 1 || c->radix > MAX_RADIX || c->vcs < 1
         || c->capacity < 1 || c->wheel < 1) {
@@ -1726,7 +1711,6 @@ Core_init(Core *c, PyObject *args, PyObject *kwargs)
     ALLOC(am_n, nn);
     ALLOC(busy, nn);
     ALLOC(released, nn);
-    ALLOC(flits_forwarded, nn);
     ALLOC(headers_routed, nn);
     ALLOC(ni_credits, c->num_slots);
     ALLOC(ni_left, c->num_slots);
@@ -1929,7 +1913,8 @@ Core_dealloc(Core *c)
         c->out_usage, c->out_last_used, c->buf, c->buf_head, c->buf_len, c->in_state,
         c->in_ready, c->in_out_g, c->in_out_port, c->out_credits, c->out_owner,
         c->go_flit_dest, c->g_credit_dest, c->rm, c->rm_n, c->am, c->am_n, c->busy,
-        c->released, c->flits_forwarded, c->headers_routed, c->slots, c->slot_free.v, c->ni_credits, c->ni_left, c->ni_slot, c->ni_next_slot, c->ni_queue,
+        c->released, c->headers_routed, c->slots, c->slot_free.v, c->ni_credits, c->ni_left,
+        c->ni_slot, c->ni_next_slot, c->ni_queue,
         c->ni_wake, c->heap, c->soon.v, c->due.v, c->due_mark, c->flit_lanes, c->credit_lanes,
         c->eject_lanes, c->ni_credit_lanes, c->snap, c->cand.v, c->ints,
     };
@@ -1988,11 +1973,9 @@ PyMODINIT_FUNC
 PyInit__flatcore(void)
 {
     INTERN(s_select, "select");
-    INTERN(s_record_use, "record_use");
     INTERN(s_messages_due, "messages_due");
     INTERN(s_next_due_cycle, "next_due_cycle");
     INTERN(s_record_created, "record_created");
-    INTERN(s_record_injected, "record_injected");
     INTERN(s_record_delivered, "record_delivered");
     INTERN(s_hops, "hops");
     INTERN(s_injection_cycle, "injection_cycle");

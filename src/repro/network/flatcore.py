@@ -42,9 +42,12 @@ The C core
 ----------
 The per-cycle work is the CPython extension ``_flatcore.c`` beside
 this module; Python keeps the wiring tables' construction and is called
-back only where randomness, plugins and statistics live (the routing
-algorithm's ``decide_cached``, the path selectors, the traffic sources
-and the statistics collector).  The extension is compiled on first use
+back only where randomness, plugins and statistics live: the routing
+algorithm's ``decide_cached``, the path selectors' ``select`` (handed
+each candidate's :class:`~repro.selection.base.OutputPortStatus`, use
+history included), the traffic sources' ``messages_due`` and
+``next_due_cycle``, and the statistics collector's ``record_created``
+and ``record_delivered``.  The extension is compiled on first use
 with the interpreter's own compiler settings (``sysconfig``: ``CC``,
 the include directory and ``EXT_SUFFIX``; ``-O2 -shared -fPIC``) into a
 per-user build cache, ``$XDG_CACHE_HOME/repro`` or else
@@ -66,7 +69,7 @@ import subprocess
 import sysconfig
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.network.topology import LOCAL_PORT, port_direction
 from repro.selection.base import OutputPortStatus, PathSelector
@@ -309,7 +312,6 @@ class FlatNetworkCore:
                 go_flit_dest.append(dest + vc if dest >= 0 else -1)
                 g_credit_dest.append(up + vc if up >= 0 else -(node_slot + vc) - 1)
 
-        selectors = list(parts.selectors)
         spec = dict(
             num_nodes=num_nodes,
             radix=radix,
@@ -329,10 +331,6 @@ class FlatNetworkCore:
                 config.link_delay,
                 config.credit_delay,
             ),
-            selector_records=int(
-                getattr(type(selectors[0]), "record_use", None)
-                is not PathSelector.record_use
-            ),
             adaptive_vcs=vc_classes.adaptive_vcs,
             escape_vcs=escape,
             escape_pools=[(escape, escape)] + [pools] * (radix - 1),
@@ -347,7 +345,7 @@ class FlatNetworkCore:
         self._core = core = core_extension().Core(
             spec,
             routing.decide_cached,
-            selectors,
+            list(parts.selectors),
             list(parts.sources),
             stats,
             OutputPortStatus,
@@ -359,7 +357,8 @@ class FlatNetworkCore:
 
     @property
     def flits_forwarded(self) -> List[int]:
-        """Flits each router's crossbar forwarded (Router.flits_forwarded)."""
+        """Flits each router's crossbar forwarded: the sum of its output
+        ports' use counters (Router.flits_forwarded)."""
         return self._core.counters(False)
 
     @property
@@ -406,19 +405,6 @@ class FlatNetworkCore:
         """Drop a live slot's message without delivering it -- the fault
         :meth:`message_conservation_error` exists to catch (its tests)."""
         self._core.clear_slot(slot)
-
-    def in_flight_credits(self, node: int) -> List[Tuple[int, int]]:
-        """``(port, vc)`` of every credit in flight toward ``node``'s
-        output VCs (conservation tests and debugging)."""
-        vcs = self._vcs
-        lo = node * self._radix * vcs
-        hi = lo + self._radix * vcs
-        return [
-            divmod(go - lo, vcs)
-            for lane in self._core.state()["credit_lanes"]
-            for go in lane
-            if lo <= go < hi
-        ]
 
     def __repr__(self) -> str:
         return (

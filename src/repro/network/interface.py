@@ -171,7 +171,6 @@ class NetworkInterface:
             slot.credits -= 1
             if flit.is_head:
                 flit.message.injection_cycle = cycle
-                self._stats.record_injected(flit.message, cycle)
             self._router.receive_flit(
                 LOCAL_PORT, slot.vc, flit, cycle + self._link_delay
             )

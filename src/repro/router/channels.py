@@ -154,9 +154,12 @@ class OutputPort:
         self.vcs: List[OutputVirtualChannel] = [
             OutputVirtualChannel(port, vc, credits_per_vc) for vc in range(num_vcs)
         ]
-        #: Cumulative flits forwarded through this port (LFU metric).
+        #: Use history, updated by ``Router._forward`` and handed to the
+        #: path selector in every ``OutputPortStatus``: the cumulative
+        #: flits forwarded through this port (LFU metric; the router's
+        #: ``flits_forwarded`` sums it) and the cycle of the most recent
+        #: one (LRU metric), -1 if never.
         self.usage_count = 0
-        #: Cycle of the most recent forwarded flit (LRU metric), -1 if never.
         self.last_used_cycle = -1
         #: False for mesh-edge ports with no link attached.
         self.connected = False
@@ -189,11 +192,6 @@ class OutputPort:
     def total_credits(self) -> int:
         """Total credits over all virtual channels (MAX-CREDIT metric)."""
         return sum(vc.credits for vc in self.vcs)
-
-    def record_use(self, cycle: int) -> None:
-        """Update the usage metadata when a flit is forwarded."""
-        self.usage_count += 1
-        self.last_used_cycle = cycle
 
     def __repr__(self) -> str:
         return (

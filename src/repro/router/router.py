@@ -112,11 +112,6 @@ class Router:
         self._credit_mailboxes: List[Deque[Tuple[int, int]]] = [
             deque() for _ in range(radix)
         ]
-        #: Entries currently enqueued across all mailboxes of each kind;
-        #: lets ``deliver`` skip the per-port scans entirely when nothing
-        #: is in flight.
-        self._pending_flits = 0
-        self._pending_credits = 0
         # Crossbar arbiters: one per input port (among its VCs) and one per
         # output port (among the input ports).
         self._input_arbiters = [
@@ -176,15 +171,8 @@ class Router:
         #: of committed adaptive channels block the escape subnetwork
         #: (observed as tornado-on-torus deadlock).
         self._atomic_credits = config.buffer_depth if topology.wraps else 0
-        #: Whether the selector actually listens to ``record_use``
-        #: notifications (history-based heuristics); detected once so the
-        #: per-flit forward path skips the no-op call for the others.
-        self._selector_records = (
-            getattr(type(selector), "record_use", None) is not PathSelector.record_use
-        )
 
-        #: Statistics: flits forwarded through the crossbar and headers routed.
-        self.flits_forwarded = 0
+        #: Statistics: headers this router allocated an output VC for.
         self.headers_routed = 0
 
     # -- identity and wiring --------------------------------------------------
@@ -208,6 +196,12 @@ class Router:
     def routing(self) -> RoutingAlgorithm:
         """Routing algorithm used by the decision block."""
         return self._routing
+
+    @property
+    def flits_forwarded(self) -> int:
+        """Flits this router's crossbar forwarded: the sum of its output
+        ports' use counters."""
+        return sum(output.usage_count for output in self._outputs)
 
     def connect_output(self, port: int, target: object, target_port: int) -> None:
         """Attach ``target`` (a router or network interface) downstream of
@@ -233,12 +227,10 @@ class Router:
     def receive_flit(self, port: int, vc: int, flit: Flit, arrival_cycle: int) -> None:
         """Schedule a flit to appear in input ``(port, vc)`` at ``arrival_cycle``."""
         self._flit_mailboxes[port].append((arrival_cycle, vc, flit))
-        self._pending_flits += 1
 
     def receive_credit(self, port: int, vc: int, arrival_cycle: int) -> None:
         """Schedule a credit return for output ``(port, vc)`` at ``arrival_cycle``."""
         self._credit_mailboxes[port].append((arrival_cycle, vc))
-        self._pending_credits += 1
 
     def free_input_vcs(self, port: int) -> List[int]:
         """Input VCs of ``port`` that are idle and empty (used by injection)."""
@@ -252,42 +244,25 @@ class Router:
 
     def deliver(self, cycle: int) -> None:
         """Absorb flits and credits whose link traversal completes this cycle."""
-        if self._pending_flits:
-            absorbed = 0
-            inputs = self._inputs
-            for port, mailbox in enumerate(self._flit_mailboxes):
-                while mailbox and mailbox[0][0] <= cycle:
-                    _, vc, flit = mailbox.popleft()
-                    absorbed += 1
-                    channel = inputs[port][vc]
-                    flit.arrival_cycle = cycle
-                    buffer = channel.buffer
-                    if len(buffer) >= channel.capacity:  # inlined channel.push
-                        raise OverflowError(
-                            f"input VC ({channel.port},{channel.vc}) overflow: "
-                            "credit protocol violated"
-                        )
-                    buffer.append(flit)
-                    if (
-                        flit.is_head
-                        and channel.state is VCState.IDLE
-                        and len(buffer) == 1
-                    ):
-                        channel.state = VCState.ROUTING
-                        channel.ready_cycle = cycle + self._selection_offset
-            self._pending_flits -= absorbed
-        if self._pending_credits:
-            absorbed = 0
-            outputs = self._outputs
-            for port, credits in enumerate(self._credit_mailboxes):
-                if not credits:
-                    continue
-                port_vcs = outputs[port].vcs
-                while credits and credits[0][0] <= cycle:
-                    _, vc = credits.popleft()
-                    absorbed += 1
-                    port_vcs[vc].credits += 1
-            self._pending_credits -= absorbed
+        for port, mailbox in enumerate(self._flit_mailboxes):
+            while mailbox and mailbox[0][0] <= cycle:
+                _, vc, flit = mailbox.popleft()
+                channel = self._inputs[port][vc]
+                flit.arrival_cycle = cycle
+                buffer = channel.buffer
+                if len(buffer) >= channel.capacity:  # inlined channel.push
+                    raise OverflowError(
+                        f"input VC ({channel.port},{channel.vc}) overflow: "
+                        "credit protocol violated"
+                    )
+                buffer.append(flit)
+                if flit.is_head and channel.state is VCState.IDLE and len(buffer) == 1:
+                    channel.state = VCState.ROUTING
+                    channel.ready_cycle = cycle + self._selection_offset
+        for port, credits in enumerate(self._credit_mailboxes):
+            while credits and credits[0][0] <= cycle:
+                _, vc = credits.popleft()
+                self._outputs[port].vcs[vc].credits += 1
 
     def evaluate(self, cycle: int) -> None:
         """Run this cycle's virtual-channel allocation and switch allocation."""
@@ -440,11 +415,10 @@ class Router:
             if winner is None:
                 continue
             self._forward(nominations[winner], cycle)
-            self.flits_forwarded += 1
 
     def _forward(self, channel: InputVirtualChannel, cycle: int) -> None:
-        """Move the head flit of ``channel`` through the crossbar (the
-        caller accounts the flit in ``flits_forwarded``)."""
+        """Move the head flit of ``channel`` through the crossbar, counting
+        it in the output port's use history (what LFU/LRU rank by)."""
         flit = channel.pop()
         out_port = channel.out_port
         out_channel = channel.out_channel
@@ -452,8 +426,6 @@ class Router:
         out_channel.credits -= 1
         output.usage_count += 1
         output.last_used_cycle = cycle
-        if self._selector_records:
-            self._selector.record_use(out_port, cycle)
 
         # Return a credit for the input buffer slot just freed.
         upstream = self._upstream[channel.port]
@@ -462,8 +434,7 @@ class Router:
             target.receive_credit(target_port, channel.vc, cycle + self._credit_delay)
 
         if flit.is_head:
-            flit.hops += 1
-            flit.message.hops = flit.hops
+            flit.message.hops += 1
             bits = self._dateline_bits[out_port]
             if bits:
                 # Crossing this dimension's dateline (wraparound) link:

@@ -7,9 +7,10 @@ dimension-order preference (STATIC-XY) and the minimum-multiplexing-degree
 heuristic of Duato (MIN-MUX).  RANDOM and FIRST-FREE are included as the
 other static policies mentioned in Section 4.1.
 
-Each router instantiates its own heuristic object (`PathSelector` state is
-per-router, like the hardware counters would be) via
-:func:`make_selector`.
+Each router instantiates its own heuristic object via
+:func:`make_selector`; the use-history counters the LFU and LRU heuristics
+rank by are kept by the router per output port, like the hardware
+counters, and reach the heuristic in its :class:`OutputPortStatus`.
 """
 
 from repro.selection.base import OutputPortStatus, PathSelector
@@ -21,7 +22,6 @@ from repro.selection.heuristics import (
     MinMuxSelector,
     RandomSelector,
     StaticDimensionOrderSelector,
-    SELECTOR_NAMES,
     make_selector,
 )
 
@@ -34,7 +34,6 @@ __all__ = [
     "OutputPortStatus",
     "PathSelector",
     "RandomSelector",
-    "SELECTOR_NAMES",
     "StaticDimensionOrderSelector",
     "make_selector",
 ]

@@ -3,10 +3,11 @@
 A :class:`PathSelector` lives inside one router.  At virtual-channel
 allocation time the router hands it the status of every candidate output
 port (only ports that currently have a free, usable virtual channel are
-offered) and the selector returns the port to use.  The router also
-notifies the selector whenever a flit is actually forwarded through an
-output port, which is how the usage-history heuristics (LRU, LFU) maintain
-their counters.
+offered) and the selector returns the port to use.  The status carries the
+port's use history too: the use count and last-use cycle that both cores
+keep per output port, which the usage-history heuristics (LFU, LRU) rank
+by.  A built-in selector is therefore a function of the statuses it is
+handed; only ``random`` consumes state (its RNG stream).
 """
 
 from __future__ import annotations
@@ -55,7 +56,13 @@ class OutputPortStatus:
 
 
 class PathSelector(ABC):
-    """Per-router path-selection heuristic."""
+    """Per-router path-selection heuristic.
+
+    :meth:`select` sees everything the router knows about each candidate
+    port -- credits, multiplexing degree and use history -- in its
+    :class:`OutputPortStatus`, so a heuristic needs no state of its own
+    and no notification when a flit is forwarded.
+    """
 
     #: Name used in experiment reports ("static-xy", "lru", ...).
     name: str = "selector"
@@ -66,13 +73,6 @@ class PathSelector(ABC):
     @abstractmethod
     def select(self, candidates: Sequence[OutputPortStatus]) -> int:
         """Pick one output port from the non-empty candidate list."""
-
-    def record_use(self, port: int, cycle: int) -> None:
-        """Called by the router when a flit is forwarded through ``port``.
-
-        The default implementation ignores the notification; history-based
-        heuristics override it.
-        """
 
     @staticmethod
     def _static_order(status: OutputPortStatus) -> tuple:

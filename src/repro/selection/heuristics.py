@@ -24,8 +24,7 @@ Traffic-sensitive policies
 from __future__ import annotations
 
 import random
-from collections import defaultdict
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.registry import SELECTORS, register
 from repro.selection.base import OutputPortStatus, PathSelector
@@ -37,7 +36,6 @@ __all__ = [
     "MaxCreditSelector",
     "MinMuxSelector",
     "RandomSelector",
-    "SELECTOR_NAMES",
     "StaticDimensionOrderSelector",
     "make_selector",
 ]
@@ -89,44 +87,30 @@ class MinMuxSelector(PathSelector):
 class LeastFrequentlyUsedSelector(PathSelector):
     """LFU: pick the port with the lowest cumulative usage count.
 
-    The usage counters are maintained by the selector itself from the
-    router's ``record_use`` notifications, mirroring the per-output-port
-    hardware counters the paper describes.
+    The count is the per-output-port hardware counter the paper
+    describes, kept by the router and read from ``usage_count``.
     """
 
     name = "lfu"
 
-    def __init__(self, rng: Optional[random.Random] = None) -> None:
-        super().__init__(rng)
-        self._usage: Dict[int, int] = defaultdict(int)
-
-    def record_use(self, port: int, cycle: int) -> None:
-        self._usage[port] += 1
-
     def select(self, candidates: Sequence[OutputPortStatus]) -> int:
         return min(
             candidates,
-            key=lambda s: (self._usage[s.port],) + self._static_order(s),
+            key=lambda s: (s.usage_count,) + self._static_order(s),
         ).port
 
 
 @register("selector")
 class LeastRecentlyUsedSelector(PathSelector):
-    """LRU: pick the port that was used farthest in the past."""
+    """LRU: pick the port that was used farthest in the past (a never
+    used port reports ``last_used_cycle`` -1 and so wins first)."""
 
     name = "lru"
-
-    def __init__(self, rng: Optional[random.Random] = None) -> None:
-        super().__init__(rng)
-        self._last_used: Dict[int, int] = defaultdict(lambda: -1)
-
-    def record_use(self, port: int, cycle: int) -> None:
-        self._last_used[port] = cycle
 
     def select(self, candidates: Sequence[OutputPortStatus]) -> int:
         return min(
             candidates,
-            key=lambda s: (self._last_used[s.port],) + self._static_order(s),
+            key=lambda s: (s.last_used_cycle,) + self._static_order(s),
         ).port
 
 
@@ -147,18 +131,13 @@ class MaxCreditSelector(PathSelector):
         ).port
 
 
-#: Built-in selector names (plugins registered later do not appear here; use
-#: :meth:`repro.registry.SELECTORS.names` for the live list).
-SELECTOR_NAMES = tuple(sorted(SELECTORS.names()))
-
-
 def make_selector(name: str, rng: Optional[random.Random] = None) -> PathSelector:
     """Instantiate a path selector by its report name.
 
     Looks ``name`` up in :data:`repro.registry.SELECTORS`, so
     user-registered heuristics are constructed exactly like the built-ins.
-    Every router gets its own instance because the history-based
-    heuristics carry per-router state.
+    Every router gets its own instance, so a stateful plugin heuristic
+    (or ``random``'s RNG stream) stays per router.
     """
     factory = SELECTORS.get(name)
     return factory(rng)

@@ -38,7 +38,6 @@ class StatsCollector:
         self._num_nodes = max(1, num_nodes)
         self._created = 0
         self._delivered = 0
-        self._injected = 0
         self._measured_delivered = 0
         self._measured_flits = 0
         self._order: Dict[int, int] = {}
@@ -75,10 +74,6 @@ class StatsCollector:
         """Register a newly generated message (assigns its creation index)."""
         self._order[message.message_id] = self._created
         self._created += 1
-
-    def record_injected(self, message: "Message", cycle: int) -> None:
-        """Register the injection of a message's header flit."""
-        self._injected += 1
 
     def record_delivered(self, message: "Message", cycle: int) -> None:
         """Register delivery of a message's tail flit and accumulate latency."""

@@ -158,8 +158,6 @@ class Flit:
     #: Always 0 on meshes (their links contribute no dateline bits).
     dateline_mask: int = 0
 
-    #: Bookkeeping used by the simulator, not part of the architectural state.
-    hops: int = 0
     #: Cycle this flit was written into the current router's input buffer.
     arrival_cycle: int = 0
 

@@ -182,11 +182,6 @@ class WorkloadEngine:
         """Whether every DAG step has completed."""
         return self._nodes_remaining == 0
 
-    @property
-    def inflight_count(self) -> int:
-        """Transfers currently in the network (exposed for tests)."""
-        return len(self._inflight)
-
     def drain_metrics(self, cycles: int, critical_path_cycles: int) -> Dict[str, object]:
         """The closed-loop result record (folded into ``SimulationResult``).
 

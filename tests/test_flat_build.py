@@ -158,9 +158,6 @@ class _OffCandidateSelector:
     def select(self, candidates):
         return 99
 
-    def record_use(self, port, cycle):
-        pass
-
 
 @pytest.mark.parametrize("core_mode", ["objects", "flat"])
 def test_a_selector_choosing_outside_the_candidates_fails_loudly(core_mode):

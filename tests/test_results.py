@@ -1,7 +1,12 @@
 """Tests for result records and report formatting."""
 
 from repro.core.config import SimulationConfig
-from repro.core.results import SimulationResult, format_rows, format_value
+from repro.core.results import (
+    SimulationResult,
+    format_rows,
+    format_value,
+    render_campaign_header,
+)
 from repro.stats.latency import LatencySummary
 
 
@@ -119,3 +124,13 @@ def test_summary_from_dict_ignores_unknown_keys():
     data = make_summary().as_dict()
     data["future_field"] = 123
     assert LatencySummary.from_dict(data) == make_summary()
+
+
+def test_campaign_header_names_every_extent_and_the_topology():
+    def base(config):
+        return render_campaign_header(config).splitlines()[2].split(",")[0]
+
+    assert base(SimulationConfig()) == "Base configuration: 8x8 mesh"
+    torus = SimulationConfig(topology="torus", mesh_dims=(3, 3, 3), num_escape_vcs=2)
+    assert base(torus) == "Base configuration: 3x3x3 torus"
+    assert base(SimulationConfig(mesh_dims=(8,))) == "Base configuration: 8 mesh"

@@ -238,6 +238,12 @@ def test_flit_and_header_counters():
     drive(router, 25)
     assert router.flits_forwarded == 4
     assert router.headers_routed == 1
+    # The crossbar counts each flit in its output port's use history (what
+    # LFU/LRU read); the router's counter is the sum over its ports.
+    east = router.output_port(EAST)
+    assert east.usage_count == 4
+    delay = router.config.pipeline.switch_delay + router.config.link_delay_for(0)
+    assert east.last_used_cycle == stubs[EAST].flits[-1][0] - delay
 
 
 def test_free_input_vcs_reporting():

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from repro.registry import SELECTORS
 from repro.selection.base import OutputPortStatus
 from repro.selection.heuristics import (
-    SELECTOR_NAMES,
     FirstFreeSelector,
     LeastFrequentlyUsedSelector,
     LeastRecentlyUsedSelector,
@@ -64,14 +64,9 @@ def test_min_mux_prefers_least_multiplexed_channel():
 
 def test_lfu_uses_recorded_usage_counts():
     selector = LeastFrequentlyUsedSelector()
-    for _ in range(5):
-        selector.record_use(1, cycle=10)
-    selector.record_use(3, cycle=12)
-    assert selector.select([EAST, NORTH]) == 3
+    assert selector.select([status(1, usage=5), status(3, usage=1)]) == 3
     # After the North port accumulates more use, East wins again.
-    for _ in range(10):
-        selector.record_use(3, cycle=20)
-    assert selector.select([EAST, NORTH]) == 1
+    assert selector.select([status(1, usage=5), status(3, usage=11)]) == 1
 
 
 def test_lfu_breaks_ties_statically():
@@ -81,17 +76,13 @@ def test_lfu_breaks_ties_statically():
 
 def test_lru_prefers_the_port_used_farthest_in_the_past():
     selector = LeastRecentlyUsedSelector()
-    selector.record_use(1, cycle=100)
-    selector.record_use(3, cycle=50)
-    assert selector.select([EAST, NORTH]) == 3
-    selector.record_use(3, cycle=200)
-    assert selector.select([EAST, NORTH]) == 1
+    assert selector.select([status(1, last_used=100), status(3, last_used=50)]) == 3
+    assert selector.select([status(1, last_used=100), status(3, last_used=200)]) == 1
 
 
 def test_lru_never_used_ports_win():
     selector = LeastRecentlyUsedSelector()
-    selector.record_use(1, cycle=5)
-    assert selector.select([EAST, NORTH]) == 3
+    assert selector.select([status(1, last_used=5), NORTH]) == 3
 
 
 def test_max_credit_prefers_most_downstream_space():
@@ -104,7 +95,7 @@ def test_max_credit_prefers_most_downstream_space():
 
 def test_selectors_return_a_candidate_port():
     candidates = [status(1), status(3), status(4)]
-    for name in SELECTOR_NAMES:
+    for name in SELECTORS.names():
         selector = make_selector(name, random.Random(0))
         assert selector.select(candidates) in {1, 3, 4}
 
@@ -116,10 +107,40 @@ def test_make_selector_rejects_unknown_names():
 
 def test_selector_names_cover_the_paper_heuristics():
     for name in ("static-xy", "min-mux", "lfu", "lru", "max-credit"):
-        assert name in SELECTOR_NAMES
+        assert name in SELECTORS.names()
 
 
-def test_record_use_default_is_a_no_op():
-    selector = StaticDimensionOrderSelector()
-    selector.record_use(1, cycle=3)  # must not raise
-    assert selector.select([EAST]) == 1
+def _status_sets(rng, count):
+    """``count`` random candidate lists of two to four distinct ports."""
+    sets = []
+    for _ in range(count):
+        ports = rng.sample(range(1, 7), rng.randint(2, 4))
+        sets.append([
+            status(
+                port,
+                usage=rng.randrange(50),
+                last_used=rng.randrange(-1, 200),
+                credits=rng.randrange(20),
+                busy=rng.randrange(4),
+                free=rng.randint(1, 4),
+            )
+            for port in ports
+        ])
+    return sets
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in SELECTORS.names() if name != "random"]
+)
+def test_builtin_selectors_keep_no_history(name):
+    """A deterministic built-in selector is a pure function of the statuses
+    it is handed (the use history arrives in them): an instance that has
+    already answered many selections picks what a fresh one picks."""
+    rng = random.Random(7)
+    warmup, probes = _status_sets(rng, 200), _status_sets(rng, 50)
+    used = make_selector(name, random.Random(0))
+    for candidates in warmup:
+        used.select(candidates)
+    for candidates in probes:
+        fresh = make_selector(name, random.Random(0))
+        assert used.select(candidates) == fresh.select(candidates)

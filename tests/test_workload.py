@@ -369,7 +369,7 @@ def test_streaming_memory_discipline(core_mode):
     assert result.drain["drained"]
     engine = simulator.workload
     assert engine is not None
-    assert engine.inflight_count == 0
+    assert engine._inflight == {}
     assert simulator.stats._order == {}
 
 
