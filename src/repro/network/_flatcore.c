@@ -11,12 +11,20 @@
  * (repro.router.router.Router, repro.network.interface.NetworkInterface)
  * phase for phase, so results stay bit-identical to it.
  *
+ * Routing decisions are decoded into Decision entries.  For algorithms
+ * that decide by sign class on a mesh or torus, a [node][sign class]
+ * table of them is filled lazily, one raw routing.decide call per entry,
+ * and cleared by clear_decisions (the routing table's reprogramming
+ * hook); other algorithms are asked through decide_cached on every
+ * lookup.  The six deterministic path selectors rank their candidates
+ * here, by the output-port arrays this core owns.
+ *
  * Python is called back only where the randomness, plugins and
- * statistics live, in the object core's order: the routing algorithm's
- * decide_cached (bound at build), selectors[node].select (handed each
- * candidate's OutputPortStatus, whose usage_count / last_used_cycle are
- * out_usage / out_last_used), source.messages_due / next_due_cycle, and
- * the statistics collector's record_created / record_delivered.
+ * statistics live, in the object core's order: those routing calls,
+ * selectors[node].select for any other selector (handed each candidate's
+ * OutputPortStatus, whose usage_count / last_used_cycle are out_usage /
+ * out_last_used), source.messages_due / next_due_cycle, and the
+ * statistics collector's record_created / record_delivered.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -41,6 +49,16 @@ typedef long long i64;
 
 /* Largest router radix (ports per router, ejection included). */
 #define MAX_RADIX 64
+
+/* Sign rules of the decision table (Topology.relative_signs): none (ask
+   decide_cached on every lookup), a mesh's or a torus's. */
+#define SIGNS_NONE 0
+#define SIGNS_MESH 1
+#define SIGNS_TORUS 2
+
+/* Path-selector kinds, as numbered in repro.network.flatcore._C_SELECTORS:
+   SEL_PYTHON calls selectors[node].select back, the others rank here. */
+enum { SEL_PYTHON, SEL_STATIC_XY, SEL_FIRST_FREE, SEL_MIN_MUX, SEL_LFU, SEL_LRU, SEL_MAX_CREDIT };
 
 /* Interned attribute and method names. */
 static PyObject *s_select, *s_messages_due, *s_next_due_cycle, *s_record_created,
@@ -147,15 +165,26 @@ heap_less(HeapEntry a, HeapEntry b)
     return a.wake < b.wake || (a.wake == b.wake && a.node < b.node);
 }
 
-/* -- message slots ----------------------------------------------------------- */
+/* -- routing decisions and message slots -------------------------------------- */
+
+/* A decoded RouteDecision: the ``n`` adaptive candidate ports in decision
+   order (duplicates and unconnected ports dropped, as they can never be
+   candidates) and the escape port (-1 when unconnected or when the
+   algorithm has no escape VCs).  ``filled`` is 0 in an empty table
+   entry. */
+typedef struct {
+    signed char filled, n, escape;
+    unsigned char ports[MAX_RADIX];
+} Decision;
 
 /* Header state of one message in flight: the message, its destination and
-   length, the dateline mask, the look-ahead node and decision, and the
-   cycle the header last reached a buffer. */
+   length, the dateline mask, the hops taken, the look-ahead node and a copy
+   of its decision, and the cycle the header last reached a buffer. */
 typedef struct {
-    PyObject *msg, *la_dec;
+    PyObject *msg;
     i64 arrival;
-    int dest, len, mask, la_node;
+    int dest, len, mask, hops, la_node;
+    Decision la;
 } Slot;
 
 /* -- the core -------------------------------------------------------------- */
@@ -218,11 +247,18 @@ typedef struct {
     IntVec *flit_lanes, *credit_lanes, *eject_lanes, *ni_credit_lanes;
     Py_ssize_t flit_pending, credit_pending, eject_pending, ni_credit_pending;
 
-    /* Scratch for one allocation attempt / one router's ROUTING snapshot. */
+    /* Scratch for one router's ROUTING snapshot. */
     int *snap;
-    IntVec cand;
 
-    /* Python collaborators. */
+    /* Routing decisions: per node its coordinates (dimension 0 fastest in
+       the node id), and under a sign rule the [node][sign class] table of
+       num_nodes * 3^n_dims entries.  Per node the path-selector kind. */
+    int sign_rule, n_dims, n_classes;
+    int *dims, *coords, *sel_kind;
+    Decision *decisions;
+
+    /* Python collaborators: ``decide`` is routing.decide under a sign rule
+       (it fills the table), routing.decide_cached otherwise. */
     PyObject *decide, *selectors, *sources, *stats, *status_cls;
     PyObject **ints; /* cached ints 0 .. n_ints - 1 */
     int n_ints;
@@ -350,20 +386,6 @@ int_attr(PyObject *obj, PyObject *name, long *out)
     return 0;
 }
 
-static PyObject *
-call_decide(Core *c, int node, int destination)
-{
-    PyObject *args[2];
-    args[0] = small_int(c, node);
-    args[1] = small_int(c, destination);
-    PyObject *decision = NULL;
-    if (args[0] != NULL && args[1] != NULL)
-        decision = PyObject_Vectorcall(c->decide, args, 2, NULL);
-    Py_XDECREF(args[0]);
-    Py_XDECREF(args[1]);
-    return decision;
-}
-
 /* Take a message slot for ``message`` and reset its header state (the
    arrival cycle is written when the header reaches a buffer). */
 static int
@@ -393,10 +415,10 @@ new_slot(Core *c, PyObject *message)
     }
     Py_INCREF(message);
     Py_XSETREF(c->slots[slot].msg, message);
-    Py_CLEAR(c->slots[slot].la_dec);
     c->slots[slot].dest = (int)destination;
     c->slots[slot].len = (int)length;
     c->slots[slot].mask = 0;
+    c->slots[slot].hops = 0;
     c->slots[slot].la_node = -1;
     return (int)slot;
 }
@@ -497,10 +519,12 @@ Core_deliver(Core *c, PyObject *arg)
                 failed = 1;
                 break;
             }
-            if (PyObject_SetAttr(message, s_ejection_cycle, py_cycle) < 0) {
-                failed = 1;
+            PyObject *hops = small_int(c, c->slots[s].hops);
+            failed = hops == NULL || PyObject_SetAttr(message, s_hops, hops) < 0
+                     || PyObject_SetAttr(message, s_ejection_cycle, py_cycle) < 0;
+            Py_XDECREF(hops);
+            if (failed)
                 break;
-            }
             /* The slot is released before the callback runs, and the
                message kept alive by this frame. */
             c->slots[s].msg = NULL;
@@ -611,6 +635,217 @@ decision_port(Core *c, PyObject *value)
     return (int)port;
 }
 
+/* Decode ``decision``, a RouteDecision for a header at ``node``, into
+   ``*out``, range-checking every port it names.  0, or -1 with an
+   exception set. */
+static int
+decode_decision(Core *c, int node, PyObject *decision, Decision *out)
+{
+    PyObject *ports = PyObject_GetAttr(decision, s_adaptive_ports);
+    PyObject *fast = ports ? PySequence_Fast(ports, "adaptive_ports must be a sequence") : NULL;
+    Py_XDECREF(ports);
+    if (fast == NULL)
+        return -1;
+    const char *connected = c->out_connected + (i64)node * c->radix;
+    unsigned long long seen = 0;
+    int n = 0;
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(fast); i++) {
+        int port = decision_port(c, PySequence_Fast_GET_ITEM(fast, i));
+        if (port < 0) {
+            Py_DECREF(fast);
+            return -1;
+        }
+        if (connected[port] && !(seen >> port & 1)) {
+            seen |= 1ULL << port;
+            out->ports[n++] = (unsigned char)port;
+        }
+    }
+    Py_DECREF(fast);
+    int escape = -1;
+    if (c->n_escape) {
+        PyObject *value = PyObject_GetAttr(decision, s_escape_port);
+        if (value == NULL)
+            return -1;
+        escape = decision_port(c, value);
+        Py_DECREF(value);
+        if (escape < 0)
+            return -1;
+        if (!connected[escape])
+            escape = -1;
+    }
+    out->escape = (signed char)escape;
+    out->n = (signed char)n;
+    out->filled = 1;
+    return 0;
+}
+
+/* Index of ``dest``'s sign pattern seen from ``node``: the sum over
+   dimensions d of (sign_d + 1) * 3^d, each sign by the rule of
+   Topology.relative_signs -- sign(dest - node) on a mesh; on a torus 0 for
+   a zero offset (dest - node) mod k, else +1 when the offset is at most
+   k - offset (ties go positive) and -1 otherwise. */
+static int
+sign_class(const Core *c, int node, int dest)
+{
+    const int *here = c->coords + (i64)node * c->n_dims;
+    const int *there = c->coords + (i64)dest * c->n_dims;
+    int index = 0, weight = 1;
+    for (int d = 0; d < c->n_dims; d++, weight *= 3) {
+        int offset = there[d] - here[d], sign = 0;
+        if (offset && c->sign_rule == SIGNS_TORUS) {
+            if (offset < 0)
+                offset += c->dims[d];
+            sign = offset <= c->dims[d] - offset ? 1 : -1;
+        }
+        else if (offset) {
+            sign = offset > 0 ? 1 : -1;
+        }
+        index += (sign + 1) * weight;
+    }
+    return index;
+}
+
+/* The decoded routing decision for a header at ``node`` bound for
+   ``dest``: its [node][sign class] table entry, filled on a miss from one
+   raw decide call, or -- without a sign rule -- decide_cached's answer
+   decoded into ``scratch``.  NULL with an exception set on error. */
+static const Decision *
+decision_for(Core *c, int node, int dest, Decision *scratch)
+{
+    Decision *entry = scratch;
+    if (c->sign_rule) {
+        entry = &c->decisions[(i64)node * c->n_classes + sign_class(c, node, dest)];
+        if (entry->filled)
+            return entry;
+    }
+    PyObject *args[2];
+    args[0] = small_int(c, node);
+    args[1] = small_int(c, dest);
+    PyObject *decision = NULL;
+    if (args[0] != NULL && args[1] != NULL)
+        decision = PyObject_Vectorcall(c->decide, args, 2, NULL);
+    Py_XDECREF(args[0]);
+    Py_XDECREF(args[1]);
+    if (decision == NULL)
+        return NULL;
+    int status = decode_decision(c, node, decision, entry);
+    Py_DECREF(decision);
+    if (status < 0) {
+        entry->filled = 0;
+        return NULL;
+    }
+    return entry;
+}
+
+/* Look-ahead routing: the decision for slot ``s``'s header at ``node``,
+   computed upstream and carried in the slot as a copy, so a later
+   reprogram does not change it (the object core carries the decision on
+   the header flit). */
+static int
+lookahead(Core *c, int s, int node)
+{
+    Slot *slot = &c->slots[s];
+    slot->la_node = -1;
+    const Decision *decision = decision_for(c, node, slot->dest, &slot->la);
+    if (decision == NULL)
+        return -1;
+    if (decision != &slot->la)
+        slot->la = *decision;
+    slot->la_node = node;
+    return 0;
+}
+
+/* The Python path selector's pick among the candidates: the index of the
+   port selectors[node].select returns, handed each candidate's
+   OutputPortStatus.  -1 with an exception set on error. */
+static int
+select_in_python(Core *c, int node, int pbase, const int *cand, int ncand)
+{
+    PyObject *statuses = PyList_New(ncand);
+    if (statuses == NULL)
+        return -1;
+    for (int i = 0; i < ncand; i++) {
+        PyObject *status = port_status(c, pbase, cand[3 * i], cand[3 * i + 2]);
+        if (status == NULL) {
+            Py_DECREF(statuses);
+            return -1;
+        }
+        PyList_SET_ITEM(statuses, i, status);
+    }
+    PyObject *args[2] = {PyList_GET_ITEM(c->selectors, node), statuses};
+    PyObject *chosen = PyObject_VectorcallMethod(s_select, args, 2, NULL);
+    Py_DECREF(statuses);
+    if (chosen == NULL)
+        return -1;
+    /* -1 (not an int, or out of range) matches no candidate. */
+    long port = PyLong_Check(chosen) ? PyLong_AsLong(chosen) : -1;
+    if (port == -1)
+        PyErr_Clear();
+    for (int i = 0; i < ncand; i++) {
+        if (cand[3 * i] == port) {
+            Py_DECREF(chosen);
+            return i;
+        }
+    }
+    PyObject *names = PyList_New(ncand);
+    if (names != NULL) {
+        for (int i = 0; i < ncand; i++)
+            PyList_SET_ITEM(names, i, PyLong_FromLong(cand[3 * i]));
+        if (PyList_Sort(names) == 0)
+            PyErr_Format(PyExc_AssertionError,
+                         "path selector chose port %R outside the candidate set %R", chosen,
+                         names);
+        Py_DECREF(names);
+    }
+    Py_DECREF(chosen);
+    return -1;
+}
+
+/* A built-in heuristic's ranking key of one output port (lower wins):
+   use count (LFU), last-use cycle (LRU), busy VCs (MIN-MUX), minus the
+   total credits (MAX-CREDIT), or none (STATIC-XY). */
+static i64
+selector_key(Core *c, int kind, int pidx)
+{
+    if (kind == SEL_LFU)
+        return c->out_usage[pidx];
+    if (kind == SEL_LRU)
+        return c->out_last_used[pidx];
+    if (kind == SEL_STATIC_XY)
+        return 0;
+    i64 credits = 0, busy = 0;
+    for (int go = pidx * c->vcs; go < (pidx + 1) * c->vcs; go++) {
+        credits += c->out_credits[go];
+        busy += c->out_owner[go] >= 0;
+    }
+    return kind == SEL_MIN_MUX ? busy : -credits;
+}
+
+/* Index of the candidate the node's path selector picks among ``ncand``
+   (port, first free VC, free count) triples; -1 with an exception set on
+   error.  First-free takes the first candidate in decision order; the
+   other built-ins take the least (key, dimension, port), and ordering by
+   (dimension, port) is ordering by port number. */
+static int
+select_port(Core *c, int node, int pbase, const int *cand, int ncand)
+{
+    int kind = c->sel_kind[node];
+    if (kind == SEL_PYTHON)
+        return select_in_python(c, node, pbase, cand, ncand);
+    if (kind == SEL_FIRST_FREE)
+        return 0;
+    int best = 0;
+    i64 best_key = selector_key(c, kind, pbase + cand[0]);
+    for (int i = 1; i < ncand; i++) {
+        i64 key = selector_key(c, kind, pbase + cand[3 * i]);
+        if (key < best_key || (key == best_key && cand[3 * i] < cand[3 * best])) {
+            best = i;
+            best_key = key;
+        }
+    }
+    return best;
+}
+
 /* Attempt to allocate an output virtual channel for the routed header of
    input channel ``g`` (Router._try_allocate): the selector is consulted
    only when at least two candidate ports have a free adaptive-class VC,
@@ -619,40 +854,21 @@ decision_port(Core *c, PyObject *value)
 static int
 try_allocate(Core *c, int node, int g, int local, int slot)
 {
-    PyObject *decision;
-    if (c->lookahead && c->slots[slot].la_node == node && c->slots[slot].la_dec != NULL) {
-        decision = c->slots[slot].la_dec;
-        Py_INCREF(decision);
-    }
-    else {
-        decision = call_decide(c, node, c->slots[slot].dest);
+    const Slot *header = &c->slots[slot];
+    Decision scratch;
+    const Decision *decision = &header->la;
+    if (!c->lookahead || header->la_node != node) {
+        decision = decision_for(c, node, header->dest, &scratch);
         if (decision == NULL)
             return -1;
     }
     int vcs = c->vcs, pbase = node * c->radix;
-    int selected_port = -1, selected_vc = -1, result = -1;
-    PyObject *ports = PyObject_GetAttr(decision, s_adaptive_ports);
-    PyObject *fast = ports ? PySequence_Fast(ports, "adaptive_ports must be a sequence") : NULL;
-    Py_XDECREF(ports);
-    if (fast == NULL)
-        goto done;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
+    int selected_port = -1, selected_vc = -1;
     /* Candidates as (port, first free VC, free count) triples. */
-    if (ivec_reserve(&c->cand, 3 * n) < 0) {
-        Py_DECREF(fast);
-        goto done;
-    }
-    int *cand = c->cand.v, ncand = 0;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        int port = decision_port(c, PySequence_Fast_GET_ITEM(fast, i));
-        if (port < 0) {
-            Py_DECREF(fast);
-            goto done;
-        }
-        if (!c->out_connected[pbase + port])
-            continue;
-        int count, first = free_vcs(c, (pbase + port) * vcs, c->adaptive_vcs, c->n_adaptive,
-                                    &count);
+    int cand[3 * MAX_RADIX], ncand = 0;
+    for (int i = 0; i < decision->n; i++) {
+        int port = decision->ports[i], count;
+        int first = free_vcs(c, (pbase + port) * vcs, c->adaptive_vcs, c->n_adaptive, &count);
         if (count) {
             cand[3 * ncand] = port;
             cand[3 * ncand + 1] = first;
@@ -660,83 +876,36 @@ try_allocate(Core *c, int node, int g, int local, int slot)
             ncand++;
         }
     }
-    Py_DECREF(fast);
 
     if (ncand == 1) {
         selected_port = cand[0];
         selected_vc = cand[1];
     }
     else if (ncand > 1) {
-        PyObject *statuses = PyList_New(ncand);
-        if (statuses == NULL)
-            goto done;
-        for (int i = 0; i < ncand; i++) {
-            PyObject *status = port_status(c, pbase, cand[3 * i], cand[3 * i + 2]);
-            if (status == NULL) {
-                Py_DECREF(statuses);
-                goto done;
-            }
-            PyList_SET_ITEM(statuses, i, status);
-        }
-        PyObject *args[2] = {PyList_GET_ITEM(c->selectors, node), statuses};
-        PyObject *chosen = PyObject_VectorcallMethod(s_select, args, 2, NULL);
-        Py_DECREF(statuses);
-        if (chosen == NULL)
-            goto done;
-        /* -1 (not an int, or out of range) matches no candidate. */
-        long port = PyLong_Check(chosen) ? PyLong_AsLong(chosen) : -1;
-        if (port == -1)
-            PyErr_Clear();
-        int index = -1;
-        for (int i = 0; i < ncand && index < 0; i++)
-            if (cand[3 * i] == port)
-                index = i;
-        if (index < 0) {
-            PyObject *names = PyList_New(ncand);
-            if (names != NULL) {
-                for (int i = 0; i < ncand; i++)
-                    PyList_SET_ITEM(names, i, PyLong_FromLong(cand[3 * i]));
-                if (PyList_Sort(names) == 0)
-                    PyErr_Format(PyExc_AssertionError,
-                                 "path selector chose port %R outside the candidate set %R",
-                                 chosen, names);
-                Py_DECREF(names);
-            }
-            Py_DECREF(chosen);
-            goto done;
-        }
-        Py_DECREF(chosen);
+        int index = select_port(c, node, pbase, cand, ncand);
+        if (index < 0)
+            return -1;
         selected_port = cand[3 * index];
         selected_vc = cand[3 * index + 1];
     }
-    else if (c->n_escape) {
-        PyObject *value = PyObject_GetAttr(decision, s_escape_port);
-        if (value == NULL)
-            goto done;
-        int escape_port = decision_port(c, value);
-        Py_DECREF(value);
-        if (escape_port < 0)
-            goto done;
-        if (c->out_connected[pbase + escape_port]) {
-            int cls = (c->slots[slot].mask >> c->port_dimension[escape_port]) & 1;
-            int pool = escape_port * 2 + cls, count;
-            int first = free_vcs(c, (pbase + escape_port) * vcs, c->pools + pool * vcs,
-                                 c->pool_n[pool], &count);
-            if (count) {
-                selected_port = escape_port;
-                selected_vc = first;
-            }
+    else if (decision->escape >= 0) {
+        int escape_port = decision->escape;
+        int cls = (header->mask >> c->port_dimension[escape_port]) & 1;
+        int pool = escape_port * 2 + cls, count;
+        int first = free_vcs(c, (pbase + escape_port) * vcs, c->pools + pool * vcs,
+                             c->pool_n[pool], &count);
+        if (count) {
+            selected_port = escape_port;
+            selected_vc = first;
         }
     }
 
-    if (selected_port < 0) {
-        result = 0;
-        goto done;
-    }
+    if (selected_port < 0)
+        return 0;
     int go = (pbase + selected_port) * vcs + selected_vc;
     if (c->out_owner[go] >= 0) {
         PyErr_Format(PyExc_ValueError, "output VC %d already owned by %d", go, c->out_owner[go]);
-        goto done;
+        return -1;
     }
     c->out_owner[go] = g;
     c->in_out_g[g] = go;
@@ -746,28 +915,10 @@ try_allocate(Core *c, int node, int g, int local, int slot)
     sorted_remove(c->rm + row, &c->rm_n[node], local);
     sorted_insert(c->am + row, &c->am_n[node], local);
     c->headers_routed[node]++;
-    result = 1;
-done:
-    Py_DECREF(decision);
-    return result;
+    return 1;
 }
 
 /* -- the router pass --------------------------------------------------------- */
-
-/* Add one to message.hops. */
-static int
-count_hop(PyObject *message)
-{
-    long hops;
-    if (int_attr(message, s_hops, &hops) < 0)
-        return -1;
-    PyObject *value = PyLong_FromLong(hops + 1);
-    if (value == NULL)
-        return -1;
-    int status = PyObject_SetAttr(message, s_hops, value);
-    Py_DECREF(value);
-    return status;
-}
 
 /* One allocation/forwarding pass over the busy-router worklist: VC
    allocation over each router's ROUTING channels, switch stage 1 (one
@@ -918,17 +1069,10 @@ evaluate_routers(Core *c, i64 cycle)
             }
             if (flit & HEAD) {
                 int s = flit >> 2;
-                if (count_hop(c->slots[s].msg) < 0)
-                    return -1;
+                c->slots[s].hops++;
                 c->slots[s].mask |= c->dateline_bits[pidx];
-                if (c->lookahead && out_port != 0) {
-                    int next_node = c->port_neighbor[pidx];
-                    PyObject *decision = call_decide(c, next_node, c->slots[s].dest);
-                    if (decision == NULL)
-                        return -1;
-                    c->slots[s].la_node = next_node;
-                    Py_XSETREF(c->slots[s].la_dec, decision);
-                }
+                if (c->lookahead && out_port != 0 && lookahead(c, s, c->port_neighbor[pidx]) < 0)
+                    return -1;
             }
             int dest = c->go_flit_dest[go];
             if (dest >= 0) {
@@ -1072,13 +1216,8 @@ evaluate_interface(Core *c, int node, i64 cycle, PyObject *py_cycle)
             return -1;
         c->ni_slot[s] = slot;
         c->ni_left[s] = c->slots[slot].len;
-        if (c->lookahead) {
-            PyObject *decision = call_decide(c, node, c->slots[slot].dest);
-            if (decision == NULL)
-                return -1;
-            c->slots[slot].la_node = node;
-            Py_XSETREF(c->slots[slot].la_dec, decision);
-        }
+        if (c->lookahead && lookahead(c, slot, node) < 0)
+            return -1;
     }
 
     int next_slot = c->ni_next_slot[node];
@@ -1264,23 +1403,16 @@ Core_wake_interface(Core *c, PyObject *const *args, Py_ssize_t nargs)
 
 /* -- introspection ---------------------------------------------------------------- */
 
+/* Empty the [node][sign class] decision table: the routing table's
+   reprogramming hook.  Look-ahead copies already in message slots stay. */
 static PyObject *
-Core_is_idle(Core *c, PyObject *Py_UNUSED(ignored))
+Core_clear_decisions(Core *c, PyObject *Py_UNUSED(ignored))
 {
     if (check_ready(c) < 0)
         return NULL;
-    if (c->flit_pending || c->eject_pending)
-        Py_RETURN_FALSE;
-    for (int node = 0; node < c->num_nodes; node++)
-        if (c->ni_queue[node].n)
-            Py_RETURN_FALSE;
-    for (int s = 0; s < c->num_slots; s++)
-        if (c->ni_left[s])
-            Py_RETURN_FALSE;
-    for (int g = 0; g < c->num_channels; g++)
-        if (c->buf_len[g] || c->in_state[g] != IDLE)
-            Py_RETURN_FALSE;
-    Py_RETURN_TRUE;
+    if (c->decisions != NULL)
+        memset(c->decisions, 0, (size_t)c->num_nodes * c->n_classes * sizeof(Decision));
+    Py_RETURN_NONE;
 }
 
 /* (live message slots, messages queued at interfaces). */
@@ -1476,6 +1608,10 @@ Core_state(Core *c, PyObject *Py_UNUSED(ignored))
         else
             PyList_SET_ITEM(heap, i, entry);
     }
+    Py_ssize_t filled = 0;
+    if (c->decisions != NULL)
+        for (i64 i = 0; i < (i64)nn * c->n_classes; i++)
+            filled += c->decisions[i].filled;
     PyObject *pools = PyList_New(c->radix);
     for (int port = 0; pools != NULL && port < c->radix; port++) {
         int p0 = port * 2, p1 = port * 2 + 1;
@@ -1524,7 +1660,9 @@ Core_state(Core *c, PyObject *Py_UNUSED(ignored))
         || put(d, "slot_msg", slot_msg) < 0
         || put(d, "slot_dest", slot_field(c, offsetof(Slot, dest))) < 0
         || put(d, "slot_mask", slot_field(c, offsetof(Slot, mask))) < 0
+        || put(d, "slot_hops", slot_field(c, offsetof(Slot, hops))) < 0
         || put(d, "slot_la_node", slot_field(c, offsetof(Slot, la_node))) < 0
+        || put(d, "decision_entries", PyLong_FromSsize_t(filled)) < 0
         || put(d, "slot_free", int_list(c->slot_free.v, c->slot_free.n)) < 0
         || put(d, "ni_credits", int_list(c->ni_credits, c->num_slots)) < 0
         || put(d, "ni_left", int_list(c->ni_left, c->num_slots)) < 0
@@ -1641,6 +1779,49 @@ spec_array(PyObject *spec, const char *key, Py_ssize_t n, int *out)
             return -1;                                                    \
         }                                                                 \
     } while (0)
+
+/* Largest decision table, in entries (the module's MAX_DECISIONS). */
+#define MAX_DECISIONS (1 << 20)
+
+/* The per-node selector kinds and, under a sign rule, the node
+   coordinates and the empty decision table: spec's selector_kinds and
+   mesh_dims (the extents, dimension 0 fastest in the node id). */
+static int
+init_decisions(Core *c, PyObject *spec)
+{
+    int nn = c->num_nodes;
+    ALLOC(sel_kind, nn);
+    if (spec_array(spec, "selector_kinds", nn, c->sel_kind) < 0)
+        return -1;
+    for (int node = 0; node < nn; node++)
+        if (c->sel_kind[node] < SEL_PYTHON || c->sel_kind[node] > SEL_MAX_CREDIT)
+            return PyErr_SetString(PyExc_ValueError, "selector kind out of range"), -1;
+    if (c->sign_rule == SIGNS_NONE)
+        return 0;
+    if (c->sign_rule != SIGNS_MESH && c->sign_rule != SIGNS_TORUS)
+        return PyErr_SetString(PyExc_ValueError, "sign_rule must be 0, 1 or 2"), -1;
+    c->n_dims = (c->radix - 1) / 2;
+    ALLOC(dims, c->n_dims);
+    ALLOC(coords, (i64)nn * c->n_dims);
+    if (spec_array(spec, "mesh_dims", c->n_dims, c->dims) < 0)
+        return -1;
+    i64 nodes = 1;
+    for (int d = 0; d < c->n_dims && nodes <= nn; d++)
+        nodes = c->dims[d] > 0 ? nodes * c->dims[d] : 0;
+    if (c->radix != 2 * c->n_dims + 1 || nodes != nn)
+        return PyErr_SetString(PyExc_ValueError, "mesh_dims do not match the radix and nodes"),
+               -1;
+    for (int node = 0; node < nn; node++)
+        for (int d = 0, rest = node; d < c->n_dims; rest /= c->dims[d], d++)
+            c->coords[(i64)node * c->n_dims + d] = rest % c->dims[d];
+    c->n_classes = 1;
+    for (int d = 0; d < c->n_dims && (i64)nn * c->n_classes <= MAX_DECISIONS; d++)
+        c->n_classes *= 3;
+    if ((i64)nn * c->n_classes > MAX_DECISIONS)
+        return PyErr_SetString(PyExc_ValueError, "decision table too large"), -1;
+    ALLOC(decisions, (i64)nn * c->n_classes);
+    return 0;
+}
 
 static int
 Core_init(Core *c, PyObject *args, PyObject *kwargs)
@@ -1810,6 +1991,9 @@ Core_init(Core *c, PyObject *args, PyObject *kwargs)
         return -1;
     }
 
+    if (spec_int(spec, "sign_rule", &c->sign_rule) < 0 || init_decisions(c, spec) < 0)
+        return -1;
+
     for (int g = 0; g < nc; g++) {
         c->in_out_g[g] = -1;
         c->in_out_port[g] = -1;
@@ -1856,10 +2040,8 @@ Core_traverse(Core *c, visitproc visit, void *arg)
     Py_VISIT(c->sources);
     Py_VISIT(c->stats);
     Py_VISIT(c->status_cls);
-    for (Py_ssize_t s = 0; s < c->slot_n; s++) {
+    for (Py_ssize_t s = 0; s < c->slot_n; s++)
         Py_VISIT(c->slots[s].msg);
-        Py_VISIT(c->slots[s].la_dec);
-    }
     if (c->ni_queue != NULL)
         for (int node = 0; node < c->num_nodes; node++)
             for (Py_ssize_t i = 0; i < c->ni_queue[node].n; i++)
@@ -1876,10 +2058,8 @@ Core_clear(Core *c)
     Py_CLEAR(c->sources);
     Py_CLEAR(c->stats);
     Py_CLEAR(c->status_cls);
-    for (Py_ssize_t s = 0; s < c->slot_n; s++) {
+    for (Py_ssize_t s = 0; s < c->slot_n; s++)
         Py_CLEAR(c->slots[s].msg);
-        Py_CLEAR(c->slots[s].la_dec);
-    }
     if (c->ni_queue != NULL)
         for (int node = 0; node < c->num_nodes; node++) {
             Queue *q = &c->ni_queue[node];
@@ -1916,7 +2096,8 @@ Core_dealloc(Core *c)
         c->released, c->headers_routed, c->slots, c->slot_free.v, c->ni_credits, c->ni_left,
         c->ni_slot, c->ni_next_slot, c->ni_queue,
         c->ni_wake, c->heap, c->soon.v, c->due.v, c->due_mark, c->flit_lanes, c->credit_lanes,
-        c->eject_lanes, c->ni_credit_lanes, c->snap, c->cand.v, c->ints,
+        c->eject_lanes, c->ni_credit_lanes, c->snap, c->dims, c->coords, c->sel_kind,
+        c->decisions, c->ints,
     };
     for (size_t i = 0; i < sizeof(arrays) / sizeof(arrays[0]); i++)
         PyMem_Free(arrays[i]);
@@ -1931,8 +2112,8 @@ static PyMethodDef Core_methods[] = {
      "Earliest cycle (>= cycle) at which anything has work, or None."},
     {"wake_interface", (PyCFunction)(void (*)(void))Core_wake_interface, METH_FASTCALL,
      "Lower one interface's wake cycle: wake_interface(node, cycle)."},
-    {"is_idle", (PyCFunction)Core_is_idle, METH_NOARGS,
-     "True when no flit is buffered, queued or in flight anywhere."},
+    {"clear_decisions", (PyCFunction)Core_clear_decisions, METH_NOARGS,
+     "Empty the decision table (the routing table was reprogrammed)."},
     {"message_counts", (PyCFunction)Core_message_counts, METH_NOARGS,
      "(live message slots, messages queued at interfaces)."},
     {"clear_slot", (PyCFunction)Core_clear_slot, METH_O,
@@ -1989,6 +2170,10 @@ PyInit__flatcore(void)
     PyObject *module = PyModule_Create(&flatcore_module);
     if (module == NULL)
         return NULL;
+    if (PyModule_AddIntConstant(module, "MAX_DECISIONS", MAX_DECISIONS) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
     Py_INCREF(&CoreType);
     if (PyModule_AddObject(module, "Core", (PyObject *)&CoreType) < 0) {
         Py_DECREF(&CoreType);

@@ -41,13 +41,35 @@ forecast lets the kernel skip are provable no-ops.
 The C core
 ----------
 The per-cycle work is the CPython extension ``_flatcore.c`` beside
-this module; Python keeps the wiring tables' construction and is called
-back only where randomness, plugins and statistics live: the routing
-algorithm's ``decide_cached``, the path selectors' ``select`` (handed
-each candidate's :class:`~repro.selection.base.OutputPortStatus`, use
-history included), the traffic sources' ``messages_due`` and
+this module; Python keeps the wiring tables' construction.
+
+* *Routing decisions.*  When the algorithm ``decides_by_signs`` and the
+  topology is exactly a :class:`~repro.network.topology.MeshTopology` or
+  :class:`~repro.network.topology.TorusTopology`, the core computes each
+  header's sign class from the node coordinates, by the rule of
+  ``relative_signs``, and reads a ``[node][sign class]`` table of
+  decoded entries (ordered adaptive ports, escape port).  The table is
+  filled lazily from one raw ``routing.decide`` call per entry, never
+  eagerly, and cleared by a table ``reprogram`` through the hook
+  :func:`~repro.routing.base.reprogram_hook` finds.  Every other
+  algorithm -- turn models, Duato over full, meta or interval tables,
+  plugins -- is asked through ``decide_cached`` on each lookup, and its
+  answer decoded the same way.  A look-ahead decision travels in the
+  message slot as a copy of the entry, so a reprogram does not change a
+  decision already carried, as on the object core.
+* *Path selection.*  A node whose selector is exactly one of
+  ``_C_SELECTORS`` (static-xy, first-free, min-mux, lfu, lru,
+  max-credit) has its candidates ranked in C by the arrays the core owns
+  (``out_credits``, ``out_owner``, ``out_usage``, ``out_last_used``).
+  Any other selector -- ``random``, plugins, subclasses -- has its
+  ``select`` called back with each candidate's
+  :class:`~repro.selection.base.OutputPortStatus`.
+
+Beyond those callbacks, Python is called only where traffic and
+statistics live: the traffic sources' ``messages_due`` and
 ``next_due_cycle``, and the statistics collector's ``record_created``
-and ``record_delivered``.  The extension is compiled on first use
+and ``record_delivered`` (the message's ``hops``, counted in its slot,
+is written just before).  The extension is compiled on first use
 with the interpreter's own compiler settings (``sysconfig``: ``CC``,
 the include directory and ``EXT_SUFFIX``; ``-O2 -shared -fPIC``) into a
 per-user build cache, ``$XDG_CACHE_HOME/repro`` or else
@@ -67,12 +89,27 @@ import os
 import shlex
 import subprocess
 import sysconfig
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.network.topology import LOCAL_PORT, port_direction
+from repro.network.topology import (
+    LOCAL_PORT,
+    MeshTopology,
+    TorusTopology,
+    port_direction,
+)
+from repro.routing.base import reprogram_hook
 from repro.selection.base import OutputPortStatus, PathSelector
+from repro.selection.heuristics import (
+    FirstFreeSelector,
+    LeastFrequentlyUsedSelector,
+    LeastRecentlyUsedSelector,
+    MaxCreditSelector,
+    MinMuxSelector,
+    StaticDimensionOrderSelector,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.topology import Topology
@@ -89,6 +126,23 @@ __all__ = [
 
 #: The C core's source, compiled on first use (see "The C core" above).
 _SOURCE = Path(__file__).with_name("_flatcore.c")
+
+#: The path selectors the C core ranks itself, by their kind in the C
+#: enum (a node of any other selector gets kind 0: call ``select`` back).
+#: Only these exact classes qualify, so a subclass keeps its own
+#: ``select``.
+_C_SELECTORS = {
+    StaticDimensionOrderSelector: 1,
+    FirstFreeSelector: 2,
+    MinMuxSelector: 3,
+    LeastFrequentlyUsedSelector: 4,
+    LeastRecentlyUsedSelector: 5,
+    MaxCreditSelector: 6,
+}
+
+#: The sign rule of each topology class whose ``relative_signs`` the C
+#: core reproduces (1 = mesh, 2 = torus); others keep ``decide_cached``.
+_SIGN_RULES = {MeshTopology: 1, TorusTopology: 2}
 
 
 def _cache_dir() -> Path:
@@ -216,7 +270,7 @@ class FlatNetworkCore:
     * global port: ``node * radix + port``
     * injection slot: ``node * vcs + vc``
     * message slot: an index into the per-message header arrays
-      (message, destination, length, dateline mask, look-ahead
+      (message, destination, length, dateline mask, hops, look-ahead
       node/decision, header arrival cycle), taken when an interface
       starts injecting the message and recycled when its tail is ejected.
     * flit: the int ``message_slot << 2 | head << 1 | tail``.  Input
@@ -312,6 +366,14 @@ class FlatNetworkCore:
                 go_flit_dest.append(dest + vc if dest >= 0 else -1)
                 g_credit_dest.append(up + vc if up >= 0 else -(node_slot + vc) - 1)
 
+        # Decisions by sign class come from the core's own lazily filled
+        # [node][sign class] table, asking the raw ``decide`` once per
+        # entry; every other algorithm is asked through ``decide_cached``.
+        extension = core_extension()
+        sign_rule = _SIGN_RULES.get(type(topology), 0) if routing.decides_by_signs else 0
+        if sign_rule and num_nodes * 3 ** topology.n_dims > extension.MAX_DECISIONS:
+            sign_rule = 0
+
         spec = dict(
             num_nodes=num_nodes,
             radix=radix,
@@ -341,15 +403,24 @@ class FlatNetworkCore:
             out_connected=connected,
             go_flit_dest=go_flit_dest,
             g_credit_dest=g_credit_dest,
+            sign_rule=sign_rule,
+            mesh_dims=list(topology.dims) if sign_rule else [],
+            selector_kinds=[_C_SELECTORS.get(type(selector), 0) for selector in parts.selectors],
         )
-        self._core = core = core_extension().Core(
+        self._core = core = extension.Core(
             spec,
-            routing.decide_cached,
+            routing.decide if sign_rule else routing.decide_cached,
             list(parts.selectors),
             list(parts.sources),
             stats,
             OutputPortStatus,
         )
+        on_reprogram = reprogram_hook(routing)
+        if sign_rule and on_reprogram is not None:
+            # A reprogram empties the C table.  The hook holds this core
+            # weakly: the table may outlive it.
+            alive = weakref.ref(self)
+            on_reprogram(lambda: (flat := alive()) is not None and flat._core.clear_decisions())
         self.deliver = core.deliver
         self.evaluate = core.evaluate
         self.next_event_cycle = core.next_event_cycle
@@ -375,14 +446,11 @@ class FlatNetworkCore:
         ``active_members`` (per node), ``in_buf`` (flits per global
         channel), ``in_state``, ``in_ready``, ``out_credits``,
         ``out_owner``, ``slot_*``, ``ni_wake`` (``math.inf`` = idle),
-        ``ni_heap``, ``ni_soon``, the four ``*_lanes`` per wheel slot and
+        ``ni_heap``, ``ni_soon``, the four ``*_lanes`` per wheel slot,
+        ``decision_entries`` (filled entries of the decision table) and
         the wiring tables.  O(state) per call.
         """
         return self._core.state()
-
-    def is_idle(self) -> bool:
-        """True when no flit is buffered, queued or in flight anywhere."""
-        return self._core.is_idle()
 
     def message_conservation_error(self) -> Optional[str]:
         """Why the message count does not balance, or None when it does.

@@ -181,12 +181,6 @@ class NetworkInterface:
 
     # -- introspection ---------------------------------------------------------------
 
-    def is_idle(self) -> bool:
-        """True when nothing is queued, in flight or awaiting ejection."""
-        if self._injection_queue or self._eject_mailbox:
-            return False
-        return all(not slot.flits for slot in self._slots)
-
     def held_flits(self) -> Iterator[Flit]:
         """Every flit waiting to be injected here or in flight toward the
         ejection side (the message-conservation check)."""

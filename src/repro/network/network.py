@@ -138,12 +138,6 @@ class Network:
         for interface in self._interfaces:
             interface.evaluate(cycle)
 
-    def is_idle(self) -> bool:
-        """True when no flit is buffered or in flight anywhere."""
-        return all(router.is_idle() for router in self._routers) and all(
-            interface.is_idle() for interface in self._interfaces
-        )
-
     def message_conservation_error(self) -> Optional[str]:
         """Why the message count does not balance, or None when it does.
 

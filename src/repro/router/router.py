@@ -480,16 +480,6 @@ class Router:
 
     # -- introspection -----------------------------------------------------------
 
-    def is_idle(self) -> bool:
-        """True when no flit is buffered or in flight toward this router."""
-        if any(self._flit_mailboxes):
-            return False
-        for port in range(self._radix):
-            for channel in self._inputs[port]:
-                if channel.buffer or channel.state is not VCState.IDLE:
-                    return False
-        return True
-
     def held_flits(self) -> Iterator[Flit]:
         """Every flit buffered at or in flight toward this router (the
         message-conservation check)."""

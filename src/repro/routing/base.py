@@ -17,14 +17,33 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 __all__ = [
     "RouteDecision",
     "RoutingAlgorithm",
     "VirtualChannelClasses",
     "dateline_escape_classes",
+    "reprogram_hook",
 ]
+
+
+def reprogram_hook(routing: "RoutingAlgorithm") -> Optional[Callable]:
+    """The ``on_reprogram`` registration of the table ``routing`` reads,
+    or None when it reads no reprogrammable table.
+
+    Every memo of ``routing``'s decisions registers its clear here: the
+    algorithm's own :meth:`~RoutingAlgorithm.decision_cache` and the flat
+    core's decision table.  The public ``table`` attribute/property is
+    tried first, so plugin algorithms that expose their table
+    conventionally are covered too, then the built-ins' private
+    ``_table``.
+    """
+    table = getattr(routing, "table", None)
+    if table is None:
+        table = getattr(routing, "_table", None)
+    on_reprogram = getattr(table, "on_reprogram", None)
+    return on_reprogram if callable(on_reprogram) else None
 
 
 def dateline_escape_classes(
@@ -134,9 +153,11 @@ class RoutingAlgorithm(ABC):
         ``self.topology``; :meth:`decide_cached` then computes one
         decision per node and sign pattern -- at most ``N * 3^n`` raw
         :meth:`decide` calls -- and shares it across every destination
-        of the class.  False by default, so plugin algorithms and those
-        reading per-destination tables keep one :meth:`decide` per
-        ``(current, destination)`` pair.
+        of the class; the flat core keeps the same decisions in its C
+        ``[node][sign class]`` table on meshes and tori.  False by
+        default, so plugin algorithms and those reading per-destination
+        tables keep one :meth:`decide` per ``(current, destination)``
+        pair.
         """
         return False
 
@@ -167,15 +188,8 @@ class RoutingAlgorithm(ABC):
             self._decision_memo = cache
             sign_memo = {} if self.decides_by_signs else None
             self._sign_memo = sign_memo
-            # Hook the table's reprogramming notifications.  Try the
-            # public ``table`` attribute/property first so plugin
-            # algorithms that expose their table conventionally are
-            # covered too, then the built-ins' private ``_table``.
-            table = getattr(self, "table", None)
-            if table is None:
-                table = getattr(self, "_table", None)
-            on_reprogram = getattr(table, "on_reprogram", None)
-            if callable(on_reprogram):
+            on_reprogram = reprogram_hook(self)
+            if on_reprogram is not None:
                 on_reprogram(cache.clear)
                 if sign_memo is not None:
                     on_reprogram(sign_memo.clear)

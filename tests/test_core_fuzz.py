@@ -1,11 +1,14 @@
 """Random configurations run on both cores must agree exactly.
 
 Hypothesis draws small configurations across the axes the two cores
-implement separately -- mesh, 2-D torus or 3x3x3 torus, Duato or
-dimension-order routing, full or economical tables, every built-in path
-selector, PROUD or LA-PROUD, virtual-channel count, buffer depth,
-uniform or per-dimension link delays, credit delays, the open traffic
-patterns and a closed-loop workload -- and runs each
+implement separately -- mesh, 2-D torus or 3x3x3 torus; Duato,
+dimension-order or (on meshes) the three turn models; every routing
+table the shape allows; every built-in path selector plus a max-credit
+subclass that overrides ``select`` (the flat core calls it back in
+Python, while it ranks the built-ins itself); PROUD or LA-PROUD,
+virtual-channel count, buffer depth, uniform or per-dimension link
+delays, credit delays, the open traffic patterns and a closed-loop
+workload -- and runs each
 twice: on the object core, stepped every cycle (the reference), and on
 the flat core, which the kernel fast-forwards over idle spans (the
 default fast path).  The two
@@ -14,13 +17,16 @@ apart from the ``core_mode`` field, and both runs pass their
 message-conservation checks (``run()`` raises otherwise).
 
 A failing example prints its configuration as a study spec, so
-``python -m repro.cli study <file>.json`` replays it.  Tier-1 runs a
-bounded number of examples; the ``slow`` variant runs many more.
+``python -m repro.cli study <file>.json`` replays it (a spec naming the
+test-only ``max-credit-python`` selector needs it registered first).
+Tier-1 runs a bounded number of examples; the ``slow`` variant runs
+many more.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, note, settings, strategies as st
@@ -29,11 +35,34 @@ from repro import registry
 from repro.core.config import SimulationConfig
 from repro.core.simulator import NetworkSimulator
 from repro.scenario.spec import Study
+from repro.selection.heuristics import MaxCreditSelector
 
 #: Patterns that need a power-of-two node count.
 _POWER_OF_TWO = {"bit-complement", "bit-reversal", "shuffle"}
 #: Patterns defined on a 3x3x3 torus.
 _CUBE_PATTERNS = ["hotspot", "neighbor", "tornado", "uniform"]
+#: Turn-model routing algorithms (2-D meshes only).
+_TURN_MODELS = ["negative-first", "north-last", "west-first"]
+
+
+class _PythonMaxCredit(MaxCreditSelector):
+    """max-credit through a ``select`` override: a subclass of a built-in,
+    so the flat core calls its ``select`` back instead of ranking in C."""
+
+    name = "max-credit-python"
+
+    def select(self, candidates):
+        return super().select(candidates)
+
+
+@contextmanager
+def _python_selector():
+    """Register :class:`_PythonMaxCredit` for the duration of the block."""
+    registry.SELECTORS.register(_PythonMaxCredit.name, obj=_PythonMaxCredit)
+    try:
+        yield
+    finally:
+        registry.SELECTORS.unregister(_PythonMaxCredit.name)
 
 
 @st.composite
@@ -60,9 +89,13 @@ def configs(draw):
             # Mesh tornado below extent 4 makes every node a fixed point.
             x = 4
         dims = (x, y)
-    routing = draw(st.sampled_from(["duato", "dimension-order"]))
+    routing = draw(
+        st.sampled_from(["duato", "dimension-order"] + ([] if torus else _TURN_MODELS))
+    )
     escape = 2 if torus else 1
-    if routing == "duato":
+    if routing in _TURN_MODELS:
+        vcs = draw(st.integers(1, 3))
+    elif routing == "duato":
         vcs = draw(st.integers(escape + 1, 4))
     else:
         vcs = draw(st.integers(2 if torus else 1, 3))
@@ -76,8 +109,16 @@ def configs(draw):
         num_escape_vcs=escape,
         vcs_per_port=vcs,
         buffer_depth=draw(st.integers(1, 4)),
-        table=draw(st.sampled_from(["full", "economical"])),
-        selector=draw(st.sampled_from(sorted(registry.SELECTORS.names()))),
+        # The meta tables' cluster mappings are 2-D only.
+        table=draw(
+            st.sampled_from(
+                ["economical", "full", "interval"]
+                + (["meta-block", "meta-row"] if len(dims) == 2 else [])
+            )
+        ),
+        selector=draw(
+            st.sampled_from(sorted(registry.SELECTORS.names()) + [_PythonMaxCredit.name])
+        ),
         pipeline=draw(st.sampled_from(["proud", "la-proud"])),
         message_length=draw(st.sampled_from([1, 2, 5])),
         link_delay=draw(st.integers(1, 2)),
@@ -93,7 +134,8 @@ def configs(draw):
             warmup_messages=5,
             measure_messages=40,
         )
-    return SimulationConfig(**fields)
+    with _python_selector():
+        return SimulationConfig(**fields)
 
 
 def spec_json(config: SimulationConfig) -> str:
@@ -110,8 +152,9 @@ def _document(config: SimulationConfig, core_mode: str) -> dict:
 
 def _check(config: SimulationConfig) -> None:
     note(f"failing config as a study spec:\n{spec_json(config)}")
-    reference = _document(config, "objects")
-    fast = _document(config, "flat")
+    with _python_selector():
+        reference = _document(config, "objects")
+        fast = _document(config, "flat")
     assert fast == reference
 
 

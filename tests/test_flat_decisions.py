@@ -1,0 +1,188 @@
+"""Routing decisions and path selection inside the flat C core.
+
+Algorithms that decide by sign class (Duato over the economical table,
+dimension order) on a mesh or torus are served from the core's lazily
+filled ``[node][sign class]`` table; a table ``reprogram`` clears it
+through the routing table's ``on_reprogram`` hook, and a look-ahead
+decision already carried by a header stays a copy of the old entry, as
+the object core's ``flit.lookahead_decision`` does.  The six
+deterministic built-in selectors rank their candidates in C when a
+node's selector is exactly that class; any other selector -- a subclass
+overriding ``select``, or ``random`` -- is called back in Python.  Every
+case here runs both cores and demands identical results.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro import registry
+from repro.core.config import SimulationConfig
+from repro.core.simulator import NetworkSimulator
+from repro.network.topology import productive_ports
+from repro.selection.heuristics import MaxCreditSelector, RandomSelector
+
+#: The built-ins the flat core ranks itself.
+C_SELECTORS = ["first-free", "lfu", "lru", "max-credit", "min-mux", "static-xy"]
+
+NORTH = 3
+
+
+def _document(result) -> dict:
+    document = json.loads(result.to_json())
+    del document["config"]["core_mode"]
+    return document
+
+
+def _contended(**overrides) -> SimulationConfig:
+    """A 4x4 Duato point past the knee: headers often see two free ports."""
+    fields = dict(
+        routing="duato",
+        table="economical",
+        vcs_per_port=2,
+        buffer_depth=2,
+        normalized_load=0.5,
+        measure_messages=300,
+        seed=11,
+        selector="max-credit",
+    )
+    fields.update(overrides)
+    return SimulationConfig.tiny(**fields)
+
+
+def _run_reprogrammed(config, core_mode, entry, at=60):
+    """Run ``at`` cycles, reprogram ``entry`` (node, signs, ports) unless
+    it is None, then finish the run."""
+    simulator = NetworkSimulator(config.variant(core_mode=core_mode))
+    simulator.run(at)
+    if entry is not None:
+        simulator.table.reprogram(*entry)
+    return _document(simulator.run())
+
+
+def test_a_mid_run_reprogram_reaches_both_cores():
+    config = _contended(pipeline="proud")
+    entry = (5, (1, 1), (NORTH,))
+    objects = _run_reprogrammed(config, "objects", entry)
+    flat = _run_reprogrammed(config, "flat", entry)
+    assert flat == objects
+    # The reprogram changed the routes, so the C table was cleared.
+    assert flat != _run_reprogrammed(config, "flat", None)
+
+
+def _carried_lookahead_entry(simulator):
+    """A (node, signs) entry that a header on a link carries as its
+    look-ahead decision, with two or more adaptive ports to deny."""
+    topology = simulator.topology
+    state = simulator.core.state()
+    for lane in state["flit_lanes"]:
+        for flit, _ in lane:
+            slot = flit >> 2
+            node = state["slot_la_node"][slot]
+            if not flit & 2 or node < 0:
+                continue
+            signs = topology.relative_signs(node, state["slot_dest"][slot])
+            if len(productive_ports(signs)) >= 2:
+                return node, signs
+    return None
+
+
+def test_a_reprogram_leaves_the_carried_lookahead_decision_alone():
+    config = _contended(pipeline="la-proud")
+    probe = NetworkSimulator(config)
+    at = 60
+    probe.run(at)
+    found = None
+    while found is None:
+        found = _carried_lookahead_entry(probe)
+        if found is None:
+            probe.run(1)
+            at += 1
+    node, signs = found
+    entry = (node, signs, productive_ports(signs)[-1:])
+    objects = _run_reprogrammed(config, "objects", entry, at)
+    flat = _run_reprogrammed(config, "flat", entry, at)
+    assert flat == objects
+    assert flat != _run_reprogrammed(config, "flat", None, at)
+
+
+@pytest.mark.parametrize(
+    "topology, mesh_dims", [("torus", (4, 4)), ("torus", (3, 3, 3)), ("mesh", (3, 4))]
+)
+def test_c_sign_classes_match_relative_signs(topology, mesh_dims):
+    """Even torus extents have tied offsets (they go positive); one table
+    entry per (node, sign class) means every filled entry was one raw
+    decide call, and both cores route alike."""
+    config = SimulationConfig.tiny(
+        topology=topology,
+        mesh_dims=mesh_dims,
+        num_escape_vcs=2 if topology == "torus" else 1,
+        vcs_per_port=3,
+        traffic="uniform",
+        normalized_load=0.4,
+    )
+    flat = NetworkSimulator(config.variant(core_mode="flat"))
+    flat_result = _document(flat.run())
+    objects_result = _document(NetworkSimulator(config.variant(core_mode="objects")).run())
+    assert flat_result == objects_result
+    entries = flat.core.state()["decision_entries"]
+    assert 0 < entries <= config.num_nodes * 3 ** len(mesh_dims)
+    assert flat._routing.decision_cache() == {}
+
+
+# -- selector dispatch -----------------------------------------------------------------
+
+
+def _selector_calls(monkeypatch, cls, config):
+    """Python ``select`` calls of ``cls`` on each core for ``config``, and
+    the two results."""
+    calls = []
+    select = cls.select
+
+    def counted(self, candidates):
+        calls.append(len(candidates))
+        return select(self, candidates)
+
+    monkeypatch.setattr(cls, "select", counted)
+    counts, documents = {}, {}
+    for core_mode in ("objects", "flat"):
+        calls.clear()
+        documents[core_mode] = _document(
+            NetworkSimulator(config.variant(core_mode=core_mode)).run()
+        )
+        counts[core_mode] = len(calls)
+    return counts, documents
+
+
+@pytest.mark.parametrize("name", C_SELECTORS)
+def test_exact_builtin_selectors_rank_in_c(monkeypatch, name):
+    cls = registry.SELECTORS.get(name)
+    counts, documents = _selector_calls(monkeypatch, cls, _contended(selector=name))
+    assert counts["objects"] > 0
+    assert counts["flat"] == 0
+    assert documents["flat"] == documents["objects"]
+
+
+class _OverridingMaxCredit(MaxCreditSelector):
+    """A subclass overriding ``select``: the flat core must call it."""
+
+    name = "overriding-max-credit"
+
+    def select(self, candidates):
+        return super().select(candidates)
+
+
+@pytest.mark.parametrize("cls", [_OverridingMaxCredit, RandomSelector])
+def test_other_selectors_are_called_back(monkeypatch, cls):
+    plugin = cls.name not in registry.SELECTORS.names()
+    if plugin:
+        registry.SELECTORS.register(cls.name, obj=cls)
+    try:
+        counts, documents = _selector_calls(monkeypatch, cls, _contended(selector=cls.name))
+    finally:
+        if plugin:
+            registry.SELECTORS.unregister(cls.name)
+    assert counts["flat"] == counts["objects"] > 0
+    assert documents["flat"] == documents["objects"]

@@ -139,11 +139,11 @@ def test_ejection_records_delivery_and_returns_credit():
     assert all(port == LOCAL_PORT for _, port, _ in router.credits)
 
 
-def test_is_idle_accounts_for_queued_work():
+def test_offered_work_is_queued():
     interface, router, stats, topology = build_interface()
-    assert interface.is_idle()
+    assert interface.queue_length == 0
     interface.offer(Message(source=4, destination=0, length=1, creation_cycle=0))
-    assert not interface.is_idle()
+    assert interface.queue_length == 1
 
 
 # -- mailbox semantics ---------------------------------------------------------------

@@ -79,5 +79,7 @@ def test_router_ports_connected_according_to_topology(network):
 
 
 def test_fresh_network_is_idle(network):
-    assert network.is_idle()
+    components = [*network.routers, *network.interfaces]
+    assert not any(True for component in components for _ in component.held_flits())
+    assert all(interface.queue_length == 0 for interface in network.interfaces)
 

@@ -35,11 +35,43 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.core.simulator import NetworkSimulator
 from repro.router.arbiter import RoundRobinArbiter
+from repro.router.channels import VCState
 
 CORES = ("objects", "flat")
 
 
 # -- randomized end-to-end runs ------------------------------------------------------
+
+
+def _object_network_drained(network) -> bool:
+    """No flit buffered, queued or in flight anywhere in the object
+    network, and every router input channel IDLE."""
+    components = [*network.routers, *network.interfaces]
+    radix = network.topology.radix
+    return (
+        not any(True for component in components for _ in component.held_flits())
+        and all(interface.queue_length == 0 for interface in network.interfaces)
+        and all(
+            router.input_channel(port, vc).state is VCState.IDLE
+            for router in network.routers
+            for port in range(radix)
+            for vc in range(router.config.vcs_per_port)
+        )
+    )
+
+
+def _flat_core_drained(state: dict) -> bool:
+    """The same fact read from the flat core's ``state()``: no buffered,
+    queued or injecting flit, none on a flit or eject lane, and every
+    input channel IDLE (state 0)."""
+    flits, _, ejections, _ = state["pending"]
+    return (
+        flits == ejections == 0
+        and not any(state["in_buf"])
+        and not any(state["in_state"])
+        and not any(state["ni_left"])
+        and not any(state["ni_queue"])
+    )
 
 
 def _random_config(seed: int) -> SimulationConfig:
@@ -105,7 +137,7 @@ def test_flit_and_credit_conservation(seed):
     # The drained network holds nothing: no buffered flits, no in-flight
     # mailbox entries, every input channel back to IDLE.
     network = simulator.network
-    assert network.is_idle()
+    assert _object_network_drained(network)
 
     # Credit conservation: every output VC of every router is free again,
     # and its credit count plus the credits still in flight toward it
@@ -255,7 +287,7 @@ def test_flat_core_flit_and_credit_conservation(seed):
 
     core = simulator.core
     assert core is not None
-    assert core.is_idle()
+    assert _flat_core_drained(core.state())
 
     depth = config.buffer_depth
     radix = simulator.topology.radix
@@ -331,8 +363,7 @@ def test_flat_core_membership_lists_empty_after_drain(seed):
     config = _random_config(seed).variant(core_mode="flat")
     simulator = NetworkSimulator(config)
     simulator.run()
-    core = simulator.core
-    assert core.is_idle()
-    state = core.state()
+    state = simulator.core.state()
+    assert _flat_core_drained(state)
     assert all(members == [] for members in state["routing_members"])
     assert all(members == [] for members in state["active_members"])

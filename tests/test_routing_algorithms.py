@@ -161,13 +161,23 @@ def _count_raw_decides(routing):
     return calls
 
 
-def test_sign_class_memo_bounds_raw_decides_on_a_16x16_run():
+def test_sign_class_memo_bounds_raw_decides_on_a_16x16_run(monkeypatch):
     """Duato over the economical table decides once per (node, sign
-    pattern): at most N * 3^n raw decide calls however many
-    (node, destination) pairs the traffic touches."""
+    pattern): the flat core fills its [node][sign class] table with at
+    most N * 3^n raw decide calls however many (node, destination) pairs
+    the traffic touches, and leaves the Python pair memo empty."""
     from repro.core.config import SimulationConfig
     from repro.core.simulator import NetworkSimulator
 
+    calls = []
+    decide = DuatoFullyAdaptiveRouting.decide
+
+    def counted(self, current, destination):
+        calls.append((current, destination))
+        return decide(self, current, destination)
+
+    # Patched on the class: the flat core binds ``decide`` when it is built.
+    monkeypatch.setattr(DuatoFullyAdaptiveRouting, "decide", counted)
     config = SimulationConfig(
         mesh_dims=(16, 16), traffic="uniform", normalized_load=0.3,
         message_length=4, warmup_messages=0, measure_messages=1500, seed=5,
@@ -175,12 +185,12 @@ def test_sign_class_memo_bounds_raw_decides_on_a_16x16_run():
     simulator = NetworkSimulator(config)
     routing = simulator._routing
     assert routing.decides_by_signs
-    calls = _count_raw_decides(routing)
     simulator.run()
-    pairs = len(routing.decision_cache())
-    assert 0 < len(calls) <= 256 * 9
-    assert len(calls) < pairs  # the memo shared decisions across pairs
+    core = simulator.core
+    assert 0 < len(calls) == core.state()["decision_entries"] <= 256 * 9
+    assert len(calls) < sum(core.headers_routed)  # decisions shared across pairs
     assert len(set(calls)) == len(calls)
+    assert routing.decision_cache() == {}
 
 
 def test_sign_class_memo_decisions_equal_raw_decides(mesh):

@@ -117,8 +117,10 @@ def test_dateline_class_and_credit_invariants_hold_every_cycle(point):
         _sweep_credit_conservation(sim)
     summary = sim.stats.summary(kernel.clock.now)
     assert summary.created == summary.delivered == sim.config.total_messages
-    assert core.is_idle()
     state = core.state()
+    flits, _, ejections, _ = state["pending"]
+    assert flits == ejections == 0
+    assert not any(state["in_state"]) and not any(state["ni_left"])
     assert all(owner == -1 for owner in state["out_owner"])
     assert all(credits == sim.config.buffer_depth for credits in state["out_credits"])
     assert all(not buffer for buffer in state["in_buf"])
