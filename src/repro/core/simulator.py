@@ -79,11 +79,11 @@ class NetworkSimulator:
 
     ``config.core_mode`` selects the core the kernel drives.  ``"flat"``
     (default) builds the whole network as one flat C core
-    (:mod:`repro.network.flatcore`) and assembles no object network; the
-    kernel fast-forwards over the idle spans the core forecasts.
+    (:mod:`repro.network.flatcore`) and assembles no object network; its
+    C run loop jumps over the idle spans it forecasts.
     ``"objects"`` assembles a :class:`~repro.network.network.Network` --
     the executable reference, and the fallback without a C compiler --
-    which has no forecast, so the kernel steps it every cycle.  The run
+    which has no forecast and steps every cycle.  The run
     stops when every measured message is delivered (open loop) or the
     workload drains (closed loop).  The two cores are enforced
     bit-identical by ``tests/test_link_equivalence.py`` and

@@ -10,10 +10,10 @@ pieces of such a simulator that are independent of routers and networks:
   facility that hands out independent, reproducible streams to the
   different stochastic components (traffic pattern, injection process,
   arbitration tie-breaking).
-* :class:`~repro.engine.kernel.SimulationKernel` -- the per-cycle driver
-  of one network core: it runs the core's deliver and evaluate phases
-  every cycle until a progress predicate says the run is done, and jumps
-  the clock over the idle spans the core forecasts (the flat core).
+* :class:`~repro.engine.kernel.SimulationKernel` -- the driver of one
+  network core: it hands the core's own run loop the cycle budget and a
+  progress predicate, and advances its clock to where the loop stopped
+  (the flat core's C loop jumps the idle spans it forecasts).
 """
 
 from repro.engine.clock import Clock

@@ -30,8 +30,8 @@ class Clock:
     def tick(self, cycles: int = 1) -> int:
         """Advance the clock by ``cycles`` and return the new time.
 
-        The kernel passes ``cycles > 1`` to fast-forward over spans in
-        which the core forecasts no work.
+        The kernel passes the whole span its core's ``run`` covered in
+        one tick.
 
         Parameters
         ----------

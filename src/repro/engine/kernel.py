@@ -1,4 +1,4 @@
-"""The per-cycle simulation driver.
+"""The cycle-level simulation driver.
 
 The PROUD simulator is cycle driven: every cycle, the network performs
 its work for that cycle in a fixed phase order.  :class:`SimulationKernel`
@@ -7,34 +7,32 @@ owns the clock, drives exactly one network core -- the flat C core
 :class:`~repro.network.network.Network` -- and stops it when a progress
 predicate says the run is done.
 
-The phase order matters.  Within a cycle the kernel first lets the core
-*deliver* state produced in earlier cycles (flits arriving over links,
-credits returning), then lets it *evaluate* its decisions for the
-current cycle (routing, virtual-channel allocation, switch allocation),
-so no router or interface can observe another's same-cycle decisions.
-This mirrors the two-phase (read/compute) update of hardware simulators;
-each core visits its routers and then its interfaces in node order
-within a phase.
+The phase order matters.  Within a cycle the core first *delivers*
+state produced in earlier cycles (flits arriving over links, credits
+returning), then *evaluates* its decisions for the current cycle
+(routing, virtual-channel allocation, switch allocation), so no router
+or interface can observe another's same-cycle decisions.  This mirrors
+the two-phase (read/compute) update of hardware simulators; each core
+visits its routers and then its interfaces in node order within a
+phase.
 
-Fast-forward
-------------
-The kernel runs both phases every cycle, with one exception.  When the
-core has a ``next_event_cycle(cycle)`` forecast (the flat core does, the
-object network does not) and it reports a cycle after the current one
-(or ``None``, idle for good), the clock jumps straight to that cycle, or
-to the end of the budget.  The forecast is read from the core instance
-at each :meth:`SimulationKernel.run`, so a tracer may wrap it.
+The loop itself belongs to the core: ``core.run(start, end, done)``
+runs the cycles from ``start`` and returns the cycle it stopped at --
+``end``, or the cycle after the one in which ``done()`` came to hold.
+The object network steps every cycle and asks ``done()`` before each.
+The flat core runs the loop in C: it steps only the cycles its
+``next_event_cycle`` forecast reports work at, jumps the idle spans in
+between, and asks ``done()`` on entry and then only after a cycle in
+which a traffic source's ``messages_due`` or the statistics collector's
+``record_delivered`` ran.  Both stop at the same cycle because of the
+``done`` contract:
 
-A jump is bit-identical to stepping through the skipped cycles as long
-as two contracts hold:
-
-* the forecast never reports a cycle later than the core's earliest
-  possible state change -- the flat core's forecast is checked against
-  whole-network scans by ``tests/test_flat_schedule.py``; and
-* the ``done`` predicate is a monotone function of simulation
-  *progress* (for example "all measured messages delivered"); it takes
-  no cycle, because it is only evaluated at the cycles the kernel
-  visits.  It is checked at the visited cycle *before* any jump.
+* ``done`` takes no cycle and is a monotone function of simulation
+  *progress* (for example "all measured messages delivered", or the
+  workload's ``drained`` flag); and
+* it may change only inside a ``messages_due`` or ``record_delivered``
+  callback (a delivery, or a workload compute step completing in its
+  source's poll).
 """
 
 from __future__ import annotations
@@ -47,18 +45,17 @@ __all__ = ["SimulationKernel"]
 
 
 class SimulationKernel:
-    """Drives one network core cycle by cycle.
+    """Drives one network core and owns its clock.
 
     Parameters
     ----------
     core:
         The network core: anything with ``deliver(cycle)`` and
-        ``evaluate(cycle)``, and optionally ``next_event_cycle(cycle)``
-        (the earliest cycle ``>= cycle`` it could have work at, or
-        ``None`` when it never will).
+        ``evaluate(cycle)`` (one cycle's phases, for :meth:`step`) and
+        ``run(start, end, done)`` (the loop, for :meth:`run`).
     done:
         Zero-argument progress predicate; :meth:`run` stops as soon as
-        it returns True.
+        it holds (see the module docstring for its contract).
     """
 
     def __init__(self, core: object, done: Callable[[], bool]) -> None:
@@ -83,35 +80,17 @@ class SimulationKernel:
         """Run until ``done()`` holds or ``max_cycles`` cycles elapse.
 
         Returns the number of cycles that elapsed in this call.  Cycles
-        jumped over by a fast-forward count as elapsed, so the clock
-        lands exactly where stepping every cycle would land it.
+        the flat core jumps over count as elapsed, so the clock lands
+        exactly where stepping every cycle would land it, and the next
+        call resumes there.
         """
         if max_cycles < 0:
             raise ValueError(f"max_cycles must be non-negative, got {max_cycles}")
-        core = self._core
-        deliver = core.deliver
-        evaluate = core.evaluate
-        forecast = getattr(core, "next_event_cycle", None)
-        done = self._done
-        clock = self._clock
-        start = clock.now
-        end = start + max_cycles
-        now = start
-        while now < end:
-            if done():
-                break
-            if forecast is not None:
-                upcoming = forecast(now)
-                if upcoming is None or upcoming > now:
-                    target = end if upcoming is None else min(upcoming, end)
-                    clock.tick(target - now)
-                    now = target
-                    continue
-            deliver(now)
-            evaluate(now)
-            clock.tick()
-            now += 1
-        return now - start
+        start = self._clock.now
+        elapsed = self._core.run(start, start + max_cycles, self._done) - start
+        if elapsed:
+            self._clock.tick(elapsed)
+        return elapsed
 
     def __repr__(self) -> str:
         return f"SimulationKernel(cycle={self._clock.now}, core={type(self._core).__name__})"

@@ -5,7 +5,11 @@
  * the four arrival-wheel drains, virtual-channel allocation, the two
  * switch-allocation stages and crossbar forwarding over the busy-router
  * worklist, the injection pass over the interfaces the wake heap reports
- * due, and next_event_cycle -- runs here.  The module docstring of
+ * due, and next_event_cycle -- runs here, and so does the cycle loop:
+ * run(start, end, done) steps the cycles next_event reports work at,
+ * jumps the idle spans between them, and asks done() on entry and then
+ * only after a cycle that called messages_due or record_delivered (the
+ * only callbacks that may change it).  The module docstring of
  * repro.network.flatcore describes the model, the address spaces and
  * the scheduling state; this file replays the object core
  * (repro.router.router.Router, repro.network.interface.NetworkInterface)
@@ -24,7 +28,11 @@
  * selectors[node].select for any other selector (handed each candidate's
  * OutputPortStatus, whose usage_count / last_used_cycle are out_usage /
  * out_last_used), source.messages_due / next_due_cycle, and the
- * statistics collector's record_created / record_delivered.
+ * statistics collector's record_created / record_delivered.  A source is
+ * asked for messages only from the cycle its cached due cycle src_due
+ * names: next_due_cycle is re-read once after each messages_due call,
+ * and wake_interface lowers the cache.  The cache may be early (a budget
+ * spent elsewhere leaves it stale), never late.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -232,10 +240,11 @@ typedef struct {
     Py_ssize_t slot_n, slot_cap;
     IntVec slot_free;
 
-    /* Injection / ejection interfaces. */
+    /* Injection / ejection interfaces; src_due caches each source's
+       next_due_cycle (never later than it, NEVER for no source). */
     int *ni_credits, *ni_left, *ni_slot, *ni_next_slot;
     Queue *ni_queue;
-    i64 *ni_wake;
+    i64 *ni_wake, *src_due;
     HeapEntry *heap;
     Py_ssize_t heap_n, heap_cap;
     IntVec soon, due;
@@ -249,6 +258,11 @@ typedef struct {
 
     /* Scratch for one router's ROUTING snapshot. */
     int *snap;
+
+    /* Cycles run() stepped (the rest of its span it jumped), and whether
+       the current cycle called messages_due or record_delivered. */
+    i64 cycles_visited;
+    int progressed;
 
     /* Routing decisions: per node its coordinates (dimension 0 fastest in
        the node id), and under a sign rule the [node][sign class] table of
@@ -447,13 +461,10 @@ check_ready(Core *c)
 /* Router flit/credit absorption, then the interfaces' ejection and
    injection-credit drains -- the object phase order.  The eject lane is
    in ascending node order, so deliveries reach the statistics collector
-   in the object interfaces' order. */
-static PyObject *
-Core_deliver(Core *c, PyObject *arg)
+   in the object interfaces' order.  -1 with an exception set on error. */
+static int
+deliver_cycle(Core *c, i64 cycle)
 {
-    i64 cycle;
-    if (check_ready(c) < 0 || parse_cycle(arg, &cycle) < 0)
-        return NULL;
     int slot = (int)(cycle % c->wheel);
 
     if (c->flit_pending && c->flit_lanes[slot].n) {
@@ -465,8 +476,9 @@ Core_deliver(Core *c, PyObject *arg)
             int len = c->buf_len[g];
             if (len >= c->capacity) {
                 lane->n = 0;
-                return PyErr_Format(PyExc_OverflowError,
-                                    "input VC %d overflow: credit protocol violated", g);
+                PyErr_Format(PyExc_OverflowError,
+                             "input VC %d overflow: credit protocol violated", g);
+                return -1;
             }
             c->buf[(i64)g * c->capacity + (c->buf_head[g] + len) % c->capacity] = flit;
             c->buf_len[g] = len + 1;
@@ -536,6 +548,7 @@ Core_deliver(Core *c, PyObject *arg)
             PyObject *args[3] = {c->stats, message, py_cycle};
             PyObject *done = PyObject_VectorcallMethod(
                 s_record_delivered, args, 3, NULL);
+            c->progressed = 1;
             Py_DECREF(message);
             if (done == NULL) {
                 failed = 1;
@@ -546,7 +559,7 @@ Core_deliver(Core *c, PyObject *arg)
         lane->n = 0;
         Py_XDECREF(py_cycle);
         if (failed)
-            return NULL;
+            return -1;
     }
     if (c->ni_credit_pending && c->ni_credit_lanes[slot].n) {
         IntVec *lane = &c->ni_credit_lanes[slot];
@@ -559,13 +572,13 @@ Core_deliver(Core *c, PyObject *arg)
                 c->ni_wake[node] = cycle;
                 if (ivec_push(&c->soon, node) < 0) {
                     lane->n = 0;
-                    return NULL;
+                    return -1;
                 }
             }
         }
         lane->n = 0;
     }
-    Py_RETURN_NONE;
+    return 0;
 }
 
 /* -- virtual-channel allocation ---------------------------------------------- */
@@ -1128,7 +1141,7 @@ evaluate_routers(Core *c, i64 cycle)
 /* Earliest cycle (>= ``cycle``) this interface must be evaluated again
    (NetworkInterface.next_event_cycle minus the mailbox terms: the eject
    drain performs whole deliveries and injection credits re-arm the wake
-   when they arrive).  -1 with an exception set on error. */
+   when they arrive); its source counts from the cached src_due. */
 static i64
 interface_next_event(Core *c, int node, i64 cycle)
 {
@@ -1144,42 +1157,65 @@ interface_next_event(Core *c, int node, i64 cycle)
     }
     if (free_slot && c->ni_queue[node].n)
         return cycle;
-    PyObject *source = PyList_GET_ITEM(c->sources, node);
-    if (source == Py_None)
-        return NEVER;
+    i64 due = c->src_due[node];
+    return due > cycle ? due : cycle;
+}
+
+/* Re-read one source's due cycle into src_due, right after its
+   messages_due call: next_due_cycle(), NEVER for None.  A source without
+   next_due_cycle keeps the cycle it was just polled at, so it is polled
+   again every cycle it is evaluated and its interface wakes every cycle.
+   -1 with an exception set on error. */
+static int
+refresh_due(Core *c, int node, PyObject *source)
+{
     PyObject *next_due = PyObject_GetAttr(source, s_next_due_cycle);
     if (next_due == NULL) {
         if (!PyErr_ExceptionMatches(PyExc_AttributeError))
             return -1;
-        /* Sources without a due-cycle forecast are polled every cycle. */
         PyErr_Clear();
-        return cycle;
+        return 0;
     }
     PyObject *due = PyObject_CallNoArgs(next_due);
     Py_DECREF(next_due);
     if (due == NULL)
         return -1;
-    if (due == Py_None) {
-        Py_DECREF(due);
-        return NEVER;
+    i64 value = NEVER;
+    if (due != Py_None) {
+        value = PyLong_AsLongLong(due);
+        if (value == -1 && PyErr_Occurred()) {
+            Py_DECREF(due);
+            return -1;
+        }
     }
-    i64 value = PyLong_AsLongLong(due);
     Py_DECREF(due);
-    if (value == -1 && PyErr_Occurred())
-        return -1;
-    return value > cycle ? value : cycle;
+    c->src_due[node] = value;
+    return 0;
+}
+
+/* ``*py_cycle``, created on its first use in a cycle (NULL on error). */
+static PyObject *
+cycle_int(i64 cycle, PyObject **py_cycle)
+{
+    if (*py_cycle == NULL)
+        *py_cycle = PyLong_FromLongLong(cycle);
+    return *py_cycle;
 }
 
 /* One interface's evaluate: generate, start injections, send one flit;
-   then recompute its wake cycle. */
+   then recompute its wake cycle.  The source is asked for messages only
+   once its cached due cycle has come. */
 static int
-evaluate_interface(Core *c, int node, i64 cycle, PyObject *py_cycle)
+evaluate_interface(Core *c, int node, i64 cycle, PyObject **py_cycle)
 {
     PyObject *source = PyList_GET_ITEM(c->sources, node);
     Queue *queue = &c->ni_queue[node];
-    if (source != Py_None) {
-        PyObject *args[2] = {source, py_cycle};
+    if (cycle >= c->src_due[node]) {
+        if (cycle_int(cycle, py_cycle) == NULL)
+            return -1;
+        PyObject *args[2] = {source, *py_cycle};
         PyObject *due = PyObject_VectorcallMethod(s_messages_due, args, 2, NULL);
+        c->progressed = 1;
         if (due == NULL)
             return -1;
         PyObject *iterator = PyObject_GetIter(due);
@@ -1200,7 +1236,7 @@ evaluate_interface(Core *c, int node, i64 cycle, PyObject *py_cycle)
             Py_DECREF(done);
         }
         Py_DECREF(iterator);
-        if (PyErr_Occurred())
+        if (PyErr_Occurred() || refresh_due(c, node, source) < 0)
             return -1;
     }
 
@@ -1232,7 +1268,8 @@ evaluate_interface(Core *c, int node, i64 cycle, PyObject *py_cycle)
         c->ni_credits[s]--;
         if (left == c->slots[slot].len) {
             flit |= HEAD;
-            if (PyObject_SetAttr(c->slots[slot].msg, s_injection_cycle, py_cycle) < 0)
+            if (cycle_int(cycle, py_cycle) == NULL
+                || PyObject_SetAttr(c->slots[slot].msg, s_injection_cycle, *py_cycle) < 0)
                 return -1;
         }
         IntVec *lane = &c->flit_lanes[(cycle + c->link_delay) % c->wheel];
@@ -1244,8 +1281,6 @@ evaluate_interface(Core *c, int node, i64 cycle, PyObject *py_cycle)
     }
 
     i64 wake = interface_next_event(c, node, cycle + 1);
-    if (wake < 0)
-        return -1;
     c->ni_wake[node] = wake;
     if (wake == cycle + 1)
         return ivec_push(&c->soon, node);
@@ -1257,16 +1292,13 @@ evaluate_interface(Core *c, int node, i64 cycle, PyObject *py_cycle)
 /* The busy routers' allocation/forwarding pass, then the injection pass
    over the interfaces due this cycle: the nodes re-armed for this pass
    plus the live due heap entries, once each, in node order. */
-static PyObject *
-Core_evaluate(Core *c, PyObject *arg)
+static int
+evaluate_cycle(Core *c, i64 cycle)
 {
-    i64 cycle;
-    if (check_ready(c) < 0 || parse_cycle(arg, &cycle) < 0)
-        return NULL;
     if (c->busy_n && evaluate_routers(c, cycle) < 0)
-        return NULL;
+        return -1;
     if (!c->soon.n && !(c->heap_n && c->heap[0].wake <= cycle))
-        Py_RETURN_NONE;
+        return 0;
     /* Swap the next-pass list out: the pass re-arms into an empty one. */
     IntVec due = c->soon;
     c->soon = c->due;
@@ -1275,7 +1307,7 @@ Core_evaluate(Core *c, PyObject *arg)
     while (c->heap_n && c->heap[0].wake <= cycle) {
         HeapEntry entry = heap_pop(c);
         if (c->ni_wake[entry.node] == entry.wake && ivec_push(&c->due, entry.node) < 0)
-            return NULL;
+            return -1;
     }
     /* Sort and deduplicate through a node bitmap. */
     for (Py_ssize_t i = 0; i < c->due.n; i++)
@@ -1288,33 +1320,25 @@ Core_evaluate(Core *c, PyObject *arg)
         }
     }
     c->due.n = count;
-    PyObject *py_cycle = PyLong_FromLongLong(cycle);
-    if (py_cycle == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < count; i++) {
-        if (evaluate_interface(c, c->due.v[i], cycle, py_cycle) < 0) {
-            Py_DECREF(py_cycle);
-            return NULL;
-        }
-    }
-    Py_DECREF(py_cycle);
-    Py_RETURN_NONE;
+    PyObject *py_cycle = NULL;
+    int failed = 0;
+    for (Py_ssize_t i = 0; i < count && !failed; i++)
+        failed = evaluate_interface(c, c->due.v[i], cycle, &py_cycle) < 0;
+    Py_XDECREF(py_cycle);
+    return failed ? -1 : 0;
 }
 
 /* -- quiescence ---------------------------------------------------------------- */
 
-/* Earliest cycle (>= ``cycle``) at which anything has work, or None: the
-   busy routers' sendable/ready conditions, the interfaces re-armed for
-   this cycle or the earliest live heap wake, and the earliest pending
-   arrival of the four wheels. */
-static PyObject *
-Core_next_event_cycle(Core *c, PyObject *arg)
+/* Earliest cycle (>= ``cycle``) at which anything has work, NEVER when
+   nothing ever will: the busy routers' sendable/ready conditions, the
+   interfaces re-armed for this cycle or the earliest live heap wake, and
+   the earliest pending arrival of the four wheels. */
+static i64
+next_event(Core *c, i64 cycle)
 {
-    i64 cycle;
-    if (check_ready(c) < 0 || parse_cycle(arg, &cycle) < 0)
-        return NULL;
     if (c->soon.n)
-        return PyLong_FromLongLong(cycle);
+        return cycle;
     i64 upcoming = NEVER;
     for (int bi = 0; bi < c->busy_n; bi++) {
         int node = c->busy[bi], base = node * c->per_node;
@@ -1322,7 +1346,7 @@ Core_next_event_cycle(Core *c, PyObject *arg)
         for (int i = 0; i < c->am_n[node]; i++) {
             int g = base + active[i];
             if (c->buf_len[g] && c->out_credits[c->in_out_g[g]] > 0)
-                return PyLong_FromLongLong(cycle);
+                return cycle;
         }
         for (int i = 0; i < c->rm_n[node]; i++) {
             i64 ready = c->in_ready[base + routing[i]];
@@ -1331,7 +1355,7 @@ Core_next_event_cycle(Core *c, PyObject *arg)
                     upcoming = ready;
             }
             else if (c->released[node]) {
-                return PyLong_FromLongLong(cycle);
+                return cycle;
             }
         }
     }
@@ -1340,7 +1364,7 @@ Core_next_event_cycle(Core *c, PyObject *arg)
     if (c->heap_n) {
         i64 wake = c->heap[0].wake;
         if (wake <= cycle)
-            return PyLong_FromLongLong(cycle);
+            return cycle;
         if (wake < upcoming)
             upcoming = wake;
     }
@@ -1355,6 +1379,36 @@ Core_next_event_cycle(Core *c, PyObject *arg)
             }
         }
     }
+    return upcoming;
+}
+
+/* -- the Python step API and the run loop ------------------------------------- */
+
+static PyObject *
+Core_deliver(Core *c, PyObject *arg)
+{
+    i64 cycle;
+    if (check_ready(c) < 0 || parse_cycle(arg, &cycle) < 0 || deliver_cycle(c, cycle) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Core_evaluate(Core *c, PyObject *arg)
+{
+    i64 cycle;
+    if (check_ready(c) < 0 || parse_cycle(arg, &cycle) < 0 || evaluate_cycle(c, cycle) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Core_next_event_cycle(Core *c, PyObject *arg)
+{
+    i64 cycle;
+    if (check_ready(c) < 0 || parse_cycle(arg, &cycle) < 0)
+        return NULL;
+    i64 upcoming = next_event(c, cycle);
     if (upcoming == NEVER)
         Py_RETURN_NONE;
     return PyLong_FromLongLong(upcoming);
@@ -1371,6 +1425,57 @@ check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t expected)
     return 0;
 }
 
+/* done(): 1 when it holds, 0 when not, -1 with an exception set. */
+static int
+call_done(PyObject *done)
+{
+    PyObject *result = PyObject_CallNoArgs(done);
+    if (result == NULL)
+        return -1;
+    int holds = PyObject_IsTrue(result);
+    Py_DECREF(result);
+    return holds;
+}
+
+/* Visited cycles between two checks for a pending signal (Ctrl-C). */
+#define SIGNAL_CHECK_MASK 4095
+
+/* run(start, end, done): step the cycles from ``start`` that have work,
+   jump the idle spans next_event reports (never past ``end``), and stop
+   at ``end`` or at the cycle after the one in which ``done()`` came to
+   hold; return the cycle it stopped at.  ``done`` may change only inside
+   a messages_due or record_delivered callback, so it is asked on entry
+   and then only after a cycle that made one of those calls: the run stops
+   where checking it every cycle would stop it. */
+static PyObject *
+Core_run(Core *c, PyObject *const *args, Py_ssize_t nargs)
+{
+    i64 now, end;
+    if (check_nargs("run", nargs, 3) < 0 || check_ready(c) < 0
+        || parse_cycle(args[0], &now) < 0 || parse_cycle(args[1], &end) < 0)
+        return NULL;
+    PyObject *done = args[2];
+    int holds = now < end ? call_done(done) : 0;
+    while (now < end && !holds) {
+        i64 upcoming = next_event(c, now);
+        if (upcoming > now) {
+            now = upcoming < end ? upcoming : end;
+            continue;
+        }
+        c->progressed = 0;
+        if (deliver_cycle(c, now) < 0 || evaluate_cycle(c, now) < 0)
+            return NULL;
+        now++;
+        if ((++c->cycles_visited & SIGNAL_CHECK_MASK) == 0 && PyErr_CheckSignals() < 0)
+            return NULL;
+        if (c->progressed)
+            holds = call_done(done);
+    }
+    if (holds < 0)
+        return NULL;
+    return PyLong_FromLongLong(now);
+}
+
 static int
 check_node(Core *c, long node)
 {
@@ -1381,8 +1486,9 @@ check_node(Core *c, long node)
     return 0;
 }
 
-/* Lower one interface's wake to ``cycle`` (closed-loop sources queue work
-   at a node from outside its own evaluation). */
+/* Lower one interface's wake, and its source's cached due cycle, to
+   ``cycle`` (closed-loop sources queue work at a node from outside its
+   own evaluation). */
 static PyObject *
 Core_wake_interface(Core *c, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1393,6 +1499,8 @@ Core_wake_interface(Core *c, PyObject *const *args, Py_ssize_t nargs)
     if ((node == -1 && PyErr_Occurred()) || check_node(c, node) < 0
         || parse_cycle(args[1], &cycle) < 0)
         return NULL;
+    if (cycle < c->src_due[node])
+        c->src_due[node] = cycle;
     if (cycle < c->ni_wake[node]) {
         c->ni_wake[node] = cycle;
         if (heap_push(c, cycle, (int)node) < 0)
@@ -1670,6 +1778,8 @@ Core_state(Core *c, PyObject *Py_UNUSED(ignored))
         || put(d, "ni_next_slot", int_list(c->ni_next_slot, nn)) < 0
         || put(d, "ni_queue", ni_queue) < 0
         || put(d, "ni_wake", i64_list(c->ni_wake, nn, 1)) < 0
+        || put(d, "src_due", i64_list(c->src_due, nn, 1)) < 0
+        || put(d, "cycles_visited", PyLong_FromLongLong(c->cycles_visited)) < 0
         || put(d, "ni_heap", heap) < 0
         || put(d, "ni_soon", int_list(c->soon.v, c->soon.n)) < 0
         || put(d, "flit_lanes", lanes_list(c->flit_lanes, c->wheel, 1)) < 0
@@ -1899,6 +2009,7 @@ Core_init(Core *c, PyObject *args, PyObject *kwargs)
     ALLOC(ni_next_slot, nn);
     ALLOC(ni_queue, nn);
     ALLOC(ni_wake, nn);
+    ALLOC(src_due, nn);
     ALLOC(due_mark, nn);
     ALLOC(snap, c->per_node);
     ALLOC(flit_lanes, c->wheel);
@@ -2006,10 +2117,14 @@ Core_init(Core *c, PyObject *args, PyObject *kwargs)
         c->ni_credits[s] = c->capacity;
         c->ni_slot[s] = -1;
     }
-    /* Every interface starts active at cycle 0, like kernel registration. */
-    for (int node = 0; node < nn; node++)
-        if (heap_push(c, 0, node) < 0)
+    /* Every interface starts active at cycle 0, like kernel registration;
+       each source's due cycle is read once here. */
+    for (int node = 0; node < nn; node++) {
+        PyObject *source = PyList_GET_ITEM(sources, node);
+        c->src_due[node] = source == Py_None ? NEVER : 0;
+        if ((source != Py_None && refresh_due(c, node, source) < 0) || heap_push(c, 0, node) < 0)
             return -1;
+    }
 
     c->n_ints = nn > c->per_node ? nn : c->per_node;
     ALLOC(ints, c->n_ints);
@@ -2095,7 +2210,7 @@ Core_dealloc(Core *c)
         c->go_flit_dest, c->g_credit_dest, c->rm, c->rm_n, c->am, c->am_n, c->busy,
         c->released, c->headers_routed, c->slots, c->slot_free.v, c->ni_credits, c->ni_left,
         c->ni_slot, c->ni_next_slot, c->ni_queue,
-        c->ni_wake, c->heap, c->soon.v, c->due.v, c->due_mark, c->flit_lanes, c->credit_lanes,
+        c->ni_wake, c->src_due, c->heap, c->soon.v, c->due.v, c->due_mark, c->flit_lanes, c->credit_lanes,
         c->eject_lanes, c->ni_credit_lanes, c->snap, c->dims, c->coords, c->sel_kind,
         c->decisions, c->ints,
     };
@@ -2110,6 +2225,9 @@ static PyMethodDef Core_methods[] = {
      "Run the busy routers' pass, then the due interfaces' injection."},
     {"next_event_cycle", (PyCFunction)Core_next_event_cycle, METH_O,
      "Earliest cycle (>= cycle) at which anything has work, or None."},
+    {"run", (PyCFunction)(void (*)(void))Core_run, METH_FASTCALL,
+     "run(start, end, done): step and jump from start until end or done(); "
+     "return the cycle it stopped at."},
     {"wake_interface", (PyCFunction)(void (*)(void))Core_wake_interface, METH_FASTCALL,
      "Lower one interface's wake cycle: wake_interface(node, cycle)."},
     {"clear_decisions", (PyCFunction)Core_clear_decisions, METH_NOARGS,

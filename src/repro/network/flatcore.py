@@ -25,8 +25,9 @@ choice of two; the simulator branches on it directly):
     cycle it drains the wheels once, runs virtual-channel allocation,
     switch allocation and forwarding as one pass over the *busy-router
     worklist*, then the injection pass over the interfaces the *wake
-    heap* reports due; ``next_event_cycle`` reads the same structures,
-    and the kernel jumps the clock over the idle spans it reports.
+    heap* reports due; ``next_event_cycle`` reads the same structures.
+    The cycle loop runs in C too: ``run`` steps only the cycles that
+    forecast reports work at and jumps the idle spans between them.
     The benchmark trajectory of this path lives in ``perfbench/``.
 
 Both cores are bit-identical: the flat core replays the object
@@ -34,7 +35,7 @@ core's per-cycle phase order exactly (all routers deliver, interfaces
 deliver, routers evaluate in node order, interfaces evaluate in node
 order) and keeps every RNG consultation site (path selectors, traffic
 sources, the shared message budget) in the same order; the cycles its
-forecast lets the kernel skip are provable no-ops.
+forecast lets ``run`` skip are provable no-ops.
 ``tests/test_link_equivalence.py`` enforces this on a fixed grid, and
 ``tests/test_core_fuzz.py`` on random configurations.
 
@@ -69,7 +70,25 @@ Beyond those callbacks, Python is called only where traffic and
 statistics live: the traffic sources' ``messages_due`` and
 ``next_due_cycle``, and the statistics collector's ``record_created``
 and ``record_delivered`` (the message's ``hops``, counted in its slot,
-is written just before).  The extension is compiled on first use
+is written just before).  Sources are asked for messages only when one
+is due:
+
+* *Due cache.*  ``src_due[node]`` holds the source's ``next_due_cycle``,
+  re-read once right after each ``messages_due`` call and lowered by
+  ``wake_interface``.  An interface calls ``messages_due`` only at
+  cycles ``>= src_due[node]``, and its wake forecast reads the cache.
+  The cache may be early, never late: once the network-wide budget is
+  spent a cached cycle goes stale, and reaching it costs one visit that
+  draws from the node's private arrival stream and creates nothing (the
+  ``TrafficSource.next_due_cycle`` contract).  A source without
+  ``next_due_cycle`` is polled every cycle.
+* *Run loop.*  ``run(start, end, done)`` is the kernel's loop, with the
+  stop rule :mod:`repro.engine.kernel` states.  It builds a cycle's
+  Python int only on a cycle that calls back into Python, counts the
+  cycles it steps in ``state()["cycles_visited"]`` and checks for
+  signals every few thousand of them.
+
+The extension is compiled on first use
 with the interpreter's own compiler settings (``sysconfig``: ``CC``,
 the include directory and ``EXT_SUFFIX``; ``-O2 -shared -fPIC``) into a
 per-user build cache, ``$XDG_CACHE_HOME/repro`` or else
@@ -259,10 +278,12 @@ class FlatNetworkCore:
     per-node traffic sources -- and the simulation's
     :class:`~repro.stats.collector.StatsCollector`.  The constructor
     computes the wiring tables once and hands them to the extension's
-    ``Core``; ``deliver``, ``evaluate``, ``next_event_cycle`` and
-    ``wake_interface`` are that object's methods, bound per instance (so
-    a tracer can wrap them) and called by the kernel with no Python frame
-    in between.
+    ``Core``; ``run``, ``deliver``, ``evaluate``, ``next_event_cycle``
+    and ``wake_interface`` are that object's methods, bound per instance
+    (so a tracer can wrap them) and called by the kernel with no Python
+    frame in between.  ``run`` is the kernel's loop; it calls the C
+    phases directly, so the bound ``deliver``/``evaluate``/
+    ``next_event_cycle`` serve single steps (``SimulationKernel.step``).
 
     Address spaces
     --------------
@@ -292,6 +313,9 @@ class FlatNetworkCore:
       go to the plain list ``ni_soon`` instead.  Heap entries whose wake
       no longer matches are stale and skipped.  Due interfaces are
       evaluated once each, in ascending node order.
+    * ``src_due`` -- per node, the cached ``next_due_cycle`` of its
+      source (``math.inf`` = none due); see "Due cache" above.
+    * ``cycles_visited`` -- the cycles ``run`` has stepped so far.
 
     :meth:`state` returns all of it as plain lists, keyed by these names.
 
@@ -421,6 +445,7 @@ class FlatNetworkCore:
             # weakly: the table may outlive it.
             alive = weakref.ref(self)
             on_reprogram(lambda: (flat := alive()) is not None and flat._core.clear_decisions())
+        self.run = core.run
         self.deliver = core.deliver
         self.evaluate = core.evaluate
         self.next_event_cycle = core.next_event_cycle
@@ -446,7 +471,8 @@ class FlatNetworkCore:
         ``active_members`` (per node), ``in_buf`` (flits per global
         channel), ``in_state``, ``in_ready``, ``out_credits``,
         ``out_owner``, ``slot_*``, ``ni_wake`` (``math.inf`` = idle),
-        ``ni_heap``, ``ni_soon``, the four ``*_lanes`` per wheel slot,
+        ``ni_heap``, ``ni_soon``, ``src_due``, ``cycles_visited``, the
+        four ``*_lanes`` per wheel slot,
         ``decision_entries`` (filled entries of the decision table) and
         the wiring tables.  O(state) per call.
         """

@@ -21,9 +21,9 @@ SelectorFactory = Callable[[int], PathSelector]
 class Network:
     """A complete simulatable network: the object core.
 
-    The kernel drives it through :meth:`deliver` and :meth:`evaluate`;
-    it has no ``next_event_cycle`` forecast, so it is stepped every
-    cycle.
+    The kernel drives it through :meth:`run`, which steps
+    :meth:`deliver` and :meth:`evaluate` every cycle: the object core has
+    no forecast of idle cycles.
 
     Parameters
     ----------
@@ -137,6 +137,18 @@ class Network:
             router.evaluate(cycle)
         for interface in self._interfaces:
             interface.evaluate(cycle)
+
+    def run(self, start: int, end: int, done: Callable[[], bool]) -> int:
+        """Step every cycle from ``start`` until ``end`` or until ``done()``
+        holds before a cycle; return the cycle it stopped at."""
+        deliver = self.deliver
+        evaluate = self.evaluate
+        cycle = start
+        while cycle < end and not done():
+            deliver(cycle)
+            evaluate(cycle)
+            cycle += 1
+        return cycle
 
     def message_conservation_error(self) -> Optional[str]:
         """Why the message count does not balance, or None when it does.

@@ -13,6 +13,8 @@ cycle at a time, and check, between cycles:
   ascending next-pass list when it is due the next cycle;
 * ``next_event_cycle`` equals a whole-network scan (the implementation
   the worklist and heap replaced, kept here as the reference);
+* each source's cached due cycle ``src_due`` is never later than its
+  ``next_due_cycle`` forecast, so no interface sleeps through a message;
 * the live message slots are exactly the slots some buffered, queued or
   in-flight flit names;
 * messages are conserved: created = delivered + live slots + queued.
@@ -20,19 +22,24 @@ cycle at a time, and check, between cycles:
 A run that corrupts a slot must fail at the end of ``run()`` with an
 error naming the configuration, and a header blocked behind a tail
 that releases its output VC must be retried the next cycle even when
-nothing else is due then.
+nothing else is due then.  A source is asked for messages only from
+the cycle its forecast names.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import SimulationConfig
 from repro.core.simulator import NetworkSimulator
+from repro.traffic.generator import TrafficGenerator
+from repro.workload.engine import WorkloadEngine
 
 
 def _full_scan_next_event(state, cycle):
@@ -82,7 +89,24 @@ def _full_scan_next_event(state, cycle):
     return upcoming
 
 
-def _check_schedule(core, cycle):
+def _built_with_sources(config):
+    """A simulator and the traffic sources its core was handed."""
+    sources = []
+
+    def capture(make):
+        def made(self):
+            sources.extend(make(self))
+            return list(sources)
+
+        return made
+
+    with mock.patch.object(TrafficGenerator, "sources", capture(TrafficGenerator.sources)), \
+            mock.patch.object(WorkloadEngine, "sources", capture(WorkloadEngine.sources)):
+        simulator = NetworkSimulator(config)
+    return simulator, sources
+
+
+def _check_schedule(core, cycle, sources=()):
     state = core.state()
     members = state["routing_members"]
     active = state["active_members"]
@@ -100,6 +124,11 @@ def _check_schedule(core, cycle):
             ), (node, wake, cycle)
     assert soon == sorted(set(soon))
     assert core.next_event_cycle(cycle) == _full_scan_next_event(state, cycle)
+    # The due cache may be early, never late.
+    for node, source in enumerate(sources):
+        due = source.next_due_cycle()
+        if due is not None:
+            assert state["src_due"][node] <= due, (node, state["src_due"][node], due)
 
     # Flits are ints ``slot << 2 | head << 1 | tail``; flit and eject
     # lanes hold ``(flit, channel)`` pairs.
@@ -117,7 +146,8 @@ def _check_schedule(core, cycle):
     assert core.message_conservation_error() is None
 
 
-def _step_and_check(simulator):
+def _step_and_check(config):
+    simulator, sources = _built_with_sources(config)
     kernel = simulator._kernel
     core = simulator.core
     stop = (
@@ -129,7 +159,7 @@ def _step_and_check(simulator):
         if stop():
             break
         kernel.step()
-        _check_schedule(core, kernel.clock.now)
+        _check_schedule(core, kernel.clock.now, sources)
     assert stop(), "run did not finish within its cycle budget"
 
 
@@ -167,7 +197,7 @@ def small_configs(draw):
 @settings(max_examples=25, deadline=None)
 @given(config=small_configs())
 def test_worklist_heap_and_slots_match_a_full_scan_every_cycle(config):
-    _step_and_check(NetworkSimulator(config))
+    _step_and_check(config)
 
 
 def test_closed_loop_workload_keeps_the_schedule_exact():
@@ -175,7 +205,48 @@ def test_closed_loop_workload_keeps_the_schedule_exact():
         mesh_dims=(4, 4), workload="request-reply", workload_iters=3,
         workload_window=2, seed=7,
     )
-    _step_and_check(NetworkSimulator(config))
+    _step_and_check(config)
+
+
+def test_sources_are_asked_for_messages_only_when_one_is_due():
+    """Each source's ``messages_due`` runs only at cycles at or after its
+    forecast -- or once, at a stale cached cycle, after the network-wide
+    budget is spent -- so the calls number about the arrivals, not the
+    cycles an interface spends injecting; results equal the object
+    core's."""
+    config = SimulationConfig(
+        mesh_dims=(4, 4), normalized_load=0.1, message_length=8,
+        warmup_messages=20, measure_messages=200, seed=11,
+    )
+    simulator, sources = _built_with_sources(config)
+    calls = []
+
+    def spy(source):
+        poll = source.messages_due
+
+        def messages_due(cycle):
+            due = source.next_due_cycle()
+            made = poll(cycle)
+            calls.append((source.node, cycle, due, len(made)))
+            return made
+
+        source.messages_due = messages_due
+
+    for source in sources:
+        spy(source)
+    result = simulator.run()
+    reference = NetworkSimulator(config.variant(core_mode="objects")).run()
+    assert result.to_json() == dataclasses.replace(reference, config=config).to_json()
+
+    created = simulator.stats.created
+    assert created == config.total_messages
+    stale = [call for call in calls if call[2] is None]
+    assert all(due <= cycle for _, cycle, due, _ in calls if due is not None)
+    assert all(made for _, _, due, made in calls if due is not None)
+    assert all(not made for *_, made in stale)
+    assert len({node for node, *_ in stale}) == len(stale)
+    # Every call that is not a stale visit creates at least one message.
+    assert len(calls) <= created + len(stale) <= created + len(sources)
 
 
 def test_a_lost_message_slot_fails_the_run_naming_the_config():
