@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro import registry
 from repro.core.config import SimulationConfig
@@ -81,11 +81,21 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
                              "configuration hash; cached points are not re-simulated")
 
 
-def _backend_from_args(args: argparse.Namespace) -> ExecutionBackend:
+def _backend_from_args(
+    args: argparse.Namespace, plugins: Sequence[str] = ()
+) -> ExecutionBackend:
     try:
-        return make_backend(workers=args.workers, cache_dir=args.cache_dir)
+        return make_backend(workers=args.workers, cache_dir=args.cache_dir, plugins=plugins)
     except OSError as error:
         raise SystemExit(f"lapses: cannot use cache directory {args.cache_dir!r}: {error}")
+
+
+def _load_plugins(plugins: Sequence[str]) -> None:
+    for plugin in plugins:
+        try:
+            load_plugin(plugin)
+        except (ImportError, OSError) as error:
+            raise SystemExit(f"lapses: cannot load plugin {plugin!r}: {error}")
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -250,11 +260,7 @@ def _list_studies() -> int:
 def _command_study(args: argparse.Namespace) -> int:
     # Plugins load first so --list shows their components and spec files
     # can name them.
-    for plugin in args.plugin:
-        try:
-            load_plugin(plugin)
-        except (ImportError, OSError) as error:
-            raise SystemExit(f"lapses: cannot load plugin {plugin!r}: {error}")
+    _load_plugins(args.plugin)
     if args.list_studies:
         return _list_studies()
     if args.spec is None:
@@ -265,22 +271,9 @@ def _command_study(args: argparse.Namespace) -> int:
         raise SystemExit(f"lapses: {error}")
     # Pre-load the spec's own plugins (run_study would too, but failing
     # here turns a traceback into a clean CLI error).
-    for plugin in study.all_plugins():
-        try:
-            load_plugin(plugin)
-        except (ImportError, OSError) as error:
-            raise SystemExit(f"lapses: cannot load plugin {plugin!r}: {error}")
+    _load_plugins(study.all_plugins())
     if _study_needs_backend(study):
-        plugins = study.all_plugins() + tuple(args.plugin)
-        try:
-            backend = make_backend(
-                workers=args.workers, cache_dir=args.cache_dir, plugins=plugins
-            )
-        except OSError as error:
-            raise SystemExit(
-                f"lapses: cannot use cache directory {args.cache_dir!r}: {error}"
-            )
-        with backend:
+        with _backend_from_args(args, study.all_plugins() + tuple(args.plugin)) as backend:
             outcome = _run_study_or_exit(study, backend)
         text = _render_study(outcome)
         # Print before writing: a bad --output path must not discard the report.
@@ -309,21 +302,18 @@ def _run_study_or_exit(study: Study, backend: Optional[ExecutionBackend]) -> Stu
         raise SystemExit(f"lapses: cannot run study {study.name!r}: {error}")
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    study = builtin_studies.single_run_study(config)
+def _command_config_study(
+    args: argparse.Namespace, build: Callable[[SimulationConfig], Study], precision: int
+) -> int:
+    """``run``/``sweep``: build the study of the flags' configuration, run
+    it and print its rows; bad flag values exit with a one-line error."""
+    try:
+        study = build(_config_from_args(args))
+    except ValueError as error:
+        raise SystemExit(f"lapses: {error}")
     with _backend_from_args(args) as backend:
-        outcome = run_study(study, backend=backend)
-    print(format_rows(outcome.rows, precision=2))
-    return 0
-
-
-def _command_sweep(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    study = builtin_studies.sweep_study(config, loads=args.loads)
-    with _backend_from_args(args) as backend:
-        outcome = run_study(study, backend=backend)
-    print(format_rows(outcome.rows, precision=3))
+        outcome = _run_study_or_exit(study, backend)
+    print(format_rows(outcome.rows, precision=precision))
     return 0
 
 
@@ -334,9 +324,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "study":
         return _command_study(args)
     if args.command == "run":
-        return _command_run(args)
+        return _command_config_study(args, builtin_studies.single_run_study, precision=2)
     if args.command == "sweep":
-        return _command_sweep(args)
+        return _command_config_study(
+            args, lambda config: builtin_studies.sweep_study(config, loads=args.loads), precision=3
+        )
     if args.command == "lint":
         from repro.analysis.runner import run_from_args
 

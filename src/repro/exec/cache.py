@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -24,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
-    "STALE_TMP_SECONDS",
     "ResultCache",
     "config_cache_key",
 ]
@@ -35,52 +33,8 @@ __all__ = [
 #: Configuration changes need no bump: the key hashes every field of
 #: ``SimulationConfig.to_dict()`` and the component provenance, so adding,
 #: removing or re-defaulting a field moves every affected key by itself.
-#: Version 2: results record the effective per-node message rate.
-#: Version 3: the provenance (``module:qualname``) of every
-#: registry-provided component named by the configuration feeds the key,
-#: so a result computed with a plugin component is never served for a
-#: same-named but different implementation (and vice versa).  v2 entries
-#: hash to different file names and are simply never looked at.
-#: Version 4: configurations grew a router busy-path schedule field and
-#: its schedule provenance joined the component map, so entries computed
-#: before the batched allocator existed are never served as current.
-#: Version 5: configurations grew a link-transport schedule field and its
-#: schedule provenance joined the component map, so the two transport
-#: schedules occupied distinct slots and entries written before batched
-#: link transport existed are never served as current.
-#: Version 6: configurations grew the ``core_mode`` field (core schedule:
-#: per-component object network vs the flat struct-of-arrays core) and
-#: its schedule provenance joins the component map, so entries written
-#: before the flat core existed are never served as current.
-#: Version 7: configurations grew the closed-loop workload fields
-#: (``workload`` plus its parameters), results grew the ``drain``
-#: metrics block, ``core_mode`` now defaults to ``"flat"`` and
-#: None-valued optional component fields are omitted from the
-#: provenance map, so every pre-workload entry hashes to a different
-#: slot and is never served as current.
-#: Version 8: configurations grew the ``topology`` and ``link_delays``
-#: fields (explicit topology selection incl. the 3-D torus, per-dimension
-#: link delays) and the topology provenance can now name ``torus3d``, so
-#: entries written before tori were simulatable are never served as
-#: current.
-#: Version 9: configurations grew the ``replications``/``seed_stride``
-#: fields (seed-replicated points with confidence intervals), latency
-#: summaries grew the streaming ``p50_total_latency``/``p99_total_latency``
-#: estimates and results grew the optional ``replicates`` statistics
-#: block, so entries written before the replication layer existed are
-#: never served as current.
-#: Version 10: the router busy-path and link-transport schedule fields
-#: (added in versions 4 and 5) were removed with their batched
-#: implementations, together with their component provenance, so every
-#: entry keyed on them hashes to a different slot.
-#: Version 11: ``core_mode`` became a closed two-value field instead of a
-#: registry kind, so its schedule provenance left the component map and
-#: every entry keyed on it hashes to a different slot.
+#: The reason for each past bump is recorded in CHANGES.md.
 CACHE_FORMAT_VERSION = 11
-
-#: ``*.tmp`` files younger than this many seconds are presumed to belong
-#: to a live concurrent writer and are left alone by :meth:`ResultCache.clear`.
-STALE_TMP_SECONDS = 3600.0
 
 
 def config_cache_key(config: "SimulationConfig") -> str:
@@ -161,57 +115,21 @@ class ResultCache:
         """Persist ``result`` under ``config``'s key; returns the file path.
 
         The temp file gets a unique name so concurrent runs sharing one
-        cache directory never clobber each other's half-written entries.
-        If a concurrent :meth:`clear` sweeps our temp file between
-        ``mkstemp`` and ``os.replace`` (it only sweeps *stale* ones, but
-        a pathological clock or threshold makes it possible), the write
-        is retried once with a fresh temp file instead of failing the
-        campaign point.
+        cache directory never clobber each other's half-written entries,
+        and it is removed again if the write fails.
         """
         path = self.path_for(config)
         payload = result.to_json(indent=2)
-        for attempt in (0, 1):
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.cache_dir, prefix=path.stem, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, path)
-            except FileNotFoundError:
-                # Our temp file was swept out from under us; rewrite once.
-                self._discard(Path(tmp_name))
-                if attempt:
-                    raise
-                continue
-            except BaseException:
-                self._discard(Path(tmp_name))
-                raise
-            break
+        fd, tmp_name = tempfile.mkstemp(dir=self.cache_dir, prefix=path.stem, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+            os.replace(tmp_name, path)
+        except BaseException:
+            self._discard(Path(tmp_name))
+            raise
         self.stores += 1
         return path
-
-    def clear(self) -> int:
-        """Delete every cached entry; returns how many were removed.
-
-        Also sweeps *stale* ``*.tmp`` files (older than
-        :data:`STALE_TMP_SECONDS`) left behind when a writer was killed
-        between ``mkstemp`` and ``os.replace``.  Fresh temp files are
-        left alone: they belong to live concurrent writers whose
-        ``os.replace`` would otherwise die with ``FileNotFoundError``.
-        """
-        removed = 0
-        for path in self.cache_dir.glob("*.json"):
-            self._discard(path)
-            removed += 1
-        cutoff = time.time() - STALE_TMP_SECONDS
-        for path in self.cache_dir.glob("*.tmp"):
-            try:
-                if path.stat().st_mtime <= cutoff:
-                    self._discard(path)
-            except OSError:  # pragma: no cover - racing writer finished
-                pass
-        return removed
 
     def __len__(self) -> int:
         return sum(1 for _ in self.cache_dir.glob("*.json"))

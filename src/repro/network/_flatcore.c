@@ -18,10 +18,10 @@
  * Routing decisions are decoded into Decision entries.  For algorithms
  * that decide by sign class on a mesh or torus, a [node][sign class]
  * table of them is filled lazily, one raw routing.decide call per entry,
- * and cleared by clear_decisions (the routing table's reprogramming
- * hook); other algorithms are asked through decide_cached on every
- * lookup.  The six deterministic path selectors rank their candidates
- * here, by the output-port arrays this core owns.
+ * and never cleared (routing tables are programmed once, at
+ * construction); other algorithms are asked through decide_cached on
+ * every lookup.  The six deterministic path selectors rank their
+ * candidates here, by the output-port arrays this core owns.
  *
  * Python is called back only where the randomness, plugins and
  * statistics live, in the object core's order: those routing calls,
@@ -751,9 +751,10 @@ decision_for(Core *c, int node, int dest, Decision *scratch)
 }
 
 /* Look-ahead routing: the decision for slot ``s``'s header at ``node``,
-   computed upstream and carried in the slot as a copy, so a later
-   reprogram does not change it (the object core carries the decision on
-   the header flit). */
+   computed upstream and carried in the slot (the object core carries it
+   on the header flit).  It is a copy because a decision asked through
+   decide_cached is decoded into scratch space and has no table entry to
+   point at. */
 static int
 lookahead(Core *c, int s, int node)
 {
@@ -1162,22 +1163,12 @@ interface_next_event(Core *c, int node, i64 cycle)
 }
 
 /* Re-read one source's due cycle into src_due, right after its
-   messages_due call: next_due_cycle(), NEVER for None.  A source without
-   next_due_cycle keeps the cycle it was just polled at, so it is polled
-   again every cycle it is evaluated and its interface wakes every cycle.
-   -1 with an exception set on error. */
+   messages_due call: next_due_cycle(), NEVER for None.  -1 with an
+   exception set on error. */
 static int
 refresh_due(Core *c, int node, PyObject *source)
 {
-    PyObject *next_due = PyObject_GetAttr(source, s_next_due_cycle);
-    if (next_due == NULL) {
-        if (!PyErr_ExceptionMatches(PyExc_AttributeError))
-            return -1;
-        PyErr_Clear();
-        return 0;
-    }
-    PyObject *due = PyObject_CallNoArgs(next_due);
-    Py_DECREF(next_due);
+    PyObject *due = PyObject_CallMethodNoArgs(source, s_next_due_cycle);
     if (due == NULL)
         return -1;
     i64 value = NEVER;
@@ -1510,18 +1501,6 @@ Core_wake_interface(Core *c, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* -- introspection ---------------------------------------------------------------- */
-
-/* Empty the [node][sign class] decision table: the routing table's
-   reprogramming hook.  Look-ahead copies already in message slots stay. */
-static PyObject *
-Core_clear_decisions(Core *c, PyObject *Py_UNUSED(ignored))
-{
-    if (check_ready(c) < 0)
-        return NULL;
-    if (c->decisions != NULL)
-        memset(c->decisions, 0, (size_t)c->num_nodes * c->n_classes * sizeof(Decision));
-    Py_RETURN_NONE;
-}
 
 /* (live message slots, messages queued at interfaces). */
 static PyObject *
@@ -2230,8 +2209,6 @@ static PyMethodDef Core_methods[] = {
      "return the cycle it stopped at."},
     {"wake_interface", (PyCFunction)(void (*)(void))Core_wake_interface, METH_FASTCALL,
      "Lower one interface's wake cycle: wake_interface(node, cycle)."},
-    {"clear_decisions", (PyCFunction)Core_clear_decisions, METH_NOARGS,
-     "Empty the decision table (the routing table was reprogrammed)."},
     {"message_counts", (PyCFunction)Core_message_counts, METH_NOARGS,
      "(live message slots, messages queued at interfaces)."},
     {"clear_slot", (PyCFunction)Core_clear_slot, METH_O,

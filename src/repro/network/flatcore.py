@@ -51,13 +51,12 @@ this module; Python keeps the wiring tables' construction.
   ``relative_signs``, and reads a ``[node][sign class]`` table of
   decoded entries (ordered adaptive ports, escape port).  The table is
   filled lazily from one raw ``routing.decide`` call per entry, never
-  eagerly, and cleared by a table ``reprogram`` through the hook
-  :func:`~repro.routing.base.reprogram_hook` finds.  Every other
-  algorithm -- turn models, Duato over full, meta or interval tables,
-  plugins -- is asked through ``decide_cached`` on each lookup, and its
-  answer decoded the same way.  A look-ahead decision travels in the
-  message slot as a copy of the entry, so a reprogram does not change a
-  decision already carried, as on the object core.
+  eagerly, and never cleared: routing tables are programmed once, at
+  construction.  Every other algorithm -- turn models, Duato over full,
+  meta or interval tables, plugins -- is asked through ``decide_cached``
+  on each lookup, and its answer decoded the same way.  A look-ahead
+  decision travels in the message slot as a copy, as on the object
+  core.
 * *Path selection.*  A node whose selector is exactly one of
   ``_C_SELECTORS`` (static-xy, first-free, min-mux, lfu, lru,
   max-credit) has its candidates ranked in C by the arrays the core owns
@@ -80,8 +79,7 @@ is due:
   The cache may be early, never late: once the network-wide budget is
   spent a cached cycle goes stale, and reaching it costs one visit that
   draws from the node's private arrival stream and creates nothing (the
-  ``TrafficSource.next_due_cycle`` contract).  A source without
-  ``next_due_cycle`` is polled every cycle.
+  ``TrafficSource.next_due_cycle`` contract).
 * *Run loop.*  ``run(start, end, done)`` is the kernel's loop, with the
   stop rule :mod:`repro.engine.kernel` states.  It builds a cycle's
   Python int only on a cycle that calls back into Python, counts the
@@ -108,7 +106,6 @@ import os
 import shlex
 import subprocess
 import sysconfig
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
@@ -119,7 +116,6 @@ from repro.network.topology import (
     TorusTopology,
     port_direction,
 )
-from repro.routing.base import reprogram_hook
 from repro.selection.base import OutputPortStatus, PathSelector
 from repro.selection.heuristics import (
     FirstFreeSelector,
@@ -439,12 +435,6 @@ class FlatNetworkCore:
             stats,
             OutputPortStatus,
         )
-        on_reprogram = reprogram_hook(routing)
-        if sign_rule and on_reprogram is not None:
-            # A reprogram empties the C table.  The hook holds this core
-            # weakly: the table may outlive it.
-            alive = weakref.ref(self)
-            on_reprogram(lambda: (flat := alive()) is not None and flat._core.clear_decisions())
         self.run = core.run
         self.deliver = core.deliver
         self.evaluate = core.evaluate

@@ -17,33 +17,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 __all__ = [
     "RouteDecision",
     "RoutingAlgorithm",
     "VirtualChannelClasses",
     "dateline_escape_classes",
-    "reprogram_hook",
 ]
-
-
-def reprogram_hook(routing: "RoutingAlgorithm") -> Optional[Callable]:
-    """The ``on_reprogram`` registration of the table ``routing`` reads,
-    or None when it reads no reprogrammable table.
-
-    Every memo of ``routing``'s decisions registers its clear here: the
-    algorithm's own :meth:`~RoutingAlgorithm.decision_cache` and the flat
-    core's decision table.  The public ``table`` attribute/property is
-    tried first, so plugin algorithms that expose their table
-    conventionally are covered too, then the built-ins' private
-    ``_table``.
-    """
-    table = getattr(routing, "table", None)
-    if table is None:
-        table = getattr(routing, "_table", None)
-    on_reprogram = getattr(table, "on_reprogram", None)
-    return on_reprogram if callable(on_reprogram) else None
 
 
 def dateline_escape_classes(
@@ -154,7 +135,8 @@ class RoutingAlgorithm(ABC):
         decision per node and sign pattern -- at most ``N * 3^n`` raw
         :meth:`decide` calls -- and shares it across every destination
         of the class; the flat core keeps the same decisions in its C
-        ``[node][sign class]`` table on meshes and tori.  False by
+        ``[node][sign class]`` table on meshes and tori, filled lazily and
+        never cleared (the table they read never changes).  False by
         default, so plugin algorithms and those reading per-destination
         tables keep one :meth:`decide` per ``(current, destination)``
         pair.
@@ -165,40 +147,27 @@ class RoutingAlgorithm(ABC):
         """A ``(current, destination) -> RouteDecision`` memo shared by
         every router of the network.
 
-        :meth:`decide` is a pure function of the topology and the
-        currently programmed table, and :class:`RouteDecision` is frozen,
-        so the routers and network interfaces consult this cache on their
-        hot paths instead of re-deriving the same decision per header per
-        retry.  The dict lives on the algorithm instance -- one network
-        shares one instance -- and is bounded by the number of (node,
-        destination) pairs.
-
-        Tables are software programmable: when the algorithm reads a
-        :class:`~repro.tables.base.RoutingTable`, the memo registers for
-        its reprogramming notifications and is cleared in place (every
-        holder shares the same dict object) the moment an entry is
-        overwritten, so post-construction ``reprogram`` calls are never
-        served stale decisions.  The per-sign-class memo of algorithms
-        that declare :attr:`decides_by_signs` is created and cleared with
-        it.
+        :meth:`decide` is a pure function of the topology and the table,
+        which is programmed once at construction, and
+        :class:`RouteDecision` is frozen, so the routers and network
+        interfaces consult this cache on their hot paths instead of
+        re-deriving the same decision per header per retry.  The dict is
+        created on first use and lives on the algorithm instance -- one
+        network shares one instance -- and is bounded by the number of
+        (node, destination) pairs.  Algorithms that declare
+        :attr:`decides_by_signs` get a per-sign-class memo with it.
         """
         cache = getattr(self, "_decision_memo", None)
         if cache is None:
             cache = {}
             self._decision_memo = cache
-            sign_memo = {} if self.decides_by_signs else None
-            self._sign_memo = sign_memo
-            on_reprogram = reprogram_hook(self)
-            if on_reprogram is not None:
-                on_reprogram(cache.clear)
-                if sign_memo is not None:
-                    on_reprogram(sign_memo.clear)
+            self._sign_memo = {} if self.decides_by_signs else None
         return cache
 
     def decide_cached(self, current: int, destination: int) -> RouteDecision:
         """Memoized :meth:`decide` -- the single lookup the routers and
         network interfaces share on their hot paths (see
-        :meth:`decision_cache` for the purity and invalidation contract).
+        :meth:`decision_cache` for the purity contract).
         """
         cache = self.decision_cache()
         key = (current, destination)

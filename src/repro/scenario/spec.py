@@ -129,6 +129,11 @@ class Axis:
     #: The named variants of a variant axis, in sweep order.
     variants: Tuple[Variant, ...] = ()
 
+    def __post_init__(self) -> None:
+        if not self.values and not self.variants:
+            name = self.name or self.label or self.field
+            raise ValueError(f"study axis {name!r} has no values or variants to sweep")
+
     @property
     def is_variant(self) -> bool:
         """Whether this is a variant axis."""

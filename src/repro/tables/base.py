@@ -4,8 +4,9 @@ A routing table answers, for the router of a given node, "which output
 ports may a message heading to destination ``d`` take?".  Tables are
 *programmed* from a routing-relation provider (see
 :mod:`repro.routing.providers`) exactly as a real table-based router's
-tables are written by system software at boot time, and then only consulted
-(``lookup``) during simulation.
+tables are written by system software at boot time: once, in the
+constructor.  From then on they are only consulted (``lookup``), so every
+memo of their answers stays valid for the table's lifetime.
 """
 
 from __future__ import annotations
@@ -54,29 +55,6 @@ class RoutingTable(ABC):
     @abstractmethod
     def num_routers(self) -> int:
         """Number of routers this table instance covers."""
-
-    # -- reprogramming notifications ------------------------------------------
-
-    def on_reprogram(self, callback) -> None:
-        """Register ``callback()`` to run whenever this table is reprogrammed.
-
-        The routing algorithms memoize their ``decide`` results
-        (:meth:`repro.routing.base.RoutingAlgorithm.decision_cache`); the
-        software-programmable organisations call
-        :meth:`_notify_reprogrammed` from their ``reprogram`` methods so
-        those memos are dropped instead of silently serving stale routes.
-        """
-        listeners = getattr(self, "_reprogram_listeners", None)
-        if listeners is None:
-            listeners = []
-            self._reprogram_listeners = listeners
-        if callback not in listeners:
-            listeners.append(callback)
-
-    def _notify_reprogrammed(self) -> None:
-        """Invoke every registered reprogramming listener."""
-        for callback in getattr(self, "_reprogram_listeners", ()):
-            callback()
 
     def __repr__(self) -> str:
         return (

@@ -53,9 +53,9 @@ def _axis_signs(topology: Topology) -> List[List[FrozenSet[int]]]:
 class EconomicalStorageTable(RoutingTable):
     """A 3^n-entry, sign-indexed routing table for n-dimensional meshes.
 
-    Each router gets its own 3^n-entry table, as in hardware, so entries
-    can be reprogrammed per router (e.g. the paper's Fig. 7 North-Last
-    example programs node (1,1) of a 3x3 mesh).
+    Each router gets its own 3^n-entry table, as in hardware, programmed
+    once at construction (the paper's Fig. 7 North-Last example is this
+    table built from :func:`~repro.routing.providers.north_last_provider`).
 
     Parameters
     ----------
@@ -132,25 +132,6 @@ class EconomicalStorageTable(RoutingTable):
     def entry(self, node: int, signs: Signs) -> Tuple[int, ...]:
         """Direct access to one of the 3^n entries of a router's table."""
         return self._tables[node][tuple(signs)]
-
-    def reprogram(self, node: int, signs: Signs, ports: Tuple[int, ...]) -> None:
-        """Overwrite one entry of one router's table.
-
-        This is how specific algorithms deny otherwise-minimal ports to
-        guarantee deadlock freedom (the paper's Fig. 7 North-Last example).
-        """
-        signs = tuple(signs)
-        if signs not in self._tables[node]:
-            raise TableProgrammingError(f"invalid sign pattern {signs}")
-        if not ports:
-            raise TableProgrammingError("a table entry needs at least one port")
-        for port in ports:
-            if not 0 <= port < self._topology.radix:
-                raise TableProgrammingError(
-                    f"port {port} does not exist on a radix-{self._topology.radix} router"
-                )
-        self._tables[node][signs] = tuple(ports)
-        self._notify_reprogrammed()
 
     def entries_per_router(self) -> int:
         return 3 ** self._topology.n_dims

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.network.topology import LOCAL_PORT, Topology
+from repro.network.topology import Topology
 from repro.routing.providers import PortProvider, minimal_adaptive_provider
 from repro.tables.base import RoutingTable, TableProgrammingError
 
@@ -63,23 +63,3 @@ class FullRoutingTable(RoutingTable):
 
     def num_routers(self) -> int:
         return self._num_nodes
-
-    def reprogram(self, current: int, destination: int, ports: Tuple[int, ...]) -> None:
-        """Overwrite a single table entry (tables are software programmable).
-
-        Raises :class:`TableProgrammingError` for empty entries or entries
-        naming ports the router does not have.
-        """
-        if not ports:
-            raise TableProgrammingError("a table entry needs at least one port")
-        for port in ports:
-            if not 0 <= port < self._topology.radix:
-                raise TableProgrammingError(
-                    f"port {port} does not exist on a radix-{self._topology.radix} router"
-                )
-        if destination == current and tuple(ports) != (LOCAL_PORT,):
-            raise TableProgrammingError(
-                "the entry for the local node must name the local port only"
-            )
-        self._entries[current][destination] = tuple(ports)
-        self._notify_reprogrammed()

@@ -204,6 +204,33 @@ def test_cache_dir_pointing_at_a_file_fails_cleanly(tmp_path):
     assert "cannot use cache directory" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--messages", "0"], "lapses: invalid measurement window"),
+        (["run", "--load", "-1"], "lapses: normalized load cannot be negative"),
+        (["sweep", "--messages", "0"], "lapses: invalid measurement window"),
+        (["sweep", "--loads", ","], "lapses: study axis 'load' has no values"),
+    ],
+)
+def test_run_and_sweep_report_bad_arguments_in_one_line(argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert str(excinfo.value).startswith(message)
+    assert "\n" not in str(excinfo.value)
+
+
+def test_study_spec_with_an_empty_axis_fails_cleanly(tmp_path):
+    spec = tmp_path / "empty.json"
+    spec.write_text(
+        '{"name": "e", "kind": "grid", "stop": {"mode": "any"},'
+        ' "axes": [{"field": "normalized_load", "values": []}]}'
+    )
+    with pytest.raises(SystemExit) as excinfo:
+        main(["study", str(spec)])
+    assert "axis 'normalized_load' has no values or variants" in str(excinfo.value)
+
+
 def test_campaign_bad_output_path_still_prints_the_report(campaign_spec, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["study", campaign_spec, "--output", "/no/such/dir/report.md"])

@@ -89,23 +89,6 @@ def test_north_last_programming_matches_figure7():
     assert set(table.entry(node, (1, -1))) == {EAST, SOUTH}
 
 
-def test_reprogram_entry(mesh):
-    table = EconomicalStorageTable(mesh)
-    node = mesh.node_id((1, 1))
-    table.reprogram(node, (1, 1), (EAST,))
-    assert table.lookup(node, mesh.node_id((3, 3))) == (EAST,)
-
-
-def test_reprogram_validation(mesh):
-    table = EconomicalStorageTable(mesh)
-    with pytest.raises(TableProgrammingError):
-        table.reprogram(0, (2, 2), (EAST,))
-    with pytest.raises(TableProgrammingError):
-        table.reprogram(0, (1, 1), ())
-    with pytest.raises(TableProgrammingError):
-        table.reprogram(0, (1, 1), (42,))
-
-
 def test_describe_lists_all_entries(mesh):
     table = EconomicalStorageTable(mesh)
     entries = table.describe(mesh.node_id((2, 2)))

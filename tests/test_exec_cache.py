@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -81,77 +80,17 @@ def test_numerically_equal_int_and_float_fields_share_a_key():
     assert config_cache_key(as_int) == config_cache_key(as_float)
 
 
-def test_clear_sweeps_stale_tmp_files_only(cache):
-    """Only *stale* temp files are swept: a fresh one belongs to a live
-    concurrent writer whose ``os.replace`` must not be broken."""
-    from repro.exec.cache import STALE_TMP_SECONDS
-
+def test_a_failed_write_leaves_no_temp_file(cache, monkeypatch):
     config = SimulationConfig.tiny()
-    cache.put(config, make_result(config))
-    stale = cache.cache_dir / "deadbeef0123.tmp"
-    stale.write_text("half-written by a crashed run", encoding="utf-8")
-    ancient = time.time() - STALE_TMP_SECONDS - 60
-    os.utime(stale, (ancient, ancient))
-    fresh = cache.cache_dir / "cafebabe4567.tmp"
-    fresh.write_text("being written right now", encoding="utf-8")
-    assert cache.clear() == 1
-    assert not stale.exists()
-    assert fresh.exists()
 
+    def failing_replace(src, dst):
+        raise OSError("disk full")
 
-def test_concurrent_clear_does_not_break_a_live_writer(cache):
-    """Regression for the clear()/put() race: a clear() running while
-    another process is between ``mkstemp`` and ``os.replace`` used to
-    sweep the live temp file, so the writer died with
-    ``FileNotFoundError``.  Simulate the race by sweeping every ``*.tmp``
-    (the old clear() behaviour) from inside the first ``os.replace``; the
-    write must succeed by rewriting once."""
-    config = SimulationConfig.tiny()
-    result = make_result(config)
-    real_replace = os.replace
-    raced = {"count": 0}
-
-    def racing_replace(src, dst):
-        if raced["count"] == 0:
-            raced["count"] += 1
-            for tmp in cache.cache_dir.glob("*.tmp"):
-                tmp.unlink()  # what the unguarded sweep used to do
-        return real_replace(src, dst)
-
-    os.replace = racing_replace
-    try:
-        path = cache.put(config, result)
-    finally:
-        os.replace = real_replace
-    assert raced["count"] == 1
-    assert path.exists()
-    assert cache.get(config) == result
-    assert cache.stores == 1
-
-
-def test_put_raises_if_the_temp_file_is_swept_twice(cache):
-    """The rewrite is attempted exactly once; a pathological environment
-    that keeps deleting the temp file surfaces the error instead of
-    looping."""
-    config = SimulationConfig.tiny()
-    real_replace = os.replace
-    calls = {"count": 0}
-
-    def always_racing_replace(src, dst):
-        calls["count"] += 1
-        for tmp in cache.cache_dir.glob("*.tmp"):
-            tmp.unlink()
-        return real_replace(src, dst)
-
-    os.replace = always_racing_replace
-    try:
-        with pytest.raises(FileNotFoundError):
-            cache.put(config, make_result(config))
-    finally:
-        os.replace = real_replace
-    assert calls["count"] == 2
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        cache.put(config, make_result(config))
     assert cache.stores == 0
-    assert not list(cache.cache_dir.glob("*.tmp"))
+    assert not list(cache.cache_dir.iterdir())
 
 
 def test_corrupted_file_is_a_miss_and_is_discarded(cache):
@@ -187,14 +126,6 @@ def test_entry_whose_config_has_an_unknown_key_is_a_miss_and_is_discarded(cache)
     assert cache.get(config) is None
     assert cache.misses == 1 and cache.hits == 0
     assert not cache.path_for(config).exists()
-
-
-def test_clear_removes_every_entry(cache):
-    config = SimulationConfig.tiny()
-    cache.put(config, make_result(config))
-    cache.put(config.variant(seed=2), make_result(config.variant(seed=2)))
-    assert cache.clear() == 2
-    assert len(cache) == 0
 
 
 def test_cache_key_changes_with_the_package_version(monkeypatch):

@@ -2,14 +2,15 @@
 
 Algorithms that decide by sign class (Duato over the economical table,
 dimension order) on a mesh or torus are served from the core's lazily
-filled ``[node][sign class]`` table; a table ``reprogram`` clears it
-through the routing table's ``on_reprogram`` hook, and a look-ahead
-decision already carried by a header stays a copy of the old entry, as
-the object core's ``flit.lookahead_decision`` does.  The six
-deterministic built-in selectors rank their candidates in C when a
-node's selector is exactly that class; any other selector -- a subclass
-overriding ``select``, or ``random`` -- is called back in Python.  Every
-case here runs both cores and demands identical results.
+filled ``[node][sign class]`` table, which is never cleared because a
+routing table is programmed once, at construction.  Every other
+algorithm is asked through ``decide_cached``; a look-ahead decision then
+travels in the message slot as a decoded copy, as the object core's
+``flit.lookahead_decision`` does.  The six deterministic built-in
+selectors rank their candidates in C when a node's selector is exactly
+that class; any other selector -- a subclass overriding ``select``, or
+``random`` -- is called back in Python.  Every case here runs both cores
+and demands identical results.
 """
 
 from __future__ import annotations
@@ -21,13 +22,10 @@ import pytest
 from repro import registry
 from repro.core.config import SimulationConfig
 from repro.core.simulator import NetworkSimulator
-from repro.network.topology import productive_ports
 from repro.selection.heuristics import MaxCreditSelector, RandomSelector
 
 #: The built-ins the flat core ranks itself.
 C_SELECTORS = ["first-free", "lfu", "lru", "max-credit", "min-mux", "static-xy"]
-
-NORTH = 3
 
 
 def _document(result) -> dict:
@@ -52,60 +50,17 @@ def _contended(**overrides) -> SimulationConfig:
     return SimulationConfig.tiny(**fields)
 
 
-def _run_reprogrammed(config, core_mode, entry, at=60):
-    """Run ``at`` cycles, reprogram ``entry`` (node, signs, ports) unless
-    it is None, then finish the run."""
-    simulator = NetworkSimulator(config.variant(core_mode=core_mode))
-    simulator.run(at)
-    if entry is not None:
-        simulator.table.reprogram(*entry)
-    return _document(simulator.run())
-
-
-def test_a_mid_run_reprogram_reaches_both_cores():
-    config = _contended(pipeline="proud")
-    entry = (5, (1, 1), (NORTH,))
-    objects = _run_reprogrammed(config, "objects", entry)
-    flat = _run_reprogrammed(config, "flat", entry)
-    assert flat == objects
-    # The reprogram changed the routes, so the C table was cleared.
-    assert flat != _run_reprogrammed(config, "flat", None)
-
-
-def _carried_lookahead_entry(simulator):
-    """A (node, signs) entry that a header on a link carries as its
-    look-ahead decision, with two or more adaptive ports to deny."""
-    topology = simulator.topology
-    state = simulator.core.state()
-    for lane in state["flit_lanes"]:
-        for flit, _ in lane:
-            slot = flit >> 2
-            node = state["slot_la_node"][slot]
-            if not flit & 2 or node < 0:
-                continue
-            signs = topology.relative_signs(node, state["slot_dest"][slot])
-            if len(productive_ports(signs)) >= 2:
-                return node, signs
-    return None
-
-
-def test_a_reprogram_leaves_the_carried_lookahead_decision_alone():
-    config = _contended(pipeline="la-proud")
-    probe = NetworkSimulator(config)
-    at = 60
-    probe.run(at)
-    found = None
-    while found is None:
-        found = _carried_lookahead_entry(probe)
-        if found is None:
-            probe.run(1)
-            at += 1
-    node, signs = found
-    entry = (node, signs, productive_ports(signs)[-1:])
-    objects = _run_reprogrammed(config, "objects", entry, at)
-    flat = _run_reprogrammed(config, "flat", entry, at)
-    assert flat == objects
-    assert flat != _run_reprogrammed(config, "flat", None, at)
+def test_lookahead_decisions_without_a_table_entry_match_the_object_core():
+    """Duato over the full table has no sign rule: every decision, the
+    look-ahead ones carried in message slots included, comes from
+    ``decide_cached`` and leaves the C table empty."""
+    config = _contended(pipeline="la-proud", table="full")
+    flat = NetworkSimulator(config.variant(core_mode="flat"))
+    flat_result = _document(flat.run())
+    objects_result = _document(NetworkSimulator(config.variant(core_mode="objects")).run())
+    assert flat_result == objects_result
+    assert flat.core.state()["decision_entries"] == 0
+    assert flat._routing.decision_cache()
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,8 @@ cycle at a time, and check, between cycles:
   ``next_due_cycle`` forecast, so no interface sleeps through a message;
 * the live message slots are exactly the slots some buffered, queued or
   in-flight flit names;
+* a header on a link that carries a look-ahead decision carries the one
+  for the router the link leads to;
 * messages are conserved: created = delivered + live slots + queued.
 
 A run that corrupts a slot must fail at the end of ``run()`` with an
@@ -142,6 +144,11 @@ def _check_schedule(core, cycle, sources=()):
         slot for slot, message in enumerate(state["slot_msg"]) if message is not None
     }
     assert live == referenced
+    per_node = state["radix"] * state["vcs"]
+    for lane in state["flit_lanes"]:
+        for flit, channel in lane:
+            if flit & 2:
+                assert state["slot_la_node"][flit >> 2] in (-1, channel // per_node)
     assert not live & set(state["slot_free"])
     assert core.message_conservation_error() is None
 

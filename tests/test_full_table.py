@@ -45,19 +45,8 @@ def test_custom_provider_programming(mesh):
     assert table.lookup(origin, mesh.node_id((3, 3))) == (port_for(0, True),)
 
 
-def test_reprogram_single_entry(mesh):
-    table = FullRoutingTable(mesh)
-    origin = mesh.node_id((0, 0))
-    destination = mesh.node_id((3, 3))
-    table.reprogram(origin, destination, (port_for(1, True),))
-    assert table.lookup(origin, destination) == (port_for(1, True),)
-
-
-def test_reprogram_validation(mesh):
-    table = FullRoutingTable(mesh)
-    with pytest.raises(TableProgrammingError):
-        table.reprogram(0, 5, ())
-    with pytest.raises(TableProgrammingError):
-        table.reprogram(0, 5, (99,))
-    with pytest.raises(TableProgrammingError):
-        table.reprogram(3, 3, (port_for(0, True),))
+def test_a_provider_giving_no_port_is_refused(mesh):
+    with pytest.raises(TableProgrammingError, match="no ports for 0->5"):
+        FullRoutingTable(mesh, provider=lambda current, destination: (
+            () if (current, destination) == (0, 5) else (LOCAL_PORT,)
+        ))

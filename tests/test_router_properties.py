@@ -232,38 +232,6 @@ def test_round_robin_never_starves_a_persistent_requester():
             )
 
 
-# -- decision-memo invalidation ------------------------------------------------------
-
-
-def test_reprogramming_a_table_drops_memoized_decisions():
-    """The busy path memoizes routing decisions; tables are software
-    programmable, so a post-construction ``reprogram`` must clear the
-    shared memo in place (routers hold references to the same dict)."""
-    from repro.network.topology import MeshTopology, port_for
-    from repro.routing.duato import DuatoFullyAdaptiveRouting
-    from repro.tables.economical import EconomicalStorageTable
-
-    topology = MeshTopology((3, 3))
-    table = EconomicalStorageTable(topology)
-    routing = DuatoFullyAdaptiveRouting(topology, table)
-    cache = routing.decision_cache()
-    assert cache is routing.decision_cache()  # one shared dict
-
-    node = topology.node_id((1, 1))
-    destination = topology.node_id((2, 2))
-    before = routing.decide(node, destination)
-    cache[(node, destination)] = before
-    east, north = port_for(0, True), port_for(1, True)
-    assert set(before.adaptive_ports) == {east, north}
-
-    # Deny the +X port for (+, +) at the center node, as a North-Last
-    # style programming would.
-    table.reprogram(node, (1, 1), (north,))
-    assert cache == {}, "reprogramming must clear the decision memo"
-    after = routing.decide(node, destination)
-    assert set(after.adaptive_ports) == {north}
-
-
 # -- flat-core properties ------------------------------------------------------------
 
 

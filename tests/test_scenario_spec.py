@@ -236,6 +236,22 @@ def test_stop_policy_validation():
         Study(name="x", base={}, stop=StopPolicy(mode="any"))
 
 
+@pytest.mark.parametrize(
+    "axis, name",
+    [
+        ({"field": "normalized_load", "values": [], "label": "load"}, "load"),
+        ({"name": "router", "variants": []}, "router"),
+    ],
+)
+@pytest.mark.parametrize("stop", [None, {"mode": "any"}])
+def test_an_axis_without_values_is_refused_naming_it(axis, name, stop):
+    spec = {"name": "e", "kind": "grid", "axes": [axis]}
+    if stop is not None:
+        spec["stop"] = stop
+    with pytest.raises(ValueError, match=f"axis '{name}' has no values or variants"):
+        Study.from_json(json.dumps(spec))
+
+
 def test_campaign_suite_contains_the_six_experiments():
     suite = campaign_study(SimulationConfig.tiny())
     assert [member.name for member in suite.members] == [
