@@ -181,8 +181,16 @@ class SimulationConfig:
             raise ValueError("normalized load cannot be negative")
         if self.message_length < 1:
             raise ValueError("messages are at least one flit long")
-        if self.warmup_messages < 0 or self.measure_messages < 1:
-            raise ValueError("invalid measurement window")
+        if self.warmup_messages < 0:
+            raise ValueError(
+                "invalid measurement window: warmup_messages must be at least 0, "
+                f"got {self.warmup_messages}"
+            )
+        if self.measure_messages < 1:
+            raise ValueError(
+                "invalid measurement window: measure_messages must be at least 1, "
+                f"got {self.measure_messages}"
+            )
         if self.workload_iters < 1:
             raise ValueError("workload_iters must be at least 1")
         if self.workload_window < 1:

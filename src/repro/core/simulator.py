@@ -8,13 +8,25 @@ hands them to the one network core the configuration selects -- the C
 :class:`~repro.network.network.Network`, the executable reference --
 drives that core with the cycle-level kernel and returns a
 :class:`~repro.core.results.SimulationResult`.
+
+A routing table is a pure function of the configuration, programmed once
+at construction and then only read, so simulators that build the same
+network share it: the process keeps its :data:`_SHARED_BUILDS` most
+recent ``(topology, table, routing)`` builds whose three registry entries
+are all built-ins, keyed on the inputs their factories read (the three
+names and provenances, ``mesh_dims`` and ``num_escape_vcs``).  The routing
+instance carries the decision memos and the flat core's
+``[node][sign class]`` table, so a later simulator routes from every
+entry an earlier one filled.  A plugin component always gets a fresh
+build.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Callable, Optional
+from collections import OrderedDict
+from typing import Callable, Optional, Tuple
 
 from repro import registry
 from repro.core.config import SimulationConfig
@@ -64,6 +76,49 @@ def build_routing(
     return factory(topology, table, config)
 
 
+#: How many built-in network builds a process keeps for reuse.
+_SHARED_BUILDS = 4
+
+_builds: "OrderedDict[tuple, Tuple[Topology, RoutingTable, RoutingAlgorithm]]" = OrderedDict()
+
+
+def _build_network(
+    config: SimulationConfig,
+) -> Tuple[Topology, RoutingTable, RoutingAlgorithm]:
+    """The topology, table and routing of ``config``: an earlier build of
+    the same network when all three components are built-ins (most
+    recently used kept, see the module docstring), else a fresh one."""
+    kinds = (
+        (registry.TOPOLOGIES, config.topology),
+        (registry.ROUTING_TABLES, config.table),
+        (registry.ROUTING_ALGORITHMS, config.routing),
+    )
+    key = None
+    if all(kind.is_builtin(name) for kind, name in kinds):
+        key = (
+            tuple((name, kind.provenance(name)) for kind, name in kinds),
+            config.mesh_dims,
+            config.num_escape_vcs,
+        )
+        build = _builds.get(key)
+        if build is not None:
+            _builds.move_to_end(key)
+            return build
+    topology = build_topology(config)
+    table = build_table(config, topology)
+    build = (topology, table, build_routing(config, topology, table))
+    if key is not None:
+        _builds[key] = build
+        if len(_builds) > _SHARED_BUILDS:
+            _builds.popitem(last=False)
+    return build
+
+
+def _clear_builds() -> None:
+    """Forget every shared build (tests that count decision-table fills)."""
+    _builds.clear()
+
+
 def _build_injection(config: SimulationConfig, rate: float) -> InjectionProcess:
     factory = registry.INJECTIONS.get(config.injection)
     return factory(config, rate)
@@ -101,9 +156,7 @@ class NetworkSimulator:
             )
         self._config = config
         self._rng = SimulationRNG(seed=config.seed)
-        self._topology = build_topology(config)
-        self._table = build_table(config, self._topology)
-        self._routing = build_routing(config, self._topology, self._table)
+        self._topology, self._table, self._routing = _build_network(config)
         self._router_config = RouterConfig(
             vcs_per_port=config.vcs_per_port,
             buffer_depth=config.buffer_depth,

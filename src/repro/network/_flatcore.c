@@ -19,8 +19,10 @@
  * that decide by sign class on a mesh or torus, a [node][sign class]
  * table of them is filled lazily, one raw routing.decide call per entry,
  * and never cleared (routing tables are programmed once, at
- * construction); other algorithms are asked through decide_cached on
- * every lookup.  The six deterministic path selectors rank their
+ * construction).  The table is a writable buffer the routing instance
+ * owns, so every core built on that instance reads and fills the same
+ * entries.  Other algorithms are asked through decide_cached on every
+ * lookup.  The six deterministic path selectors rank their
  * candidates here, by the output-port arrays this core owns.
  *
  * Python is called back only where the randomness, plugins and
@@ -266,10 +268,16 @@ typedef struct {
 
     /* Routing decisions: per node its coordinates (dimension 0 fastest in
        the node id), and under a sign rule the [node][sign class] table of
-       num_nodes * 3^n_dims entries.  Per node the path-selector kind. */
+       num_nodes * 3^n_dims entries, held in decision_view: the spec's
+       decision_table buffer, shared by every core on the same routing
+       instance.  decision_lookups / decision_fills count this core's
+       table reads and the raw decide calls it made on a miss.  Per node
+       the path-selector kind. */
     int sign_rule, n_dims, n_classes;
     int *dims, *coords, *sel_kind;
     Decision *decisions;
+    Py_buffer decision_view;
+    i64 decision_lookups, decision_fills;
 
     /* Python collaborators: ``decide`` is routing.decide under a sign rule
        (it fills the table), routing.decide_cached otherwise. */
@@ -728,8 +736,10 @@ decision_for(Core *c, int node, int dest, Decision *scratch)
     Decision *entry = scratch;
     if (c->sign_rule) {
         entry = &c->decisions[(i64)node * c->n_classes + sign_class(c, node, dest)];
+        c->decision_lookups++;
         if (entry->filled)
             return entry;
+        c->decision_fills++;
     }
     PyObject *args[2];
     args[0] = small_int(c, node);
@@ -1750,6 +1760,8 @@ Core_state(Core *c, PyObject *Py_UNUSED(ignored))
         || put(d, "slot_hops", slot_field(c, offsetof(Slot, hops))) < 0
         || put(d, "slot_la_node", slot_field(c, offsetof(Slot, la_node))) < 0
         || put(d, "decision_entries", PyLong_FromSsize_t(filled)) < 0
+        || put(d, "decision_lookups", PyLong_FromLongLong(c->decision_lookups)) < 0
+        || put(d, "decision_fills", PyLong_FromLongLong(c->decision_fills)) < 0
         || put(d, "slot_free", int_list(c->slot_free.v, c->slot_free.n)) < 0
         || put(d, "ni_credits", int_list(c->ni_credits, c->num_slots)) < 0
         || put(d, "ni_left", int_list(c->ni_left, c->num_slots)) < 0
@@ -1873,8 +1885,11 @@ spec_array(PyObject *spec, const char *key, Py_ssize_t n, int *out)
 #define MAX_DECISIONS (1 << 20)
 
 /* The per-node selector kinds and, under a sign rule, the node
-   coordinates and the empty decision table: spec's selector_kinds and
-   mesh_dims (the extents, dimension 0 fastest in the node id). */
+   coordinates and the decision table: spec's selector_kinds, mesh_dims
+   (the extents, dimension 0 fastest in the node id) and decision_table, a
+   writable buffer of num_nodes * 3^n_dims zeroed or earlier-filled
+   entries of DECISION_BYTES each.  A filled entry is checked once here,
+   since another core wrote it. */
 static int
 init_decisions(Core *c, PyObject *spec)
 {
@@ -1908,7 +1923,27 @@ init_decisions(Core *c, PyObject *spec)
         c->n_classes *= 3;
     if ((i64)nn * c->n_classes > MAX_DECISIONS)
         return PyErr_SetString(PyExc_ValueError, "decision table too large"), -1;
-    ALLOC(decisions, (i64)nn * c->n_classes);
+    PyObject *table = PyDict_GetItemString(spec, "decision_table");
+    if (table == NULL)
+        return PyErr_SetString(PyExc_KeyError, "core spec lacks decision_table"), -1;
+    if (PyObject_GetBuffer(table, &c->decision_view, PyBUF_WRITABLE) < 0)
+        return -1;
+    i64 entries = (i64)nn * c->n_classes;
+    if (c->decision_view.len != entries * (i64)sizeof(Decision))
+        return PyErr_SetString(PyExc_ValueError,
+                               "decision_table must hold num_nodes * 3^n_dims entries"),
+               -1;
+    c->decisions = c->decision_view.buf;
+    for (i64 i = 0; i < entries; i++) {
+        const Decision *entry = &c->decisions[i];
+        int ok = entry->filled == 0
+                 || (entry->filled == 1 && entry->n >= 0 && entry->n <= c->radix
+                     && entry->escape >= -1 && entry->escape < c->radix);
+        for (int k = 0; ok && entry->filled && k < entry->n; k++)
+            ok = entry->ports[k] < c->radix;
+        if (!ok)
+            return PyErr_SetString(PyExc_ValueError, "decision_table entry out of range"), -1;
+    }
     return 0;
 }
 
@@ -2191,10 +2226,12 @@ Core_dealloc(Core *c)
         c->ni_slot, c->ni_next_slot, c->ni_queue,
         c->ni_wake, c->src_due, c->heap, c->soon.v, c->due.v, c->due_mark, c->flit_lanes, c->credit_lanes,
         c->eject_lanes, c->ni_credit_lanes, c->snap, c->dims, c->coords, c->sel_kind,
-        c->decisions, c->ints,
+        c->ints,
     };
     for (size_t i = 0; i < sizeof(arrays) / sizeof(arrays[0]); i++)
         PyMem_Free(arrays[i]);
+    if (c->decision_view.obj != NULL)
+        PyBuffer_Release(&c->decision_view);
     Py_TYPE(c)->tp_free((PyObject *)c);
 }
 
@@ -2265,7 +2302,8 @@ PyInit__flatcore(void)
     PyObject *module = PyModule_Create(&flatcore_module);
     if (module == NULL)
         return NULL;
-    if (PyModule_AddIntConstant(module, "MAX_DECISIONS", MAX_DECISIONS) < 0) {
+    if (PyModule_AddIntConstant(module, "MAX_DECISIONS", MAX_DECISIONS) < 0
+        || PyModule_AddIntConstant(module, "DECISION_BYTES", sizeof(Decision)) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -50,13 +50,20 @@ this module; Python keeps the wiring tables' construction.
   header's sign class from the node coordinates, by the rule of
   ``relative_signs``, and reads a ``[node][sign class]`` table of
   decoded entries (ordered adaptive ports, escape port).  The table is
-  filled lazily from one raw ``routing.decide`` call per entry, never
-  eagerly, and never cleared: routing tables are programmed once, at
-  construction.  Every other algorithm -- turn models, Duato over full,
-  meta or interval tables, plugins -- is asked through ``decide_cached``
-  on each lookup, and its answer decoded the same way.  A look-ahead
-  decision travels in the message slot as a copy, as on the object
-  core.
+  a buffer the routing instance owns
+  (:meth:`~repro.routing.base.RoutingAlgorithm.flat_decision_table`), so
+  every core built on that instance -- every simulator of a process that
+  shares the build (:mod:`repro.core.simulator`) -- reads and fills the
+  same entries: it is filled lazily from one raw ``routing.decide`` call
+  per entry per process, never eagerly, and never cleared, since routing
+  tables are programmed once, at construction.  ``state()`` counts a
+  core's table reads (``decision_lookups``) and the raw ``decide`` calls
+  it made on a miss (``decision_fills``); ``decision_entries`` counts the
+  shared table's filled entries.  Every other algorithm -- turn models,
+  Duato over full, meta or interval tables, plugins -- is asked through
+  ``decide_cached`` on each lookup, and its answer decoded the same way.
+  A look-ahead decision travels in the message slot as a copy, as on the
+  object core.
 * *Path selection.*  A node whose selector is exactly one of
   ``_C_SELECTORS`` (static-xy, first-free, min-mux, lfu, lru,
   max-credit) has its candidates ranked in C by the arrays the core owns
@@ -386,13 +393,22 @@ class FlatNetworkCore:
                 go_flit_dest.append(dest + vc if dest >= 0 else -1)
                 g_credit_dest.append(up + vc if up >= 0 else -(node_slot + vc) - 1)
 
-        # Decisions by sign class come from the core's own lazily filled
-        # [node][sign class] table, asking the raw ``decide`` once per
-        # entry; every other algorithm is asked through ``decide_cached``.
+        # Decisions by sign class come from the routing instance's lazily
+        # filled [node][sign class] table, asking the raw ``decide`` once
+        # per entry; every other algorithm is asked through
+        # ``decide_cached``.  A decoded entry drops the escape port when
+        # the core has no escape VCs, so such cores keep their own table.
         extension = core_extension()
         sign_rule = _SIGN_RULES.get(type(topology), 0) if routing.decides_by_signs else 0
-        if sign_rule and num_nodes * 3 ** topology.n_dims > extension.MAX_DECISIONS:
-            sign_rule = 0
+        decision_table = None
+        if sign_rule:
+            entries = num_nodes * 3 ** topology.n_dims
+            if entries > extension.MAX_DECISIONS:
+                sign_rule = 0
+            else:
+                decision_table = routing.flat_decision_table(
+                    bool(escape), entries * extension.DECISION_BYTES
+                )
 
         spec = dict(
             num_nodes=num_nodes,
@@ -425,6 +441,7 @@ class FlatNetworkCore:
             g_credit_dest=g_credit_dest,
             sign_rule=sign_rule,
             mesh_dims=list(topology.dims) if sign_rule else [],
+            decision_table=decision_table,
             selector_kinds=[_C_SELECTORS.get(type(selector), 0) for selector in parts.selectors],
         )
         self._core = core = extension.Core(
@@ -462,9 +479,12 @@ class FlatNetworkCore:
         channel), ``in_state``, ``in_ready``, ``out_credits``,
         ``out_owner``, ``slot_*``, ``ni_wake`` (``math.inf`` = idle),
         ``ni_heap``, ``ni_soon``, ``src_due``, ``cycles_visited``, the
-        four ``*_lanes`` per wheel slot,
-        ``decision_entries`` (filled entries of the decision table) and
-        the wiring tables.  O(state) per call.
+        four ``*_lanes`` per wheel slot, ``decision_entries`` (filled
+        entries of the decision table, which every core on the same
+        routing instance shares), this core's ``decision_lookups`` (table
+        reads) and ``decision_fills`` (raw ``decide`` calls on a miss;
+        all three are 0 without a sign rule) and the wiring tables.
+        O(state) per call.
         """
         return self._core.state()
 

@@ -214,6 +214,11 @@ class Registry:
         entry = self._entries.get(name)
         return entry.provenance if entry is not None else None
 
+    def is_builtin(self, name: str) -> bool:
+        """Whether ``name``'s entry was defined by one of this registry's
+        built-in modules (by its provenance), not by a plugin."""
+        return self.entry(name).provenance.partition(":")[0] in self._builtin_modules
+
     def names(self) -> Tuple[str, ...]:
         """Sorted tuple of every registered name."""
         self._load()

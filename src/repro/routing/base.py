@@ -134,9 +134,13 @@ class RoutingAlgorithm(ABC):
         ``self.topology``; :meth:`decide_cached` then computes one
         decision per node and sign pattern -- at most ``N * 3^n`` raw
         :meth:`decide` calls -- and shares it across every destination
-        of the class; the flat core keeps the same decisions in its C
-        ``[node][sign class]`` table on meshes and tori, filled lazily and
-        never cleared (the table they read never changes).  False by
+        of the class; the flat core keeps the same decisions in the C
+        ``[node][sign class]`` table of :meth:`flat_decision_table` on
+        meshes and tori, filled lazily and never cleared (the table they
+        read never changes).  Both live on the instance, which every
+        simulator of a process that builds the same network from
+        built-in components shares (:mod:`repro.core.simulator`), so
+        each entry costs one raw :meth:`decide` per process.  False by
         default, so plugin algorithms and those reading per-destination
         tables keep one :meth:`decide` per ``(current, destination)``
         pair.
@@ -145,15 +149,17 @@ class RoutingAlgorithm(ABC):
 
     def decision_cache(self) -> dict:
         """A ``(current, destination) -> RouteDecision`` memo shared by
-        every router of the network.
+        every router that asks this instance.
 
         :meth:`decide` is a pure function of the topology and the table,
         which is programmed once at construction, and
         :class:`RouteDecision` is frozen, so the routers and network
         interfaces consult this cache on their hot paths instead of
         re-deriving the same decision per header per retry.  The dict is
-        created on first use and lives on the algorithm instance -- one
-        network shares one instance -- and is bounded by the number of
+        created on first use and lives on the algorithm instance, which
+        one network uses and, for built-in components, every later
+        simulator of the process that builds the same network
+        (:mod:`repro.core.simulator`); it is bounded by the number of
         (node, destination) pairs.  Algorithms that declare
         :attr:`decides_by_signs` get a per-sign-class memo with it.
         """
@@ -187,6 +193,26 @@ class RoutingAlgorithm(ABC):
                     sign_memo[sign_key] = decision
             cache[key] = decision
         return decision
+
+    def flat_decision_table(self, with_escape: bool, size: int) -> bytearray:
+        """The flat C core's ``[node][sign class]`` table of decoded
+        decisions (see :attr:`decides_by_signs`), ``size`` zero bytes
+        when first asked for.
+
+        Every flat core built on this instance reads and fills the same
+        buffer, so a core starts with every entry an earlier one filled
+        and calls the raw :meth:`decide` only on a real miss.  A decoded
+        entry keeps the escape port only for a core with escape virtual
+        channels, so cores with and without them get separate buffers
+        (``with_escape``).
+        """
+        tables = getattr(self, "_flat_decision_tables", None)
+        if tables is None:
+            tables = self._flat_decision_tables = {}
+        table = tables.get(with_escape)
+        if table is None:
+            table = tables[with_escape] = bytearray(size)
+        return table
 
     def validate(self, vcs_per_port: int) -> None:
         """Raise ``ValueError`` if the router configuration cannot support

@@ -207,10 +207,20 @@ def test_cache_dir_pointing_at_a_file_fails_cleanly(tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["run", "--messages", "0"], "lapses: invalid measurement window"),
+        (
+            ["run", "--messages", "0"],
+            "lapses: invalid measurement window: measure_messages must be at least 1, got 0",
+        ),
         (["run", "--load", "-1"], "lapses: normalized load cannot be negative"),
-        (["sweep", "--messages", "0"], "lapses: invalid measurement window"),
+        (
+            ["sweep", "--messages", "0"],
+            "lapses: invalid measurement window: measure_messages must be at least 1, got 0",
+        ),
         (["sweep", "--loads", ","], "lapses: study axis 'load' has no values"),
+        (
+            ["run", "--warmup", "-1"],
+            "lapses: invalid measurement window: warmup_messages must be at least 0, got -1",
+        ),
     ],
 )
 def test_run_and_sweep_report_bad_arguments_in_one_line(argv, message):

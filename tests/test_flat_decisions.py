@@ -1,9 +1,11 @@
 """Routing decisions and path selection inside the flat C core.
 
 Algorithms that decide by sign class (Duato over the economical table,
-dimension order) on a mesh or torus are served from the core's lazily
-filled ``[node][sign class]`` table, which is never cleared because a
-routing table is programmed once, at construction.  Every other
+dimension order) on a mesh or torus are served from a lazily filled
+``[node][sign class]`` table, which is never cleared because a routing
+table is programmed once, at construction.  The table lives on the
+routing instance, which later simulators of the process share, so the
+counting tests here start from an empty share.  Every other
 algorithm is asked through ``decide_cached``; a look-ahead decision then
 travels in the message slot as a decoded copy, as the object core's
 ``flit.lookahead_decision`` does.  The six deterministic built-in
@@ -20,6 +22,7 @@ import json
 import pytest
 
 from repro import registry
+from repro.core import simulator as simulator_module
 from repro.core.config import SimulationConfig
 from repro.core.simulator import NetworkSimulator
 from repro.selection.heuristics import MaxCreditSelector, RandomSelector
@@ -54,13 +57,15 @@ def test_lookahead_decisions_without_a_table_entry_match_the_object_core():
     """Duato over the full table has no sign rule: every decision, the
     look-ahead ones carried in message slots included, comes from
     ``decide_cached`` and leaves the C table empty."""
+    simulator_module._clear_builds()
     config = _contended(pipeline="la-proud", table="full")
     flat = NetworkSimulator(config.variant(core_mode="flat"))
     flat_result = _document(flat.run())
+    state = flat.core.state()
+    assert state["decision_entries"] == state["decision_fills"] == 0
+    assert flat._routing.decision_cache()
     objects_result = _document(NetworkSimulator(config.variant(core_mode="objects")).run())
     assert flat_result == objects_result
-    assert flat.core.state()["decision_entries"] == 0
-    assert flat._routing.decision_cache()
 
 
 @pytest.mark.parametrize(
@@ -69,7 +74,10 @@ def test_lookahead_decisions_without_a_table_entry_match_the_object_core():
 def test_c_sign_classes_match_relative_signs(topology, mesh_dims):
     """Even torus extents have tied offsets (they go positive); one table
     entry per (node, sign class) means every filled entry was one raw
-    decide call, and both cores route alike."""
+    decide call, and both cores route alike.  The flat run starts from an
+    empty share; the object run after it shares the routing, so the pair
+    memo is checked before it."""
+    simulator_module._clear_builds()
     config = SimulationConfig.tiny(
         topology=topology,
         mesh_dims=mesh_dims,
@@ -80,11 +88,12 @@ def test_c_sign_classes_match_relative_signs(topology, mesh_dims):
     )
     flat = NetworkSimulator(config.variant(core_mode="flat"))
     flat_result = _document(flat.run())
+    state = flat.core.state()
+    assert 0 < state["decision_fills"] == state["decision_entries"]
+    assert state["decision_entries"] <= config.num_nodes * 3 ** len(mesh_dims)
+    assert flat._routing.decision_cache() == {}
     objects_result = _document(NetworkSimulator(config.variant(core_mode="objects")).run())
     assert flat_result == objects_result
-    entries = flat.core.state()["decision_entries"]
-    assert 0 < entries <= config.num_nodes * 3 ** len(mesh_dims)
-    assert flat._routing.decision_cache() == {}
 
 
 # -- selector dispatch -----------------------------------------------------------------

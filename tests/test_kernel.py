@@ -181,10 +181,13 @@ def _messages(messages):
 
 def _comparable_state(core):
     """``state()`` without the figures that legitimately differ between a
-    run and single steps: the run's visit count, stale wake-heap entries
-    (the forecast drops them, a step does not) and message identities."""
+    run and single steps: the run's visit count, the raw ``decide`` calls
+    (a later core finds the entries an earlier one on the shared routing
+    filled), stale wake-heap entries (the forecast drops them, a step does
+    not) and message identities."""
     state = core.state()
     del state["cycles_visited"]
+    del state["decision_fills"]
     wakes = state["ni_wake"]
     state["ni_heap"] = sorted(
         (wake, node) for wake, node in state["ni_heap"] if wakes[node] == wake

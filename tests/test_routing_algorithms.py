@@ -165,9 +165,14 @@ def test_sign_class_memo_bounds_raw_decides_on_a_16x16_run(monkeypatch):
     """Duato over the economical table decides once per (node, sign
     pattern): the flat core fills its [node][sign class] table with at
     most N * 3^n raw decide calls however many (node, destination) pairs
-    the traffic touches, and leaves the Python pair memo empty."""
+    the traffic touches, and leaves the Python pair memo empty.  The
+    table is shared by later simulators of the process, so the run starts
+    from an empty share."""
+    from repro.core import simulator as simulator_module
     from repro.core.config import SimulationConfig
     from repro.core.simulator import NetworkSimulator
+
+    simulator_module._clear_builds()
 
     calls = []
     decide = DuatoFullyAdaptiveRouting.decide
@@ -187,7 +192,8 @@ def test_sign_class_memo_bounds_raw_decides_on_a_16x16_run(monkeypatch):
     assert routing.decides_by_signs
     simulator.run()
     core = simulator.core
-    assert 0 < len(calls) == core.state()["decision_entries"] <= 256 * 9
+    state = core.state()
+    assert 0 < len(calls) == state["decision_fills"] == state["decision_entries"] <= 256 * 9
     assert len(calls) < sum(core.headers_routed)  # decisions shared across pairs
     assert len(set(calls)) == len(calls)
     assert routing.decision_cache() == {}
