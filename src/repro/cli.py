@@ -99,41 +99,43 @@ def _load_plugins(plugins: Sequence[str]) -> None:
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mesh", type=_parse_dims, default=(8, 8), metavar="KxK",
-                        help="mesh size, e.g. 16x16 (default 8x8)")
-    parser.add_argument("--traffic", default="uniform",
+    defaults = SimulationConfig.small()
+    mesh = "x".join(map(str, defaults.mesh_dims))
+    parser.add_argument("--mesh", type=_parse_dims, default=defaults.mesh_dims, metavar="KxK",
+                        help=f"mesh size, e.g. 16x16 (default {mesh})")
+    parser.add_argument("--traffic", default=defaults.traffic,
                         help="traffic pattern (uniform, transpose, bit-reversal, shuffle, ...)")
-    parser.add_argument("--load", type=float, default=0.2,
+    parser.add_argument("--load", type=float, default=defaults.normalized_load,
                         help="normalized load (1.0 = bisection saturation)")
-    parser.add_argument("--message-length", type=int, default=20,
+    parser.add_argument("--message-length", type=int, default=defaults.message_length,
                         help="message length in flits (paper default: 20)")
     parser.add_argument("--pipeline", choices=registry.PIPELINES.names(),
-                        default="la-proud",
+                        default=defaults.pipeline,
                         help="router pipeline: 5-stage PROUD or 4-stage LA-PROUD")
-    parser.add_argument("--routing", default="duato",
+    parser.add_argument("--routing", default=defaults.routing,
                         choices=registry.ROUTING_ALGORITHMS.names(),
                         help="routing algorithm")
-    parser.add_argument("--table", default="economical",
+    parser.add_argument("--table", default=defaults.table,
                         choices=registry.ROUTING_TABLES.names(),
                         help="routing-table storage organisation")
-    parser.add_argument("--selector", default="static-xy",
+    parser.add_argument("--selector", default=defaults.selector,
                         choices=registry.SELECTORS.names(),
                         help="path-selection heuristic")
-    parser.add_argument("--vcs", type=int, default=4,
+    parser.add_argument("--vcs", type=int, default=defaults.vcs_per_port,
                         help="virtual channels per physical channel")
     parser.add_argument("--core-mode", choices=("objects", "flat"),
-                        default="flat", dest="core_mode",
+                        default=defaults.core_mode, dest="core_mode",
                         help="network core: flat C core (default) or the "
                              "object network (reference; needs no compiler)")
-    parser.add_argument("--messages", type=int, default=1200,
+    parser.add_argument("--messages", type=int, default=defaults.measure_messages,
                         help="measured messages per data point")
-    parser.add_argument("--warmup", type=int, default=150,
+    parser.add_argument("--warmup", type=int, default=defaults.warmup_messages,
                         help="warm-up messages excluded from statistics")
-    parser.add_argument("--seed", type=int, default=1, help="master random seed")
-    parser.add_argument("--replications", type=int, default=1,
+    parser.add_argument("--seed", type=int, default=defaults.seed, help="master random seed")
+    parser.add_argument("--replications", type=int, default=defaults.replications,
                         help="seed-offset replicate runs per point; >1 reports "
                              "means with 95%% confidence intervals")
-    parser.add_argument("--seed-stride", type=int, default=1,
+    parser.add_argument("--seed-stride", type=int, default=defaults.seed_stride,
                         help="seed increment between consecutive replicates")
 
 

@@ -152,12 +152,13 @@ class SimulationConfig:
     seed_stride: int = 1
 
     def __post_init__(self) -> None:
-        # Normalize sequence fields to tuples so every construction path
-        # (JSON lists included) yields an equal, hashable config.
-        if not isinstance(self.mesh_dims, tuple):
-            object.__setattr__(self, "mesh_dims", tuple(self.mesh_dims))
-        if self.link_delays is not None and not isinstance(self.link_delays, tuple):
-            object.__setattr__(self, "link_delays", tuple(self.link_delays))
+        # Normalize sequence fields to int tuples so every construction
+        # path (JSON lists included) yields an equal, hashable config.
+        object.__setattr__(self, "mesh_dims", tuple(int(extent) for extent in self.mesh_dims))
+        if self.link_delays is not None:
+            object.__setattr__(
+                self, "link_delays", tuple(int(delay) for delay in self.link_delays)
+            )
         if len(self.mesh_dims) < 1:
             raise ValueError("mesh_dims needs at least one dimension")
         if self.core_mode not in ("objects", "flat"):
@@ -232,9 +233,11 @@ class SimulationConfig:
     def paper(cls, **overrides) -> "SimulationConfig":
         """The paper's full-scale configuration (Table 2).
 
-        A pure-Python flit-level simulation of 410,000 messages on a 16x16
-        mesh takes hours; use :meth:`small` for day-to-day work and this
-        configuration when absolute fidelity matters more than runtime.
+        One point simulates 410,000 messages on a 16x16 mesh: 12.7-14.0 s
+        on the default flat core in the baseline ``ROADMAP.md`` records,
+        far longer on the object core.  Use :meth:`small` for day-to-day
+        work and this configuration when absolute fidelity matters more
+        than runtime.
         """
         base = cls(
             mesh_dims=PaperDefaults.MESH_DIMS,
@@ -333,14 +336,7 @@ class SimulationConfig:
                 f"SimulationConfig.from_dict: unknown configuration key(s) "
                 f"{', '.join(map(repr, unknown))}"
             )
-        kwargs = dict(data)
-        if "mesh_dims" in kwargs:
-            kwargs["mesh_dims"] = tuple(int(extent) for extent in kwargs["mesh_dims"])
-        if kwargs.get("link_delays") is not None:
-            kwargs["link_delays"] = tuple(
-                int(delay) for delay in kwargs["link_delays"]
-            )
-        return cls(**kwargs)
+        return cls(**data)
 
     @property
     def num_nodes(self) -> int:

@@ -50,14 +50,5 @@ class SimulationRNG:
             self._streams[name] = random.Random(derived)
         return self._streams[name]
 
-    def spawn(self, salt: int) -> "SimulationRNG":
-        """Create a child factory whose seed is derived from this one.
-
-        Useful for running several replications of the same experiment with
-        statistically independent randomness (``salt`` is the replication
-        index).
-        """
-        return SimulationRNG(seed=(self._seed * 1_000_003 + int(salt)) & 0x7FFFFFFF)
-
     def __repr__(self) -> str:
         return f"SimulationRNG(seed={self._seed}, streams={sorted(self._streams)})"

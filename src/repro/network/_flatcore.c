@@ -19,11 +19,12 @@
  * that decide by sign class on a mesh or torus, a [node][sign class]
  * table of them is filled lazily, one raw routing.decide call per entry,
  * and never cleared (routing tables are programmed once, at
- * construction).  The table is a writable buffer the routing instance
- * owns, so every core built on that instance reads and fills the same
- * entries.  Other algorithms are asked through decide_cached on every
- * lookup.  The six deterministic path selectors rank their
- * candidates here, by the output-port arrays this core owns.
+ * construction).  The table is the one writable buffer the routing
+ * instance owns, so every core built on that instance, with or without
+ * escape VCs, reads and fills the same entries.  Other algorithms are
+ * asked through decide_cached on every lookup.  The six deterministic
+ * path selectors rank their candidates here, by the output-port arrays
+ * this core owns.
  *
  * Python is called back only where the randomness, plugins and
  * statistics live, in the object core's order: those routing calls,
@@ -179,9 +180,10 @@ heap_less(HeapEntry a, HeapEntry b)
 
 /* A decoded RouteDecision: the ``n`` adaptive candidate ports in decision
    order (duplicates and unconnected ports dropped, as they can never be
-   candidates) and the escape port (-1 when unconnected or when the
-   algorithm has no escape VCs).  ``filled`` is 0 in an empty table
-   entry. */
+   candidates) and the escape port (-1 when unconnected).  A core without
+   escape VCs keeps the escape port too: its escape pools are empty, so
+   nothing is ever allocated from it, and one entry serves cores with and
+   without escape VCs alike.  ``filled`` is 0 in an empty table entry. */
 typedef struct {
     signed char filled, n, escape;
     unsigned char ports[MAX_RADIX];
@@ -210,7 +212,7 @@ typedef struct {
 
     /* Virtual-channel classes: the adaptive VCs, and per port the two
        dateline-class escape pools at pools[(port * 2 + cls) * vcs]. */
-    int n_adaptive, n_escape;
+    int n_adaptive;
     int *adaptive_vcs, *pools, *pool_n;
     int *port_dimension, *port_hop_delay;
 
@@ -682,19 +684,14 @@ decode_decision(Core *c, int node, PyObject *decision, Decision *out)
         }
     }
     Py_DECREF(fast);
-    int escape = -1;
-    if (c->n_escape) {
-        PyObject *value = PyObject_GetAttr(decision, s_escape_port);
-        if (value == NULL)
-            return -1;
-        escape = decision_port(c, value);
-        Py_DECREF(value);
-        if (escape < 0)
-            return -1;
-        if (!connected[escape])
-            escape = -1;
-    }
-    out->escape = (signed char)escape;
+    PyObject *value = PyObject_GetAttr(decision, s_escape_port);
+    if (value == NULL)
+        return -1;
+    int escape = decision_port(c, value);
+    Py_DECREF(value);
+    if (escape < 0)
+        return -1;
+    out->escape = (signed char)(connected[escape] ? escape : -1);
     out->n = (signed char)n;
     out->filled = 1;
     return 0;
@@ -2057,14 +2054,11 @@ Core_init(Core *c, PyObject *args, PyObject *kwargs)
         return -1;
     }
     PyObject *adaptive = PyDict_GetItemString(spec, "adaptive_vcs");
-    PyObject *escape = PyDict_GetItemString(spec, "escape_vcs");
-    if (adaptive == NULL || escape == NULL) {
-        PyErr_SetString(PyExc_KeyError, "core spec lacks adaptive_vcs or escape_vcs");
+    if (adaptive == NULL) {
+        PyErr_SetString(PyExc_KeyError, "core spec lacks adaptive_vcs");
         return -1;
     }
-    c->n_escape = (int)PyObject_Length(escape);
-    if (c->n_escape < 0
-        || spec_ints(adaptive, "adaptive_vcs", c->vcs, c->adaptive_vcs, &c->n_adaptive) < 0
+    if (spec_ints(adaptive, "adaptive_vcs", c->vcs, c->adaptive_vcs, &c->n_adaptive) < 0
         || spec_array(spec, "port_dimension", c->radix, c->port_dimension) < 0
         || spec_array(spec, "port_hop_delay", c->radix, c->port_hop_delay) < 0
         || spec_array(spec, "dateline_bits", np, c->dateline_bits) < 0

@@ -49,19 +49,22 @@ this module; Python keeps the wiring tables' construction.
   :class:`~repro.network.topology.TorusTopology`, the core computes each
   header's sign class from the node coordinates, by the rule of
   ``relative_signs``, and reads a ``[node][sign class]`` table of
-  decoded entries (ordered adaptive ports, escape port).  The table is
-  a buffer the routing instance owns
+  decoded entries (ordered adaptive ports, escape port).  The routing
+  instance owns one such buffer
   (:meth:`~repro.routing.base.RoutingAlgorithm.flat_decision_table`), so
   every core built on that instance -- every simulator of a process that
-  shares the build (:mod:`repro.core.simulator`) -- reads and fills the
-  same entries: it is filled lazily from one raw ``routing.decide`` call
-  per entry per process, never eagerly, and never cleared, since routing
-  tables are programmed once, at construction.  ``state()`` counts a
-  core's table reads (``decision_lookups``) and the raw ``decide`` calls
-  it made on a miss (``decision_fills``); ``decision_entries`` counts the
-  shared table's filled entries.  Every other algorithm -- turn models,
-  Duato over full, meta or interval tables, plugins -- is asked through
-  ``decide_cached`` on each lookup, and its answer decoded the same way.
+  shares the build (:mod:`repro.core.simulator`), with or without escape
+  VCs -- reads and fills the same entries: it is filled lazily from one
+  raw ``routing.decide`` call per entry per process, never eagerly, and
+  never cleared, since routing tables are programmed once, at
+  construction.  An entry always carries the escape port; a core without
+  escape VCs has empty escape pools and so never allocates from it.
+  ``state()`` counts a core's table reads (``decision_lookups``) and the
+  raw ``decide`` calls it made on a miss (``decision_fills``);
+  ``decision_entries`` counts the shared table's filled entries.  Every
+  other algorithm -- turn models, Duato over full, meta or interval
+  tables, plugins -- is asked through ``decide_cached`` on each lookup,
+  and its answer decoded the same way.
   A look-ahead decision travels in the message slot as a copy, as on the
   object core.
 * *Path selection.*  A node whose selector is exactly one of
@@ -396,8 +399,7 @@ class FlatNetworkCore:
         # Decisions by sign class come from the routing instance's lazily
         # filled [node][sign class] table, asking the raw ``decide`` once
         # per entry; every other algorithm is asked through
-        # ``decide_cached``.  A decoded entry drops the escape port when
-        # the core has no escape VCs, so such cores keep their own table.
+        # ``decide_cached``.
         extension = core_extension()
         sign_rule = _SIGN_RULES.get(type(topology), 0) if routing.decides_by_signs else 0
         decision_table = None
@@ -407,7 +409,7 @@ class FlatNetworkCore:
                 sign_rule = 0
             else:
                 decision_table = routing.flat_decision_table(
-                    bool(escape), entries * extension.DECISION_BYTES
+                    entries * extension.DECISION_BYTES
                 )
 
         spec = dict(
@@ -430,7 +432,6 @@ class FlatNetworkCore:
                 config.credit_delay,
             ),
             adaptive_vcs=vc_classes.adaptive_vcs,
-            escape_vcs=escape,
             escape_pools=[(escape, escape)] + [pools] * (radix - 1),
             port_dimension=dimensions,
             port_hop_delay=hop_delay,

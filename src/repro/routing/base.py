@@ -130,20 +130,13 @@ class RoutingAlgorithm(ABC):
         """Whether :meth:`decide` depends on ``(current,
         topology.relative_signs(current, destination))`` alone.
 
-        An algorithm that returns True must expose its topology as
-        ``self.topology``; :meth:`decide_cached` then computes one
-        decision per node and sign pattern -- at most ``N * 3^n`` raw
-        :meth:`decide` calls -- and shares it across every destination
-        of the class; the flat core keeps the same decisions in the C
-        ``[node][sign class]`` table of :meth:`flat_decision_table` on
-        meshes and tori, filled lazily and never cleared (the table they
-        read never changes).  Both live on the instance, which every
-        simulator of a process that builds the same network from
-        built-in components shares (:mod:`repro.core.simulator`), so
-        each entry costs one raw :meth:`decide` per process.  False by
-        default, so plugin algorithms and those reading per-destination
-        tables keep one :meth:`decide` per ``(current, destination)``
-        pair.
+        On meshes and tori the flat core then keeps one decision per node
+        and sign pattern -- at most ``N * 3^n`` raw :meth:`decide` calls
+        -- in the ``[node][sign class]`` table of
+        :meth:`flat_decision_table`, filled lazily and never cleared (the
+        table they read never changes).  False by default, so plugin
+        algorithms and those reading per-destination tables are asked
+        through :meth:`decide_cached` on every lookup.
         """
         return False
 
@@ -160,14 +153,11 @@ class RoutingAlgorithm(ABC):
         one network uses and, for built-in components, every later
         simulator of the process that builds the same network
         (:mod:`repro.core.simulator`); it is bounded by the number of
-        (node, destination) pairs.  Algorithms that declare
-        :attr:`decides_by_signs` get a per-sign-class memo with it.
+        (node, destination) pairs.
         """
         cache = getattr(self, "_decision_memo", None)
         if cache is None:
-            cache = {}
-            self._decision_memo = cache
-            self._sign_memo = {} if self.decides_by_signs else None
+            cache = self._decision_memo = {}
         return cache
 
     def decide_cached(self, current: int, destination: int) -> RouteDecision:
@@ -179,39 +169,21 @@ class RoutingAlgorithm(ABC):
         key = (current, destination)
         decision = cache.get(key)
         if decision is None:
-            sign_memo = self._sign_memo
-            if sign_memo is None:
-                decision = self.decide(current, destination)
-            else:
-                sign_key = (
-                    current,
-                    self.topology.relative_signs(current, destination),
-                )
-                decision = sign_memo.get(sign_key)
-                if decision is None:
-                    decision = self.decide(current, destination)
-                    sign_memo[sign_key] = decision
-            cache[key] = decision
+            decision = cache[key] = self.decide(current, destination)
         return decision
 
-    def flat_decision_table(self, with_escape: bool, size: int) -> bytearray:
+    def flat_decision_table(self, size: int) -> bytearray:
         """The flat C core's ``[node][sign class]`` table of decoded
         decisions (see :attr:`decides_by_signs`), ``size`` zero bytes
         when first asked for.
 
         Every flat core built on this instance reads and fills the same
         buffer, so a core starts with every entry an earlier one filled
-        and calls the raw :meth:`decide` only on a real miss.  A decoded
-        entry keeps the escape port only for a core with escape virtual
-        channels, so cores with and without them get separate buffers
-        (``with_escape``).
+        and calls the raw :meth:`decide` only on a real miss.
         """
-        tables = getattr(self, "_flat_decision_tables", None)
-        if tables is None:
-            tables = self._flat_decision_tables = {}
-        table = tables.get(with_escape)
+        table = getattr(self, "_flat_decision_table", None)
         if table is None:
-            table = tables[with_escape] = bytearray(size)
+            table = self._flat_decision_table = bytearray(size)
         return table
 
     def validate(self, vcs_per_port: int) -> None:

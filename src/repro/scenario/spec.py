@@ -43,14 +43,6 @@ __all__ = [
 ]
 
 
-def _config_overrides(overrides: Mapping[str, object]) -> Dict[str, object]:
-    """JSON-plain overrides -> SimulationConfig keyword arguments."""
-    kwargs = dict(overrides)
-    if "mesh_dims" in kwargs:
-        kwargs["mesh_dims"] = tuple(int(extent) for extent in kwargs["mesh_dims"])
-    return kwargs
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One named simulation run: configuration overrides over a base.
@@ -68,7 +60,7 @@ class Scenario:
     def config(self, base: Optional[SimulationConfig] = None) -> SimulationConfig:
         """The :class:`SimulationConfig` this scenario describes."""
         base = base if base is not None else SimulationConfig()
-        return base.variant(**_config_overrides(self.overrides))
+        return base.variant(**self.overrides)
 
     def to_dict(self) -> Dict[str, object]:
         return {"name": self.name, "overrides": dict(self.overrides)}
@@ -415,7 +407,7 @@ class Study:
 
     def base_config(self) -> SimulationConfig:
         """The study's base configuration (defaults overlaid with ``base``)."""
-        return SimulationConfig().variant(**_config_overrides(self.base))
+        return SimulationConfig().variant(**self.base)
 
     def expand(self) -> List[StudyPoint]:
         """Deterministic expansion into configured scenario points.
@@ -456,7 +448,7 @@ class Study:
                     StudyPoint(
                         scenario=Scenario(name=name, overrides=overrides),
                         coords=coords,
-                        config=base.variant(**_config_overrides(overrides)),
+                        config=base.variant(**overrides),
                     )
                 )
         elif not self.scenarios:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _config_from_args, build_parser, main
+from repro.core.config import SimulationConfig
 
 
 TINY_ARGS = [
@@ -26,6 +27,13 @@ def test_parser_rejects_bad_mesh_and_loads():
         parser.parse_args(["run", "--mesh", "axb"])
     with pytest.raises(SystemExit):
         parser.parse_args(["sweep", "--loads", "0.1,x"])
+
+
+def test_run_and_sweep_defaults_are_the_small_config():
+    parser = build_parser()
+    for command in ("run", "sweep"):
+        args = parser.parse_args([command])
+        assert _config_from_args(args) == SimulationConfig.small()
 
 
 def test_run_command_prints_a_summary_row(capsys):

@@ -38,20 +38,5 @@ def test_request_order_does_not_change_stream_contents():
     assert [first_a.random() for _ in range(5)] == [second_a.random() for _ in range(5)]
 
 
-def test_spawn_derives_independent_children():
-    parent = SimulationRNG(seed=11)
-    child_one = parent.spawn(1).stream("traffic")
-    child_two = parent.spawn(2).stream("traffic")
-    assert [child_one.random() for _ in range(5)] != [
-        child_two.random() for _ in range(5)
-    ]
-
-
-def test_spawn_is_deterministic():
-    a = SimulationRNG(seed=11).spawn(3).stream("x")
-    b = SimulationRNG(seed=11).spawn(3).stream("x")
-    assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
-
-
 def test_seed_property_round_trips():
     assert SimulationRNG(seed=123).seed == 123

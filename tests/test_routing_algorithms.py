@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import SimulationConfig
 from repro.network.topology import LOCAL_PORT, MeshTopology, TorusTopology, port_for
 from repro.routing.base import RouteDecision, VirtualChannelClasses
 from repro.routing.dimension_order import DimensionOrderRouting
@@ -146,19 +147,29 @@ def test_turn_model_rejects_unknown_model(mesh):
         TurnModelRouting(mesh, model="east-last")
 
 
-# -- the per-sign-class decision memo ------------------------------------------------
+# -- decision memos and the C sign-class table ---------------------------------------
 
 
-def _count_raw_decides(routing):
+def _flat_run(monkeypatch, routing_cls, config):
+    """Run ``config`` on the flat core from an empty share, counting the
+    raw ``decide`` calls of ``routing_cls`` (patched on the class: the
+    flat core binds ``decide`` when it is built)."""
+    from repro.core import simulator as simulator_module
+    from repro.core.simulator import NetworkSimulator
+
+    simulator_module._clear_builds()
     calls = []
-    decide = routing.decide
+    decide = routing_cls.decide
 
-    def counted(current, destination):
+    def counted(self, current, destination):
         calls.append((current, destination))
-        return decide(current, destination)
+        return decide(self, current, destination)
 
-    routing.decide = counted
-    return calls
+    monkeypatch.setattr(routing_cls, "decide", counted)
+    simulator = NetworkSimulator(config)
+    simulator.run()
+    simulator_module._clear_builds()
+    return simulator, calls
 
 
 def test_sign_class_memo_bounds_raw_decides_on_a_16x16_run(monkeypatch):
@@ -168,29 +179,13 @@ def test_sign_class_memo_bounds_raw_decides_on_a_16x16_run(monkeypatch):
     the traffic touches, and leaves the Python pair memo empty.  The
     table is shared by later simulators of the process, so the run starts
     from an empty share."""
-    from repro.core import simulator as simulator_module
-    from repro.core.config import SimulationConfig
-    from repro.core.simulator import NetworkSimulator
-
-    simulator_module._clear_builds()
-
-    calls = []
-    decide = DuatoFullyAdaptiveRouting.decide
-
-    def counted(self, current, destination):
-        calls.append((current, destination))
-        return decide(self, current, destination)
-
-    # Patched on the class: the flat core binds ``decide`` when it is built.
-    monkeypatch.setattr(DuatoFullyAdaptiveRouting, "decide", counted)
     config = SimulationConfig(
         mesh_dims=(16, 16), traffic="uniform", normalized_load=0.3,
         message_length=4, warmup_messages=0, measure_messages=1500, seed=5,
     )
-    simulator = NetworkSimulator(config)
+    simulator, calls = _flat_run(monkeypatch, DuatoFullyAdaptiveRouting, config)
     routing = simulator._routing
     assert routing.decides_by_signs
-    simulator.run()
     core = simulator.core
     state = core.state()
     assert 0 < len(calls) == state["decision_fills"] == state["decision_entries"] <= 256 * 9
@@ -213,23 +208,30 @@ def test_sign_class_memo_decisions_equal_raw_decides(mesh):
     assert len(memo) == mesh.num_nodes ** 2
 
 
-def test_dimension_order_declares_sign_class_decisions(mesh):
-    routing = DimensionOrderRouting(mesh)
+def test_dimension_order_declares_sign_class_decisions(monkeypatch):
+    """A dimension-order flat run fills the C [node][sign class] table
+    with at most N * 3^n raw decides and leaves the pair memo empty."""
+    config = SimulationConfig.tiny(routing="dimension-order", seed=3)
+    simulator, calls = _flat_run(monkeypatch, DimensionOrderRouting, config)
+    routing = simulator._routing
     assert routing.decides_by_signs
-    calls = _count_raw_decides(routing)
-    for destination in range(mesh.num_nodes):
-        routing.decide_cached(0, destination)
-    # Node 0 of a 4x4 mesh sees four sign patterns: (0,0), (+,0), (0,+), (+,+).
-    assert len(calls) == 4
+    state = simulator.core.state()
+    assert 0 < len(calls) == state["decision_fills"] == state["decision_entries"] <= 16 * 9
+    assert routing.decision_cache() == {}
 
 
-def test_non_declaring_algorithms_get_no_sign_class_memo(mesh):
-    full = DuatoFullyAdaptiveRouting(mesh, FullRoutingTable(mesh))
-    turn = TurnModelRouting(mesh, "north-last")
-    for routing in (full, turn):
+def test_non_declaring_algorithms_get_no_sign_class_memo(monkeypatch):
+    """The full table and north-last leave the C table empty: the flat
+    core asks ``decide_cached`` on every lookup, which decides once per
+    ``(current, destination)`` pair."""
+    for routing_cls, overrides in (
+        (DuatoFullyAdaptiveRouting, {"table": "full"}),
+        (TurnModelRouting, {"routing": "north-last"}),
+    ):
+        config = SimulationConfig.tiny(seed=3, **overrides)
+        simulator, calls = _flat_run(monkeypatch, routing_cls, config)
+        routing = simulator._routing
         assert not routing.decides_by_signs
-        calls = _count_raw_decides(routing)
-        for destination in range(mesh.num_nodes):
-            routing.decide_cached(0, destination)
-        assert routing._sign_memo is None
-        assert len(calls) == mesh.num_nodes
+        state = simulator.core.state()
+        assert state["decision_entries"] == state["decision_lookups"] == 0
+        assert 0 < len(calls) == len(set(calls)) == len(routing.decision_cache())
