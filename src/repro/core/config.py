@@ -6,6 +6,8 @@ organisation, path-selection heuristic, traffic and measurement windows.
 It is deliberately plain data (strings and numbers) so configurations can
 be copied, varied in sweeps and embedded in results; the
 :class:`~repro.core.simulator.NetworkSimulator` turns it into objects.
+The routers, network interfaces and both network cores read their
+microarchitectural parameters (Table 2 of the paper) from it directly.
 
 :class:`PaperDefaults` collects the constants of Table 2 of the paper.
 """
@@ -13,7 +15,12 @@ be copied, varied in sweeps and embedded in results; the
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
+
+from repro.registry import PIPELINES, validate_config_names
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.router.pipeline import PipelineTiming
 
 __all__ = ["PaperDefaults", "SimulationConfig"]
 
@@ -166,6 +173,14 @@ class SimulationConfig:
                 f"SimulationConfig.core_mode: unknown core {self.core_mode!r}; "
                 "expected 'objects' or 'flat'"
             )
+        # Router fields.  Every link and credit delay is at least one
+        # cycle, so a scheduled arrival always lies strictly in the
+        # future: the invariant that lets the flat core's forecast skip
+        # to its next arrival without ever missing a same-cycle event.
+        for name in ("vcs_per_port", "buffer_depth", "link_delay", "credit_delay"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.link_delays is not None:
             if len(self.link_delays) != len(self.mesh_dims):
                 raise ValueError(
@@ -192,6 +207,10 @@ class SimulationConfig:
                 "invalid measurement window: measure_messages must be at least 1, "
                 f"got {self.measure_messages}"
             )
+        if self.max_cycles is not None and self.max_cycles < 0:
+            raise ValueError(f"max_cycles must be non-negative, got {self.max_cycles}")
+        if self.drain_factor <= 0:
+            raise ValueError(f"drain_factor must be positive, got {self.drain_factor}")
         if self.workload_iters < 1:
             raise ValueError("workload_iters must be at least 1")
         if self.workload_window < 1:
@@ -223,8 +242,6 @@ class SimulationConfig:
         :mod:`repro.registry`) *before* constructing configurations that
         name them.
         """
-        from repro.registry import validate_config_names
-
         validate_config_names(self)
 
     # -- convenience constructors -------------------------------------------------------------
@@ -337,6 +354,29 @@ class SimulationConfig:
                 f"{', '.join(map(repr, unknown))}"
             )
         return cls(**data)
+
+    # -- router microarchitecture --------------------------------------------------
+
+    @property
+    def pipeline_timing(self) -> "PipelineTiming":
+        """The registered :class:`~repro.router.pipeline.PipelineTiming`
+        that :attr:`pipeline` names."""
+        return PIPELINES.get(self.pipeline)
+
+    def link_delay_for(self, dimension: int) -> int:
+        """Traversal time of a dimension-``dimension`` router link (the
+        injection link between an interface and its router always takes
+        :attr:`link_delay`)."""
+        if self.link_delays is not None and dimension < len(self.link_delays):
+            return self.link_delays[dimension]
+        return self.link_delay
+
+    @property
+    def max_link_delay(self) -> int:
+        """The slowest router-link delay."""
+        if self.link_delays:
+            return max(self.link_delay, *self.link_delays)
+        return self.link_delay
 
     @property
     def num_nodes(self) -> int:

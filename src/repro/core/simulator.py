@@ -36,8 +36,6 @@ from repro.engine.rng import SimulationRNG
 from repro.network.flatcore import FlatCoreParts, FlatNetworkCore
 from repro.network.network import Network
 from repro.network.topology import Topology
-from repro.router.config import RouterConfig
-from repro.router.pipeline import pipeline_by_name
 from repro.routing.base import RoutingAlgorithm
 from repro.selection.heuristics import make_selector
 from repro.stats.collector import StatsCollector
@@ -157,14 +155,6 @@ class NetworkSimulator:
         self._config = config
         self._rng = SimulationRNG(seed=config.seed)
         self._topology, self._table, self._routing = _build_network(config)
-        self._router_config = RouterConfig(
-            vcs_per_port=config.vcs_per_port,
-            buffer_depth=config.buffer_depth,
-            pipeline=pipeline_by_name(config.pipeline),
-            link_delay=config.link_delay,
-            link_delays=config.link_delays,
-            credit_delay=config.credit_delay,
-        )
         if config.workload is not None:
             # Closed-loop run: the workload DAG replaces the stochastic
             # generator.  Every transfer is "measured" (warmup 0), and the
@@ -182,9 +172,7 @@ class NetworkSimulator:
             )
             self._stats.add_delivery_callback(self._workload.on_delivered)
             self._message_rate = 0.0
-            hop = self._router_config.pipeline.hop_latency(
-                self._router_config.max_link_delay
-            )
+            hop = config.pipeline_timing.hop_latency(config.max_link_delay)
             self._critical_path = dag.critical_path_cycles(
                 lambda step: (self._topology.distance(step.src, step.dst) + 1) * hop
                 + (step.flits - 1)
@@ -240,7 +228,7 @@ class NetworkSimulator:
             ]
             parts = FlatCoreParts(
                 topology=self._topology,
-                router_config=self._router_config,
+                config=config,
                 routing=self._routing,
                 selectors=selectors,
                 sources=sources,
@@ -251,7 +239,7 @@ class NetworkSimulator:
         else:
             self._network = Network(
                 topology=self._topology,
-                router_config=self._router_config,
+                config=config,
                 routing=self._routing,
                 selector_factory=self._make_selector,
                 stats=self._stats,
@@ -263,13 +251,7 @@ class NetworkSimulator:
             # Released DAG steps must re-arm their home node's interface
             # in the flat core's wake heap; the object interfaces poll
             # their sources every cycle.
-            flat = self._core
-            self._workload.attach_wakes(
-                [
-                    (lambda cycle, node=node: flat.wake_interface(node, cycle))
-                    for node in range(self._topology.num_nodes)
-                ]
-            )
+            self._workload.attach_wake(self._core.wake_interface)
         # Open loop stops once every measured message is delivered; closed
         # loop once the whole DAG drains (trailing compute steps may
         # finish after the last transfer is delivered).
@@ -354,9 +336,7 @@ class NetworkSimulator:
         per-dimension ``link_delays`` the slowest link bounds the
         estimate (it is a budget heuristic, not a prediction).
         """
-        hop = self._router_config.pipeline.hop_latency(
-            self._router_config.max_link_delay
-        )
+        hop = self._config.pipeline_timing.hop_latency(self._config.max_link_delay)
         average_distance = self._topology.average_distance()
         return (average_distance + 1.0) * hop + (self._config.message_length - 1)
 

@@ -14,7 +14,7 @@ choice of two; the simulator branches on it directly):
 ``"flat"``
     The default.  The whole network is one core,
     :class:`FlatNetworkCore`, built straight from the topology, the
-    router configuration, the routing algorithm and the per-node
+    simulation configuration, the routing algorithm and the per-node
     selectors and sources (:class:`FlatCoreParts`) -- no object network
     is assembled.  Its state lives in flat preallocated C arrays -- one
     global virtual-channel table indexed by ``(router, port, vc)`` with
@@ -138,7 +138,7 @@ from repro.selection.heuristics import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.topology import Topology
-    from repro.router.config import RouterConfig
+    from repro.core.config import SimulationConfig
     from repro.routing.base import RoutingAlgorithm
 
 __all__ = [
@@ -256,8 +256,10 @@ class FlatCoreParts:
     topology:
         Node/link structure; the core's wiring comes from
         :meth:`~repro.network.topology.Topology.links`.
-    router_config:
-        Microarchitecture shared by every router.
+    config:
+        The simulation configuration; the core reads its
+        microarchitectural fields (VCs, buffer depth, pipeline, link and
+        credit delays).
     routing:
         Routing algorithm shared by every router.
     selectors:
@@ -270,7 +272,7 @@ class FlatCoreParts:
     """
 
     topology: "Topology"
-    router_config: "RouterConfig"
+    config: "SimulationConfig"
     routing: "RoutingAlgorithm"
     selectors: Sequence[PathSelector]
     sources: Sequence[Optional[object]]
@@ -279,7 +281,7 @@ class FlatCoreParts:
 class FlatNetworkCore:
     """The whole network as one kernel-driven core backed by the C extension.
 
-    Built from a :class:`FlatCoreParts` record -- topology, router
+    Built from a :class:`FlatCoreParts` record -- topology, simulation
     configuration, routing algorithm, per-node path selectors and
     per-node traffic sources -- and the simulation's
     :class:`~repro.stats.collector.StatsCollector`.  The constructor
@@ -339,7 +341,7 @@ class FlatNetworkCore:
 
     def __init__(self, parts: FlatCoreParts, stats) -> None:
         topology = parts.topology
-        config = parts.router_config
+        config = parts.config
         routing = parts.routing
         routing.validate(config.vcs_per_port)
         self._stats = stats
@@ -355,7 +357,7 @@ class FlatNetworkCore:
         escape = vc_classes.escape_vcs
         pools = vc_classes.escape_classes or (escape, escape)
         dimensions = [0] + [port_direction(port)[0] for port in range(1, radix)]
-        pipeline = config.pipeline
+        pipeline = config.pipeline_timing
         # Per-output-port forward delay (Router._port_delays): ejection at
         # the switch delay, each link port plus its dimension's link time.
         hop_delay = [pipeline.switch_delay] + [

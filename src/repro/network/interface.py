@@ -67,7 +67,7 @@ class NetworkInterface:
         config = router.config
         self._link_delay = config.link_delay
         self._credit_delay = config.credit_delay
-        self._lookahead = config.pipeline.lookahead
+        self._lookahead = config.pipeline_timing.lookahead
         self._slots: List[_InjectionSlot] = [
             _InjectionSlot(vc, config.buffer_depth) for vc in range(config.vcs_per_port)
         ]

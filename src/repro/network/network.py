@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.network.interface import NetworkInterface
 from repro.network.topology import LOCAL_PORT, Topology
-from repro.router.config import RouterConfig
 from repro.router.router import Router
 from repro.routing.base import RoutingAlgorithm
 from repro.selection.base import PathSelector
 from repro.stats.collector import StatsCollector
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.config import SimulationConfig
 
 __all__ = ["Network"]
 
@@ -29,8 +31,10 @@ class Network:
     ----------
     topology:
         Node/link structure to build.
-    router_config:
-        Microarchitecture shared by all routers.
+    config:
+        The simulation configuration; every router and interface reads
+        its microarchitectural fields (VCs, buffer depth, pipeline,
+        link and credit delays).
     routing:
         Routing algorithm shared by all routers (stateless per node).
     selector_factory:
@@ -45,14 +49,14 @@ class Network:
     def __init__(
         self,
         topology: Topology,
-        router_config: RouterConfig,
+        config: "SimulationConfig",
         routing: RoutingAlgorithm,
         selector_factory: SelectorFactory,
         stats: StatsCollector,
         sources: Optional[Sequence[Optional[object]]] = None,
     ) -> None:
         self._topology = topology
-        self._router_config = router_config
+        self._config = config
         self._routing = routing
         self._stats = stats
 
@@ -60,7 +64,7 @@ class Network:
             Router(
                 node_id=node,
                 topology=topology,
-                config=router_config,
+                config=config,
                 routing=routing,
                 selector=selector_factory(node),
             )
@@ -176,5 +180,5 @@ class Network:
     def __repr__(self) -> str:
         return (
             f"Network(topology={self._topology!r}, "
-            f"pipeline={self._router_config.pipeline.name})"
+            f"pipeline={self._config.pipeline})"
         )

@@ -12,15 +12,13 @@ flit level:
   (buffers, allocation, credits).
 * :mod:`repro.router.arbiter` -- round-robin arbiters used for the
   crossbar's input and output stages.
-* :mod:`repro.router.config` -- the router configuration record.
 * :mod:`repro.router.router` -- the router itself, tying routing tables,
   the routing algorithm, path selection and the switch together.
 """
 
 from repro.router.arbiter import RoundRobinArbiter
 from repro.router.channels import InputVirtualChannel, OutputPort, OutputVirtualChannel, VCState
-from repro.router.config import RouterConfig
-from repro.router.pipeline import LA_PROUD, PROUD, PipelineTiming, pipeline_by_name
+from repro.router.pipeline import LA_PROUD, PROUD, PipelineTiming
 from repro.router.router import Router
 
 __all__ = [
@@ -32,7 +30,5 @@ __all__ = [
     "PipelineTiming",
     "RoundRobinArbiter",
     "Router",
-    "RouterConfig",
     "VCState",
-    "pipeline_by_name",
 ]

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.registry import PIPELINES, register
+from repro.registry import register
 
-__all__ = ["LA_PROUD", "PROUD", "PipelineTiming", "pipeline_by_name"]
+__all__ = ["LA_PROUD", "PROUD", "PipelineTiming"]
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,3 @@ register("pipeline", PROUD.name, obj=PROUD,
 register("pipeline", LA_PROUD.name, obj=LA_PROUD,
          provenance=f"{__name__}:LA_PROUD")
 
-
-def pipeline_by_name(name: str) -> PipelineTiming:
-    """Look up a registered pipeline timing by its report name.
-
-    User code can register additional :class:`PipelineTiming` instances
-    via ``repro.registry.register("pipeline", name, obj=timing)``.
-    """
-    timing = PIPELINES.get(name)
-    return timing

@@ -37,15 +37,17 @@ reproduce it bit for bit; ``tests/test_link_equivalence.py`` and
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.network.topology import LOCAL_PORT, Topology, port_direction
 from repro.router.arbiter import RoundRobinArbiter
 from repro.router.channels import InputVirtualChannel, OutputPort, VCState
-from repro.router.config import RouterConfig
 from repro.routing.base import RouteDecision, RoutingAlgorithm
 from repro.selection.base import OutputPortStatus, PathSelector
 from repro.traffic.message import Flit
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.config import SimulationConfig
 
 __all__ = ["Router"]
 
@@ -60,7 +62,10 @@ class Router:
     topology:
         Network topology (used for neighbor lookup and port geometry).
     config:
-        Microarchitectural parameters (VCs, buffers, pipeline, delays).
+        The simulation configuration; the router reads its
+        microarchitectural fields (``vcs_per_port``, ``buffer_depth``,
+        ``pipeline_timing``, ``link_delay``/``link_delays`` and
+        ``credit_delay``).
     routing:
         Routing algorithm providing per-destination port candidates and
         the virtual-channel class partition.
@@ -72,7 +77,7 @@ class Router:
         self,
         node_id: int,
         topology: Topology,
-        config: RouterConfig,
+        config: "SimulationConfig",
         routing: RoutingAlgorithm,
         selector: PathSelector,
     ) -> None:
@@ -80,7 +85,7 @@ class Router:
         self._node_id = node_id
         self._topology = topology
         self._config = config
-        self._pipeline = config.pipeline
+        self._pipeline = config.pipeline_timing
         self._routing = routing
         #: Bound memoized-decide entry point (one shared memo per network;
         #: see ``RoutingAlgorithm.decision_cache``).
@@ -183,8 +188,8 @@ class Router:
         return self._node_id
 
     @property
-    def config(self) -> RouterConfig:
-        """Microarchitectural configuration."""
+    def config(self) -> "SimulationConfig":
+        """The configuration the router's parameters come from."""
         return self._config
 
     @property

@@ -97,11 +97,6 @@ class VirtualChannelClasses:
                     f"{class0} + {class1} != {self.escape_vcs}"
                 )
 
-    @property
-    def total(self) -> int:
-        """Total number of virtual channels described by this partition."""
-        return len(self.adaptive_vcs) + len(self.escape_vcs)
-
 
 class RoutingAlgorithm(ABC):
     """Run-time routing decision logic for a single network."""

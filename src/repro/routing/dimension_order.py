@@ -42,11 +42,6 @@ class DimensionOrderRouting(RoutingAlgorithm):
         self._topology = topology
 
     @property
-    def topology(self) -> Topology:
-        """Topology the decisions are computed on."""
-        return self._topology
-
-    @property
     def decides_by_signs(self) -> bool:
         # The dimension-order port is the first productive port of the
         # sign pattern.

@@ -100,21 +100,6 @@ class DuatoFullyAdaptiveRouting(RoutingAlgorithm):
         self._num_escape_vcs = num_escape_vcs
 
     @property
-    def topology(self) -> Topology:
-        """Topology the decisions are computed on."""
-        return self._topology
-
-    @property
-    def table(self) -> "RoutingTable":
-        """Routing table supplying the adaptive candidate ports."""
-        return self._table
-
-    @property
-    def num_escape_vcs(self) -> int:
-        """Escape virtual channels reserved per physical channel."""
-        return self._num_escape_vcs
-
-    @property
     def decides_by_signs(self) -> bool:
         # The escape port is the sign pattern's dimension-order port, so
         # the decision is per sign class whenever the table is.

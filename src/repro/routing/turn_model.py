@@ -10,8 +10,6 @@ ablation benchmark.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from repro.network.topology import Topology
 from repro.routing.base import RouteDecision, RoutingAlgorithm, VirtualChannelClasses
 from repro.routing.providers import (
@@ -20,9 +18,6 @@ from repro.routing.providers import (
     north_last_provider,
     west_first_provider,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import used for type checking only
-    from repro.tables.base import RoutingTable
 
 __all__ = ["TurnModelRouting"]
 
@@ -42,40 +37,20 @@ class TurnModelRouting(RoutingAlgorithm):
         Mesh topology the algorithm routes on.
     model:
         One of ``"north-last"``, ``"west-first"`` or ``"negative-first"``.
-    table:
-        Optional routing table to consult instead of computing the turn
-        restriction on the fly.  When given, the table must have been
-        programmed with the matching provider (this is how the Fig. 7
-        economical-storage example is exercised end to end).
+        The turn restriction is computed on the fly; an economical-storage
+        table programmed with the matching provider holds the same
+        relation (the paper's Fig. 7 example).
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        model: str = "north-last",
-        table: Optional["RoutingTable"] = None,
-    ) -> None:
+    def __init__(self, topology: Topology, model: str = "north-last") -> None:
         if model not in _PROVIDERS:
             raise ValueError(
                 f"unknown turn model {model!r}; expected one of {sorted(_PROVIDERS)}"
             )
         if topology.wraps:
             raise ValueError("turn-model routing is only deadlock free on meshes")
-        self._topology = topology
-        self._model = model
         self._provider: PortProvider = _PROVIDERS[model](topology)
-        self._table = table
         self.name = f"turn-model-{model}"
-
-    @property
-    def topology(self) -> Topology:
-        """Topology the decisions are computed on."""
-        return self._topology
-
-    @property
-    def model(self) -> str:
-        """Which turn model this instance implements."""
-        return self._model
 
     @property
     def min_virtual_channels(self) -> int:
@@ -89,10 +64,7 @@ class TurnModelRouting(RoutingAlgorithm):
         )
 
     def decide(self, current: int, destination: int) -> RouteDecision:
-        if self._table is not None:
-            ports = self._table.lookup(current, destination)
-        else:
-            ports = self._provider(current, destination)
+        ports = self._provider(current, destination)
         # Any permitted port may serve as the deterministic fallback; using
         # the first (lowest-dimension) port keeps the decision stable.
         return RouteDecision(adaptive_ports=ports, escape_port=ports[0])

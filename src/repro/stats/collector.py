@@ -10,16 +10,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.stats.latency import LatencySummary, RunningStats
+from repro.stats.latency import LatencySummary, P2Quantile, RunningStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import avoids a package cycle
     from repro.traffic.message import Message
 
-__all__ = ["REPORTED_QUANTILES", "StatsCollector"]
-
-#: The total-latency quantiles every run reports (LatencySummary's
-#: ``p50_total_latency``/``p99_total_latency``).
-REPORTED_QUANTILES = (0.5, 0.99)
+__all__ = ["StatsCollector"]
 
 
 class StatsCollector:
@@ -44,7 +40,9 @@ class StatsCollector:
         # p50/p99 ride on streaming P² estimators, so the headline
         # percentiles need no per-message sample list (memory stays flat
         # on 400k-message runs).
-        self._total_latency = RunningStats(quantiles=REPORTED_QUANTILES)
+        self._total_latency = RunningStats()
+        self._p50 = P2Quantile(0.5)
+        self._p99 = P2Quantile(0.99)
         self._network_latency = RunningStats()
         self._hops = RunningStats()
         self._first_measured_delivery: Optional[int] = None
@@ -95,6 +93,8 @@ class StatsCollector:
             self._measured_delivered += 1
             self._measured_flits += message.length
             self._total_latency.add(message.total_latency)
+            self._p50.add(message.total_latency)
+            self._p99.add(message.total_latency)
             self._network_latency.add(message.network_latency)
             self._hops.add(message.hops)
             if self._first_measured_delivery is None:
@@ -156,8 +156,8 @@ class StatsCollector:
             cycles=cycles,
             completion_ratio=completion,
             saturated=saturated,
-            p50_total_latency=self._total_latency.quantile(0.5),
-            p99_total_latency=self._total_latency.quantile(0.99),
+            p50_total_latency=self._p50.value,
+            p99_total_latency=self._p99.value,
         )
 
     def __repr__(self) -> str:

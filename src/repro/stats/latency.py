@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from dataclasses import fields as dataclasses_fields
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 __all__ = ["LatencySummary", "P2Quantile", "RunningStats"]
 
@@ -139,22 +139,18 @@ class RunningStats:
 
     Keeping only the running moments lets the collector absorb hundreds of
     thousands of samples (the paper measures 400,000 messages) without
-    storing them.  ``quantiles`` attaches one streaming
-    :class:`P2Quantile` estimator per listed fraction, so selected
-    percentiles (p50/p99) stay available without a sample list.
+    storing them; percentiles come from separate :class:`P2Quantile`
+    estimators.
     """
 
-    __slots__ = ("_count", "_mean", "_m2", "_min", "_max", "_quantiles")
+    __slots__ = ("_count", "_mean", "_m2", "_min", "_max")
 
-    def __init__(self, quantiles: Sequence[float] = ()) -> None:
+    def __init__(self) -> None:
         self._count = 0
         self._mean = 0.0
         self._m2 = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._quantiles: Dict[float, P2Quantile] = {
-            float(fraction): P2Quantile(float(fraction)) for fraction in quantiles
-        }
 
     @classmethod
     def from_moments(
@@ -194,8 +190,6 @@ class RunningStats:
             self._min = value
         if value > self._max:
             self._max = value
-        for tracker in self._quantiles.values():
-            tracker.add(value)
 
     def merge(self, other: "RunningStats") -> "RunningStats":
         """Absorb ``other``'s samples into this accumulator, in place.
@@ -204,17 +198,8 @@ class RunningStats:
         al.), so merging the same sample multiset in any partition and any
         order yields the same count/mean/variance/min/max up to float
         rounding -- what lets per-seed replicate summaries pool into one
-        message-level aggregate.  Streaming quantile trackers are path dependent
-        (P² marker state) and therefore not mergeable: merging an
-        accumulator that tracks quantiles raises ``ValueError``.
-        Returns ``self``.
+        message-level aggregate.  Returns ``self``.
         """
-        if self._quantiles or other._quantiles:
-            raise ValueError(
-                "streaming quantile trackers are not mergeable; merge "
-                "moment-only accumulators (RunningStats.from_moments) and "
-                "combine quantile estimates separately"
-            )
         if other._count == 0:
             return self
         if self._count == 0:
@@ -264,23 +249,6 @@ class RunningStats:
     def maximum(self) -> float:
         """Largest sample (0.0 when empty)."""
         return self._max if self._count else 0.0
-
-    def quantile(self, fraction: float) -> float:
-        """The P² streaming estimate of a tracked fraction.
-
-        The fraction is validated first; a fraction in range that no
-        estimator passed at construction tracks raises ``ValueError``.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("quantile fraction must be within [0, 1]")
-        tracker = self._quantiles.get(float(fraction))
-        if tracker is None:
-            tracked = sorted(self._quantiles)
-            raise ValueError(
-                f"fraction {fraction!r} is not tracked (streaming quantiles: "
-                f"{tracked!r}); pass it via RunningStats(quantiles=...)"
-            )
-        return tracker.value
 
     def __repr__(self) -> str:
         return f"RunningStats(count={self._count}, mean={self.mean:.2f})"

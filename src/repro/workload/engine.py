@@ -26,11 +26,11 @@ delivery callback :meth:`WorkloadEngine.on_delivered` (hooked on
 ejection point shared by the object interfaces and the flat core), and
 compute steps via the owning source's ``messages_due`` poll at their
 completion cycle.  Every release wakes the successor's home node through
-a per-node wake callback (:meth:`WorkloadEngine.attach_wakes`), so the
-flat core's wake heap never sleeps through newly unblocked work (the
-object interfaces poll their sources every cycle and attach none); the
-pending lists back ``next_due_cycle`` exactly, which keeps the forecast
-safe under the flat core's end-of-evaluate wake recomputation.
+one ``wake(node, cycle)`` callback (:meth:`WorkloadEngine.attach_wake`),
+so the flat core's wake heap never sleeps through newly unblocked work
+(the object interfaces poll their sources every cycle and attach none);
+the pending lists back ``next_due_cycle`` exactly, which keeps the
+forecast safe under the flat core's end-of-evaluate wake recomputation.
 
 All retained state is O(DAG + in-flight): pending entries and the
 in-flight map shrink as the workload drains, and the drain metrics
@@ -65,9 +65,9 @@ class WorkloadEngine:
         #: message creation order -- is canonical regardless of the order
         #: same-cycle completions were observed in.
         self._pending: List[List[tuple]] = [[] for _ in range(num_nodes)]
-        #: Per-node wake callbacks into the executing core (attached by
-        #: the simulator once the network exists).
-        self._wakes: List[Optional[Callable[[int], None]]] = [None] * num_nodes
+        #: ``wake(node, cycle)`` into the executing core (attached by the
+        #: simulator once the network exists).
+        self._wake: Optional[Callable[[int, int], None]] = None
         #: In-flight transfer messages: message_id -> DAG index.  Entries
         #: are popped on delivery; the map is never iterated, so the
         #: process-global message ids cannot influence behaviour.
@@ -86,19 +86,15 @@ class WorkloadEngine:
         """One source per node, in node-id order (feeds ``Network``)."""
         return [WorkloadSource(self, node) for node in range(self._num_nodes)]
 
-    def attach_wakes(self, wakes: List[Callable[[int], None]]) -> None:
-        """Install the flat core's per-node wake callbacks.
+    def attach_wake(self, wake: Callable[[int, int], None]) -> None:
+        """Install the flat core's wake callback.
 
-        ``wakes[node](cycle)`` must wake node ``node``'s interface for
+        ``wake(node, cycle)`` must wake node ``node``'s interface for
         ``cycle`` (:meth:`FlatNetworkCore.wake_interface`).  The object
         core attaches none: its interfaces poll their sources every
         cycle.
         """
-        if len(wakes) != self._num_nodes:
-            raise ValueError(
-                f"expected {self._num_nodes} wake callbacks, got {len(wakes)}"
-            )
-        self._wakes = list(wakes)
+        self._wake = wake
 
     # -- the source protocol (per node) -------------------------------------------
 
@@ -168,12 +164,8 @@ class WorkloadEngine:
         step = self._dag.nodes[idx]
         due = ready_cycle + step.delay
         insort(self._pending[step.home], (due, idx))
-        self._wake_home(step.home, due)
-
-    def _wake_home(self, node: int, cycle: int) -> None:
-        wake = self._wakes[node]
-        if wake is not None:
-            wake(cycle)
+        if self._wake is not None:
+            self._wake(step.home, due)
 
     # -- drain metrics -------------------------------------------------------------
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.network.topology import MeshTopology, TorusTopology
-from repro.router.config import RouterConfig
-from repro.router.pipeline import LA_PROUD, PROUD
 
 
 @pytest.fixture
@@ -31,15 +29,3 @@ def mesh8x8() -> MeshTopology:
 def torus4x4() -> TorusTopology:
     """A 4x4 torus for wraparound-specific tests."""
     return TorusTopology((4, 4))
-
-
-@pytest.fixture
-def proud_config() -> RouterConfig:
-    """Router configuration with the 5-stage PROUD pipeline."""
-    return RouterConfig(vcs_per_port=4, buffer_depth=5, pipeline=PROUD)
-
-
-@pytest.fixture
-def la_proud_config() -> RouterConfig:
-    """Router configuration with the 4-stage LA-PROUD pipeline."""
-    return RouterConfig(vcs_per_port=4, buffer_depth=5, pipeline=LA_PROUD)

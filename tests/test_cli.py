@@ -229,6 +229,7 @@ def test_cache_dir_pointing_at_a_file_fails_cleanly(tmp_path):
             ["run", "--warmup", "-1"],
             "lapses: invalid measurement window: warmup_messages must be at least 0, got -1",
         ),
+        (["run", "--vcs", "0"], "lapses: vcs_per_port must be at least 1, got 0"),
     ],
 )
 def test_run_and_sweep_report_bad_arguments_in_one_line(argv, message):

@@ -52,3 +52,26 @@ def test_alternatives_are_sorted():
     message = str(excinfo.value)
     listed = message.split("registered alternatives: ")[1].split(", ")
     assert listed == sorted(listed)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("vcs_per_port", 0, "vcs_per_port must be at least 1, got 0"),
+        ("buffer_depth", 0, "buffer_depth must be at least 1, got 0"),
+        ("link_delay", 0, "link_delay must be at least 1, got 0"),
+        ("credit_delay", 0, "credit_delay must be at least 1, got 0"),
+        ("max_cycles", -1, "max_cycles must be non-negative, got -1"),
+        ("drain_factor", 0.0, "drain_factor must be positive, got 0.0"),
+        ("drain_factor", -1.0, "drain_factor must be positive, got -1.0"),
+    ],
+)
+def test_out_of_range_numbers_fail_at_construction(field, value, message):
+    with pytest.raises(ValueError) as excinfo:
+        SimulationConfig.tiny(**{field: value})
+    assert str(excinfo.value) == message
+
+
+def test_an_unset_cycle_budget_stays_allowed():
+    assert SimulationConfig.tiny(max_cycles=None).max_cycles is None
+    assert SimulationConfig.tiny(max_cycles=0).max_cycles == 0

@@ -3,7 +3,7 @@
 
 from repro.network.interface import NetworkInterface
 from repro.network.topology import LOCAL_PORT, MeshTopology
-from repro.router.config import RouterConfig
+from repro.core.config import SimulationConfig
 from repro.router.pipeline import LA_PROUD
 from repro.routing.duato import DuatoFullyAdaptiveRouting
 from repro.stats.collector import StatsCollector
@@ -30,10 +30,11 @@ def build_interface(pipeline=LA_PROUD, vcs=2, buffer_depth=5):
     topology = MeshTopology((3, 3))
     table = EconomicalStorageTable(topology)
     routing = DuatoFullyAdaptiveRouting(topology, table)
-    config = RouterConfig(
+    config = SimulationConfig(
+        mesh_dims=(3, 3),
         vcs_per_port=vcs,
         buffer_depth=buffer_depth,
-        pipeline=pipeline,
+        pipeline=pipeline.name,
     )
     router = RecordingRouter(config)
     stats = StatsCollector()

@@ -19,7 +19,6 @@ from repro.core.simulator import NetworkSimulator
 from repro.engine.kernel import SimulationKernel
 from repro.network.network import Network
 from repro.network.topology import MeshTopology
-from repro.router.config import RouterConfig
 from repro.routing.dimension_order import DimensionOrderRouting
 from repro.selection.heuristics import StaticDimensionOrderSelector
 from repro.stats.collector import StatsCollector
@@ -54,7 +53,7 @@ def test_step_runs_deliver_before_evaluate_for_all_components():
     topology = MeshTopology((2, 2))
     network = Network(
         topology=topology,
-        router_config=RouterConfig(),
+        config=SimulationConfig(mesh_dims=(2, 2), pipeline="proud"),
         routing=DimensionOrderRouting(topology),
         selector_factory=lambda node: StaticDimensionOrderSelector(),
         stats=StatsCollector(),

@@ -333,15 +333,8 @@ def test_config_rejects_unknown_core_mode():
 
 
 # The link-schedule selector is gone: the object core's per-port
-# mailboxes are the only reference, so neither configuration record
-# accepts the field.
+# mailboxes are the only reference, so the configuration does not
+# accept the field.
 def test_config_rejects_unknown_link_mode():
     with pytest.raises(TypeError, match="link_mode"):
         SimulationConfig.tiny(link_mode="reference")
-
-
-def test_router_config_rejects_unknown_link_mode():
-    from repro.router.config import RouterConfig
-
-    with pytest.raises(TypeError, match="link_mode"):
-        RouterConfig(link_mode="reference")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.network.network import Network
 from repro.network.topology import LOCAL_PORT, MeshTopology
-from repro.router.config import RouterConfig
+from repro.core.config import SimulationConfig
 from repro.routing.duato import DuatoFullyAdaptiveRouting
 from repro.selection.heuristics import StaticDimensionOrderSelector
 from repro.stats.collector import StatsCollector
@@ -18,7 +18,7 @@ def network():
     routing = DuatoFullyAdaptiveRouting(topology, table)
     return Network(
         topology=topology,
-        router_config=RouterConfig(),
+        config=SimulationConfig(mesh_dims=(3, 3), pipeline="proud"),
         routing=routing,
         selector_factory=lambda node: StaticDimensionOrderSelector(),
         stats=StatsCollector(),

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.router.pipeline import LA_PROUD, PROUD, PipelineTiming, pipeline_by_name
+from repro.core.config import SimulationConfig
+from repro.router.pipeline import LA_PROUD, PROUD, PipelineTiming
 
 
 def test_paper_pipeline_depths():
@@ -23,11 +24,11 @@ def test_selection_offset_saves_exactly_one_stage():
     assert PROUD.switch_delay == LA_PROUD.switch_delay
 
 
-def test_pipeline_by_name():
-    assert pipeline_by_name("proud") is PROUD
-    assert pipeline_by_name("la-proud") is LA_PROUD
-    with pytest.raises(ValueError):
-        pipeline_by_name("super-proud")
+def test_pipeline_timing_by_name():
+    assert SimulationConfig(pipeline="proud").pipeline_timing is PROUD
+    assert SimulationConfig(pipeline="la-proud").pipeline_timing is LA_PROUD
+    with pytest.raises(ValueError, match="super-proud"):
+        SimulationConfig(pipeline="super-proud")
 
 
 def test_custom_pipeline_validation():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.network.topology import LOCAL_PORT, MeshTopology, port_for
 from repro.router.channels import VCState
-from repro.router.config import RouterConfig
+from repro.core.config import SimulationConfig
 from repro.router.pipeline import LA_PROUD, PROUD
 from repro.router.router import Router
 from repro.routing.duato import DuatoFullyAdaptiveRouting
@@ -44,7 +44,9 @@ def build_router(pipeline=PROUD, vcs=4, buffer_depth=5, selector=None):
     node = topology.node_id((1, 1))
     table = EconomicalStorageTable(topology)
     routing = DuatoFullyAdaptiveRouting(topology, table)
-    config = RouterConfig(vcs_per_port=vcs, buffer_depth=buffer_depth, pipeline=pipeline)
+    config = SimulationConfig(
+        mesh_dims=(3, 3), vcs_per_port=vcs, buffer_depth=buffer_depth, pipeline=pipeline.name
+    )
     router = Router(
         node_id=node,
         topology=topology,
@@ -242,7 +244,7 @@ def test_flit_and_header_counters():
     # LFU/LRU read); the router's counter is the sum over its ports.
     east = router.output_port(EAST)
     assert east.usage_count == 4
-    delay = router.config.pipeline.switch_delay + router.config.link_delay_for(0)
+    delay = router.config.pipeline_timing.switch_delay + router.config.link_delay_for(0)
     assert east.last_used_cycle == stubs[EAST].flits[-1][0] - delay
 
 

@@ -40,21 +40,6 @@ def test_running_stats_empty_defaults():
     assert stats.maximum == 0.0
 
 
-def test_running_stats_quantiles_require_a_tracker():
-    untracked = RunningStats()
-    untracked.add(1.0)
-    with pytest.raises(ValueError, match="not tracked"):
-        untracked.quantile(0.5)
-    tracked = RunningStats(quantiles=(0.5,))
-    for value in range(1, 101):
-        tracked.add(float(value))
-    assert tracked.minimum == 1.0
-    assert tracked.maximum == 100.0
-    assert tracked.quantile(0.5) == pytest.approx(50.0, abs=1.0)
-    with pytest.raises(ValueError):
-        tracked.quantile(1.5)
-
-
 # -- StatsCollector ----------------------------------------------------------------
 
 

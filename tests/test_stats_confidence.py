@@ -36,25 +36,25 @@ def exact_percentile(values, fraction):
 def test_percentile_validates_fraction_before_the_empty_check():
     # The historical bug: an empty collector returned 0.0 for any
     # fraction, hiding out-of-range callers until samples arrived.
-    empty = RunningStats(quantiles=(0.5,))
-    with pytest.raises(ValueError, match=r"within \[0, 1\]"):
-        empty.quantile(1.5)
-    with pytest.raises(ValueError, match=r"within \[0, 1\]"):
-        empty.quantile(-0.1)
-    assert empty.quantile(0.5) == 0.0  # in-range on empty stays 0.0
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        P2Quantile(1.5)
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        P2Quantile(-0.1)
+    assert P2Quantile(0.5).value == 0.0  # in-range on empty stays 0.0
 
 
 def test_percentile_uses_the_ceil_rule_not_bankers_rounding():
     # Below five samples the P² trackers are exact nearest-rank.
-    stats = RunningStats(quantiles=(0.25, 0.5, 0.75, 0.99))
+    trackers = {fraction: P2Quantile(fraction) for fraction in (0.25, 0.5, 0.75, 0.99)}
     for value in (10.0, 20.0, 30.0, 40.0):
-        stats.add(value)
+        for tracker in trackers.values():
+            tracker.add(value)
     # int(round(0.5 * 4)) == 2 under banker's rounding picked 30.0 here;
     # the nearest-rank ceil rule pins the lower median.
-    assert stats.quantile(0.25) == 10.0
-    assert stats.quantile(0.5) == 20.0
-    assert stats.quantile(0.75) == 30.0
-    assert stats.quantile(0.99) == 40.0
+    assert trackers[0.25].value == 10.0
+    assert trackers[0.5].value == 20.0
+    assert trackers[0.75].value == 30.0
+    assert trackers[0.99].value == 40.0
 
 
 def test_percentile_matches_reference_rule_on_random_streams():
@@ -62,10 +62,10 @@ def test_percentile_matches_reference_rule_on_random_streams():
     for trial in range(20):
         values = [rng.uniform(0, 100) for _ in range(rng.randrange(1, 5))]
         fraction = rng.uniform(0.01, 0.99)
-        stats = RunningStats(quantiles=(fraction,))
+        tracker = P2Quantile(fraction)
         for value in values:
-            stats.add(value)
-        assert stats.quantile(fraction) == exact_percentile(values, fraction)
+            tracker.add(value)
+        assert tracker.value == exact_percentile(values, fraction)
 
 
 # -- merge algebra ------------------------------------------------------------------
@@ -120,17 +120,6 @@ def test_merge_with_empty_sides():
     assert RunningStats().merge(filled).mean == pytest.approx(2.0)
     assert filled.merge(empty).count == 3
     assert RunningStats().merge(RunningStats()).count == 0
-
-
-def test_merge_refuses_quantile_trackers():
-    # P² marker state depends on arrival order, so merging trackers
-    # would silently de-determinize results.
-    tracking = RunningStats(quantiles=(0.5,))
-    plain = RunningStats()
-    with pytest.raises(ValueError, match="not mergeable"):
-        tracking.merge(plain)
-    with pytest.raises(ValueError, match="not mergeable"):
-        plain.merge(RunningStats(quantiles=(0.5,)))
 
 
 def test_from_moments_round_trip():
@@ -192,12 +181,12 @@ def test_p2_p50_and_p99_track_exact_percentiles_on_a_latency_stream():
     # percentiles.
     rng = random.Random(7)
     values = [rng.expovariate(1.0 / 80.0) + 20.0 for _ in range(50_000)]
-    streaming = RunningStats(quantiles=(0.5, 0.99))
-    for value in values:
-        streaming.add(value)
     for fraction in (0.5, 0.99):
+        tracker = P2Quantile(fraction)
+        for value in values:
+            tracker.add(value)
         truth = exact_percentile(values, fraction)
-        assert abs(streaming.quantile(fraction) - truth) / truth < 0.02
+        assert abs(tracker.value - truth) / truth < 0.02
 
 
 def test_p2_on_adversarial_streams():
@@ -224,30 +213,24 @@ def test_p2_on_adversarial_streams():
 
 def test_quantile_method_routes_exact_or_streaming():
     # Exact nearest-rank below five samples, the P² estimate after.
-    streaming = RunningStats(quantiles=(0.5, 0.99))
+    streaming = P2Quantile(0.5)
     rng = random.Random(5)
     values = [rng.uniform(0, 100) for _ in range(1_000)]
     for value in values[:4]:
         streaming.add(value)
-    assert streaming.quantile(0.5) == exact_percentile(values[:4], 0.5)
+    assert streaming.value == exact_percentile(values[:4], 0.5)
     for value in values[4:]:
         streaming.add(value)
-    assert streaming.quantile(0.5) == pytest.approx(
-        exact_percentile(values, 0.5), abs=3.0
-    )
-    with pytest.raises(ValueError, match="tracked"):
-        streaming.quantile(0.25)
-    with pytest.raises(ValueError):
-        streaming.quantile(2.0)
+    assert streaming.value == pytest.approx(exact_percentile(values, 0.5), abs=3.0)
 
 
 def test_streaming_quantiles_use_constant_memory():
-    stats = RunningStats(quantiles=(0.5, 0.99))
+    tracker = P2Quantile(0.5)
     for value in range(100_000):
-        stats.add(float(value))
+        tracker.add(float(value))
     # No sample list: the only per-quantile state is the 5 P² markers.
-    assert "_samples" not in RunningStats.__slots__
-    assert stats.quantile(0.5) == pytest.approx(50_000, rel=0.05)
+    assert "_samples" not in P2Quantile.__slots__
+    assert tracker.value == pytest.approx(50_000, rel=0.05)
 
 
 # -- Student-t critical values ------------------------------------------------------
