@@ -38,6 +38,17 @@ def test_link_delay_per_dimension():
     assert stacked.max_link_delay == 3
 
 
+def test_validation():
+    with pytest.raises(ValueError):
+        SimulationConfig(vcs_per_port=0)
+    with pytest.raises(ValueError):
+        SimulationConfig(buffer_depth=0)
+    with pytest.raises(ValueError):
+        SimulationConfig(link_delay=0)
+    with pytest.raises(ValueError):
+        SimulationConfig(credit_delay=0)
+
+
 def test_config_is_immutable():
     config = SimulationConfig()
     with pytest.raises(Exception):
