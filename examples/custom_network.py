@@ -56,7 +56,7 @@ def main() -> None:
 
     rows = sweep(north_last, loads) + sweep(duato, loads)
     print("=== North-Last (turn model) vs Duato fully adaptive, transpose traffic ===")
-    print(format_rows(rows, columns=["routing", "load", "latency", "hops"]))
+    print(format_rows(rows, columns=["routing", "load", "latency", "hops"], precision=2))
     print()
 
     # Show the programmable-table API directly: the North-Last relation

@@ -252,14 +252,17 @@ class NetworkSimulator:
             # in the flat core's wake heap; the object interfaces poll
             # their sources every cycle.
             self._workload.attach_wake(self._core.wake_interface)
-        # Open loop stops once every measured message is delivered; closed
-        # loop once the whole DAG drains (trailing compute steps may
-        # finish after the last transfer is delivered).
+        # Open loop stops once every measured message is delivered -- a
+        # count the flat core keeps itself (done=None) -- and closed loop
+        # once the whole DAG drains (trailing compute steps may finish
+        # after the last transfer is delivered).
         workload = self._workload
-        done: Callable[[], bool] = (
-            self._stats.all_measured_delivered
-            if workload is None
-            else (lambda: workload.drained)
+        done: Optional[Callable[[], bool]] = (
+            (lambda: workload.drained)
+            if workload is not None
+            else None
+            if self._core is not None
+            else self._stats.all_measured_delivered
         )
         self._kernel = SimulationKernel(core, done)
 

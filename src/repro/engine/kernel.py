@@ -18,26 +18,32 @@ phase.
 
 The loop itself belongs to the core: ``core.run(start, end, done)``
 runs the cycles from ``start`` and returns the cycle it stopped at --
-``end``, or the cycle after the one in which ``done()`` came to hold.
+``end``, or the cycle after the one in which the run came to be done.
 The object network steps every cycle and asks ``done()`` before each.
 The flat core runs the loop in C: it steps only the cycles its
-``next_event_cycle`` forecast reports work at, jumps the idle spans in
-between, and asks ``done()`` on entry and then only after a cycle in
-which a traffic source's ``messages_due`` or the statistics collector's
-``record_delivered`` ran.  Both stop at the same cycle because of the
-``done`` contract:
+``next_event_cycle`` forecast reports work at and jumps the idle spans
+in between.  It checks the stop on entry and then only after a cycle in
+which a traffic source's ``messages_due`` ran or a message was
+delivered.  Both stop at the same cycle because of the ``done``
+contract:
 
 * ``done`` takes no cycle and is a monotone function of simulation
-  *progress* (for example "all measured messages delivered", or the
-  workload's ``drained`` flag); and
-* it may change only inside a ``messages_due`` or ``record_delivered``
-  callback (a delivery, or a workload compute step completing in its
-  source's poll).
+  *progress*: the workload's ``drained`` flag on a closed loop, "every
+  measured message delivered" on an open loop; and
+* it may change only with a delivery or inside a ``messages_due`` call
+  (a workload compute step completing in its source's poll).
+
+On an open loop the flat core is handed ``done=None``: it keeps the
+measured-message count itself, with every delivery's statistics, and
+stops once that count reaches the collector's ``measure_messages`` --
+no Python call.  The object network is handed the collector's
+``all_measured_delivered``, which reads the same count off the
+collector's Python accumulators.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.engine.clock import Clock
 
@@ -55,10 +61,11 @@ class SimulationKernel:
         ``run(start, end, done)`` (the loop, for :meth:`run`).
     done:
         Zero-argument progress predicate; :meth:`run` stops as soon as
-        it holds (see the module docstring for its contract).
+        it holds (see the module docstring for its contract).  None
+        hands the open-loop stop to the flat core's own count.
     """
 
-    def __init__(self, core: object, done: Callable[[], bool]) -> None:
+    def __init__(self, core: object, done: Optional[Callable[[], bool]]) -> None:
         self._core = core
         self._done = done
         self._clock = Clock()

@@ -8,8 +8,9 @@
  * due, and next_event_cycle -- runs here, and so does the cycle loop:
  * run(start, end, done) steps the cycles next_event reports work at,
  * jumps the idle spans between them, and asks done() on entry and then
- * only after a cycle that called messages_due or record_delivered (the
- * only callbacks that may change it).  The module docstring of
+ * only after a cycle that called messages_due or delivered a message (the
+ * only events that may change it); a None done is the open-loop stop,
+ * the core's own measured count.  The module docstring of
  * repro.network.flatcore describes the model, the address spaces and
  * the scheduling state; this file replays the object core
  * (repro.router.router.Router, repro.network.interface.NetworkInterface)
@@ -26,12 +27,20 @@
  * path selectors rank their candidates here, by the output-port arrays
  * this core owns.
  *
- * Python is called back only where the randomness, plugins and
- * statistics live, in the object core's order: those routing calls,
+ * Each delivery is accounted here too (Tally): the delivered count and,
+ * for a measured message -- by the creation index record_created stamped
+ * on it, read once when its slot is taken -- the Welford moments of the
+ * total latency, network latency and hops and the P² p50/p99 trackers,
+ * with repro.stats.latency's double operations in its order.  The
+ * statistics collector reads them through tally().
+ *
+ * Python is called back only where the randomness, plugins and traffic
+ * live, in the object core's order: those routing calls,
  * selectors[node].select for any other selector (handed each candidate's
  * OutputPortStatus, whose usage_count / last_used_cycle are out_usage /
- * out_last_used), source.messages_due / next_due_cycle, and the
- * statistics collector's record_created / record_delivered.  A source is
+ * out_last_used), source.messages_due / next_due_cycle, the statistics
+ * collector's record_created (looked up by name each time), and its
+ * delivery callbacks on each delivery.  A source is
  * asked for messages only from the cycle its cached due cycle src_due
  * names: next_due_cycle is re-read once after each messages_due call,
  * and wake_interface lowers the cache.  The cache may be early (a budget
@@ -41,6 +50,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
+#include <math.h>
 #include <stddef.h>
 #include <string.h>
 
@@ -72,9 +82,9 @@ typedef long long i64;
 enum { SEL_PYTHON, SEL_STATIC_XY, SEL_FIRST_FREE, SEL_MIN_MUX, SEL_LFU, SEL_LRU, SEL_MAX_CREDIT };
 
 /* Interned attribute and method names. */
-static PyObject *s_select, *s_messages_due, *s_next_due_cycle, *s_record_created,
-    *s_record_delivered, *s_hops, *s_injection_cycle, *s_ejection_cycle, *s_destination,
-    *s_length, *s_adaptive_ports, *s_escape_port;
+static PyObject *s_select, *s_messages_due, *s_next_due_cycle, *s_record_created, *s_hops,
+    *s_injection_cycle, *s_ejection_cycle, *s_creation_index, *s_creation_cycle,
+    *s_destination, *s_length, *s_adaptive_ports, *s_escape_port;
 
 /* -- growable int vectors ------------------------------------------------- */
 
@@ -176,6 +186,181 @@ heap_less(HeapEntry a, HeapEntry b)
     return a.wake < b.wake || (a.wake == b.wake && a.node < b.node);
 }
 
+/* -- measured-message statistics ------------------------------------------------ */
+
+/* Streaming moments of one integer quantity: repro.stats.latency
+   RunningStats.add's double operations, in its order (the build turns off
+   floating-point contraction, so no step is fused). */
+typedef struct {
+    i64 count, min, max;
+    double mean, m2;
+} Moments;
+
+static void
+moments_add(Moments *m, i64 value)
+{
+    double x = (double)value;
+    m->count++;
+    double delta = x - m->mean;
+    m->mean += delta / (double)m->count;
+    m->m2 += delta * (x - m->mean);
+    if (m->count == 1 || value < m->min)
+        m->min = value;
+    if (m->count == 1 || value > m->max)
+        m->max = value;
+}
+
+/* One P² quantile tracker (repro.stats.latency.P2Quantile): the first five
+   samples, then five marker heights, positions and desired positions.
+   The middle marker's height is an int sample until the marker first
+   moves (``moved``), as in Python. */
+typedef struct {
+    double fraction;
+    i64 n, initial[5];
+    double h[5], pos[5], want[5], rate[5];
+    int moved;
+} P2;
+
+/* Insertion sort of the (at most five) initial samples. */
+static void
+sort_samples(i64 *v, int n)
+{
+    for (int i = 1; i < n; i++)
+        for (int k = i; k > 0 && v[k] < v[k - 1]; k--) {
+            i64 swap = v[k];
+            v[k] = v[k - 1];
+            v[k - 1] = swap;
+        }
+}
+
+static void
+p2_add(P2 *q, i64 value)
+{
+    if (q->n < 5) {
+        q->initial[q->n++] = value;
+        if (q->n == 5) {
+            sort_samples(q->initial, 5);
+            double p = q->fraction;
+            double want[5] = {1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0};
+            double rate[5] = {0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0};
+            for (int i = 0; i < 5; i++) {
+                q->h[i] = (double)q->initial[i];
+                q->pos[i] = i + 1.0;
+                q->want[i] = want[i];
+                q->rate[i] = rate[i];
+            }
+        }
+        return;
+    }
+    q->n++;
+    double x = (double)value, *h = q->h, *pos = q->pos;
+    int cell = 0;
+    if (x < h[0])
+        h[0] = x;
+    else if (x >= h[4]) {
+        h[4] = x;
+        cell = 3;
+    }
+    else
+        while (cell < 3 && x >= h[cell + 1])
+            cell++;
+    for (int i = cell + 1; i < 5; i++)
+        pos[i] += 1.0;
+    for (int i = 0; i < 5; i++)
+        q->want[i] += q->rate[i];
+    for (int i = 1; i < 4; i++) {
+        double drift = q->want[i] - pos[i];
+        if (!((drift >= 1.0 && pos[i + 1] - pos[i] > 1.0)
+              || (drift <= -1.0 && pos[i - 1] - pos[i] < -1.0)))
+            continue;
+        double step = drift >= 1.0 ? 1.0 : -1.0;
+        double below = pos[i] - pos[i - 1], above = pos[i + 1] - pos[i];
+        double span = pos[i + 1] - pos[i - 1];
+        double candidate = h[i] + (step / span) * ((below + step) * (h[i + 1] - h[i]) / above
+                                                   + (above - step) * (h[i] - h[i - 1]) / below);
+        if (h[i - 1] < candidate && candidate < h[i + 1]) {
+            h[i] = candidate;
+        }
+        else {
+            int neighbor = i + (int)step;
+            h[i] = h[i] + step * (h[neighbor] - h[i]) / (pos[neighbor] - pos[i]);
+        }
+        pos[i] += step;
+        q->moved |= i == 2;
+    }
+}
+
+/* Every delivery's accounting (StatsCollector.record_delivered): messages
+   with creation index in [warmup, warmup + measure) are measured (measure
+   < 0: no upper end); ``first`` is -1 until the first measured delivery. */
+typedef struct {
+    i64 warmup, measure, delivered, measured, measured_flits, first, last;
+    Moments total, network, hops;
+    P2 p50, p99;
+} Tally;
+
+static void
+tally_init(Tally *t, i64 warmup, i64 measure)
+{
+    memset(t, 0, sizeof(Tally));
+    t->warmup = warmup;
+    t->measure = measure;
+    t->first = -1;
+    t->p50.fraction = 0.5;
+    t->p99.fraction = 0.99;
+}
+
+/* Account one delivered message created at ``created`` with creation
+   index ``index`` (-1: none), injected at ``injected``, of ``length``
+   flits, after ``hops`` hops, delivered at ``cycle``. */
+static void
+tally_add(Tally *t, i64 index, i64 created, i64 injected, int length, int hops, i64 cycle)
+{
+    t->delivered++;
+    t->last = cycle;
+    if (index < t->warmup || (t->measure >= 0 && index >= t->warmup + t->measure))
+        return;
+    t->measured++;
+    t->measured_flits += length;
+    moments_add(&t->total, cycle - created);
+    p2_add(&t->p50, cycle - created);
+    p2_add(&t->p99, cycle - created);
+    moments_add(&t->network, cycle - injected);
+    moments_add(&t->hops, hops);
+    if (t->first < 0)
+        t->first = cycle;
+}
+
+/* (count, mean, variance, minimum, maximum), typed like RunningStats'
+   properties: 0.0 for the mean, variance and bounds of too few samples,
+   int bounds otherwise. */
+static PyObject *
+moments_tuple(const Moments *m)
+{
+    double variance = m->count > 1 ? m->m2 / (double)(m->count - 1) : 0.0;
+    if (!m->count)
+        return Py_BuildValue("(Ldddd)", m->count, 0.0, variance, 0.0, 0.0);
+    return Py_BuildValue("(LddLL)", m->count, m->mean, variance, m->min, m->max);
+}
+
+/* P2Quantile.value: 0.0 without samples; the exact nearest-rank sample
+   (ceiling rule) of fewer than five; then the middle marker's height, an
+   int until that marker first moved. */
+static PyObject *
+p2_value(const P2 *q)
+{
+    if (q->n >= 5)
+        return q->moved ? PyFloat_FromDouble(q->h[2]) : PyLong_FromLongLong((i64)q->h[2]);
+    if (!q->n)
+        return PyFloat_FromDouble(0.0);
+    i64 ordered[5];
+    memcpy(ordered, q->initial, sizeof(ordered));
+    sort_samples(ordered, (int)q->n);
+    i64 rank = (i64)ceil(q->fraction * (double)q->n);
+    i64 at = rank - 1 < 0 ? 0 : rank - 1;
+    return PyLong_FromLongLong(ordered[at < q->n - 1 ? at : q->n - 1]);
+}
+
 /* -- routing decisions and message slots -------------------------------------- */
 
 /* A decoded RouteDecision: the ``n`` adaptive candidate ports in decision
@@ -191,10 +376,12 @@ typedef struct {
 
 /* Header state of one message in flight: the message, its destination and
    length, the dateline mask, the hops taken, the look-ahead node and a copy
-   of its decision, and the cycle the header last reached a buffer. */
+   of its decision, and the cycle the header last reached a buffer; for the
+   statistics its creation index (-1: none) and cycle and the cycle its
+   header was injected. */
 typedef struct {
     PyObject *msg;
-    i64 arrival;
+    i64 arrival, index, created, injected;
     int dest, len, mask, hops, la_node;
     Decision la;
 } Slot;
@@ -264,9 +451,14 @@ typedef struct {
     int *snap;
 
     /* Cycles run() stepped (the rest of its span it jumped), and whether
-       the current cycle called messages_due or record_delivered. */
+       the current cycle called messages_due or delivered a message. */
     i64 cycles_visited;
     int progressed;
+
+    /* The measured-message statistics, and the statistics collector's
+       delivery callbacks (its live list), run on every delivery. */
+    Tally tally;
+    PyObject *callbacks;
 
     /* Routing decisions: per node its coordinates (dimension 0 fastest in
        the node id), and under a sign rule the [node][sign class] table of
@@ -410,14 +602,33 @@ int_attr(PyObject *obj, PyObject *name, long *out)
     return 0;
 }
 
+/* Read an int attribute as an i64, None as -1; -1 with an exception set
+   on failure. */
+static int
+i64_attr(PyObject *obj, PyObject *name, i64 *out)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return -1;
+    *out = value == Py_None ? -1 : PyLong_AsLongLong(value);
+    Py_DECREF(value);
+    if (*out == -1 && PyErr_Occurred())
+        return -1;
+    return 0;
+}
+
 /* Take a message slot for ``message`` and reset its header state (the
-   arrival cycle is written when the header reaches a buffer). */
+   arrival cycle is written when the header reaches a buffer, the
+   injection cycle when the header is sent). */
 static int
 new_slot(Core *c, PyObject *message)
 {
     long destination, length;
+    i64 index, created;
     if (int_attr(message, s_destination, &destination) < 0
-        || int_attr(message, s_length, &length) < 0)
+        || int_attr(message, s_length, &length) < 0
+        || i64_attr(message, s_creation_index, &index) < 0
+        || i64_attr(message, s_creation_cycle, &created) < 0)
         return -1;
     Py_ssize_t slot;
     if (c->slot_free.n) {
@@ -444,6 +655,8 @@ new_slot(Core *c, PyObject *message)
     c->slots[slot].mask = 0;
     c->slots[slot].hops = 0;
     c->slots[slot].la_node = -1;
+    c->slots[slot].index = index;
+    c->slots[slot].created = created;
     return (int)slot;
 }
 
@@ -541,30 +754,29 @@ deliver_cycle(Core *c, i64 cycle)
                 failed = 1;
                 break;
             }
-            PyObject *hops = small_int(c, c->slots[s].hops);
+            Slot *sl = &c->slots[s];
+            PyObject *hops = small_int(c, sl->hops);
             failed = hops == NULL || PyObject_SetAttr(message, s_hops, hops) < 0
                      || PyObject_SetAttr(message, s_ejection_cycle, py_cycle) < 0;
             Py_XDECREF(hops);
             if (failed)
                 break;
-            /* The slot is released before the callback runs, and the
-               message kept alive by this frame. */
-            c->slots[s].msg = NULL;
-            if (ivec_push(&c->slot_free, s) < 0) {
-                Py_DECREF(message);
-                failed = 1;
-                break;
-            }
-            PyObject *args[3] = {c->stats, message, py_cycle};
-            PyObject *done = PyObject_VectorcallMethod(
-                s_record_delivered, args, 3, NULL);
+            tally_add(&c->tally, sl->index, sl->created, sl->injected, sl->len, sl->hops, cycle);
             c->progressed = 1;
-            Py_DECREF(message);
-            if (done == NULL) {
-                failed = 1;
-                break;
+            /* The slot is released before the callbacks run, and the
+               message kept alive by this frame. */
+            sl->msg = NULL;
+            failed = ivec_push(&c->slot_free, s) < 0;
+            PyObject *args[2] = {message, py_cycle};
+            for (Py_ssize_t k = 0; !failed && k < PyList_GET_SIZE(c->callbacks); k++) {
+                PyObject *callback = PyList_GET_ITEM(c->callbacks, k);
+                Py_INCREF(callback);
+                PyObject *result = PyObject_Vectorcall(callback, args, 2, NULL);
+                Py_DECREF(callback);
+                failed = result == NULL;
+                Py_XDECREF(result);
             }
-            Py_DECREF(done);
+            Py_DECREF(message);
         }
         lane->n = 0;
         Py_XDECREF(py_cycle);
@@ -1266,6 +1478,7 @@ evaluate_interface(Core *c, int node, i64 cycle, PyObject **py_cycle)
         c->ni_credits[s]--;
         if (left == c->slots[slot].len) {
             flit |= HEAD;
+            c->slots[slot].injected = cycle;
             if (cycle_int(cycle, py_cycle) == NULL
                 || PyObject_SetAttr(c->slots[slot].msg, s_injection_cycle, *py_cycle) < 0)
                 return -1;
@@ -1423,10 +1636,14 @@ check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t expected)
     return 0;
 }
 
-/* done(): 1 when it holds, 0 when not, -1 with an exception set. */
+/* done(): 1 when it holds, 0 when not, -1 with an exception set.  A None
+   ``done`` is the open-loop stop, read off the core's own count: every
+   measured message delivered (StatsCollector.all_measured_delivered). */
 static int
-call_done(PyObject *done)
+call_done(Core *c, PyObject *done)
 {
+    if (done == Py_None)
+        return c->tally.measure >= 0 && c->tally.measured >= c->tally.measure;
     PyObject *result = PyObject_CallNoArgs(done);
     if (result == NULL)
         return -1;
@@ -1442,9 +1659,9 @@ call_done(PyObject *done)
    jump the idle spans next_event reports (never past ``end``), and stop
    at ``end`` or at the cycle after the one in which ``done()`` came to
    hold; return the cycle it stopped at.  ``done`` may change only inside
-   a messages_due or record_delivered callback, so it is asked on entry
-   and then only after a cycle that made one of those calls: the run stops
-   where checking it every cycle would stop it. */
+   a messages_due call or a delivery, so it is asked on entry and then
+   only after a cycle that made one of those: the run stops where checking
+   it every cycle would stop it. */
 static PyObject *
 Core_run(Core *c, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1453,7 +1670,7 @@ Core_run(Core *c, PyObject *const *args, Py_ssize_t nargs)
         || parse_cycle(args[0], &now) < 0 || parse_cycle(args[1], &end) < 0)
         return NULL;
     PyObject *done = args[2];
-    int holds = now < end ? call_done(done) : 0;
+    int holds = now < end ? call_done(c, done) : 0;
     while (now < end && !holds) {
         i64 upcoming = next_event(c, now);
         if (upcoming > now) {
@@ -1467,7 +1684,7 @@ Core_run(Core *c, PyObject *const *args, Py_ssize_t nargs)
         if ((++c->cycles_visited & SIGNAL_CHECK_MASK) == 0 && PyErr_CheckSignals() < 0)
             return NULL;
         if (c->progressed)
-            holds = call_done(done);
+            holds = call_done(c, done);
     }
     if (holds < 0)
         return NULL;
@@ -1780,6 +1997,32 @@ Core_state(Core *c, PyObject *Py_UNUSED(ignored))
         return NULL;
     }
     return d;
+}
+
+/* The delivery accounting StatsCollector.summary reads: (delivered,
+   measured, measured flits, first measured delivery cycle or None, last
+   delivery cycle, the total latency's, network latency's and hops'
+   (count, mean, variance, minimum, maximum), p50, p99 of the total
+   latency). */
+static PyObject *
+Core_tally(Core *c, PyObject *Py_UNUSED(ignored))
+{
+    if (check_ready(c) < 0)
+        return NULL;
+    const Tally *t = &c->tally;
+    PyObject *parts[6] = {
+        t->first < 0 ? Py_NewRef(Py_None) : PyLong_FromLongLong(t->first),
+        moments_tuple(&t->total), moments_tuple(&t->network), moments_tuple(&t->hops),
+        p2_value(&t->p50), p2_value(&t->p99),
+    };
+    PyObject *result = NULL;
+    if (parts[0] && parts[1] && parts[2] && parts[3] && parts[4] && parts[5])
+        result = Py_BuildValue("(LLLOLOOOOO)", t->delivered, t->measured, t->measured_flits,
+                               parts[0], t->last, parts[1], parts[2], parts[3], parts[4],
+                               parts[5]);
+    for (int i = 0; i < 6; i++)
+        Py_XDECREF(parts[i]);
+    return result;
 }
 
 /* Per-node header counters (True), or the flits each node's crossbar
@@ -2112,6 +2355,17 @@ Core_init(Core *c, PyObject *args, PyObject *kwargs)
 
     if (spec_int(spec, "sign_rule", &c->sign_rule) < 0 || init_decisions(c, spec) < 0)
         return -1;
+    int warmup, measure;
+    PyObject *callbacks = PyDict_GetItemString(spec, "delivery_callbacks");
+    if (spec_int(spec, "warmup_messages", &warmup) < 0
+        || spec_int(spec, "measure_messages", &measure) < 0)
+        return -1;
+    if (callbacks == NULL || !PyList_Check(callbacks) || warmup < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "core spec needs warmup_messages >= 0 and a delivery_callbacks list");
+        return -1;
+    }
+    tally_init(&c->tally, warmup, measure);
 
     for (int g = 0; g < nc; g++) {
         c->in_out_g[g] = -1;
@@ -2149,6 +2403,8 @@ Core_init(Core *c, PyObject *args, PyObject *kwargs)
     c->stats = stats;
     Py_INCREF(status_cls);
     c->status_cls = status_cls;
+    Py_INCREF(callbacks);
+    c->callbacks = callbacks;
     c->ready = 1;
     return 0;
 }
@@ -2163,6 +2419,7 @@ Core_traverse(Core *c, visitproc visit, void *arg)
     Py_VISIT(c->sources);
     Py_VISIT(c->stats);
     Py_VISIT(c->status_cls);
+    Py_VISIT(c->callbacks);
     for (Py_ssize_t s = 0; s < c->slot_n; s++)
         Py_VISIT(c->slots[s].msg);
     if (c->ni_queue != NULL)
@@ -2181,6 +2438,7 @@ Core_clear(Core *c)
     Py_CLEAR(c->sources);
     Py_CLEAR(c->stats);
     Py_CLEAR(c->status_cls);
+    Py_CLEAR(c->callbacks);
     for (Py_ssize_t s = 0; s < c->slot_n; s++)
         Py_CLEAR(c->slots[s].msg);
     if (c->ni_queue != NULL)
@@ -2248,6 +2506,46 @@ static PyMethodDef Core_methods[] = {
      "Every state array as plain Python lists, in a dict."},
     {"counters", (PyCFunction)Core_counters, METH_O,
      "Per-node headers_routed (True) or flits_forwarded (False) counters."},
+    {"tally", (PyCFunction)Core_tally, METH_NOARGS,
+     "The delivery accounting StatsCollector.summary reads, as a tuple."},
+    {NULL, NULL, 0, NULL},
+};
+
+/* latency_stats(samples): the ints ``samples`` fed in order through the
+   accumulators the core keeps per measured message -- ((count, mean,
+   variance, minimum, maximum), p50, p99) -- for comparison with
+   RunningStats and P2Quantile. */
+static PyObject *
+latency_stats(PyObject *Py_UNUSED(module), PyObject *samples)
+{
+    PyObject *fast = PySequence_Fast(samples, "latency_stats needs a sequence of ints");
+    if (fast == NULL)
+        return NULL;
+    Tally t;
+    tally_init(&t, 0, -1);
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(fast); i++) {
+        i64 value = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(fast, i));
+        if (value == -1 && PyErr_Occurred()) {
+            Py_DECREF(fast);
+            return NULL;
+        }
+        moments_add(&t.total, value);
+        p2_add(&t.p50, value);
+        p2_add(&t.p99, value);
+    }
+    Py_DECREF(fast);
+    PyObject *parts[3] = {moments_tuple(&t.total), p2_value(&t.p50), p2_value(&t.p99)};
+    PyObject *result = NULL;
+    if (parts[0] && parts[1] && parts[2])
+        result = PyTuple_Pack(3, parts[0], parts[1], parts[2]);
+    for (int i = 0; i < 3; i++)
+        Py_XDECREF(parts[i]);
+    return result;
+}
+
+static PyMethodDef module_methods[] = {
+    {"latency_stats", latency_stats, METH_O,
+     "((count, mean, variance, minimum, maximum), p50, p99) of a stream of ints."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2270,6 +2568,7 @@ static struct PyModuleDef flatcore_module = {
     .m_name = "_flatcore",
     .m_doc = "The flat network core's per-cycle work (see repro.network.flatcore).",
     .m_size = -1,
+    .m_methods = module_methods,
 };
 
 #define INTERN(var, text)                                  \
@@ -2283,10 +2582,11 @@ PyInit__flatcore(void)
     INTERN(s_messages_due, "messages_due");
     INTERN(s_next_due_cycle, "next_due_cycle");
     INTERN(s_record_created, "record_created");
-    INTERN(s_record_delivered, "record_delivered");
     INTERN(s_hops, "hops");
     INTERN(s_injection_cycle, "injection_cycle");
     INTERN(s_ejection_cycle, "ejection_cycle");
+    INTERN(s_creation_index, "creation_index");
+    INTERN(s_creation_cycle, "creation_cycle");
     INTERN(s_destination, "destination");
     INTERN(s_length, "length");
     INTERN(s_adaptive_ports, "adaptive_ports");

@@ -75,12 +75,27 @@ this module; Python keeps the wiring tables' construction.
   ``select`` called back with each candidate's
   :class:`~repro.selection.base.OutputPortStatus`.
 
-Beyond those callbacks, Python is called only where traffic and
-statistics live: the traffic sources' ``messages_due`` and
-``next_due_cycle``, and the statistics collector's ``record_created``
-and ``record_delivered`` (the message's ``hops``, counted in its slot,
-is written just before).  Sources are asked for messages only when one
-is due:
+Beyond those callbacks, Python is called only where traffic lives: the
+traffic sources' ``messages_due`` and ``next_due_cycle``, the statistics
+collector's ``record_created`` (looked up by name on every message, so a
+wrapper set on the instance later is honoured), and its delivery
+callbacks, if any (closed-loop workloads).  Sources are asked for
+messages only when one is due:
+
+* *Statistics.*  The core accounts every delivery itself: a message
+  slot carries the creation index ``record_created`` stamped on the
+  message, its creation cycle and its injection cycle, and the tail's
+  ejection updates the delivered count and, for a measured message,
+  the Welford moments of the total and network latency and the hops
+  and the P² p50/p99 trackers -- the double operations of
+  :class:`~repro.stats.latency.RunningStats` and
+  :class:`~repro.stats.latency.P2Quantile`, in the same order (the build
+  turns off floating-point contraction).  The message's ``hops``,
+  ``injection_cycle`` and ``ejection_cycle`` are still written.  The
+  collector reads it all through the core's ``tally``
+  (:meth:`~repro.stats.collector.StatsCollector.read_tally_from`), and
+  ``run(start, end, None)`` stops an open loop on the core's own
+  measured count.
 
 * *Due cache.*  ``src_due[node]`` holds the source's ``next_due_cycle``,
   re-read once right after each ``messages_due`` call and lowered by
@@ -96,16 +111,18 @@ is due:
   cycles it steps in ``state()["cycles_visited"]`` and checks for
   signals every few thousand of them.
 
-The extension is compiled on first use
-with the interpreter's own compiler settings (``sysconfig``: ``CC``,
-the include directory and ``EXT_SUFFIX``; ``-O2 -shared -fPIC``) into a
+The extension is compiled on first use with the interpreter's own
+compiler settings (``sysconfig``: ``CC``, the include directory and
+``EXT_SUFFIX``; ``-O2 -shared -fPIC -ffp-contract=off``) into a
 per-user build cache, ``$XDG_CACHE_HOME/repro`` or else
-``~/.cache/repro``, under a name carrying the SHA-256 of the source and
-the ABI tag, so every checkout shares one build; a build is written
-under a temporary name and renamed into place, so concurrent pool
-workers never load a partial file.  Without a working compiler or the
-Python headers, building a flat core raises a ``RuntimeError`` naming
-the failed command; ``core_mode="objects"`` needs neither.
+``~/.cache/repro``, under a name carrying the SHA-256 of the source, the
+compiler and its flags and the ABI tag, so every checkout shares one
+build.  A build is written under a temporary name and renamed into
+place, so concurrent pool workers never load a partial file; then the
+cache's other builds for the same ABI are deleted.  Without a working
+compiler or the Python headers, building a flat core raises a
+``RuntimeError`` naming the failed command; ``core_mode="objects"``
+needs neither.
 """
 
 from __future__ import annotations
@@ -178,26 +195,33 @@ def _cache_dir() -> Path:
     return Path(root) / "repro"
 
 
-def extension_path() -> Path:
-    """Where the compiled core for this source and interpreter ABI lives.
+def _compiler_flags() -> List[str]:
+    """The compiler and its flags: the interpreter's own ``CC`` and
+    headers, ``-O2 -shared -fPIC -ffp-contract=off`` (no fused
+    multiply-add, so the C statistics round exactly like Python's)."""
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    include = sysconfig.get_paths()["include"]
+    return [*compiler, "-O2", "-shared", "-fPIC", "-ffp-contract=off", f"-I{include}"]
 
-    The file name carries the SHA-256 of the C source plus the
-    interpreter's extension suffix (its ABI tag), so every checkout of
-    the same source shares one build and an edited source never loads a
-    stale one.
+
+def extension_path() -> Path:
+    """Where the compiled core for this source, build and interpreter ABI
+    lives.
+
+    The file name carries the SHA-256 of the C source, the compiler and
+    its flags, plus the interpreter's extension suffix (its ABI tag), so
+    every checkout of the same source shares one build, and an edited
+    source or a changed flag never loads a stale one.
     """
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    digest = hashlib.sha256(_SOURCE.read_bytes() + suffix.encode()).hexdigest()
+    build = "\0".join([*_compiler_flags(), suffix]).encode()
+    digest = hashlib.sha256(_SOURCE.read_bytes() + b"\0" + build).hexdigest()
     return _cache_dir() / f"_flatcore-{digest[:16]}{suffix}"
 
 
 def build_command(target: Path) -> List[str]:
-    """The compiler command that builds the core into ``target``: the
-    interpreter's own ``CC`` and headers, ``-O2 -shared -fPIC``."""
-    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    include = sysconfig.get_paths()["include"]
-    flags = ["-O2", "-shared", "-fPIC", f"-I{include}"]
-    return [*compiler, *flags, str(_SOURCE), "-o", str(target)]
+    """The compiler command that builds the core into ``target``."""
+    return [*_compiler_flags(), str(_SOURCE), "-o", str(target)]
 
 
 def _compile(target: Path) -> None:
@@ -210,6 +234,7 @@ def _compile(target: Path) -> None:
         target.parent.mkdir(parents=True, exist_ok=True)
         subprocess.run(command, check=True, capture_output=True, text=True)
         os.replace(temporary, target)
+        _remove_stale_builds(target)
     except (OSError, subprocess.CalledProcessError) as error:
         detail = getattr(error, "stderr", None) or str(error)
         raise RuntimeError(
@@ -220,6 +245,17 @@ def _compile(target: Path) -> None:
         ) from error
     finally:
         temporary.unlink(missing_ok=True)
+
+
+def _remove_stale_builds(target: Path) -> None:
+    """Delete the cache's other builds for this ABI: earlier sources or
+    flags, which no checkout of this source loads again.  A process that
+    has one loaded keeps its mapping; a checkout that still needs one
+    rebuilds it."""
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    for stale in target.parent.glob(f"_flatcore-*{suffix}"):
+        if stale != target:
+            stale.unlink(missing_ok=True)
 
 
 _EXTENSION = None
@@ -333,10 +369,10 @@ class FlatNetworkCore:
     cycle bounded by the wheel size, so the lane for the current cycle
     is always exact.  Ejections are pushed in ascending node order and
     each node's local output port forwards at most one flit per cycle,
-    so the eject drain reports deliveries to the statistics collector in
-    the same node order as the object interfaces -- keeping even the
-    floating-point accumulation order of the latency statistics
-    identical.
+    so the eject drain accounts deliveries in the same node order as
+    the object interfaces report them to the statistics collector --
+    keeping even the floating-point accumulation order of the latency
+    statistics identical.
     """
 
     def __init__(self, parts: FlatCoreParts, stats) -> None:
@@ -446,6 +482,9 @@ class FlatNetworkCore:
             mesh_dims=list(topology.dims) if sign_rule else [],
             decision_table=decision_table,
             selector_kinds=[_C_SELECTORS.get(type(selector), 0) for selector in parts.selectors],
+            warmup_messages=stats.warmup_messages,
+            measure_messages=-1 if stats.measure_messages is None else stats.measure_messages,
+            delivery_callbacks=stats.delivery_callbacks,
         )
         self._core = core = extension.Core(
             spec,
@@ -460,6 +499,7 @@ class FlatNetworkCore:
         self.evaluate = core.evaluate
         self.next_event_cycle = core.next_event_cycle
         self.wake_interface = core.wake_interface
+        stats.read_tally_from(core.tally)
 
     @property
     def flits_forwarded(self) -> List[int]:

@@ -104,6 +104,7 @@ class Topology:
         for node in range(self._num_nodes):
             for port in range(1, self.radix):
                 self._neighbor_table[node][port] = self._compute_neighbor(node, port)
+        self._average_distance: Optional[float] = None
 
     # -- geometry ----------------------------------------------------------
 
@@ -236,8 +237,11 @@ class Topology:
         So the exact integer total is, summed over ``d``, ``(N / k_d)^2``
         times the summed distances between the nodes at coordinates ``a``
         and ``b`` of axis ``d`` (all other coordinates zero): O(sum k_d^2)
-        instead of O(N^2).
+        instead of O(N^2).  A topology never changes, so the value is
+        computed once per instance.
         """
+        if self._average_distance is not None:
+            return self._average_distance
         total = 0
         stride = 1  # node ids vary fastest along dimension 0
         for extent in self._dims:
@@ -248,7 +252,8 @@ class Topology:
             )
             total += (self._num_nodes // extent) ** 2 * axis_total
             stride *= extent
-        return total / (self._num_nodes * (self._num_nodes - 1))
+        self._average_distance = total / (self._num_nodes * (self._num_nodes - 1))
+        return self._average_distance
 
     # -- capacity ----------------------------------------------------------
 

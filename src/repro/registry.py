@@ -327,12 +327,13 @@ def validate_config_names(config) -> None:
     Raises ``ValueError`` naming the offending field, the bad value and
     the sorted registered alternatives -- at configuration-construction
     time, instead of deep inside network assembly.  One cross-field
-    check rides along: on a wrapping topology (``wraps`` attribute of
-    its factory) the routing factory's ``validate_wraparound`` runs, so
-    a routing x topology x escape-VC mismatch fails here with a pointed
-    error instead of a ValueError from deep inside network wiring.
-    Plugin factories without these attributes are skipped and keep
-    their wiring-time behaviour.
+    check rides along: the routing factory's ``validate_config(config,
+    wraps)`` runs on every topology, told whether it wraps (the
+    ``wraps`` attribute of the topology factory), so a routing x
+    topology x virtual-channel mismatch fails here with a pointed error
+    instead of a ValueError from deep inside network wiring.  Plugin
+    factories without these attributes are skipped and keep their
+    wiring-time behaviour.
     """
     for field, kind in CONFIG_FIELD_KINDS.items():
         registry = REGISTRIES[kind]
@@ -344,11 +345,9 @@ def validate_config_names(config) -> None:
                 f"SimulationConfig.{field}: unknown {registry.kind} {value!r}; "
                 f"registered alternatives: {', '.join(registry.names()) or '(none)'}"
             )
-    if getattr(TOPOLOGIES.get(config.topology), "wraps", False):
-        routing_factory = ROUTING_ALGORITHMS.get(config.routing)
-        wrap_check = getattr(routing_factory, "validate_wraparound", None)
-        if wrap_check is not None:
-            wrap_check(config)
+    check = getattr(ROUTING_ALGORITHMS.get(config.routing), "validate_config", None)
+    if check is not None:
+        check(config, getattr(TOPOLOGIES.get(config.topology), "wraps", False))
 
 
 def config_component_provenance(config) -> Dict[str, Optional[str]]:

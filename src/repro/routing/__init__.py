@@ -53,13 +53,13 @@ __all__ = [
 
 # -- registry factories --------------------------------------------------------------
 #
-# Each factory may carry a ``validate_wraparound(config)`` attribute:
+# Each factory may carry a ``validate_config(config, wraps)`` attribute:
 # eager config validation (:func:`repro.registry.validate_config_names`)
-# calls it when the selected topology wraps, so a routing x topology x
-# escape-VC mismatch fails at SimulationConfig construction with a
-# pointed cross-field error instead of a ValueError from deep inside
-# network wiring.  Factories without the attribute (plugins) are skipped
-# and keep their wiring-time behaviour.
+# calls it on every topology, telling it whether the topology wraps, so a
+# routing x topology x virtual-channel mismatch fails at SimulationConfig
+# construction with a pointed cross-field error instead of a ValueError
+# from deep inside network wiring.  Factories without the attribute
+# (plugins) are skipped and keep their wiring-time behaviour.
 
 from repro.registry import register as _register  # noqa: E402
 
@@ -72,17 +72,29 @@ def _make_duato(topology, table, config) -> DuatoFullyAdaptiveRouting:
     )
 
 
-def _duato_validate_wraparound(config) -> None:
-    if config.num_escape_vcs < 2:
+def _duato_validate_config(config, wraps: bool) -> None:
+    if config.num_escape_vcs < 1:
+        raise ValueError(
+            "SimulationConfig.num_escape_vcs: routing='duato' needs at least "
+            "one escape VC (its deadlock-free dimension-order channel); got "
+            f"num_escape_vcs={config.num_escape_vcs}"
+        )
+    if wraps and config.num_escape_vcs < 2:
         raise ValueError(
             "SimulationConfig: routing='duato' on a wrapping topology "
             "needs >=2 escape VCs on a torus (dateline discipline: one "
             "escape class before the dateline crossing, one after); got "
             f"num_escape_vcs={config.num_escape_vcs}"
         )
+    if config.vcs_per_port < config.num_escape_vcs + 1:
+        raise ValueError(
+            "SimulationConfig.vcs_per_port: routing='duato' needs the "
+            f"{config.num_escape_vcs} escape VC(s) plus at least one adaptive "
+            f"VC per port; got vcs_per_port={config.vcs_per_port}"
+        )
 
 
-_make_duato.validate_wraparound = _duato_validate_wraparound
+_make_duato.validate_config = _duato_validate_config
 
 
 @_register("routing", "dimension-order")
@@ -91,8 +103,8 @@ def _make_dimension_order(topology, table, config) -> DimensionOrderRouting:
     return DimensionOrderRouting(topology)
 
 
-def _dimension_order_validate_wraparound(config) -> None:
-    if config.vcs_per_port < 2:
+def _dimension_order_validate_config(config, wraps: bool) -> None:
+    if wraps and config.vcs_per_port < 2:
         raise ValueError(
             "SimulationConfig: routing='dimension-order' on a wrapping "
             "topology needs >=2 escape VCs on a torus (all VCs become "
@@ -101,10 +113,12 @@ def _dimension_order_validate_wraparound(config) -> None:
         )
 
 
-_make_dimension_order.validate_wraparound = _dimension_order_validate_wraparound
+_make_dimension_order.validate_config = _dimension_order_validate_config
 
 
-def _turn_model_validate_wraparound(config) -> None:
+def _turn_model_validate_config(config, wraps: bool) -> None:
+    if not wraps:
+        return
     raise ValueError(
         f"SimulationConfig: routing={config.routing!r} is a turn-model "
         "algorithm, which is only deadlock free on meshes; wraparound "
@@ -119,7 +133,7 @@ def _make_north_last(topology, table, config) -> TurnModelRouting:
     return TurnModelRouting(topology, model="north-last")
 
 
-_make_north_last.validate_wraparound = _turn_model_validate_wraparound
+_make_north_last.validate_config = _turn_model_validate_config
 
 
 @_register("routing", "west-first")
@@ -128,7 +142,7 @@ def _make_west_first(topology, table, config) -> TurnModelRouting:
     return TurnModelRouting(topology, model="west-first")
 
 
-_make_west_first.validate_wraparound = _turn_model_validate_wraparound
+_make_west_first.validate_config = _turn_model_validate_config
 
 
 @_register("routing", "negative-first")
@@ -137,4 +151,4 @@ def _make_negative_first(topology, table, config) -> TurnModelRouting:
     return TurnModelRouting(topology, model="negative-first")
 
 
-_make_negative_first.validate_wraparound = _turn_model_validate_wraparound
+_make_negative_first.validate_config = _turn_model_validate_config

@@ -1,14 +1,24 @@
 """Per-message statistics collection with warm-up handling.
 
-Messages are numbered in creation order across the whole network.  The
+Messages are numbered in creation order across the whole network: the
+collector stamps each one's ``creation_index`` as it registers it.  The
 first ``warmup_messages`` of them are excluded from the reported
 statistics, matching the paper's methodology (10,000 warm-up injections
 before the 400,000 measured ones).
+
+The object core reports every delivery through
+:meth:`StatsCollector.record_delivered`, whose Python accumulators are
+the executable reference.  The flat C core keeps the same accumulators
+itself, updated with the same double operations in the same order, and
+the collector reads them through the core's ``tally`` (see
+:meth:`StatsCollector.read_tally_from`); it then calls only the delivery
+callbacks back on a delivery.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+import math
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.stats.latency import LatencySummary, P2Quantile, RunningStats
 
@@ -36,7 +46,6 @@ class StatsCollector:
         self._delivered = 0
         self._measured_delivered = 0
         self._measured_flits = 0
-        self._order: Dict[int, int] = {}
         # p50/p99 ride on streaming P² estimators, so the headline
         # percentiles need no per-message sample list (memory stays flat
         # on 400k-message runs).
@@ -48,11 +57,13 @@ class StatsCollector:
         self._first_measured_delivery: Optional[int] = None
         self._last_delivery_cycle = 0
         #: Observers of every tail-flit ejection (closed-loop workload
-        #: engines release DAG successors from here).  The collector is
-        #: the single delivery point shared by the object interfaces and
-        #: the flat core, so hooking here guarantees both cores fire the
-        #: same callbacks at the same cycles in the same order.
+        #: engines release DAG successors from here).  The object
+        #: interfaces run them from ``record_delivered`` and the flat core
+        #: from its own delivery accounting, so both cores fire the same
+        #: callbacks at the same cycles in the same order.
         self._delivery_callbacks: List[Callable[["Message", int], None]] = []
+        #: The flat core's ``tally`` once it accumulates for this collector.
+        self._core_tally: Optional[Callable[[], tuple]] = None
 
     # -- recording ---------------------------------------------------------------
 
@@ -62,25 +73,35 @@ class StatsCollector:
         """Invoke ``callback(message, cycle)`` on every delivered tail flit.
 
         Callbacks see every delivery (warm-up included) and run after the
-        collector's own streaming accounting; they must not retain the
-        message (the collector itself keeps no per-message state after
-        delivery, and observers are expected to match).
+        streaming accounting; they must not retain the message (the
+        collector keeps no per-message state, and observers are expected
+        to match).
         """
         self._delivery_callbacks.append(callback)
 
+    @property
+    def delivery_callbacks(self) -> List[Callable[["Message", int], None]]:
+        """The registered delivery callbacks: the live list, which a core
+        that accounts deliveries itself calls on each one."""
+        return self._delivery_callbacks
+
+    def read_tally_from(self, tally: Callable[[], tuple]) -> None:
+        """Read every delivery count and statistic from ``tally()`` from
+        now on: a core that accounts deliveries itself (the flat C core)
+        instead of calling :meth:`record_delivered`.  ``tally()`` returns
+        :meth:`_tally`'s tuple."""
+        self._core_tally = tally
+
     def record_created(self, message: "Message") -> None:
-        """Register a newly generated message (assigns its creation index)."""
-        self._order[message.message_id] = self._created
+        """Register a newly generated message: stamp its creation index."""
+        message.creation_index = self._created
         self._created += 1
 
     def record_delivered(self, message: "Message", cycle: int) -> None:
         """Register delivery of a message's tail flit and accumulate latency."""
         self._delivered += 1
         self._last_delivery_cycle = cycle
-        # Pop (rather than read) the creation index: each message is
-        # delivered at most once, and keeping one dict entry per created
-        # message would grow memory without bound on long runs.
-        index = self._order.pop(message.message_id, None)
+        index = message.creation_index
         measured = (
             index is not None
             and index >= self._warmup
@@ -112,11 +133,15 @@ class StatsCollector:
     @property
     def delivered(self) -> int:
         """Messages delivered so far (including warm-up)."""
+        if self._core_tally is not None:
+            return self._core_tally()[0]
         return self._delivered
 
     @property
     def measured_delivered(self) -> int:
         """Measured (post-warm-up) messages delivered so far."""
+        if self._core_tally is not None:
+            return self._core_tally()[1]
         return self._measured_delivered
 
     @property
@@ -124,44 +149,74 @@ class StatsCollector:
         """Number of leading messages excluded from statistics."""
         return self._warmup
 
+    @property
+    def measure_messages(self) -> Optional[int]:
+        """Messages measured after the warm-up (None: every later one)."""
+        return self._measure_target
+
     def all_measured_delivered(self) -> bool:
         """True once every intended measured message has been delivered."""
         if self._measure_target is None:
             return False
-        return self._measured_delivered >= self._measure_target
+        return self.measured_delivered >= self._measure_target
 
     # -- summary ----------------------------------------------------------------------
 
+    def _tally(self) -> Tuple:
+        """The delivery accounting: ``(delivered, measured, measured
+        flits, first measured delivery cycle or None, last delivery cycle,
+        moments of the total latency, of the network latency and of the
+        hops, p50, p99 of the total latency)``, each moments entry
+        :meth:`RunningStats.moments`."""
+        if self._core_tally is not None:
+            return self._core_tally()
+        return (
+            self._delivered,
+            self._measured_delivered,
+            self._measured_flits,
+            self._first_measured_delivery,
+            self._last_delivery_cycle,
+            self._total_latency.moments(),
+            self._network_latency.moments(),
+            self._hops.moments(),
+            self._p50.value,
+            self._p99.value,
+        )
+
     def summary(self, cycles: int, saturated: bool = False) -> LatencySummary:
         """Aggregate the collected statistics over ``cycles`` simulated cycles."""
+        delivered, measured, flits, first, last, total, network, hops, p50, p99 = (
+            self._tally()
+        )
         if self._measure_target:
-            completion = self._measured_delivered / self._measure_target
+            completion = measured / self._measure_target
         else:
-            completion = 1.0 if self._created == 0 else self._delivered / self._created
-        if self._first_measured_delivery is not None and cycles > 0:
-            window = max(1, self._last_delivery_cycle - self._first_measured_delivery + 1)
-            throughput = self._measured_flits / (window * self._num_nodes)
+            completion = 1.0 if self._created == 0 else delivered / self._created
+        if first is not None and cycles > 0:
+            window = max(1, last - first + 1)
+            throughput = flits / (window * self._num_nodes)
         else:
             throughput = 0.0
+        _, avg_total, variance, _, max_total = total
         return LatencySummary(
             created=self._created,
-            delivered=self._delivered,
-            measured=self._measured_delivered,
-            avg_total_latency=self._total_latency.mean,
-            avg_network_latency=self._network_latency.mean,
-            std_total_latency=self._total_latency.std,
-            max_total_latency=self._total_latency.maximum,
-            avg_hops=self._hops.mean,
+            delivered=delivered,
+            measured=measured,
+            avg_total_latency=avg_total,
+            avg_network_latency=network[1],
+            std_total_latency=math.sqrt(variance),
+            max_total_latency=max_total,
+            avg_hops=hops[1],
             throughput=throughput,
             cycles=cycles,
             completion_ratio=completion,
             saturated=saturated,
-            p50_total_latency=self._p50.value,
-            p99_total_latency=self._p99.value,
+            p50_total_latency=p50,
+            p99_total_latency=p99,
         )
 
     def __repr__(self) -> str:
         return (
-            f"StatsCollector(created={self._created}, delivered={self._delivered}, "
-            f"measured={self._measured_delivered})"
+            f"StatsCollector(created={self._created}, delivered={self.delivered}, "
+            f"measured={self.measured_delivered})"
         )

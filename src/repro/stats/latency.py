@@ -250,6 +250,12 @@ class RunningStats:
         """Largest sample (0.0 when empty)."""
         return self._max if self._count else 0.0
 
+    def moments(self) -> Tuple[int, float, float, float, float]:
+        """``(count, mean, variance, minimum, maximum)``, as the properties
+        read them (the bounds are the samples themselves, so int samples
+        give int bounds)."""
+        return (self._count, self.mean, self.variance, self.minimum, self.maximum)
+
     def __repr__(self) -> str:
         return f"RunningStats(count={self._count}, mean={self.mean:.2f})"
 

@@ -81,6 +81,10 @@ class Message:
     ejection_cycle: Optional[int] = None
     #: Number of routers traversed by the header flit.
     hops: int = 0
+    #: Position in the network-wide creation order, stamped by the
+    #: statistics collector when it registers the message (None before);
+    #: it decides whether the message is warm-up or measured.
+    creation_index: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.length < 1:

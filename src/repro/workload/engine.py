@@ -21,9 +21,9 @@ transfer is injected at its ready cycle; a ready compute step completes
 ``delay`` cycles later without touching the network.
 
 Completions arrive through two paths: transfer tails via the
-delivery callback :meth:`WorkloadEngine.on_delivered` (hooked on
-:meth:`repro.stats.collector.StatsCollector.record_delivered`, the single
-ejection point shared by the object interfaces and the flat core), and
+delivery callback :meth:`WorkloadEngine.on_delivered` (registered with
+:meth:`repro.stats.collector.StatsCollector.add_delivery_callback`, which
+both cores run on every ejection, in the same order), and
 compute steps via the owning source's ``messages_due`` poll at their
 completion cycle.  Every release wakes the successor's home node through
 one ``wake(node, cycle)`` callback (:meth:`WorkloadEngine.attach_wake`),

@@ -75,3 +75,38 @@ def test_out_of_range_numbers_fail_at_construction(field, value, message):
 def test_an_unset_cycle_budget_stays_allowed():
     assert SimulationConfig.tiny(max_cycles=None).max_cycles is None
     assert SimulationConfig.tiny(max_cycles=0).max_cycles == 0
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"vcs_per_port": 1},
+            "SimulationConfig.vcs_per_port: routing='duato' needs the 1 escape "
+            "VC(s) plus at least one adaptive VC per port; got vcs_per_port=1",
+        ),
+        (
+            {"num_escape_vcs": 2, "vcs_per_port": 2},
+            "SimulationConfig.vcs_per_port: routing='duato' needs the 2 escape "
+            "VC(s) plus at least one adaptive VC per port; got vcs_per_port=2",
+        ),
+        (
+            {"num_escape_vcs": 0},
+            "SimulationConfig.num_escape_vcs: routing='duato' needs at least one "
+            "escape VC (its deadlock-free dimension-order channel); got "
+            "num_escape_vcs=0",
+        ),
+    ],
+)
+def test_duato_virtual_channel_counts_fail_at_construction_on_a_mesh(overrides, message):
+    """The routing factory's VC check runs on meshes too, not only on
+    wrapping topologies, so network assembly never meets these."""
+    with pytest.raises(ValueError) as excinfo:
+        SimulationConfig.tiny(routing="duato", **overrides)
+    assert str(excinfo.value) == message
+
+
+def test_the_smallest_duato_and_single_vc_mesh_configs_stay_allowed():
+    assert SimulationConfig.tiny(routing="duato", vcs_per_port=2).vcs_per_port == 2
+    for routing in ("dimension-order", "north-last"):
+        assert SimulationConfig.tiny(routing=routing, vcs_per_port=1).vcs_per_port == 1

@@ -85,3 +85,19 @@ def test_table_storage_study_prints_cost_and_programming_tables():
     assert completed.returncode == 0, completed.stderr
     assert "economical-storage" in completed.stdout
     assert "north_last_ports" in completed.stdout
+
+
+def test_custom_network_prints_each_load_at_two_decimals():
+    """The sweep's loads 0.15/0.3/0.45 keep their second decimal in the
+    printed table (one decimal would show 0.1/0.3/0.5)."""
+    completed = run_example("custom_network.py")
+    assert completed.returncode == 0, completed.stderr
+    rows = [line.split() for line in completed.stdout.splitlines()]
+    labels = [
+        (row[0], row[1]) for row in rows if row and row[0] in ("north-last", "duato")
+    ]
+    assert labels == [
+        (routing, load)
+        for routing in ("north-last", "duato")
+        for load in ("0.15", "0.30", "0.45")
+    ]

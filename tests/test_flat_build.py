@@ -147,6 +147,35 @@ def test_the_build_is_cached_per_source_and_abi(monkeypatch, tmp_path):
     assert flatcore.extension_path() != path
 
 
+def test_a_changed_flag_rebuilds_and_removes_stale_builds(monkeypatch, tmp_path):
+    """The build's name hashes the compiler flags too, and a fresh build
+    deletes the cache's other builds for the same ABI (and only those)."""
+    import sysconfig
+
+    from repro.network import flatcore
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    before = flatcore.extension_path()
+    flags = flatcore._compiler_flags()
+    monkeypatch.setattr(flatcore, "_compiler_flags", lambda: [*flags, "-DREPRO_PROBE"])
+    after = flatcore.extension_path()
+    assert after != before and after.parent == before.parent
+    before.parent.mkdir(parents=True)
+    before.write_bytes(b"an earlier build")
+    other_abi = before.with_name("_flatcore-0123456789abcdef.other-abi.so")
+    other_abi.write_bytes(b"another interpreter's build")
+    unrelated = before.with_name("notes.txt")
+    unrelated.write_text("kept")
+    monkeypatch.setattr(flatcore, "_EXTENSION", None)
+    assert flatcore.core_extension().Core is not None
+    assert "-DREPRO_PROBE" in flatcore.build_command(after)
+    assert sorted(entry.name for entry in after.parent.iterdir()) == sorted(
+        [after.name, other_abi.name, unrelated.name]
+    )
+    assert after.name.endswith(suffix)
+
+
 class _OffCandidateSelector:
     """Answers a port no candidate offers."""
 

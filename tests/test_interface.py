@@ -5,6 +5,7 @@ from repro.network.interface import NetworkInterface
 from repro.network.topology import LOCAL_PORT, MeshTopology
 from repro.core.config import SimulationConfig
 from repro.router.pipeline import LA_PROUD
+from repro.routing.dimension_order import DimensionOrderRouting
 from repro.routing.duato import DuatoFullyAdaptiveRouting
 from repro.stats.collector import StatsCollector
 from repro.tables.economical import EconomicalStorageTable
@@ -28,10 +29,15 @@ class RecordingRouter:
 
 def build_interface(pipeline=LA_PROUD, vcs=2, buffer_depth=5):
     topology = MeshTopology((3, 3))
-    table = EconomicalStorageTable(topology)
-    routing = DuatoFullyAdaptiveRouting(topology, table)
+    # Duato needs an adaptive VC beside its escape VC; one VC per port
+    # takes dimension-order routing.
+    if vcs > 1:
+        routing = DuatoFullyAdaptiveRouting(topology, EconomicalStorageTable(topology))
+    else:
+        routing = DimensionOrderRouting(topology)
     config = SimulationConfig(
         mesh_dims=(3, 3),
+        routing="duato" if vcs > 1 else "dimension-order",
         vcs_per_port=vcs,
         buffer_depth=buffer_depth,
         pipeline=pipeline.name,

@@ -202,7 +202,9 @@ def _stepped(config):
     simulator = NetworkSimulator(config)
     kernel = simulator._kernel
     core = simulator.core
-    done = kernel._done
+    # An open loop hands the flat core done=None (its own count), which
+    # the collector reads back.
+    done = kernel._done or simulator.stats.all_measured_delivered
     forecast_busy = 0
     for _ in range(simulator.default_max_cycles()):
         if done():

@@ -104,16 +104,11 @@ def _random_config(seed: int) -> SimulationConfig:
 
 
 def _run_with_delivery_log(config: SimulationConfig):
-    """Run a simulation recording every delivered message object."""
+    """Run a simulation recording every delivered message object (a
+    delivery callback: both cores run them on every delivery)."""
     simulator = NetworkSimulator(config)
     delivered = []
-    original = simulator.stats.record_delivered
-
-    def spy(message, cycle):
-        delivered.append(message)
-        original(message, cycle)
-
-    simulator.stats.record_delivered = spy
+    simulator.stats.add_delivery_callback(lambda message, cycle: delivered.append(message))
     result = simulator.run()
     return simulator, result, delivered
 

@@ -69,17 +69,17 @@ def test_messages_beyond_measure_target_are_ignored():
     assert collector.all_measured_delivered()
 
 
-def test_delivered_messages_are_pruned_from_the_order_map():
-    """The creation-order map must not grow without bound: delivery pops
-    the entry, so memory stays proportional to in-flight messages."""
+def test_the_creation_index_travels_on_the_message():
+    """Registering a message stamps its creation index on it, so the
+    collector keeps no per-message map that could grow without bound."""
     collector = StatsCollector(warmup_messages=1, measure_messages=10)
     messages = [delivered_message(0, 1, 10 + index) for index in range(5)]
     for message in messages:
         collector.record_created(message)
-    assert len(collector._order) == 5
+    assert [message.creation_index for message in messages] == [0, 1, 2, 3, 4]
+    assert not any(isinstance(value, dict) for value in vars(collector).values())
     for message in messages:
         collector.record_delivered(message, message.ejection_cycle)
-    assert len(collector._order) == 0
     assert collector.measured_delivered == 4  # one warm-up excluded
 
 

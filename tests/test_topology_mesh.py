@@ -144,6 +144,18 @@ def test_average_distance_known_value():
         assert topology.average_distance() == total / (n * (n - 1)), topology
 
 
+def test_average_distance_is_computed_once_per_topology(monkeypatch):
+    """A topology never changes, and every run() lap asks for the
+    zero-load latency, so the pair sum runs once per instance."""
+    topology = MeshTopology((4, 4))
+    first = topology.average_distance()
+    calls = []
+    monkeypatch.setattr(topology, "distance", lambda a, b: calls.append((a, b)) or 0)
+    assert topology.average_distance() == first
+    assert calls == []
+    assert MeshTopology((4, 4)).average_distance() == first
+
+
 def test_bisection_and_saturation_rate():
     mesh = MeshTopology((16, 16))
     assert mesh.bisection_channels() == 32
