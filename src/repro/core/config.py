@@ -90,8 +90,6 @@ class SimulationConfig:
     #: ``"duato"``, ``"dimension-order"``, ``"north-last"``, ``"west-first"`` or
     #: ``"negative-first"``.
     routing: str = "duato"
-    #: Escape virtual channels reserved per physical channel (Duato only).
-    num_escape_vcs: int = 1
     #: Routing-table organisation: ``"full"``, ``"economical"``, ``"meta-row"``,
     #: ``"meta-block"`` or ``"interval"``.
     table: str = "economical"
@@ -167,7 +165,11 @@ class SimulationConfig:
                 self, "link_delays", tuple(int(delay) for delay in self.link_delays)
             )
         if len(self.mesh_dims) < 1:
-            raise ValueError("mesh_dims needs at least one dimension")
+            raise ValueError(f"mesh_dims must have at least one dimension, got {self.mesh_dims}")
+        if min(self.mesh_dims) < 2:
+            raise ValueError(
+                f"mesh_dims must have at least 2 nodes in every dimension, got {self.mesh_dims}"
+            )
         if self.core_mode not in ("objects", "flat"):
             raise ValueError(
                 f"SimulationConfig.core_mode: unknown core {self.core_mode!r}; "
@@ -194,9 +196,9 @@ class SimulationConfig:
                     f"cycle, got link_delays={self.link_delays}"
                 )
         if self.normalized_load < 0:
-            raise ValueError("normalized load cannot be negative")
+            raise ValueError(f"normalized_load must be non-negative, got {self.normalized_load}")
         if self.message_length < 1:
-            raise ValueError("messages are at least one flit long")
+            raise ValueError(f"message_length must be at least 1 flit, got {self.message_length}")
         if self.warmup_messages < 0:
             raise ValueError(
                 "invalid measurement window: warmup_messages must be at least 0, "
@@ -211,24 +213,24 @@ class SimulationConfig:
             raise ValueError(f"max_cycles must be non-negative, got {self.max_cycles}")
         if self.drain_factor <= 0:
             raise ValueError(f"drain_factor must be positive, got {self.drain_factor}")
-        if self.workload_iters < 1:
-            raise ValueError("workload_iters must be at least 1")
-        if self.workload_window < 1:
-            raise ValueError("workload_window must be at least 1")
-        if self.workload_layers < 1:
-            raise ValueError("workload_layers must be at least 1")
+        for name in ("workload_iters", "workload_window", "workload_layers", "replications"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.workload_hidden < 1:
-            raise ValueError("workload_hidden must be at least 1 flit")
+            raise ValueError(
+                f"workload_hidden must be at least 1 flit, got {self.workload_hidden}"
+            )
         if self.workload_group < 0:
-            raise ValueError("workload_group cannot be negative (0 = all nodes)")
+            raise ValueError(
+                f"workload_group must be non-negative (0 = all nodes), got {self.workload_group}"
+            )
         if self.workload_compute < 0:
-            raise ValueError("workload_compute cannot be negative")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+            raise ValueError(f"workload_compute must be non-negative, got {self.workload_compute}")
         if self.seed_stride < 1:
             # A zero stride would run the same seed repeatedly and report
             # a spurious zero-width confidence interval.
-            raise ValueError("seed_stride must be at least 1")
+            raise ValueError(f"seed_stride must be at least 1, got {self.seed_stride}")
         self.validate()
 
     def validate(self) -> None:

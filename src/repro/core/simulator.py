@@ -14,7 +14,8 @@ at construction and then only read, so simulators that build the same
 network share it: the process keeps its :data:`_SHARED_BUILDS` most
 recent ``(topology, table, routing)`` builds whose three registry entries
 are all built-ins, keyed on the inputs their factories read (the three
-names and provenances, ``mesh_dims`` and ``num_escape_vcs``).  The routing
+names and provenances and ``mesh_dims``; Duato's escape VCs follow from
+the topology, and ``vcs_per_port`` is read only by the cores).  The routing
 instance carries the decision memos and the flat core's
 ``[node][sign class]`` table, so a later simulator routes from every
 entry an earlier one filled.  A plugin component always gets a fresh
@@ -96,7 +97,6 @@ def _build_network(
         key = (
             tuple((name, kind.provenance(name)) for kind, name in kinds),
             config.mesh_dims,
-            config.num_escape_vcs,
         )
         build = _builds.get(key)
         if build is not None:

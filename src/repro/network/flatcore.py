@@ -379,12 +379,12 @@ class FlatNetworkCore:
         topology = parts.topology
         config = parts.config
         routing = parts.routing
-        routing.validate(config.vcs_per_port)
         self._stats = stats
         self._num_nodes = num_nodes = topology.num_nodes
         self._radix = radix = topology.radix
         self._vcs = vcs = config.vcs_per_port
 
+        # Raises when ``vcs`` cannot keep the algorithm deadlock free here.
         vc_classes = routing.vc_classes(vcs)
         # Per-port escape pools indexed by the header's dateline class for
         # that port's dimension (Router._escape_pools).  The ejection port

@@ -81,7 +81,6 @@ class Router:
         routing: RoutingAlgorithm,
         selector: PathSelector,
     ) -> None:
-        routing.validate(config.vcs_per_port)
         self._node_id = node_id
         self._topology = topology
         self._config = config

@@ -14,8 +14,10 @@ Two closely related concepts live here:
   routing table (giving the adaptive candidate ports) with a
   virtual-channel discipline that guarantees deadlock freedom; Duato's
   fully adaptive algorithm, used throughout the paper, reserves one escape
-  virtual channel per physical channel that always follows dimension-order
-  routing.
+  virtual channel per physical channel (two on a torus, one per dateline
+  class) that always follows dimension-order routing.  Each built-in
+  algorithm states its virtual-channel rule once, as the
+  ``*_vc_classes`` function beside it.
 """
 
 from repro.routing.base import (
@@ -24,8 +26,8 @@ from repro.routing.base import (
     VirtualChannelClasses,
     dateline_escape_classes,
 )
-from repro.routing.dimension_order import DimensionOrderRouting
-from repro.routing.duato import DuatoFullyAdaptiveRouting
+from repro.routing.dimension_order import DimensionOrderRouting, dimension_order_vc_classes
+from repro.routing.duato import DuatoFullyAdaptiveRouting, duato_vc_classes
 from repro.routing.providers import (
     dimension_order_provider,
     minimal_adaptive_provider,
@@ -33,7 +35,7 @@ from repro.routing.providers import (
     north_last_provider,
     west_first_provider,
 )
-from repro.routing.turn_model import TurnModelRouting
+from repro.routing.turn_model import TurnModelRouting, turn_model_vc_classes
 
 __all__ = [
     "DimensionOrderRouting",
@@ -58,8 +60,10 @@ __all__ = [
 # calls it on every topology, telling it whether the topology wraps, so a
 # routing x topology x virtual-channel mismatch fails at SimulationConfig
 # construction with a pointed cross-field error instead of a ValueError
-# from deep inside network wiring.  Factories without the attribute
-# (plugins) are skipped and keep their wiring-time behaviour.
+# from deep inside network wiring.  The built-in checks call the same
+# ``*_vc_classes`` rule that ``vc_classes`` applies at build, so the two
+# cannot disagree.  Factories without the attribute (plugins) are skipped
+# and keep their wiring-time behaviour.
 
 from repro.registry import register as _register  # noqa: E402
 
@@ -67,31 +71,11 @@ from repro.registry import register as _register  # noqa: E402
 @_register("routing", "duato")
 def _make_duato(topology, table, config) -> DuatoFullyAdaptiveRouting:
     """Duato's fully adaptive routing with escape virtual channels."""
-    return DuatoFullyAdaptiveRouting(
-        topology, table, num_escape_vcs=config.num_escape_vcs
-    )
+    return DuatoFullyAdaptiveRouting(topology, table)
 
 
 def _duato_validate_config(config, wraps: bool) -> None:
-    if config.num_escape_vcs < 1:
-        raise ValueError(
-            "SimulationConfig.num_escape_vcs: routing='duato' needs at least "
-            "one escape VC (its deadlock-free dimension-order channel); got "
-            f"num_escape_vcs={config.num_escape_vcs}"
-        )
-    if wraps and config.num_escape_vcs < 2:
-        raise ValueError(
-            "SimulationConfig: routing='duato' on a wrapping topology "
-            "needs >=2 escape VCs on a torus (dateline discipline: one "
-            "escape class before the dateline crossing, one after); got "
-            f"num_escape_vcs={config.num_escape_vcs}"
-        )
-    if config.vcs_per_port < config.num_escape_vcs + 1:
-        raise ValueError(
-            "SimulationConfig.vcs_per_port: routing='duato' needs the "
-            f"{config.num_escape_vcs} escape VC(s) plus at least one adaptive "
-            f"VC per port; got vcs_per_port={config.vcs_per_port}"
-        )
+    duato_vc_classes(config.vcs_per_port, wraps)
 
 
 _make_duato.validate_config = _duato_validate_config
@@ -104,27 +88,14 @@ def _make_dimension_order(topology, table, config) -> DimensionOrderRouting:
 
 
 def _dimension_order_validate_config(config, wraps: bool) -> None:
-    if wraps and config.vcs_per_port < 2:
-        raise ValueError(
-            "SimulationConfig: routing='dimension-order' on a wrapping "
-            "topology needs >=2 escape VCs on a torus (all VCs become "
-            "dateline escape channels, one class before the dateline "
-            f"crossing, one after); got vcs_per_port={config.vcs_per_port}"
-        )
+    dimension_order_vc_classes(config.vcs_per_port, wraps)
 
 
 _make_dimension_order.validate_config = _dimension_order_validate_config
 
 
 def _turn_model_validate_config(config, wraps: bool) -> None:
-    if not wraps:
-        return
-    raise ValueError(
-        f"SimulationConfig: routing={config.routing!r} is a turn-model "
-        "algorithm, which is only deadlock free on meshes; wraparound "
-        "links need routing='duato' or 'dimension-order' with >=2 escape "
-        "VCs (dateline discipline)"
-    )
+    turn_model_vc_classes(config.vcs_per_port, wraps, config.routing)
 
 
 @_register("routing", "north-last")

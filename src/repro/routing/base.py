@@ -104,16 +104,12 @@ class RoutingAlgorithm(ABC):
     #: Human-readable name used in experiment reports.
     name: str = "routing"
 
-    @property
-    @abstractmethod
-    def min_virtual_channels(self) -> int:
-        """Minimum number of virtual channels per physical channel required
-        for deadlock freedom."""
-
     @abstractmethod
     def vc_classes(self, vcs_per_port: int) -> VirtualChannelClasses:
         """Partition ``vcs_per_port`` virtual channels into adaptive/escape
-        classes."""
+        classes; raise ``ValueError`` if that count cannot keep this
+        algorithm deadlock free.  Both network cores call it once at
+        build."""
 
     @abstractmethod
     def decide(self, current: int, destination: int) -> RouteDecision:
@@ -180,15 +176,6 @@ class RoutingAlgorithm(ABC):
         if table is None:
             table = self._flat_decision_table = bytearray(size)
         return table
-
-    def validate(self, vcs_per_port: int) -> None:
-        """Raise ``ValueError`` if the router configuration cannot support
-        this algorithm."""
-        if vcs_per_port < self.min_virtual_channels:
-            raise ValueError(
-                f"{self.name} requires at least {self.min_virtual_channels} "
-                f"virtual channels per physical channel, got {vcs_per_port}"
-            )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

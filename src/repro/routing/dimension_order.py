@@ -23,7 +23,34 @@ from repro.routing.base import (
     dateline_escape_classes,
 )
 
-__all__ = ["DimensionOrderRouting"]
+__all__ = ["DimensionOrderRouting", "dimension_order_vc_classes"]
+
+
+def dimension_order_vc_classes(vcs_per_port: int, wraps: bool) -> VirtualChannelClasses:
+    """Dimension-order routing's virtual-channel rule.
+
+    On a mesh every VC carries the same deterministic relation, so all
+    are "adaptive class" channels with no reserved escapes.  On a torus
+    every VC is an escape channel of the dateline subfunction, split
+    into the two dateline classes, so it needs ``1 + wraps`` VCs per
+    port.  Both the network cores and ``SimulationConfig`` construction
+    apply it.
+    """
+    if not wraps:
+        return VirtualChannelClasses(adaptive_vcs=tuple(range(vcs_per_port)), escape_vcs=())
+    if vcs_per_port < 2:
+        raise ValueError(
+            "SimulationConfig: routing='dimension-order' on a wrapping "
+            "topology needs >=2 escape VCs on a torus (all VCs become "
+            "dateline escape channels, one class before the dateline "
+            f"crossing, one after); got vcs_per_port={vcs_per_port}"
+        )
+    escape = tuple(range(vcs_per_port))
+    return VirtualChannelClasses(
+        adaptive_vcs=(),
+        escape_vcs=escape,
+        escape_classes=dateline_escape_classes(escape),
+    )
 
 
 class DimensionOrderRouting(RoutingAlgorithm):
@@ -47,29 +74,8 @@ class DimensionOrderRouting(RoutingAlgorithm):
         # sign pattern.
         return True
 
-    @property
-    def min_virtual_channels(self) -> int:
-        # A torus needs one VC per dateline class.
-        return 2 if self._topology.wraps else 1
-
     def vc_classes(self, vcs_per_port: int) -> VirtualChannelClasses:
-        self.validate(vcs_per_port)
-        if self._topology.wraps:
-            # Every channel is an escape channel of the dateline
-            # subfunction; allocation flows entirely through the escape
-            # branch, selecting from the class the message's dateline
-            # mask dictates.
-            escape = tuple(range(vcs_per_port))
-            return VirtualChannelClasses(
-                adaptive_vcs=(),
-                escape_vcs=escape,
-                escape_classes=dateline_escape_classes(escape),
-            )
-        # Every virtual channel follows the same deterministic relation, so
-        # they are all "adaptive class" channels with no reserved escapes.
-        return VirtualChannelClasses(
-            adaptive_vcs=tuple(range(vcs_per_port)), escape_vcs=()
-        )
+        return dimension_order_vc_classes(vcs_per_port, self._topology.wraps)
 
     def decide(self, current: int, destination: int) -> RouteDecision:
         port = self._topology.dimension_order_port(current, destination)

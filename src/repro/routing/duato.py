@@ -25,8 +25,9 @@ ring position)`` then strictly increases along every dependency chain --
 dimension-order routing leaves a dimension only upward, the class bump
 breaks each ring -- so the extended subfunction stays acyclic; the
 channel-dependency-graph check in :mod:`repro.tables.validation`
-verifies this mechanically.  Two escape virtual channels (one per
-class) are therefore the minimum on a torus.
+verifies this mechanically.  So the escape count follows from the
+topology: one escape VC on a mesh, two (one per class) on a torus
+(:func:`duato_vc_classes`).
 
 Duato's wormhole proof additionally assumes one message per channel
 queue, so on wrapping topologies both cores allocate output virtual
@@ -58,7 +59,30 @@ from repro.routing.base import (
 if TYPE_CHECKING:  # pragma: no cover - import used for type checking only
     from repro.tables.base import RoutingTable
 
-__all__ = ["DuatoFullyAdaptiveRouting"]
+__all__ = ["DuatoFullyAdaptiveRouting", "duato_vc_classes"]
+
+
+def duato_vc_classes(vcs_per_port: int, wraps: bool) -> VirtualChannelClasses:
+    """Duato's virtual-channel rule: the first ``1 + wraps`` VCs escape,
+    the rest are adaptive.
+
+    One escape VC on a mesh, one per dateline class on a torus, plus at
+    least one adaptive VC, so Duato needs ``2 + wraps`` VCs per port.
+    Both the network cores (through :meth:`~DuatoFullyAdaptiveRouting.
+    vc_classes`) and ``SimulationConfig`` construction apply it.
+    """
+    escape = (0, 1) if wraps else (0,)
+    if vcs_per_port < len(escape) + 1:
+        raise ValueError(
+            "SimulationConfig.vcs_per_port: routing='duato' needs the "
+            f"{len(escape)} escape VC(s) plus at least one adaptive VC per "
+            f"port; got vcs_per_port={vcs_per_port}"
+        )
+    return VirtualChannelClasses(
+        adaptive_vcs=tuple(range(len(escape), vcs_per_port)),
+        escape_vcs=escape,
+        escape_classes=dateline_escape_classes(escape) if wraps else None,
+    )
 
 
 class DuatoFullyAdaptiveRouting(RoutingAlgorithm):
@@ -68,36 +92,19 @@ class DuatoFullyAdaptiveRouting(RoutingAlgorithm):
     ----------
     topology:
         The network the algorithm routes on.  On meshes the escape
-        subfunction is plain dimension-order routing; on tori it is
-        dimension-order with the dateline VC discipline, which needs two
-        escape channels (one per dateline class).
+        subfunction is plain dimension-order routing over one escape VC
+        (the paper's 4-VC routers keep 3 fully adaptive); on tori it is
+        dimension-order with the dateline VC discipline over two escape
+        VCs, one per dateline class (see :func:`duato_vc_classes`).
     table:
         Routing table consulted for the adaptive candidate ports.
-    num_escape_vcs:
-        Number of virtual channels per physical channel reserved as escape
-        channels (default 1, the mesh minimum; the paper's routers have 4
-        VCs so 3 remain fully adaptive).
     """
 
     name = "duato-fully-adaptive"
 
-    def __init__(
-        self,
-        topology: Topology,
-        table: "RoutingTable",
-        num_escape_vcs: int = 1,
-    ) -> None:
-        if num_escape_vcs < 1:
-            raise ValueError("at least one escape virtual channel is required")
-        if topology.wraps and num_escape_vcs < 2:
-            raise ValueError(
-                "the dateline escape discipline needs >=2 escape VCs on a "
-                f"torus (one per dateline class), got num_escape_vcs="
-                f"{num_escape_vcs}"
-            )
+    def __init__(self, topology: Topology, table: "RoutingTable") -> None:
         self._topology = topology
         self._table = table
-        self._num_escape_vcs = num_escape_vcs
 
     @property
     def decides_by_signs(self) -> bool:
@@ -105,19 +112,8 @@ class DuatoFullyAdaptiveRouting(RoutingAlgorithm):
         # the decision is per sign class whenever the table is.
         return getattr(self._table, "sign_indexed", False)
 
-    @property
-    def min_virtual_channels(self) -> int:
-        # One escape channel plus at least one adaptive channel.
-        return self._num_escape_vcs + 1
-
     def vc_classes(self, vcs_per_port: int) -> VirtualChannelClasses:
-        self.validate(vcs_per_port)
-        escape = tuple(range(self._num_escape_vcs))
-        adaptive = tuple(range(self._num_escape_vcs, vcs_per_port))
-        classes = dateline_escape_classes(escape) if self._topology.wraps else None
-        return VirtualChannelClasses(
-            adaptive_vcs=adaptive, escape_vcs=escape, escape_classes=classes
-        )
+        return duato_vc_classes(vcs_per_port, self._topology.wraps)
 
     def decide(self, current: int, destination: int) -> RouteDecision:
         adaptive_ports = self._table.lookup(current, destination)

@@ -19,13 +19,30 @@ from repro.routing.providers import (
     west_first_provider,
 )
 
-__all__ = ["TurnModelRouting"]
+__all__ = ["TurnModelRouting", "turn_model_vc_classes"]
 
 _PROVIDERS = {
     "north-last": north_last_provider,
     "west-first": west_first_provider,
     "negative-first": negative_first_provider,
 }
+
+
+def turn_model_vc_classes(
+    vcs_per_port: int, wraps: bool, model: str
+) -> VirtualChannelClasses:
+    """The turn models' virtual-channel rule: deadlock free on a mesh with
+    a single VC, so every VC is adaptive; never on a torus.  Both the
+    network cores and ``SimulationConfig`` construction apply it.
+    """
+    if wraps:
+        raise ValueError(
+            f"SimulationConfig: routing={model!r} is a turn-model "
+            "algorithm, which is only deadlock free on meshes; wraparound "
+            "links need routing='duato' or 'dimension-order' with >=2 escape "
+            "VCs (dateline discipline)"
+        )
+    return VirtualChannelClasses(adaptive_vcs=tuple(range(vcs_per_port)), escape_vcs=())
 
 
 class TurnModelRouting(RoutingAlgorithm):
@@ -47,21 +64,13 @@ class TurnModelRouting(RoutingAlgorithm):
             raise ValueError(
                 f"unknown turn model {model!r}; expected one of {sorted(_PROVIDERS)}"
             )
-        if topology.wraps:
-            raise ValueError("turn-model routing is only deadlock free on meshes")
+        self._model = model
+        self._wraps = topology.wraps
         self._provider: PortProvider = _PROVIDERS[model](topology)
         self.name = f"turn-model-{model}"
 
-    @property
-    def min_virtual_channels(self) -> int:
-        # Turn-model routing is deadlock free with a single channel.
-        return 1
-
     def vc_classes(self, vcs_per_port: int) -> VirtualChannelClasses:
-        self.validate(vcs_per_port)
-        return VirtualChannelClasses(
-            adaptive_vcs=tuple(range(vcs_per_port)), escape_vcs=()
-        )
+        return turn_model_vc_classes(vcs_per_port, self._wraps, self._model)
 
     def decide(self, current: int, destination: int) -> RouteDecision:
         ports = self._provider(current, destination)

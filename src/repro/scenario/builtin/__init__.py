@@ -357,7 +357,6 @@ def torus_tornado_study(
         base=_base_dict(
             base_config,
             topology="torus",
-            num_escape_vcs=2,
             traffic="tornado",
             pipeline="la-proud",
         ),
@@ -399,7 +398,6 @@ def torus3d_adaptivity_study(
             base_config,
             mesh_dims=tuple(dims),
             topology="torus",
-            num_escape_vcs=2,
             link_delays=(1, 1, z_link_delay),
             pipeline="la-proud",
         ),
@@ -655,13 +653,13 @@ def _builtin_sweep_refine() -> Study:
 @register("study", "torus_tornado")
 def _builtin_torus_tornado() -> Study:
     """Tiny-scale tornado-on-torus study."""
-    return torus_tornado_study(SimulationConfig.tiny(num_escape_vcs=2))
+    return torus_tornado_study(SimulationConfig.tiny())
 
 
 @register("study", "torus3d_adaptivity")
 def _builtin_torus3d_adaptivity() -> Study:
     """Tiny-scale 3-D torus slow-Z adaptivity study."""
-    return torus3d_adaptivity_study(SimulationConfig.tiny(num_escape_vcs=2))
+    return torus3d_adaptivity_study(SimulationConfig.tiny())
 
 
 @register("study", "workload_allreduce")

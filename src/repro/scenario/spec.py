@@ -166,9 +166,14 @@ class Axis:
                 name=str(data.get("name", "variant")),
                 variants=tuple(Variant.from_dict(v) for v in data["variants"]),
             )
+        values = data["values"]
+        if not isinstance(values, list):
+            # A string would sweep its characters one by one.
+            name = data.get("label") or data["field"]
+            raise ValueError(f"study axis {name!r}: values must be a list, got {values!r}")
         return cls(
             field=str(data["field"]),
-            values=tuple(data["values"]),
+            values=tuple(values),
             label=str(data.get("label", "")),
         )
 

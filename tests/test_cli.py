@@ -219,7 +219,7 @@ def test_cache_dir_pointing_at_a_file_fails_cleanly(tmp_path):
             ["run", "--messages", "0"],
             "lapses: invalid measurement window: measure_messages must be at least 1, got 0",
         ),
-        (["run", "--load", "-1"], "lapses: normalized load cannot be negative"),
+        (["run", "--load", "-1"], "lapses: normalized_load must be non-negative, got -1.0"),
         (
             ["sweep", "--messages", "0"],
             "lapses: invalid measurement window: measure_messages must be at least 1, got 0",
@@ -230,6 +230,11 @@ def test_cache_dir_pointing_at_a_file_fails_cleanly(tmp_path):
             "lapses: invalid measurement window: warmup_messages must be at least 0, got -1",
         ),
         (["run", "--vcs", "0"], "lapses: vcs_per_port must be at least 1, got 0"),
+        (
+            ["run", "--mesh", "1x4"],
+            "lapses: mesh_dims must have at least 2 nodes in every dimension, got (1, 4)",
+        ),
+        (["run", "--message-length", "0"], "lapses: message_length must be at least 1 flit, got 0"),
     ],
 )
 def test_run_and_sweep_report_bad_arguments_in_one_line(argv, message):

@@ -67,12 +67,10 @@ def test_list_valued_sequence_fields_normalize_to_tuples():
     # JSON-sourced overrides (study specs) arrive as lists; the config
     # must still hash and compare equal to its tuple-built twin.
     config = SimulationConfig(
-        mesh_dims=[3, 3, 3], topology="torus", routing="duato",
-        num_escape_vcs=2, link_delays=[1, 1, 2],
+        mesh_dims=[3, 3, 3], topology="torus", routing="duato", link_delays=[1, 1, 2]
     )
     twin = SimulationConfig(
-        mesh_dims=(3, 3, 3), topology="torus", routing="duato",
-        num_escape_vcs=2, link_delays=(1, 1, 2),
+        mesh_dims=(3, 3, 3), topology="torus", routing="duato", link_delays=(1, 1, 2)
     )
     assert config.mesh_dims == (3, 3, 3)
     assert config.link_delays == (1, 1, 2)
@@ -113,6 +111,16 @@ def test_config_from_dict_refuses_unknown_keys_and_defaults_missing_ones():
         SimulationConfig.from_dict(
             {"mesh_dims": [4, 4], "torus": True, "num_escape_vcs": 2}
         )
+
+
+def test_the_retired_escape_vc_count_is_an_unknown_key():
+    # Duato's escape VCs follow from the topology now; a stored config
+    # that still names their count is refused with the unknown-key error.
+    with pytest.raises(ValueError) as excinfo:
+        SimulationConfig.from_dict({"mesh_dims": [4, 4], "num_escape_vcs": 2})
+    assert str(excinfo.value) == (
+        "SimulationConfig.from_dict: unknown configuration key(s) 'num_escape_vcs'"
+    )
 
 
 def test_config_to_dict_is_json_stable():

@@ -92,11 +92,10 @@ def configs(draw):
     routing = draw(
         st.sampled_from(["duato", "dimension-order"] + ([] if torus else _TURN_MODELS))
     )
-    escape = 2 if torus else 1
     if routing in _TURN_MODELS:
         vcs = draw(st.integers(1, 3))
     elif routing == "duato":
-        vcs = draw(st.integers(escape + 1, 4))
+        vcs = draw(st.integers(3 if torus else 2, 4))
     else:
         vcs = draw(st.integers(2 if torus else 1, 3))
     fields = dict(
@@ -106,7 +105,6 @@ def configs(draw):
             st.none() | st.tuples(*[st.integers(1, 2) for _ in dims])
         ),
         routing=routing,
-        num_escape_vcs=escape,
         vcs_per_port=vcs,
         buffer_depth=draw(st.integers(1, 4)),
         # The meta tables' cluster mappings are 2-D only.
@@ -179,7 +177,7 @@ def test_objects_and_flat_cores_agree_on_many_random_configs(config):
 
 
 def test_spec_json_replays_the_config():
-    config = SimulationConfig.tiny(topology="torus", routing="duato", num_escape_vcs=2)
+    config = SimulationConfig.tiny(topology="torus", routing="duato")
     study = Study.from_json(spec_json(config))
     [point] = study.expand()
     assert point.config == config

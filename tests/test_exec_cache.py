@@ -176,9 +176,9 @@ def test_cache_format_is_v11():
     assert CACHE_FORMAT_VERSION == 11
 
 
-#: Base of the key-surface tests: a tiny mesh with two escape VCs, so
-#: the torus alternative below is a valid configuration too.
-_KEY_BASE = SimulationConfig.tiny(num_escape_vcs=2)
+#: Base of the key-surface tests: a tiny mesh with four VCs, so the
+#: torus alternative below is a valid configuration too.
+_KEY_BASE = SimulationConfig.tiny()
 
 #: A valid value other than ``_KEY_BASE``'s for every SimulationConfig
 #: field.
@@ -196,7 +196,6 @@ _KEY_ALTERNATIVES = {
     # entries.
     "core_mode": "objects",
     "routing": "dimension-order",
-    "num_escape_vcs": 1,
     "table": "full",
     "selector": "lru",
     "traffic": "transpose",

@@ -81,7 +81,6 @@ def test_c_sign_classes_match_relative_signs(topology, mesh_dims):
     config = SimulationConfig.tiny(
         topology=topology,
         mesh_dims=mesh_dims,
-        num_escape_vcs=2 if topology == "torus" else 1,
         vcs_per_port=3,
         traffic="uniform",
         normalized_load=0.4,

@@ -176,16 +176,14 @@ def small_configs(draw):
     extent = st.integers(3, 4) if torus else st.integers(2, 4)
     dims = (draw(extent), draw(extent))
     routing = draw(st.sampled_from(["duato", "dimension-order"]))
-    escape = 2 if torus else 1
     if routing == "duato":
-        vcs = draw(st.integers(escape + 1, 4))
+        vcs = draw(st.integers(3 if torus else 2, 4))
     else:
         vcs = draw(st.integers(2 if torus else 1, 3))
     return SimulationConfig(
         mesh_dims=dims,
         topology="torus" if torus else "mesh",
         routing=routing,
-        num_escape_vcs=escape,
         vcs_per_port=vcs,
         buffer_depth=draw(st.sampled_from([2, 4])),
         selector=draw(st.sampled_from(["static-xy", "random"])),

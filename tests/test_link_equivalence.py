@@ -291,21 +291,20 @@ def test_workload_axis_crosses_the_cube(workload):
 #: pressure in every dimension, in both cores.
 TORUS_POINTS = {
     "torus2d-tornado-duato": dict(
-        mesh_dims=(4, 4), topology="torus", routing="duato", num_escape_vcs=2,
-        traffic="tornado", normalized_load=0.9,
+        mesh_dims=(4, 4), topology="torus", routing="duato", traffic="tornado",
+        normalized_load=0.9,
     ),
     "torus2d-uniform-dor": dict(
         mesh_dims=(4, 4), topology="torus", routing="dimension-order",
         vcs_per_port=2, traffic="uniform", normalized_load=0.6,
     ),
     "torus3d-uniform": dict(
-        mesh_dims=(4, 4, 4), topology="torus", routing="duato",
-        num_escape_vcs=2, traffic="uniform", normalized_load=1.0,
-        link_delays=(1, 1, 2),
+        mesh_dims=(4, 4, 4), topology="torus", routing="duato", traffic="uniform",
+        normalized_load=1.0, link_delays=(1, 1, 2),
     ),
     "torus3d-tornado": dict(
-        mesh_dims=(4, 4, 4), topology="torus", routing="duato",
-        num_escape_vcs=2, traffic="tornado", normalized_load=1.0,
+        mesh_dims=(4, 4, 4), topology="torus", routing="duato", traffic="tornado",
+        normalized_load=1.0,
     ),
 }
 

@@ -151,7 +151,7 @@ def test_component_provenance_includes_workloads_and_skips_none():
 def _probe_networks():
     """A 4x4 mesh and a 4x4 torus, each with its configuration and table."""
     mesh = SimulationConfig(mesh_dims=(4, 4))
-    torus = SimulationConfig(mesh_dims=(4, 4), topology="torus", num_escape_vcs=2)
+    torus = SimulationConfig(mesh_dims=(4, 4), topology="torus")
     networks = []
     for config in (mesh, torus):
         topology = build_topology(config)

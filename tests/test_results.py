@@ -131,6 +131,6 @@ def test_campaign_header_names_every_extent_and_the_topology():
         return render_campaign_header(config).splitlines()[2].split(",")[0]
 
     assert base(SimulationConfig()) == "Base configuration: 8x8 mesh"
-    torus = SimulationConfig(topology="torus", mesh_dims=(3, 3, 3), num_escape_vcs=2)
+    torus = SimulationConfig(topology="torus", mesh_dims=(3, 3, 3))
     assert base(torus) == "Base configuration: 3x3x3 torus"
     assert base(SimulationConfig(mesh_dims=(8,))) == "Base configuration: 8 mesh"

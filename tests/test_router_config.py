@@ -31,9 +31,7 @@ def test_link_delay_per_dimension():
     uniform = SimulationConfig(link_delay=2)
     assert [uniform.link_delay_for(d) for d in (0, 1)] == [2, 2]
     assert uniform.max_link_delay == 2
-    stacked = SimulationConfig(
-        topology="torus", mesh_dims=(4, 4, 2), num_escape_vcs=2, link_delays=(1, 1, 3)
-    )
+    stacked = SimulationConfig(topology="torus", mesh_dims=(4, 4, 2), link_delays=(1, 1, 3))
     assert [stacked.link_delay_for(d) for d in (0, 1, 2)] == [1, 1, 3]
     assert stacked.max_link_delay == 3
 

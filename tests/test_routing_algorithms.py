@@ -46,8 +46,7 @@ def test_dimension_order_decision_and_classes(mesh):
 def test_dimension_order_on_torus_uses_dateline_classes():
     torus = TorusTopology((4, 4))
     algorithm = DimensionOrderRouting(torus)
-    assert algorithm.min_virtual_channels == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got vcs_per_port=1"):
         algorithm.vc_classes(1)  # one VC cannot hold two dateline classes
     classes = algorithm.vc_classes(4)
     assert classes.adaptive_vcs == ()
@@ -62,11 +61,11 @@ def test_dimension_order_on_torus_uses_dateline_classes():
 
 def test_duato_classes_reserve_escape_channels(mesh):
     table = EconomicalStorageTable(mesh)
-    algorithm = DuatoFullyAdaptiveRouting(mesh, table, num_escape_vcs=1)
+    algorithm = DuatoFullyAdaptiveRouting(mesh, table)
     classes = algorithm.vc_classes(4)
     assert classes.escape_vcs == (0,)
     assert classes.adaptive_vcs == (1, 2, 3)
-    assert algorithm.min_virtual_channels == 2
+    assert algorithm.vc_classes(2).adaptive_vcs == (1,)
 
 
 def test_duato_requires_enough_vcs(mesh):
@@ -100,22 +99,27 @@ def test_duato_with_full_table_matches_economical(mesh):
 
 
 def test_duato_torus_needs_two_escape_vcs(mesh):
+    """The escape VCs follow from the topology: one on a mesh, one per
+    dateline class on a torus, each with at least one adaptive VC."""
     torus = TorusTopology((4, 4))
-    # One escape VC cannot hold two dateline classes; zero never works.
-    with pytest.raises(ValueError, match="2 escape VCs"):
-        DuatoFullyAdaptiveRouting(torus, EconomicalStorageTable(torus))
-    with pytest.raises(ValueError):
-        DuatoFullyAdaptiveRouting(mesh, EconomicalStorageTable(mesh), num_escape_vcs=0)
-    algorithm = DuatoFullyAdaptiveRouting(
-        torus, EconomicalStorageTable(torus), num_escape_vcs=2
-    )
-    classes = algorithm.vc_classes(4)
-    assert classes.escape_vcs == (0, 1)
-    assert classes.adaptive_vcs == (2, 3)
-    assert classes.escape_classes == ((0,), (1,))
-    # On a mesh the discipline is off: no dateline classes are declared.
+    on_torus = DuatoFullyAdaptiveRouting(torus, EconomicalStorageTable(torus))
     on_mesh = DuatoFullyAdaptiveRouting(mesh, EconomicalStorageTable(mesh))
-    assert on_mesh.vc_classes(4).escape_classes is None
+    for vcs in (3, 4):
+        classes = on_torus.vc_classes(vcs)
+        assert classes.escape_vcs == (0, 1)
+        assert classes.adaptive_vcs == tuple(range(2, vcs))
+        assert classes.escape_classes == ((0,), (1,))
+    for vcs in (2, 3, 4):
+        classes = on_mesh.vc_classes(vcs)
+        assert classes.escape_vcs == (0,)
+        assert classes.adaptive_vcs == tuple(range(1, vcs))
+        # On a mesh the discipline is off: no dateline classes are declared.
+        assert classes.escape_classes is None
+    # Two escape VCs leave a 2-VC torus port no adaptive VC.
+    with pytest.raises(ValueError, match="needs the 2 escape VC"):
+        on_torus.vc_classes(2)
+    with pytest.raises(ValueError, match="needs the 1 escape VC"):
+        on_mesh.vc_classes(1)
 
 
 def test_turn_model_routing_decisions(mesh):
@@ -124,7 +128,7 @@ def test_turn_model_routing_decisions(mesh):
     decision = algorithm.decide(origin, mesh.node_id((3, 3)))
     assert decision.adaptive_ports == (EAST,)
     assert decision.escape_port == EAST
-    assert algorithm.min_virtual_channels == 1
+    assert algorithm.vc_classes(1).adaptive_vcs == (0,)
     classes = algorithm.vc_classes(2)
     assert classes.escape_vcs == ()
 

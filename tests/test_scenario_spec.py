@@ -86,6 +86,14 @@ def test_unknown_config_key_fails_expansion_by_name(where):
         study.expand()
 
 
+def test_the_retired_escape_vc_count_fails_expansion_by_name():
+    # Duato's escape VCs follow from the topology; a spec that still sets
+    # their count is refused, not silently ignored.
+    study = Study.from_dict({"study": "fixture", "base": {"num_escape_vcs": 2}})
+    with pytest.raises(TypeError, match="num_escape_vcs"):
+        study.expand()
+
+
 def test_real_config_keys_pass_expansion():
     study = Study.from_dict(
         {
@@ -250,6 +258,23 @@ def test_an_axis_without_values_is_refused_naming_it(axis, name, stop):
         spec["stop"] = stop
     with pytest.raises(ValueError, match=f"axis '{name}' has no values or variants"):
         Study.from_json(json.dumps(spec))
+
+
+@pytest.mark.parametrize(
+    "axis, name",
+    [
+        ({"field": "traffic", "values": "uniform"}, "traffic"),
+        ({"field": "normalized_load", "values": 0.2, "label": "load"}, "load"),
+    ],
+)
+def test_an_axis_whose_values_are_not_a_list_is_refused_naming_it(axis, name):
+    # A string would otherwise sweep its characters: 'u', 'n', ...
+    spec = {"name": "e", "kind": "grid", "axes": [axis]}
+    with pytest.raises(ValueError) as excinfo:
+        Study.from_json(json.dumps(spec))
+    assert str(excinfo.value) == (
+        f"study axis {name!r}: values must be a list, got {axis['values']!r}"
+    )
 
 
 def test_campaign_suite_contains_the_six_experiments():

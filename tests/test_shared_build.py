@@ -58,11 +58,10 @@ def _build(simulator):
 
 
 #: Networks with sign-class decisions: the dateline classes of a 4x4
-#: torus, a 3x3x3 torus, and a mesh with more VCs and two escape VCs.
+#: torus and of a 3x3x3 torus.
 _NETWORKS = {
-    "torus4x4": dict(topology="torus", mesh_dims=(4, 4), num_escape_vcs=2, vcs_per_port=3),
-    "torus3x3x3": dict(topology="torus", mesh_dims=(3, 3, 3), num_escape_vcs=2, vcs_per_port=3),
-    "mesh-escape2": dict(mesh_dims=(4, 4), vcs_per_port=5, num_escape_vcs=2),
+    "torus4x4": dict(topology="torus", mesh_dims=(4, 4), vcs_per_port=3),
+    "torus3x3x3": dict(topology="torus", mesh_dims=(3, 3, 3), vcs_per_port=3),
 }
 
 
@@ -131,12 +130,11 @@ _BUILD_FIELDS = {
     "mesh_dims": dict(mesh_dims=(4, 3)),
     "table": dict(table="full"),
     "routing": dict(routing="dimension-order"),
-    "num_escape_vcs": dict(num_escape_vcs=3),
 }
 
 
 def test_configs_differing_only_in_run_time_fields_share_one_build():
-    base = SimulationConfig.tiny(num_escape_vcs=2)
+    base = SimulationConfig.tiny()
     build = _build(NetworkSimulator(base))
     for field, value in sorted(_RUN_TIME_FIELDS.items()):
         other = _build(NetworkSimulator(base.variant(**{field: value})))
@@ -145,7 +143,7 @@ def test_configs_differing_only_in_run_time_fields_share_one_build():
 
 @pytest.mark.parametrize("field", sorted(_BUILD_FIELDS))
 def test_configs_differing_in_a_build_field_get_their_own_build(field):
-    base = SimulationConfig.tiny(num_escape_vcs=2)
+    base = SimulationConfig.tiny()
     routing = NetworkSimulator(base)._routing
     other = NetworkSimulator(base.variant(**_BUILD_FIELDS[field]))
     assert other._routing is not routing

@@ -190,19 +190,16 @@ def test_torus_with_wrap_refusing_routing_fails_at_config_construction():
     # config validation and only blow up at NetworkSimulator wiring time.
     # The cross-field check must now raise at construction, with a
     # pointed routing x topology x escape-VC message.
-    with pytest.raises(ValueError, match="2 escape VCs"):
-        SimulationConfig.tiny(topology="torus", routing="duato", num_escape_vcs=1)
+    with pytest.raises(ValueError, match="needs the 2 escape VC"):
+        SimulationConfig.tiny(topology="torus", routing="duato", vcs_per_port=2)
     with pytest.raises(ValueError, match="turn-model"):
         SimulationConfig.tiny(topology="torus", routing="north-last")
     with pytest.raises(ValueError, match="dateline"):
         SimulationConfig.tiny(topology="torus", routing="dimension-order", vcs_per_port=1)
     # The safe combinations construct (and wire) cleanly.
-    config = SimulationConfig.tiny(topology="torus", routing="duato", num_escape_vcs=2)
+    config = SimulationConfig.tiny(topology="torus", routing="duato")
     NetworkSimulator(config)
-    config3d = SimulationConfig.tiny(
-        mesh_dims=(3, 3, 3), topology="torus", num_escape_vcs=2
-    )
-    NetworkSimulator(config3d)
+    NetworkSimulator(SimulationConfig.tiny(mesh_dims=(3, 3, 3), topology="torus"))
 
 
 @pytest.mark.parametrize("core_mode", ["flat", "objects"])

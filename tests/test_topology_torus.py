@@ -93,9 +93,7 @@ def test_torus3d_geometry_matches_generic_torus():
     from repro.core.config import SimulationConfig
     from repro.core.simulator import build_topology
 
-    cube = build_topology(
-        SimulationConfig(mesh_dims=(4, 4, 4), topology="torus", num_escape_vcs=2)
-    )
+    cube = build_topology(SimulationConfig(mesh_dims=(4, 4, 4), topology="torus"))
     assert type(cube) is TorusTopology
     assert cube.wraps is True
     assert cube.num_nodes == 64
@@ -116,7 +114,4 @@ def test_torus3d_registry_entry():
     from repro.core.config import SimulationConfig
 
     with pytest.raises(ValueError, match="registered alternatives: mesh, torus"):
-        SimulationConfig(
-            mesh_dims=(4, 4, 4), topology="torus3d", routing="duato",
-            num_escape_vcs=2,
-        )
+        SimulationConfig(mesh_dims=(4, 4, 4), topology="torus3d", routing="duato")

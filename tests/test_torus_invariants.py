@@ -24,12 +24,12 @@ from repro.network.topology import port_direction
 
 TORI = {
     "torus2d-tornado": dict(
-        mesh_dims=(4, 4), topology="torus", routing="duato", num_escape_vcs=2,
-        traffic="tornado", normalized_load=0.9,
+        mesh_dims=(4, 4), topology="torus", routing="duato", traffic="tornado",
+        normalized_load=0.9,
     ),
     "torus3d-uniform": dict(
-        mesh_dims=(3, 3, 3), topology="torus", routing="duato",
-        num_escape_vcs=2, traffic="uniform", normalized_load=0.8,
+        mesh_dims=(3, 3, 3), topology="torus", routing="duato", traffic="uniform",
+        normalized_load=0.8,
     ),
 }
 
